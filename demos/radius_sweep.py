@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from polyharm.errors import NoSignChange
-from polyharm.landau import landau_fourgon, landau_from_diameter, landau_from_length
+from polyharm.landau import landau_from_diameter, landau_from_length
 
 
 def sweep_diameter(p, diams):
@@ -48,14 +48,6 @@ def main():
     ks = np.linspace(1.0, 4.0, args.points)
     for p in (1, 3):
         sweep_length(p, ks, 2.0 * math.pi)
-
-    # the depth-2 convenience wrapper agrees with the general route
-    print("depth-2 wrapper vs general route")
-    for d in (0.5, 1.0, 2.0):
-        a = landau_fourgon(d)
-        b = landau_from_diameter(2, 1.0, d)
-        print("  diam=%.2f  wrapper=%.16f  general=%.16f  gap=%.2e"
-              % (d, a.r_univ, b.r_univ, abs(a.r_univ - b.r_univ)))
 
     # pinned closed forms worth eyeballing: the harmonic unit case has
     # r = 1/2 and covered radius 1 - log 2

@@ -14,7 +14,7 @@ from .certificates import (CheckReport, Margin, area_schwarz, arg_condition,
                            hadamard_three_circles, length_coefficient_bounds,
                            three_circles_area)
 from .landau import (LandauResult, landau_from_diameter, landau_from_length,
-                     landau_fourgon, least_positive_root)
+                     least_positive_root)
 from .metrics import (DiskDomain, LipschitzReport, PairSampler,
                       contraction_check, harmonic_lipschitz_check, j_metric,
                       mobius_j_distortion, psi_profile)
@@ -42,7 +42,7 @@ __all__ = [
     "length_coefficient_bounds", "three_circles_area",
     # landau
     "LandauResult", "landau_from_diameter", "landau_from_length",
-    "landau_fourgon", "least_positive_root",
+    "least_positive_root",
     # metrics
     "DiskDomain", "LipschitzReport", "PairSampler", "contraction_check",
     "harmonic_lipschitz_check", "j_metric", "mobius_j_distortion",

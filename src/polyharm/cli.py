@@ -104,17 +104,14 @@ def cmd_length(args) -> int:
 def cmd_area(args) -> int:
     F, _ = _load(args.map)
     if args.method in ("series", "both"):
-        print("S_series = %.17g" % geometry.area_series(F, args.r))
+        s = geometry.area_series(F, args.r)
+        print("S_series = %.17g" % s)
     if args.method in ("quadrature", "both"):
         q = geometry.area_quadrature(F, args.r, n_radial=args.radial_nodes,
                                      n_theta=args.theta_samples)
         print("S_quadrature = %.17g" % q)
     if args.method == "both":
-        d = abs(geometry.area_series(F, args.r)
-                - geometry.area_quadrature(F, args.r,
-                                           n_radial=args.radial_nodes,
-                                           n_theta=args.theta_samples))
-        print("difference = %.3g" % d)
+        print("difference = %.3g" % abs(s - q))
     return EXIT_PASS
 
 
@@ -131,23 +128,25 @@ def cmd_landau(args) -> int:
     alpha = args.alpha
     if alpha is None:
         alpha = dilatation(F, 0.0).lambda_small
+        if not alpha > 0.0 and args.mode != "fourgon":
+            raise DegenerateMap("lambda_small = %.3e at z = 0" % alpha)
     print("mode = %s" % args.mode)
     print("p = %d" % F.p)
     print("alpha = %.17g" % alpha)
-    if args.mode == "diameter":
-        diam = args.diam if args.diam is not None else geometry.diameter_estimate(F)
-        print("diam = %.17g" % diam)
-        res = landau_mod.landau_from_diameter(F.p, alpha, diam, tol=args.tol)
-    elif args.mode == "length":
+    if args.mode == "length":
         K = args.K if args.K is not None else quasiregularity_constant(F, 1.0)
         l1 = args.l1 if args.l1 is not None else geometry.sup_length(F)
         print("K = %.17g" % K)
         print("l1 = %.17g" % l1)
         res = landau_mod.landau_from_length(F.p, alpha, K, l1, tol=args.tol)
-    else:  # fourgon
+    else:
         diam = args.diam if args.diam is not None else geometry.diameter_estimate(F)
+        if args.diam is None and not diam > 0.0:
+            raise DegenerateMap("image diameter estimate is %r" % diam)
         print("diam = %.17g" % diam)
-        res = landau_mod.landau_fourgon(diam, tol=args.tol)
+        # fourgon: the two-layer bound at unit normalization
+        p, a = (F.p, alpha) if args.mode == "diameter" else (2, 1.0)
+        res = landau_mod.landau_from_diameter(p, a, diam, tol=args.tol)
     print("r_univ = %.17g" % res.r_univ)
     print("rho_cover = %.17g" % res.rho_cover)
     return EXIT_PASS
@@ -163,7 +162,11 @@ def cmd_three_circles(args) -> int:
     else:
         m = args.m if args.m is not None else float(geometry.area_series(F, args.r1))
         grid = np.linspace(args.r1, 1.0 - 1e-6, args.grid)
-        rep = certificates.three_circles_area(F, args.r1, m, r_grid=grid)
+        if args.m is None and not m > 0.0:  # the map's own S(r1) breaks 0 < m
+            rep = certificates.CheckReport("three-circles-area", "hypotheses-not-met",
+                                           extras={"S_at_r1": m})
+        else:
+            rep = certificates.three_circles_area(F, args.r1, m, r_grid=grid)
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
     worst = rep.worst()
@@ -272,11 +275,13 @@ def cmd_verify(args) -> int:
         hyps[kind] = rep.verdict == "pass"
         add("hypothesis", report.check_to_dict(rep))
 
-    if hyps["diameter"]:
+    if not hyps["diameter"]:
+        skip("diameter-coefficient-bounds", "layer angle condition fails")
+    elif args.diam is None and not derived["diam"] > 0.0:
+        skip("diameter-coefficient-bounds", "image diameter estimate is zero")
+    else:
         rep = certificates.diameter_coefficient_bounds(F, derived["diam"])
         add("conclusion", report.check_to_dict(rep))
-    else:
-        skip("diameter-coefficient-bounds", "layer angle condition fails")
 
     if not hyps["length"]:
         skip("length-coefficient-bounds", "layer alignment condition fails")
@@ -291,7 +296,9 @@ def cmd_verify(args) -> int:
         skip("three-circles-area", "area angle condition fails")
         skip("area-schwarz", "area angle condition fails")
     else:
-        if derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT and m < 1.0:
+        if not m > 0.0:
+            skip("three-circles-area", "normalized area at r1 is not positive")
+        elif derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT and m < 1.0:
             grid = np.linspace(args.r1, 1.0 - 1e-6, args.grid)
             rep = certificates.three_circles_area(F, args.r1, m, r_grid=grid)
             add("conclusion", report.check_to_dict(rep))

@@ -11,18 +11,18 @@ polynomial, so F solves the p-th iterated Laplace equation identically; the
 finite-difference residual used by the test-suite lives in
 :func:`polyharmonic_residual`.
 
-The two Wirtinger derivatives of a single (n, j) term are
+Writing s = |z|^2, P_n(z) = sum_j a[n,j] z^j and Q*_n(zbar) = sum_j
+conj(b[n,j]) zbar^j, the map is F = sum_n s^(n-1) H_n with H_n = P_n + Q*_n,
+and its Wirtinger derivatives are
 
-    d/dz:    (n+j-1) a z^(n+j-2) zbar^(n-1)  +  (n-1) conj(b) z^(n-2) zbar^(n+j-1)
-    d/dzbar: (n-1)   a z^(n+j-1) zbar^(n-2)  +  (n+j-1) conj(b) z^(n-1) zbar^(n+j-2)
+    F_z    = sum_n s^(n-1) P_n'(z)    + zbar * G
+    F_zbar = sum_n s^(n-1) Q*_n'(zbar) + z * G,   G = sum_{n>=2} (n-1) s^(n-2) H_n.
 
-Monomials with zero exponent are 1 even at z = 0, and the factors that would
-have a negative exponent carry the integer prefactor (n-1) = 0 exactly when
-that happens, so they are skipped rather than formed.
-
-All series are summed in fixed lexicographic (n, j) order with a balanced
-pairwise reduction, which makes evaluation bitwise reproducible for a given
-input and keeps rounding error low at these sizes.
+Every sum is evaluated by Horner's rule: in z (or zbar) within a layer and
+in s across layers, so a call holds a handful of len(z)-sized temporaries
+whatever p and J are.  :func:`evaluate` runs only the value chains.  The
+order of operations is fixed and elementwise, so a scalar call returns
+exactly the bits of the matching entry of an array call.
 """
 from __future__ import annotations
 
@@ -48,18 +48,6 @@ __all__ = [
     "conjugate_map",
     "scale_map",
 ]
-
-
-def _tree_sum(terms: np.ndarray) -> np.ndarray:
-    # Balanced pairwise sum over axis 0 with a bracketing that depends only
-    # on the number of terms, never on the trailing shape.
-    while terms.shape[0] > 1:
-        k = terms.shape[0]
-        half = terms[0:k - (k % 2):2] + terms[1:k:2]
-        if k % 2:
-            half = np.concatenate([half, terms[k - 1:k]], axis=0)
-        terms = half
-    return terms[0]
 
 
 @dataclass(frozen=True)
@@ -176,62 +164,68 @@ def build_map(spec) -> PolyharmonicMap:
     return PolyharmonicMap(table, label=label)
 
 
-def _power_table(zz: np.ndarray, top: int) -> list:
-    # zz**k for k = 0..top by cumulative products; zz**0 is 1 even at 0
-    out = [np.ones_like(zz)]
-    for _ in range(top):
-        out.append(out[-1] * zz)
-    return out
+# Complex-by-complex products are formed out of place (acc = acc * w): the
+# in-place product takes a different numpy loop for one element than for
+# many, which would break the scalar/array bit equality.  In-place sums are
+# not affected.
+
+def _horner(c, w):
+    # sum_{k=1}^{len(c)} c[k-1] * w**k
+    acc = c[-1] * w
+    for ck in c[-2::-1]:
+        acc += ck
+        acc = acc * w
+    return acc
+
+
+def _horner_deriv(c, w):
+    # d/dw of _horner(c, w)
+    d = c * np.arange(1, len(c) + 1)
+    if d.size == 1:
+        return np.full(w.shape, d[0])
+    return _horner(d[1:], w) + d[0]
+
+
+def _points(z):
+    zz = np.asarray(z, dtype=np.complex128)
+    scalar = zz.ndim == 0
+    zz = np.atleast_1d(zz)
+    zc = np.conj(zz)
+    return scalar, zz, zc, (zz * zc).real
 
 
 def evaluate(F: PolyharmonicMap, z):
     """Value of the truncated series at ``z`` (scalar or ndarray)."""
     t = F.table
-    zz = np.asarray(z, dtype=np.complex128)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    r2 = (zz * np.conj(zz)).real
-    zp = _power_table(zz, t.J)
-    rp = _power_table(r2, t.p - 1)
-    terms = np.empty((t.p * t.J,) + zz.shape, dtype=np.complex128)
-    idx = 0
-    for n in range(1, t.p + 1):
-        for j in range(1, t.J + 1):
-            terms[idx] = rp[n - 1] * (t.a[n - 1, j - 1] * zp[j]
-                                      + np.conj(t.b[n - 1, j - 1]) * np.conj(zp[j]))
-            idx += 1
-    out = _tree_sum(terms)
+    scalar, zz, zc, s = _points(z)
+    out = None
+    for n in range(t.p, 0, -1):
+        h = _horner(t.a[n - 1], zz)
+        h += _horner(np.conj(t.b[n - 1]), zc)
+        out = h if out is None else out * s + h
     return complex(out[0]) if scalar else out
 
 
 def wirtinger(F: PolyharmonicMap, z):
     """Both Wirtinger derivatives ``(F_z, F_zbar)`` at ``z`` from the
-    term-wise closed forms in the module docstring."""
+    layer formulas in the module docstring."""
     t = F.table
-    zz = np.asarray(z, dtype=np.complex128)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    zp = _power_table(zz, t.p + t.J - 1)
-    cp = [np.conj(q) for q in zp]
-    terms_z = np.empty((t.p * t.J,) + zz.shape, dtype=np.complex128)
-    terms_zb = np.empty_like(terms_z)
-    idx = 0
-    for n in range(1, t.p + 1):
-        for j in range(1, t.J + 1):
-            a = t.a[n - 1, j - 1]
-            bc = np.conj(t.b[n - 1, j - 1])
-            tz = ((n + j - 1) * a) * (zp[n + j - 2] * cp[n - 1])
-            tzb = ((n + j - 1) * bc) * (zp[n - 1] * cp[n + j - 2])
-            if n >= 2:
-                # prefactor (n-1) vanishes identically for n = 1, which is
-                # exactly when these exponents would have been negative
-                tz = tz + ((n - 1) * bc) * (zp[n - 2] * cp[n + j - 1])
-                tzb = tzb + ((n - 1) * a) * (zp[n + j - 1] * cp[n - 2])
-            terms_z[idx] = tz
-            terms_zb[idx] = tzb
-            idx += 1
-    fz = _tree_sum(terms_z)
-    fzb = _tree_sum(terms_zb)
+    scalar, zz, zc, s = _points(z)
+    fz = fzb = g = None
+    for n in range(t.p, 0, -1):
+        a = t.a[n - 1]
+        bc = np.conj(t.b[n - 1])
+        dp = _horner_deriv(a, zz)
+        dq = _horner_deriv(bc, zc)
+        fz = dp if fz is None else fz * s + dp
+        fzb = dq if fzb is None else fzb * s + dq
+        if n >= 2:
+            h = _horner((n - 1) * a, zz)
+            h += _horner((n - 1) * bc, zc)
+            g = h if g is None else g * s + h
+    if g is not None:
+        fz += zc * g
+        fzb += zz * g
     if scalar:
         return complex(fz[0]), complex(fzb[0])
     return fz, fzb

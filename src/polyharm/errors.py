@@ -24,7 +24,12 @@ class DegenerateMap(PolyharmError):
 
 
 class NoConvergence(PolyharmError):
-    """Adaptive quadrature hit its sample cap before the estimates settled."""
+    """Adaptive quadrature hit its sample cap before the estimates settled;
+    ``estimates`` holds the successive estimates computed on the way."""
+
+    def __init__(self, message: str = "", estimates=()):
+        super().__init__(message)
+        self.estimates = tuple(estimates)
 
 
 class InvalidDiameter(PolyharmError):

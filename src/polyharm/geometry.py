@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import golden_max
-from .core import PolyharmonicMap, _tree_sum, evaluate, wirtinger
+from .core import PolyharmonicMap, _horner, evaluate, wirtinger
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -72,8 +72,8 @@ _CHUNK = 1 << 16
 
 
 def _circle_integral(F: PolyharmonicMap, r: float, n: int) -> float:
-    # chunked: the doubling grids reach n ~ 2^20, and the per-point power
-    # tables for wide tables would otherwise allocate gigabytes at once
+    # chunked: the doubling grids reach n ~ 2^20, where each of the
+    # kernel's point-sized complex temporaries would take 16 MB
     total = 0.0
     for lo in range(0, n, _CHUNK):
         th = 2.0 * np.pi * np.arange(lo, min(lo + _CHUNK, n)) / n
@@ -95,14 +95,23 @@ def curve_length(F: PolyharmonicMap, r: float, n_start: int = 2048,
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
     n = int(n_start)
-    prev = _circle_integral(F, r, n)
+    estimates = [_circle_integral(F, r, n)]
     while n < n_max:
         n *= 2
-        cur = _circle_integral(F, r, n)
+        estimates.append(_circle_integral(F, r, n))
+        settled = _settled(estimates[-2:], tol)
+        if settled is not None:
+            return r * settled
+    raise NoConvergence("circle-length quadrature did not settle by n=%d" % n,
+                        estimates)
+
+
+def _settled(estimates, tol: float):
+    # first estimate that agrees with its predecessor to tol relative
+    for prev, cur in zip(estimates, estimates[1:]):
         if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return r * cur
-        prev = cur
-    raise NoConvergence("circle-length quadrature did not settle by n=%d" % n)
+            return cur
+    return None
 
 
 def sup_length(F: PolyharmonicMap, k_max: int = 20,
@@ -119,21 +128,31 @@ def sup_length(F: PolyharmonicMap, k_max: int = 20,
     pinch the speed integrand close to zero near r = 1, where the trapezoid
     error decays too slowly for a tight relative tolerance; if the sample
     cap is hit the tolerance is relaxed tenfold (up to relax_limit) and the
-    looser setting is kept for the remaining radii.  Smooth profiles never
-    relax, so their result is unchanged; relaxed runs trade the last couple
-    of digits of the supremum for termination.
+    looser setting is kept for the remaining radii.  The relaxed tolerance
+    is applied to the estimates already computed for that radius, which
+    selects the same grid a fresh run would without sampling it again; a
+    radius probed twice at one tolerance is integrated once.
+    Smooth profiles never relax, so their result is unchanged; relaxed runs
+    trade the last couple of digits of the supremum for termination.
     """
     state = {"tol": float(integral_tol)}
+    seen = {}
 
     def measure(r: float) -> float:
-        while True:
+        key = (r, state["tol"])  # golden-section bracket ends were scanned
+        if key not in seen:
             try:
-                return curve_length(F, r, tol=state["tol"])
-            except NoConvergence:
-                bumped = min(max(state["tol"] * 10.0, 1e-12), relax_limit)
-                if bumped <= state["tol"]:
-                    raise
-                state["tol"] = bumped
+                seen[key] = curve_length(F, r, tol=state["tol"])
+            except NoConvergence as exc:
+                settled = None
+                while settled is None:
+                    bumped = min(max(state["tol"] * 10.0, 1e-12), relax_limit)
+                    if bumped <= state["tol"]:
+                        raise
+                    state["tol"] = bumped
+                    settled = _settled(exc.estimates, bumped)
+                seen[key] = r * settled
+        return seen[key]
 
     rs = 1.0 - 2.0 ** (-np.arange(1, k_max + 1))
     vals = [measure(float(r)) for r in rs]
@@ -150,35 +169,33 @@ def sup_length(F: PolyharmonicMap, k_max: int = 20,
 # ---- area ----
 
 
-def _series_terms(F: PolyharmonicMap):
-    """Closed-form expansion S(r) = sum c * (r^2)^m, as (c, m) pairs.
+def _area_coefficients(F: PolyharmonicMap) -> np.ndarray:
+    """Coefficients c of S(r) = sum_{m>=1} c[m-1] * (r^2)^m.
 
-    Diagonal terms: c = j*(|a_nj|^2 - |b_nj|^2), m = 2n + j - 2.  Cross
-    terms over layer pairs n1 < n2 sharing j:
-    c = 2*j*Re(a1*conj(a2) - b1*conj(b2)), m = n1 + n2 + j - 2.
-    Moduli are expanded as re^2 + im^2 so that exactly mirrored tables
-    cancel exactly.
+    A layer pair n1 <= n2 sharing the power j contributes to
+    m = n1 + n2 + j - 2: j*(|a_nj|^2 - |b_nj|^2) on the diagonal and
+    2*j*Re(a1*conj(a2) - b1*conj(b2)) across layers.  Moduli are expanded
+    as re^2 + im^2 so that exactly mirrored tables cancel exactly.
     """
     t = F.table
-    out = []
-    for n in range(1, t.p + 1):
-        for j in range(1, t.J + 1):
-            a = t.a[n - 1, j - 1]
-            b = t.b[n - 1, j - 1]
-            c = j * ((a.real * a.real + a.imag * a.imag)
-                     - (b.real * b.real + b.imag * b.imag))
-            out.append((c, 2 * n + j - 2))
+    j = np.arange(1, t.J + 1)
+    c = np.zeros(2 * t.p + t.J - 2)
     for n1 in range(1, t.p + 1):
-        for n2 in range(n1 + 1, t.p + 1):
-            for j in range(1, t.J + 1):
-                a1 = t.a[n1 - 1, j - 1]
-                a2 = t.a[n2 - 1, j - 1]
-                b1 = t.b[n1 - 1, j - 1]
-                b2 = t.b[n2 - 1, j - 1]
-                re_a = a1.real * a2.real + a1.imag * a2.imag
-                re_b = b1.real * b2.real + b1.imag * b2.imag
-                out.append((2.0 * j * (re_a - re_b), n1 + n2 + j - 2))
-    return out
+        for n2 in range(n1, t.p + 1):
+            a1, a2 = t.a[n1 - 1], t.a[n2 - 1]
+            b1, b2 = t.b[n1 - 1], t.b[n2 - 1]
+            re_a = a1.real * a2.real + a1.imag * a2.imag
+            re_b = b1.real * b2.real + b1.imag * b2.imag
+            weight = j if n1 == n2 else 2.0 * j
+            c[n1 + n2 - 2:n1 + n2 - 2 + t.J] += weight * (re_a - re_b)
+    return c
+
+
+def _area_polynomial(c: np.ndarray, r):
+    # Horner's rule in x = r^2
+    rr = np.asarray(r, dtype=float)
+    out = _horner(c, np.atleast_1d(rr) ** 2)
+    return float(out[0]) if rr.ndim == 0 else out
 
 
 def area_series(F: PolyharmonicMap, r):
@@ -187,15 +204,7 @@ def area_series(F: PolyharmonicMap, r):
     Counts multiplicity: this is the integral of the Jacobian, not the
     measure of the image set.  Accepts a scalar or an array of radii.
     """
-    rr = np.asarray(r, dtype=float)
-    scalar = rr.ndim == 0
-    x = np.atleast_1d(rr) ** 2
-    pairs = _series_terms(F)
-    terms = np.empty((len(pairs),) + x.shape, dtype=float)
-    for i, (c, m) in enumerate(pairs):
-        terms[i] = c * x ** m
-    out = _tree_sum(terms)
-    return float(out[0]) if scalar else out
+    return _area_polynomial(_area_coefficients(F), r)
 
 
 @lru_cache(maxsize=8)
@@ -234,15 +243,9 @@ def area_growth_excess(F: PolyharmonicMap, r):
     Each series term c * (r^2)^m contributes 2*c*(m - 1)*(r^2)^m, so the
     quantity is a polynomial in r^2 with the same cross structure as S.
     """
-    rr = np.asarray(r, dtype=float)
-    scalar = rr.ndim == 0
-    x = np.atleast_1d(rr) ** 2
-    pairs = _series_terms(F)
-    terms = np.empty((len(pairs),) + x.shape, dtype=float)
-    for i, (c, m) in enumerate(pairs):
-        terms[i] = (2.0 * c * (m - 1)) * x ** m
-    out = _tree_sum(terms)
-    return float(out[0]) if scalar else out
+    c = _area_coefficients(F)
+    m = np.arange(1, c.size + 1)
+    return _area_polynomial(2.0 * c * (m - 1), r)
 
 
 def phi_area(F: PolyharmonicMap, r):

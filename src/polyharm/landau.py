@@ -31,7 +31,6 @@ __all__ = [
     "least_positive_root",
     "landau_from_diameter",
     "landau_from_length",
-    "landau_fourgon",
 ]
 
 
@@ -145,19 +144,3 @@ def landau_from_length(p: int, alpha: float, K: float, l1: float,
     return LandauResult(r_univ=root, rho_cover=rho, phi_at_zero=f_lo,
                         iterations=iters, bracket=bracket)
 
-
-def landau_fourgon(diam: float, tol: float = 1e-12) -> LandauResult:
-    """Two-layer specialization with unit normalization, written out
-    literally so it can be cross-checked against landau_from_diameter."""
-    if not (math.isfinite(diam) and diam > 0.0):
-        raise InvalidDiameter("diameter must be positive and finite, got %r" % (diam,))
-
-    def phi(r):
-        rr = np.asarray(r, dtype=float)
-        one = 1.0 - rr
-        return 1.0 - 2.0 * diam * (rr + rr * rr - rr * rr * rr) / (one * one)
-
-    root, iters, bracket, f_lo = _decreasing_root(phi, tol)
-    rho = root * (1.0 - diam * (root + 2.0 * root * root) / (1.0 - root))
-    return LandauResult(r_univ=root, rho_cover=rho, phi_at_zero=f_lo,
-                        iterations=iters, bracket=bracket)

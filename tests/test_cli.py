@@ -232,3 +232,81 @@ def test_invalid_math_params(identity_map, capsys):
     assert main(["three-circles", "--map", identity_map, "--r1", "1.5"]) == 3
     assert main(["jmetric", "--z", "2", "--w", "0", "--M", "1"]) == 3
     capsys.readouterr()
+
+
+# ---- map-derived values that break a hypothesis ----
+
+
+def test_area_both_computes_each_route_once(f2_map, capsys, monkeypatch):
+    from polyharm import geometry
+
+    counts = {"series": 0, "quadrature": 0}
+    series, quadrature = geometry.area_series, geometry.area_quadrature
+
+    def count_series(*a, **k):
+        counts["series"] += 1
+        return series(*a, **k)
+
+    def count_quadrature(*a, **k):
+        counts["quadrature"] += 1
+        return quadrature(*a, **k)
+
+    monkeypatch.setattr(geometry, "area_series", count_series)
+    monkeypatch.setattr(geometry, "area_quadrature", count_quadrature)
+    assert main(["area", "--map", f2_map, "--r", "0.5", "--method", "both"]) == 0
+    vals = _lines(capsys)
+    assert counts == {"series": 1, "quadrature": 1}
+    d = abs(float(vals["S_series"]) - float(vals["S_quadrature"]))
+    assert vals["difference"] == "%.3g" % d
+
+
+@pytest.mark.parametrize("text", ['{"p": 1, "J": 1, "terms": []}',
+                                  '{"builtin": "form37"}'])
+def test_verify_zero_diameter_is_skipped(tmp_path, capsys, text):
+    path = _write(tmp_path, "flat.map", text)
+    assert main(["verify", "--map", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["derived"]["diam"] == 0.0
+    entry = [e for e in doc["checks"]
+             if e["name"] == "diameter-coefficient-bounds"][0]
+    assert entry["verdict"] == "skipped"
+    # an explicit zero diameter is still a bad request
+    assert main(["verify", "--map", path, "--diam", "0"]) == 3
+    capsys.readouterr()
+
+
+def test_three_circles_nonpositive_map_area_hnm(tmp_path, capsys):
+    # sense-reversing 0.2 z + 0.5 conj(z): S(0.3) = -0.0189
+    path = _write(tmp_path, "rev.map",
+                  '{"p": 1, "J": 1, "terms": ['
+                  '{"n": 1, "j": 1, "a": [0.2, 0], "b": [0.5, 0]}]}')
+    assert main(["three-circles", "--map", path, "--r1", "0.3"]) == 2
+    assert "hypotheses-not-met" in capsys.readouterr().out
+    assert main(["three-circles", "--map", path, "--r1", "0.3", "--m", "-1"]) == 3
+    capsys.readouterr()
+
+
+def test_landau_zero_alpha_hnm(tmp_path, capsys):
+    # a11 = b11 = 0.5 gives lambda_small(0) = 0
+    path = _write(tmp_path, "flat0.map",
+                  '{"p": 1, "J": 2, "terms": ['
+                  '{"n": 1, "j": 1, "a": [0.5, 0], "b": [0.5, 0]},'
+                  '{"n": 1, "j": 2, "a": [0.3, 0]}]}')
+    assert main(["landau", "--mode", "diameter", "--map", path]) == 2
+    assert main(["landau", "--mode", "diameter", "--map", path,
+                 "--alpha", "0"]) == 3
+    capsys.readouterr()
+
+
+def test_landau_fourgon_is_unit_depth2_diameter_mode(tmp_path, capsys):
+    path = _write(tmp_path, "two.map",
+                  '{"p": 2, "J": 1, "terms": ['
+                  '{"n": 1, "j": 1, "a": [1, 0]},'
+                  '{"n": 2, "j": 1, "a": [0.25, 0]}]}')
+    assert main(["landau", "--mode", "fourgon", "--map", path]) == 0
+    fourgon = _lines(capsys)
+    assert main(["landau", "--mode", "diameter", "--alpha", "1",
+                 "--map", path]) == 0
+    general = _lines(capsys)
+    assert fourgon["r_univ"] == general["r_univ"]
+    assert fourgon["rho_cover"] == general["rho_cover"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,53 @@ def test_wirtinger_against_finite_differences():
         fd_z, fd_zb = _fd_wirtinger(F, zs)
         assert np.allclose(fz, fd_z, rtol=1e-6, atol=1e-6)
         assert np.allclose(fzb, fd_zb, rtol=1e-6, atol=1e-6)
+
+
+def _termwise_wirtinger(F, z):
+    # closed forms of a single (n, j) term, summed term by term:
+    #   d/dz:    (n+j-1) a z^(n+j-2) zbar^(n-1) + (n-1) conj(b) z^(n-2) zbar^(n+j-1)
+    #   d/dzbar: (n-1) a z^(n+j-1) zbar^(n-2) + (n+j-1) conj(b) z^(n-1) zbar^(n+j-2)
+    # the (n-1) factors vanish exactly where an exponent would go negative
+    t = F.table
+    zb = z.conjugate()
+    fz = fzb = 0j
+    for n in range(1, t.p + 1):
+        for j in range(1, t.J + 1):
+            a = complex(t.a[n - 1, j - 1])
+            bc = complex(t.b[n - 1, j - 1]).conjugate()
+            fz += (n + j - 1) * a * z ** (n + j - 2) * zb ** (n - 1)
+            fzb += (n + j - 1) * bc * z ** (n - 1) * zb ** (n + j - 2)
+            if n >= 2:
+                fz += (n - 1) * bc * z ** (n - 2) * zb ** (n + j - 1)
+                fzb += (n - 1) * a * z ** (n + j - 1) * zb ** (n - 2)
+    return fz, fzb
+
+
+def test_wirtinger_matches_termwise_closed_forms():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        F = random_map(rng)
+        zs = list(rng.uniform(-0.7, 0.7, 6) + 1j * rng.uniform(-0.7, 0.7, 6))
+        zs += [0j, complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))), 1 + 0j, -1j]
+        fz, fzb = wirtinger(F, np.array(zs))
+        for k, z in enumerate(zs):
+            rz, rzb = _termwise_wirtinger(F, z)
+            assert abs(fz[k] - rz) <= 1e-13 * (1.0 + abs(rz))
+            assert abs(fzb[k] - rzb) <= 1e-13 * (1.0 + abs(rzb))
+
+
+def test_wirtinger_memory_is_linear_in_points():
+    # a few point-sized temporaries, however many (n, j) terms the table has
+    F = catalog.builtin("F1", {})
+    assert (F.p, F.J) == (2, 41)
+    z = 0.9 * np.exp(2j * np.pi * np.arange(1 << 16) / (1 << 16))
+    tracemalloc.start()
+    try:
+        wirtinger(F, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * z.nbytes
 
 
 def test_wirtinger_at_origin():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyharm import catalog
+from polyharm import catalog, geometry
 from polyharm.core import conjugate_map, scale_map, wirtinger
 from polyharm.errors import InvalidParams, NoConvergence
 from polyharm.geometry import (
@@ -62,6 +62,23 @@ def test_sup_length_relaxes_stalled_tolerance():
     # the constant-speed integrand then settles at the first loosened step
     got = sup_length(catalog.identity(), integral_tol=0.0)
     assert abs(got - 2.0 * math.pi) <= 1e-8
+
+
+def test_sup_length_relaxing_samples_no_grid_twice(monkeypatch):
+    # the stalled first radius is rescanned at the looser tolerance from
+    # the estimates it already has, not integrated again
+    calls = []
+    inner = geometry._circle_integral
+
+    def counted(F, r, n):
+        calls.append((r, n))
+        return inner(F, r, n)
+
+    monkeypatch.setattr(geometry, "_circle_integral", counted)
+    got = sup_length(catalog.identity(), integral_tol=0.0)
+    assert abs(got - 2.0 * math.pi) <= 1e-8
+    assert (0.5, 1 << 20) in calls  # the first radius did hit the cap
+    assert len(calls) == len(set(calls))
 
 
 def test_sup_length_relax_limit_exhausted():

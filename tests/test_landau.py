@@ -11,7 +11,6 @@ from polyharm.errors import (
 )
 from polyharm.landau import (
     LandauResult,
-    landau_fourgon,
     landau_from_diameter,
     landau_from_length,
     least_positive_root,
@@ -179,31 +178,43 @@ def test_length_radius_rejects_bad_params():
         landau_from_length(1, 1.0, 1.0, 0.0)
 
 
-# ---- depth-2 convenience wrapper ----
+# ---- depth-2 unit-normalization case ----
+
+
+def _fourgon_phi(diam):
+    # the p = 2, alpha = 1 diameter majorant written out literally
+    def phi(r):
+        rr = np.asarray(r, dtype=float)
+        one = 1.0 - rr
+        return 1.0 - 2.0 * diam * (rr + rr * rr - rr * rr * rr) / (one * one)
+    return phi
+
+
+def _fourgon_oracle(diam):
+    root = least_positive_root(_fourgon_phi(diam))
+    rho = root * (1.0 - diam * (root + 2.0 * root * root) / (1.0 - root))
+    return root, rho
 
 
 def test_fourgon_matches_general_route():
     for diam in (0.5, 1.0, 2.0, 6.0):
-        a = landau_fourgon(diam)
+        root, rho = _fourgon_oracle(diam)
         b = landau_from_diameter(2, 1.0, diam)
-        assert abs(a.r_univ - b.r_univ) <= 1e-9
-        assert abs(a.rho_cover - b.rho_cover) <= 1e-9
+        assert abs(root - b.r_univ) <= 1e-9
+        assert abs(rho - b.rho_cover) <= 1e-9
 
 
 def test_fourgon_grid_bracket():
-    res = landau_fourgon(1.0)
-
-    def phi(r):
-        r = np.asarray(r, dtype=float)
-        return 1.0 - 2.0 * (r + r**2 - r**3) / (1.0 - r) ** 2
-
-    lo, hi = _grid_bracket(phi)
+    res = landau_from_diameter(2, 1.0, 1.0)
+    lo, hi = _grid_bracket(_fourgon_phi(1.0))
     assert lo <= res.r_univ <= hi
 
 
 def test_fourgon_no_sign_change():
     with pytest.raises(NoSignChange):
-        landau_fourgon(1e-30)
+        least_positive_root(_fourgon_phi(1e-30))
+    with pytest.raises(NoSignChange):
+        landau_from_diameter(2, 1.0, 1e-30)
 
 
 # ---- residual quality ----
@@ -215,7 +226,7 @@ def test_root_residual_invariant():
         landau_from_diameter(3, 1.0, 1.0),
         landau_from_length(1, 1.0, 1.0, 2.0 * math.pi),
         landau_from_length(3, 1.0, 3.0, 6.0 * math.pi),
-        landau_fourgon(2.0),
+        landau_from_diameter(2, 1.0, 2.0),
     ]
     for res in cases:
         assert isinstance(res, LandauResult)
