@@ -3,8 +3,7 @@ mappings, with numeric verification of their geometric inequalities."""
 
 from .core import (CoefficientTable, DilatationPair, PolyharmonicMap,
                    build_map, conjugate_map, dilatation, evaluate, jacobian,
-                   polyharmonic_residual, quasiregularity_constant, scale_map,
-                   wirtinger)
+                   quasiregularity_constant, scale_map, wirtinger)
 from .geometry import (RadiusProfile, area_growth_excess, area_profile,
                        area_quadrature, area_series, curve_length,
                        diameter_estimate, length_profile, phi_area,
@@ -30,8 +29,7 @@ __all__ = [
     # core
     "CoefficientTable", "DilatationPair", "PolyharmonicMap", "build_map",
     "conjugate_map", "dilatation", "evaluate", "jacobian",
-    "polyharmonic_residual", "quasiregularity_constant", "scale_map",
-    "wirtinger",
+    "quasiregularity_constant", "scale_map", "wirtinger",
     # geometry
     "RadiusProfile", "area_growth_excess", "area_profile", "area_quadrature",
     "area_series", "curve_length", "diameter_estimate", "length_profile",

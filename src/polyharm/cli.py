@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 hypotheses not
-met (nothing failed, but some certificate did not apply), 3 usage error,
-4 input/output or malformed-file error.
+met (nothing failed, but a check gave a hypotheses-not-met verdict, a
+hypothesis check failed, or the map does not meet a command's
+hypotheses), 3 usage error, 4 input/output or malformed-file error.  A
+check that ``verify`` skips leaves the exit code alone.
 """
 
 from __future__ import annotations
@@ -125,28 +127,29 @@ def cmd_diam(args) -> int:
 
 def cmd_landau(args) -> int:
     F, _ = _load(args.map)
-    alpha = args.alpha
-    if alpha is None:
-        alpha = dilatation(F, 0.0).lambda_small
-        if not alpha > 0.0 and args.mode != "fourgon":
-            raise DegenerateMap("lambda_small = %.3e at z = 0" % alpha)
+    if args.mode == "fourgon":
+        p, alpha = 2, 1.0  # the two-layer bound at unit normalization
+    else:
+        p, alpha = F.p, args.alpha
+        if alpha is None:
+            alpha = dilatation(F, 0.0).lambda_small
+            if not alpha > 0.0:
+                raise DegenerateMap("lambda_small = %.3e at z = 0" % alpha)
     print("mode = %s" % args.mode)
-    print("p = %d" % F.p)
+    print("p = %d" % p)
     print("alpha = %.17g" % alpha)
     if args.mode == "length":
         K = args.K if args.K is not None else quasiregularity_constant(F, 1.0)
         l1 = args.l1 if args.l1 is not None else geometry.sup_length(F)
         print("K = %.17g" % K)
         print("l1 = %.17g" % l1)
-        res = landau_mod.landau_from_length(F.p, alpha, K, l1, tol=args.tol)
+        res = landau_mod.landau_from_length(p, alpha, K, l1, tol=args.tol)
     else:
         diam = args.diam if args.diam is not None else geometry.diameter_estimate(F)
         if args.diam is None and not diam > 0.0:
             raise DegenerateMap("image diameter estimate is %r" % diam)
         print("diam = %.17g" % diam)
-        # fourgon: the two-layer bound at unit normalization
-        p, a = (F.p, alpha) if args.mode == "diameter" else (2, 1.0)
-        res = landau_mod.landau_from_diameter(p, a, diam, tol=args.tol)
+        res = landau_mod.landau_from_diameter(p, alpha, diam, tol=args.tol)
     print("r_univ = %.17g" % res.r_univ)
     print("rho_cover = %.17g" % res.rho_cover)
     return EXIT_PASS

@@ -7,9 +7,7 @@ A table of depth ``p`` and truncation ``J`` represents
            ( a[n,j] * z**j + conj(b[n,j]) * conj(z)**j )
 
 on the closed unit disk.  Every |z|^(2(n-1)) factor multiplies a harmonic
-polynomial, so F solves the p-th iterated Laplace equation identically; the
-finite-difference residual used by the test-suite lives in
-:func:`polyharmonic_residual`.
+polynomial, so F solves the p-th iterated Laplace equation identically.
 
 Writing s = |z|^2, P_n(z) = sum_j a[n,j] z^j and Q*_n(zbar) = sum_j
 conj(b[n,j]) zbar^j, the map is F = sum_n s^(n-1) H_n with H_n = P_n + Q*_n,
@@ -44,7 +42,6 @@ __all__ = [
     "jacobian",
     "dilatation",
     "quasiregularity_constant",
-    "polyharmonic_residual",
     "conjugate_map",
     "scale_map",
 ]
@@ -292,30 +289,6 @@ def quasiregularity_constant(F: PolyharmonicMap, r_max: float,
     dth = 2.0 * np.pi / n_angles
     _, v_th = golden_max(lambda s: ratio_at(r_best, s), th0 - dth, th0 + dth, refine_tol)
     return float(max(best, v_r, v_th))
-
-
-def polyharmonic_residual(F: PolyharmonicMap, z, h: float, order: int | None = None):
-    """Iterated 5-point discrete Laplacian of F at ``z``, applied ``order``
-    times (default: the table depth).
-
-    Exact polyharmonicity makes this O(h^2) as h -> 0; it is a diagnostic for
-    the test-suite, not a construction-time validator.
-    """
-    times = F.table.p if order is None else int(order)
-
-    def base(w):
-        return evaluate(F, w)
-
-    def laplacian(g):
-        def out(w):
-            return (g(w + h) + g(w - h) + g(w + 1j * h) + g(w - 1j * h)
-                    - 4.0 * g(w)) / (h * h)
-        return out
-
-    g = base
-    for _ in range(times):
-        g = laplacian(g)
-    return g(complex(z))
 
 
 def conjugate_map(F: PolyharmonicMap) -> PolyharmonicMap:

@@ -228,11 +228,15 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
     wts = 0.5 * r * w
     th = 2.0 * np.pi * np.arange(int(n_theta)) / int(n_theta)
     u = np.exp(1j * th)
-    z = rho[:, None] * u[None, :]
-    fz, fzb = wirtinger(F, z)
-    jac = (fz.real * fz.real + fz.imag * fz.imag
-           - fzb.real * fzb.real - fzb.imag * fzb.imag)
-    ring_means = jac.mean(axis=1)
+    # rings in blocks of ~2^14 points: temporaries that small are reused
+    # from the heap instead of being page-faulted in afresh on every call
+    rows = max(1, (1 << 14) // u.size)
+    ring_means = np.empty(rho.size)
+    for k in range(0, rho.size, rows):
+        fz, fzb = wirtinger(F, rho[k:k + rows, None] * u[None, :])
+        jac = (fz.real * fz.real + fz.imag * fz.imag
+               - fzb.real * fzb.real - fzb.imag * fzb.imag)
+        ring_means[k:k + rows] = jac.mean(axis=1)
     # (1/pi) * int_0^2pi int_0^r J rho drho dth  ==  2 * sum w_q rho_q mean_th J
     return float(2.0 * np.sum(wts * rho * ring_means))
 
@@ -259,21 +263,33 @@ def phi_area(F: PolyharmonicMap, r):
 # ---- diameter ----
 
 
-def _extreme_candidates(xy: np.ndarray, n_dir: int = 180) -> np.ndarray:
-    # fallback extreme-point finder when the hull degenerates: extremes of
-    # projections onto a fan of directions plus the principal axes
-    phis = np.pi * np.arange(n_dir) / n_dir
-    dirs = np.column_stack([np.cos(phis), np.sin(phis)])
-    proj = xy @ dirs.T
-    idx = set(np.argmax(proj, axis=0)) | set(np.argmin(proj, axis=0))
-    centered = xy - xy.mean(axis=0)
-    cov = centered.T @ centered
-    _, vecs = np.linalg.eigh(cov)
-    for k in range(2):
-        s = xy @ vecs[:, k]
-        idx.add(int(np.argmax(s)))
-        idx.add(int(np.argmin(s)))
-    return np.asarray(sorted(idx), dtype=int)
+def _farthest_pair(xy: np.ndarray):
+    # sample indices (ia, ib) of a farthest pair of the rows of xy; scipy is
+    # imported here because a module-level import slows every start-up
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        hull = ConvexHull(xy).vertices  # counter-clockwise in 2-d
+    except QhullError:  # collinear or coincident: ends of the principal axis
+        centered = xy - xy.mean(axis=0)
+        s = xy @ np.linalg.eigh(centered.T @ centered)[1][:, 1]
+        return tuple(sorted((int(np.argmin(s)), int(np.argmax(s)))))
+    pts, h = xy[hull], len(hull)
+    ex, ey = (np.roll(pts, -1, axis=0) - pts).T.tolist()
+    # rotating calipers: j moves forward while edge j still turns left of
+    # edge i; {i, i+1} x {j, j+1} are the candidates, the j+1 ones kept so
+    # that rounding in the turn test cannot drop the farthest pair
+    pairs, j = [], 1
+    for i in range(h):
+        j = max(j, i + 1)  # never behind edge i, whatever the rounding
+        while ex[i] * ey[j % h] - ey[i] * ex[j % h] > 0.0:
+            j += 1
+        pairs += [(i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)]
+    a, b = (np.asarray(pairs) % h).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    d2 = ((pts[lo] - pts[hi]) ** 2).sum(axis=1)
+    # ties: the lowest hull positions, the earlier one first
+    ia, ib = divmod(int((lo * h + hi)[d2 == d2.max()].min()), h)
+    return int(hull[ia]), int(hull[ib])
 
 
 def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
@@ -281,9 +297,12 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
                       refine_tol: float = 1e-10) -> float:
     """Lower estimate of diam F(|z| <= r) from a polar sample grid.
 
-    Max pairwise distance over the convex hull of the sampled image, then a
-    few rounds of coordinate-wise golden-section polish around the best
-    pair.  Always a lower bound on the true diameter.
+    Rotating calipers (Toussaint, 1983) on the counter-clockwise qhull hull
+    of the sampled image find the farthest sampled pair; ties go to the
+    lowest hull positions.  Collinear or coincident samples, which qhull
+    rejects, use the ends along the principal axis.  A few rounds of
+    coordinate-wise golden-section polish around the pair follow.  Always
+    a lower bound on the true diameter.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
@@ -292,27 +311,11 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     z = radii[:, None] * np.exp(1j * th)[None, :]
     w = evaluate(F, z).ravel()
     xy = np.column_stack([w.real, w.imag])
+    ia, ib = _farthest_pair(xy)
+    best = float(np.sqrt(((xy[ia] - xy[ib]) ** 2).sum()))
 
-    cand = None
-    try:
-        from scipy.spatial import ConvexHull, QhullError
-        try:
-            cand = np.asarray(ConvexHull(xy).vertices, dtype=int)
-        except QhullError:
-            cand = None
-    except ImportError:  # pragma: no cover - scipy is an install requirement
-        cand = None
-    if cand is None or cand.size < 2:
-        cand = _extreme_candidates(xy)
-
-    pts = xy[cand]
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    flat = int(np.argmax(d2))
-    ia, ib = divmod(flat, pts.shape[0])
-    best = float(np.sqrt(d2[ia, ib]))
-
-    def unpack(flat_idx: int):
-        i, jj = divmod(int(cand[flat_idx]), n_angles)
+    def unpack(idx: int):
+        i, jj = divmod(idx, n_angles)
         return float(radii[i]), float(th[jj])
 
     state = list(unpack(ia) + unpack(ib))  # [rho_a, th_a, rho_b, th_b]

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyharm
 from polyharm import mapspec
 from polyharm.cli import main
 
@@ -299,14 +303,26 @@ def test_landau_zero_alpha_hnm(tmp_path, capsys):
 
 
 def test_landau_fourgon_is_unit_depth2_diameter_mode(tmp_path, capsys):
+    # lambda_small(0) = 0.5, so a printed alpha taken from the map would
+    # differ from the unit alpha the fourgon bound solves with
     path = _write(tmp_path, "two.map",
                   '{"p": 2, "J": 1, "terms": ['
-                  '{"n": 1, "j": 1, "a": [1, 0]},'
-                  '{"n": 2, "j": 1, "a": [0.25, 0]}]}')
+                  '{"n": 1, "j": 1, "a": [0.5, 0]},'
+                  '{"n": 2, "j": 1, "a": [0.125, 0]}]}')
     assert main(["landau", "--mode", "fourgon", "--map", path]) == 0
     fourgon = _lines(capsys)
     assert main(["landau", "--mode", "diameter", "--alpha", "1",
                  "--map", path]) == 0
     general = _lines(capsys)
-    assert fourgon["r_univ"] == general["r_univ"]
-    assert fourgon["rho_cover"] == general["rho_cover"]
+    for key in ("p", "alpha", "diam", "r_univ", "rho_cover"):
+        assert fourgon[key] == general[key]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where the hull is needed, not at import time
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polyharm.__file__))
+    code = "import sys, polyharm.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

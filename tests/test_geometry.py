@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from polyharm import catalog, geometry
-from polyharm.core import conjugate_map, scale_map, wirtinger
+from polyharm.core import conjugate_map, evaluate, scale_map, wirtinger
 from polyharm.errors import InvalidParams, NoConvergence
 from polyharm.geometry import (
     RadiusProfile,
@@ -139,6 +141,28 @@ def test_area_quadrature_pinned():
     assert abs(area_quadrature(G, 1.0) + math.pi / math.pi) <= 1e-12
 
 
+def _area_quadrature_one_shot(F, r, n_radial=64, n_theta=2048):
+    # every Gauss ring in one wirtinger call
+    t, w = np.polynomial.legendre.leggauss(n_radial)
+    rho = 0.5 * r * (t + 1.0)
+    wts = 0.5 * r * w
+    u = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
+    fz, fzb = wirtinger(F, rho[:, None] * u[None, :])
+    jac = (fz.real * fz.real + fz.imag * fz.imag
+           - fzb.real * fzb.real - fzb.imag * fzb.imag)
+    return float(2.0 * np.sum(wts * rho * jac.mean(axis=1)))
+
+
+def test_area_quadrature_blocks_are_bitwise_one_shot():
+    rng = np.random.default_rng(59)
+    for n_radial, n_theta in ((64, 16), (64, 1000), (64, 2048), (64, 3000),
+                              (64, 4096), (8, 30000)):
+        F = random_map(rng)
+        r = float(rng.uniform(0.2, 1.0))
+        assert (area_quadrature(F, r, n_radial, n_theta)
+                == _area_quadrature_one_shot(F, r, n_radial, n_theta))
+
+
 def test_area_series_matches_quadrature():
     rng = np.random.default_rng(41)
     for _ in range(25):
@@ -224,6 +248,85 @@ def test_diameter_is_lower_bound():
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     assert est <= math.hypot(hi[0] - lo[0], hi[1] - lo[1]) + 1e-9
+
+
+def _farthest_pair_matrix(xy, n_dir=180):
+    # exhaustive reference: the h x h distance matrix over the hull
+    # vertices, or over projection extremes on a fan of directions plus
+    # the principal axes when qhull rejects the points
+    try:
+        cand = np.asarray(ConvexHull(xy).vertices, dtype=int)
+    except QhullError:
+        phis = np.pi * np.arange(n_dir) / n_dir
+        proj = xy @ np.column_stack([np.cos(phis), np.sin(phis)]).T
+        idx = set(np.argmax(proj, axis=0)) | set(np.argmin(proj, axis=0))
+        centered = xy - xy.mean(axis=0)
+        _, vecs = np.linalg.eigh(centered.T @ centered)
+        for k in range(2):
+            s = xy @ vecs[:, k]
+            idx |= {int(np.argmax(s)), int(np.argmin(s))}
+        cand = np.asarray(sorted(idx), dtype=int)
+    pts = xy[cand]
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    ia, ib = divmod(int(np.argmax(d2)), pts.shape[0])
+    return int(cand[ia]), int(cand[ib])
+
+
+def _point_clouds():
+    rng = np.random.default_rng(61)
+    for n in (3, 5, 40, 400):
+        yield rng.normal(size=(n, 2))
+        yield rng.uniform(-1.0, 1.0, size=(n, 2))
+    # integer points on the circle of radius 5: antipodes tie exactly
+    ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0),
+            (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+    yield np.array(ring, dtype=float)
+    yield np.array(ring[::-1] + ring[:3], dtype=float)
+    for n in (7, 64, 1024):
+        th = 2.0 * np.pi * np.arange(n) / n
+        yield np.column_stack([np.cos(th), np.sin(th)])
+        yield np.column_stack([np.cos(th), np.sin(th)]) + 1e-13 * rng.normal(size=(n, 2))
+    for _ in range(6):
+        th = rng.uniform(0.0, 2.0 * np.pi, size=200)
+        e = np.column_stack([2.0 * np.cos(th), rng.uniform(0.2, 1.0) * np.sin(th)])
+        phi = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
+        yield e @ rot + rng.normal(size=2)
+    for _ in range(5):  # polar sample grids of random maps
+        z = np.outer(np.arange(1, 9) / 8.0, np.exp(2j * np.pi * np.arange(256) / 256))
+        w = evaluate(random_map(rng), z).ravel()
+        yield np.column_stack([w.real, w.imag])
+    yield np.array([[0.0, 0.0], [1.0, 2.0]])
+    yield np.array([[0.0, 0.0], [0.0, 0.0]])
+    yield np.array([[0.5, -1.0], [0.25, 1.5], [2.0, 0.0]])
+    t = rng.permutation(np.arange(-8, 9) / 4.0)
+    yield np.column_stack([t, 2.0 * t + 0.5])  # collinear
+    yield np.column_stack([t, np.zeros_like(t)])
+    yield np.tile([[1.5, -0.5]], (9, 1))  # coincident
+    yield np.array([[1.0, 1.0]] * 4 + [[-2.0, 3.0]] * 3 + [[1.0, 1.0]])
+
+
+def test_farthest_pair_matches_distance_matrix():
+    for xy in _point_clouds():
+        assert geometry._farthest_pair(xy) == _farthest_pair_matrix(xy)
+
+
+def test_diameter_collinear_image_exact():
+    # z + conj(z) = 2 Re z maps the disk onto the segment [-2, 2], which
+    # qhull rejects as flat
+    assert diameter_estimate(catalog.linear(1.0, 1.0)) == 4.0
+
+
+def test_diameter_memory_stays_linear_in_hull_size():
+    # the 4096 outer samples of the identity are all hull vertices; a
+    # pairwise matrix over them would take hundreds of MB
+    tracemalloc.start()
+    try:
+        diameter_estimate(catalog.identity(), n_radii=2, n_angles=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 # ---- profiles ----
