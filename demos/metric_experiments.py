@@ -56,8 +56,7 @@ def main():
 
     print("envelope comparison factor psi on [0, 1)")
     grid = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999999])
-    prof = psi_profile(grid)
-    for r, v in zip(prof.grid, prof.values):
+    for r, v in zip(grid, psi_profile(grid)):
         print("  psi(%.6f) = %.12f" % (r, v))
     print("  (increases from 1 toward pi/2 = %.12f)" % (np.pi / 2.0))
     print()

@@ -2,18 +2,15 @@
 mappings, with numeric verification of their geometric inequalities."""
 
 from .core import (CoefficientTable, DilatationPair, PolyharmonicMap,
-                   build_map, conjugate_map, dilatation, evaluate, jacobian,
+                   build_map, dilatation, evaluate, jacobian,
                    quasiregularity_constant, scale_map, wirtinger)
-from .geometry import (RadiusProfile, area_growth_excess, area_profile,
-                       area_quadrature, area_series, curve_length,
-                       diameter_estimate, length_profile, phi_area,
-                       phi_area_profile, sup_length)
+from .geometry import (area_growth_excess, area_quadrature, area_series,
+                       curve_length, diameter_estimate, sup_length)
 from .certificates import (CheckReport, Margin, area_schwarz, arg_condition,
                            diameter_coefficient_bounds,
                            hadamard_three_circles, length_coefficient_bounds,
                            three_circles_area)
-from .landau import (LandauResult, landau_from_diameter, landau_from_length,
-                     least_positive_root)
+from .landau import LandauResult, landau_from_diameter, landau_from_length
 from .metrics import (DiskDomain, LipschitzReport, PairSampler,
                       contraction_check, harmonic_lipschitz_check, j_metric,
                       mobius_j_distortion, psi_profile)
@@ -28,19 +25,17 @@ __all__ = [
     "errors",
     # core
     "CoefficientTable", "DilatationPair", "PolyharmonicMap", "build_map",
-    "conjugate_map", "dilatation", "evaluate", "jacobian",
+    "dilatation", "evaluate", "jacobian",
     "quasiregularity_constant", "scale_map", "wirtinger",
     # geometry
-    "RadiusProfile", "area_growth_excess", "area_profile", "area_quadrature",
-    "area_series", "curve_length", "diameter_estimate", "length_profile",
-    "phi_area", "phi_area_profile", "sup_length",
+    "area_growth_excess", "area_quadrature", "area_series", "curve_length",
+    "diameter_estimate", "sup_length",
     # certificates
     "CheckReport", "Margin", "area_schwarz", "arg_condition",
     "diameter_coefficient_bounds", "hadamard_three_circles",
     "length_coefficient_bounds", "three_circles_area",
     # landau
     "LandauResult", "landau_from_diameter", "landau_from_length",
-    "least_positive_root",
     # metrics
     "DiskDomain", "LipschitzReport", "PairSampler", "contraction_check",
     "harmonic_lipschitz_check", "j_metric", "mobius_j_distortion",

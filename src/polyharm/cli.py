@@ -128,6 +128,10 @@ def cmd_diam(args) -> int:
 def cmd_landau(args) -> int:
     F, _ = _load(args.map)
     if args.mode == "fourgon":
+        for flag in ("alpha", "K", "l1"):
+            if getattr(args, flag) is not None:
+                raise _UsageError("--mode fourgon solves with alpha = 1 and "
+                                  "takes no --%s" % flag)
         p, alpha = 2, 1.0  # the two-layer bound at unit normalization
     else:
         p, alpha = F.p, args.alpha

@@ -42,7 +42,6 @@ __all__ = [
     "jacobian",
     "dilatation",
     "quasiregularity_constant",
-    "conjugate_map",
     "scale_map",
 ]
 
@@ -289,15 +288,6 @@ def quasiregularity_constant(F: PolyharmonicMap, r_max: float,
     dth = 2.0 * np.pi / n_angles
     _, v_th = golden_max(lambda s: ratio_at(r_best, s), th0 - dth, th0 + dth, refine_tol)
     return float(max(best, v_r, v_th))
-
-
-def conjugate_map(F: PolyharmonicMap) -> PolyharmonicMap:
-    """The map with the a and b arrays swapped, which satisfies
-    ``F'(z) = conj(F(z))`` for every z."""
-    t = F.table
-    table = CoefficientTable(t.p, t.J, t.b.copy(), t.a.copy())
-    return PolyharmonicMap(table, label=f"conj({F.label})" if F.label else "conj",
-                           meta=dict(F.meta))
 
 
 def scale_map(F: PolyharmonicMap, c) -> PolyharmonicMap:

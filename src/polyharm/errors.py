@@ -24,8 +24,10 @@ class DegenerateMap(PolyharmError):
 
 
 class NoConvergence(PolyharmError):
-    """Adaptive quadrature hit its sample cap before the estimates settled;
-    ``estimates`` holds the successive estimates computed on the way."""
+    """Adaptive quadrature would pass its sample cap before every panel
+    settled.  The tolerance is never loosened instead.  ``estimates`` holds
+    the estimate after each round, the last being the current one:
+    accepted panels plus the sums of the panels still open."""
 
     def __init__(self, message: str = "", estimates=()):
         super().__init__(message)

@@ -12,7 +12,6 @@ against each other in tests; do not "simplify" one into the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,146 +21,133 @@ from .core import PolyharmonicMap, _horner, evaluate, wirtinger
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
-    "RadiusProfile",
     "curve_length",
     "sup_length",
     "area_series",
     "area_quadrature",
     "area_growth_excess",
-    "phi_area",
     "diameter_estimate",
-    "length_profile",
-    "area_profile",
-    "phi_area_profile",
 ]
 
-_PROFILE_MEANINGS = ("length", "area", "phi_area", "psi")
 
-
-@dataclass(frozen=True)
-class RadiusProfile:
-    """Values of a radial quantity on a strictly increasing grid in [0, 1]."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    meaning: str
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
-        if g.ndim != 1 or v.shape != g.shape or g.size == 0:
-            raise InvalidParams("profile grid and values must be matching 1-d arrays")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-            raise InvalidParams("profile entries must be finite")
-        if np.any(np.diff(g) <= 0):
-            raise InvalidParams("profile grid must be strictly increasing")
-        if g[0] < 0.0 or g[-1] > 1.0:
-            raise InvalidParams("profile grid must lie in [0, 1]")
-        if self.meaning not in _PROFILE_MEANINGS:
-            raise InvalidParams("unknown profile meaning %r" % (self.meaning,))
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+@lru_cache(maxsize=8)
+def _gauss_nodes(n: int):
+    t, w = np.polynomial.legendre.leggauss(n)
+    return t, w
 
 
 # ---- curve length ----
 
 
-_CHUNK = 1 << 16
+_MAX_SAMPLES = 1 << 20
 
 
-def _circle_integral(F: PolyharmonicMap, r: float, n: int) -> float:
-    # chunked: the doubling grids reach n ~ 2^20, where each of the
-    # kernel's point-sized complex temporaries would take 16 MB
-    total = 0.0
-    for lo in range(0, n, _CHUNK):
-        th = 2.0 * np.pi * np.arange(lo, min(lo + _CHUNK, n)) / n
-        u = np.exp(1j * th)
-        fz, fzb = wirtinger(F, r * u)
-        total += float(np.abs(fz - np.conj(u * u) * fzb).sum())
-    # periodic trapezoid rule: 2*pi times the plain mean
-    return total / n * 2.0 * np.pi
+@lru_cache(maxsize=1)
+def _panel_rule():
+    # 8-point Gauss-Legendre nodes on [0, 1] with their weights on [-1, 1],
+    # and the Lagrange weights that carry node values to the two panel ends
+    t, w = _gauss_nodes(8)
+    to_ends = np.array([[np.prod((e - np.delete(t, k)) / (t[k] - np.delete(t, k)))
+                         for k in range(t.size)] for e in (-1.0, 1.0)])
+    return 0.5 * (t + 1.0), w, to_ends
 
 
-def curve_length(F: PolyharmonicMap, r: float, n_start: int = 2048,
-                 tol: float = 1e-10, n_max: int = 1 << 20) -> float:
+def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
     """Length of the image of the circle |z| = r.
 
-    Trapezoid sums on doubling grids until two successive estimates agree
-    to ``tol`` relative; the integrand is a trigonometric polynomial, so
-    convergence is normally immediate.
+    Globally adaptive 8-point Gauss-Legendre bisection on [0, 2 pi)
+    (Gander & Gautschi, 2000) of the speed r |v|, v = F_z - conj(u^2) F_zbar
+    at u = e^(i theta).  The circle starts as 4 (J + p) equal panels.  Each
+    round evaluates both halves of every open panel and accepts a panel of
+    width h when
+
+        |left + right - whole| + hidden < tol (1 + |L0|) h / (2 pi),
+
+    L0 being the first-pass integral of |v|; every other panel is split.
+    ``hidden`` covers what the halving test cannot see.  Where v, carried
+    to an end of a half, is smaller than its change across the gap g to
+    the nearest node, q = |v(end)| / |change| < 1, a zero of v may sit in
+    that gap and bend |v| unseen by the whole and by both halves alike.
+    On the line through the two values the length it hides is at most
+    g |v(end)| q (1 - log q).  The accepted errors thus add up to about
+    tol (1 + |L0|).  A speed that is identically zero settles in the first
+    round; tol = 0 never settles.
+
+    Raises NoConvergence, holding the estimate after every round, once the
+    next round would take the speed samples past 2^20.  The tolerance is
+    never loosened.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
-    n = int(n_start)
-    estimates = [_circle_integral(F, r, n)]
-    while n < n_max:
-        n *= 2
-        estimates.append(_circle_integral(F, r, n))
-        settled = _settled(estimates[-2:], tol)
-        if settled is not None:
-            return r * settled
-    raise NoConvergence("circle-length quadrature did not settle by n=%d" % n,
-                        estimates)
+    x, w, to_ends = _panel_rule()
+
+    def panels(left, h):
+        # blocks of 2^11 panels (2^14 points) keep the kernel's temporaries
+        # small whatever the number of open panels
+        sums, hidden = np.empty(left.size), np.empty(left.size)
+        for k in range(0, left.size, 1 << 11):
+            u = np.exp(1j * (left[k:k + (1 << 11), None] + h * x[None, :]))
+            fz, fzb = wirtinger(F, r * u)
+            v = fz - np.conj(u * u) * fzb
+            sums[k:k + len(u)] = 0.5 * h * (np.abs(v) @ w)
+            # q < 1 where a zero of v may sit between an end and its
+            # nearest node; bend is the length it can hide there, over g
+            ends = v @ to_ends.T
+            e, s = np.abs(ends), np.abs(v[:, [0, -1]] - ends)
+            q = np.maximum(np.minimum(e, s) / np.maximum(s, 1e-300), 1e-300)
+            bend = np.where(q < 1.0, e * q * (1.0 - np.log(q)), 0.0)
+            hidden[k:k + len(u)] = x[0] * h * bend.sum(axis=1)
+        return sums, hidden
+
+    n0 = 4 * (F.table.J + F.table.p)
+    h = 2.0 * np.pi / n0
+    left = h * np.arange(n0)
+    whole, _ = panels(left, h)
+    used, done = n0 * x.size, 0.0
+    estimates = [float(whole.sum())]
+    scale = tol * (1.0 + abs(estimates[0])) / (2.0 * np.pi)
+    while whole.size:
+        if used + 2 * whole.size * x.size > _MAX_SAMPLES:
+            raise NoConvergence(
+                "circle-length quadrature at r=%r did not settle within %d "
+                "samples; %d panels still open" % (r, used, whole.size),
+                [r * est for est in estimates])
+        h *= 0.5
+        halves, hidden = panels(np.concatenate([left, left + h]), h)
+        used += halves.size * x.size
+        lo, hi = halves[:whole.size], halves[whole.size:]
+        hidden = hidden[:whole.size] + hidden[whole.size:]
+        ok = np.abs(lo + hi - whole) + hidden < scale * 2.0 * h
+        done += float((lo + hi)[ok].sum())
+        left = np.concatenate([left[~ok], left[~ok] + h])
+        whole = np.concatenate([lo[~ok], hi[~ok]])
+        estimates.append(done + float(whole.sum()))
+    return r * done
 
 
-def _settled(estimates, tol: float):
-    # first estimate that agrees with its predecessor to tol relative
-    for prev, cur in zip(estimates, estimates[1:]):
-        if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return cur
-    return None
-
-
-def sup_length(F: PolyharmonicMap, k_max: int = 20,
-               refine_tol: float = 1e-12, integral_tol: float = 1e-10,
-               relax_limit: float = 1e-7) -> float:
+def sup_length(F: PolyharmonicMap, k_max: int = 20, refine_tol: float = 1e-12,
+               integral_tol: float = 1e-10) -> float:
     """sup over 0 < r < 1 of curve_length(F, r).
 
     Scans radii 1 - 2^-k and polishes the best one by golden-section; the
     supremum of a polynomial-coefficient length profile is attained either
     in the interior or in the limit r -> 1, which the r = 1 - 2^-20 end
     point approximates to well below refine_tol for the maps handled here.
-
-    Each radius is integrated at integral_tol.  High-degree truncations can
-    pinch the speed integrand close to zero near r = 1, where the trapezoid
-    error decays too slowly for a tight relative tolerance; if the sample
-    cap is hit the tolerance is relaxed tenfold (up to relax_limit) and the
-    looser setting is kept for the remaining radii.  The relaxed tolerance
-    is applied to the estimates already computed for that radius, which
-    selects the same grid a fresh run would without sampling it again; a
-    radius probed twice at one tolerance is integrated once.
-    Smooth profiles never relax, so their result is unchanged; relaxed runs
-    trade the last couple of digits of the supremum for termination.
+    Every radius is integrated once, at integral_tol; a radius that does
+    not settle raises NoConvergence.
     """
-    state = {"tol": float(integral_tol)}
     seen = {}
 
     def measure(r: float) -> float:
-        key = (r, state["tol"])  # golden-section bracket ends were scanned
-        if key not in seen:
-            try:
-                seen[key] = curve_length(F, r, tol=state["tol"])
-            except NoConvergence as exc:
-                settled = None
-                while settled is None:
-                    bumped = min(max(state["tol"] * 10.0, 1e-12), relax_limit)
-                    if bumped <= state["tol"]:
-                        raise
-                    state["tol"] = bumped
-                    settled = _settled(exc.estimates, bumped)
-                seen[key] = r * settled
-        return seen[key]
+        if r not in seen:  # golden-section bracket ends were scanned
+            seen[r] = curve_length(F, r, tol=integral_tol)
+        return seen[r]
 
     rs = 1.0 - 2.0 ** (-np.arange(1, k_max + 1))
     vals = [measure(float(r)) for r in rs]
     i0 = int(np.argmax(vals))
     lo = float(rs[i0 - 1]) if i0 > 0 else 1e-9
     hi = float(rs[i0 + 1]) if i0 < k_max - 1 else 1.0 - 1e-13
-    if state["tol"] > integral_tol:
-        # quadrature noise already exceeds any finer bracket resolution
-        refine_tol = max(refine_tol, 1e-6)
     _, refined = golden_max(measure, lo, hi, tol=refine_tol)
     return max(max(vals), refined)
 
@@ -207,12 +193,6 @@ def area_series(F: PolyharmonicMap, r):
     return _area_polynomial(_area_coefficients(F), r)
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(n: int):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return t, w
-
-
 def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
                     n_theta: int = 2048) -> float:
     """S(r) by quadrature of the Jacobian over the disk |z| <= r.
@@ -250,14 +230,6 @@ def area_growth_excess(F: PolyharmonicMap, r):
     c = _area_coefficients(F)
     m = np.arange(1, c.size + 1)
     return _area_polynomial(2.0 * c * (m - 1), r)
-
-
-def phi_area(F: PolyharmonicMap, r):
-    """The ratio S(r) / r^2."""
-    rr = np.asarray(r, dtype=float)
-    if np.any(np.atleast_1d(rr) <= 0.0):
-        raise InvalidParams("phi_area needs strictly positive radii")
-    return area_series(F, r) / rr ** 2
 
 
 # ---- diameter ----
@@ -345,22 +317,3 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
                 refined = v
                 state[k] = x_best
     return max(best, refined)
-
-
-# ---- profiles ----
-
-
-def length_profile(F: PolyharmonicMap, grid) -> RadiusProfile:
-    g = np.asarray(grid, dtype=float)
-    vals = np.array([curve_length(F, float(r)) for r in g])
-    return RadiusProfile(g, vals, "length")
-
-
-def area_profile(F: PolyharmonicMap, grid) -> RadiusProfile:
-    g = np.asarray(grid, dtype=float)
-    return RadiusProfile(g, area_series(F, g), "area")
-
-
-def phi_area_profile(F: PolyharmonicMap, grid) -> RadiusProfile:
-    g = np.asarray(grid, dtype=float)
-    return RadiusProfile(g, phi_area(F, g), "phi_area")

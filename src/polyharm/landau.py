@@ -28,7 +28,6 @@ __all__ = [
     "BRACKET_LO",
     "BRACKET_HI",
     "LandauResult",
-    "least_positive_root",
     "landau_from_diameter",
     "landau_from_length",
 ]
@@ -53,6 +52,10 @@ def _phi_on_grid(phi, grid: np.ndarray) -> np.ndarray:
     return vals
 
 def _decreasing_root(phi, tol: float):
+    # least positive root of a strictly decreasing phi with phi(0+) > 0:
+    # bisection on (0, 1) to bracket width tol and residual
+    # |phi(root)| <= tol (1 + phi(0+)), after checking the decrease on a
+    # 1024-point grid
     lo, hi = BRACKET_LO, BRACKET_HI
     f_lo = float(phi(lo))
     if not (math.isfinite(f_lo) and f_lo > 0.0):
@@ -69,17 +72,6 @@ def _decreasing_root(phi, tol: float):
     root, iters, bracket = bisect_decreasing(
         phi, lo, hi, tol, residual_target=tol * (1.0 + abs(f_lo)))
     return root, iters, bracket, f_lo
-
-
-def least_positive_root(phi, tol: float = 1e-12) -> float:
-    """Least positive root of a strictly decreasing phi with phi(0+) > 0.
-
-    Bisection on (0, 1) to bracket width ``tol`` and residual
-    |phi(root)| <= tol * (1 + phi(0+)); the decrease hypothesis is checked
-    on a 1024-point grid first and violated inputs raise NotDecreasing.
-    """
-    root, _, _, _ = _decreasing_root(phi, tol)
-    return root
 
 
 # ---- bounds from the image diameter ----

@@ -20,7 +20,6 @@ import numpy as np
 from .core import PolyharmonicMap, evaluate
 from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
                      OutsideDomain)
-from .geometry import RadiusProfile
 
 TOL_REPORT = 1e-9
 
@@ -214,7 +213,7 @@ def mobius_j_distortion(a: complex, theta: float = 0.0,
                            extras={"a": (a.real, a.imag), "theta": theta})
 
 
-def psi_profile(grid) -> RadiusProfile:
+def psi_profile(grid) -> np.ndarray:
     """The comparison factor (1 - r) / (1 - (4/pi) arctan r) on a grid.
 
     Increases from 1 at r = 0 toward pi/2 as r -> 1; it quantifies how the
@@ -223,5 +222,4 @@ def psi_profile(grid) -> RadiusProfile:
     g = np.asarray(grid, dtype=float)
     if np.any(g < 0.0) or np.any(g >= 1.0):
         raise InvalidParams("psi is defined on [0, 1)")
-    vals = (1.0 - g) / (1.0 - (4.0 / math.pi) * np.arctan(g))
-    return RadiusProfile(g, vals, "psi")
+    return (1.0 - g) / (1.0 - (4.0 / math.pi) * np.arctan(g))

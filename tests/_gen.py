@@ -12,6 +12,13 @@ import numpy as np
 from polyharm.core import CoefficientTable, PolyharmonicMap, evaluate, scale_map
 
 
+def conjugate_map(F):
+    """The map with the a and b arrays swapped, so that G(z) = conj(F(z))."""
+    t = F.table
+    return PolyharmonicMap(CoefficientTable(t.p, t.J, t.b.copy(), t.a.copy()),
+                           label="conj")
+
+
 def random_map(rng, p_max=3, J_max=6, scale=1.0):
     p = int(rng.integers(1, p_max + 1))
     J = int(rng.integers(1, J_max + 1))

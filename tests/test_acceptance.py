@@ -203,10 +203,10 @@ def test_criterion_09_metric_contraction_family():
             rep = harmonic_lipschitz_check(random_harmonic_poly(rng))
             assert rep.verdict == "pass"
             assert rep.sup_ratio <= rep.bound + 1e-9
-        prof = psi_profile(np.linspace(0.0, 1.0 - 1e-6, 1024))
-        assert prof.values[0] == 1.0
-        assert np.all(np.diff(prof.values) > 0.0)
-        assert np.all(prof.values < math.pi / 2.0)
+        psi = psi_profile(np.linspace(0.0, 1.0 - 1e-6, 1024))
+        assert psi[0] == 1.0
+        assert np.all(np.diff(psi) > 0.0)
+        assert np.all(psi < math.pi / 2.0)
         for _ in range(20):
             a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             rep = mobius_j_distortion(complex(a),

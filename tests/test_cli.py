@@ -318,6 +318,20 @@ def test_landau_fourgon_is_unit_depth2_diameter_mode(tmp_path, capsys):
         assert fourgon[key] == general[key]
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--K", "--l1"])
+def test_landau_fourgon_rejects_ignored_flags(f2_map, capsys, flag):
+    # the fourgon bound fixes alpha = 1 and never reads K or l1
+    assert main(["landau", "--mode", "fourgon", "--map", f2_map, flag, "0.3"]) == 3
+    assert "takes no " + flag in capsys.readouterr().err
+
+
+def test_landau_fourgon_output_without_flags(f2_map, capsys):
+    assert main(["landau", "--mode", "fourgon", "--map", f2_map]) == 0
+    out = _lines(capsys)
+    assert [out[k] for k in ("mode", "p", "alpha")] == ["fourgon", "2", "1"]
+    assert float(out["diam"]) == pytest.approx(6.0, abs=1e-9)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported where the hull is needed, not at import time
     env = dict(os.environ)

@@ -10,7 +10,6 @@ from polyharm.core import (
     CoefficientTable,
     PolyharmonicMap,
     build_map,
-    conjugate_map,
     dilatation,
     evaluate,
     jacobian,
@@ -20,7 +19,7 @@ from polyharm.core import (
 )
 from polyharm.errors import DegenerateMap, MalformedSpec
 
-from _gen import random_map
+from _gen import conjugate_map, random_map
 
 
 def _fd_wirtinger(F, z, h=1e-5):

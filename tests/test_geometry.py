@@ -6,23 +6,18 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from polyharm import catalog, geometry
-from polyharm.core import conjugate_map, evaluate, scale_map, wirtinger
-from polyharm.errors import InvalidParams, NoConvergence
+from polyharm.core import evaluate, scale_map, wirtinger
+from polyharm.errors import NoConvergence
 from polyharm.geometry import (
-    RadiusProfile,
     area_growth_excess,
-    area_profile,
     area_quadrature,
     area_series,
     curve_length,
     diameter_estimate,
-    length_profile,
-    phi_area,
-    phi_area_profile,
     sup_length,
 )
 
-from _gen import random_map
+from _gen import conjugate_map, random_map
 
 
 # ---- curve length ----
@@ -59,33 +54,25 @@ def test_sup_length_linear_reference():
     assert abs(sup_length(F) - ref) <= 1e-8
 
 
-def test_sup_length_relaxes_stalled_tolerance():
-    # tol 0 can never be met, so the first radius must climb the ladder;
-    # the constant-speed integrand then settles at the first loosened step
-    got = sup_length(catalog.identity(), integral_tol=0.0)
-    assert abs(got - 2.0 * math.pi) <= 1e-8
-
-
-def test_sup_length_relaxing_samples_no_grid_twice(monkeypatch):
-    # the stalled first radius is rescanned at the looser tolerance from
-    # the estimates it already has, not integrated again
-    calls = []
-    inner = geometry._circle_integral
-
-    def counted(F, r, n):
-        calls.append((r, n))
-        return inner(F, r, n)
-
-    monkeypatch.setattr(geometry, "_circle_integral", counted)
-    got = sup_length(catalog.identity(), integral_tol=0.0)
-    assert abs(got - 2.0 * math.pi) <= 1e-8
-    assert (0.5, 1 << 20) in calls  # the first radius did hit the cap
-    assert len(calls) == len(set(calls))
-
-
 def test_sup_length_relax_limit_exhausted():
+    # tol 0 can never be met; sup_length never loosens a tolerance, as
+    # relax_limit = 0 once asked, so the first radius raises
     with pytest.raises(NoConvergence):
-        sup_length(catalog.identity(), integral_tol=0.0, relax_limit=0.0)
+        sup_length(catalog.identity(), integral_tol=0.0)
+
+
+def test_sup_length_integrates_no_radius_twice(monkeypatch):
+    # the golden-section bracket ends were scanned already
+    radii = []
+    inner = geometry.curve_length
+
+    def counted(F, r, **kw):
+        radii.append(r)
+        return inner(F, r, **kw)
+
+    monkeypatch.setattr(geometry, "curve_length", counted)
+    sup_length(catalog.f0(9))
+    assert len(radii) == len(set(radii))
 
 
 def test_length_dominates_min_dilatation():
@@ -100,8 +87,54 @@ def test_length_dominates_min_dilatation():
 
 
 def test_length_no_convergence():
-    with pytest.raises(NoConvergence):
-        curve_length(catalog.f2(), 0.5, n_start=32, tol=0.0, n_max=64)
+    # the sample cap stops tol = 0 with the estimates reached so far, and
+    # the work stays in bounded blocks however many panels are open
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConvergence) as exc:
+            curve_length(catalog.f2(), 0.5, tol=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert "r=0.5" in str(exc.value)
+    want = 2.0 * math.pi * 0.5 * 1.3125
+    assert abs(exc.value.estimates[-1] - want) <= 1e-12
+
+
+def _fft_length(F, r, n=1 << 22):
+    # periodic trapezoid rule on n points; on |z| = r the angular derivative
+    # has coefficient i j A_j(r) at frequency j and -i j B_j(r) at -j
+    t = F.table
+    powers = r ** (2 * np.arange(t.p)[:, None] + np.arange(1, t.J + 1)[None, :])
+    j = np.arange(1, t.J + 1)
+    spec = np.zeros(n, dtype=complex)
+    spec[j] += 1j * j * (t.a * powers).sum(axis=0)
+    spec[n - j] -= 1j * j * (np.conj(t.b) * powers).sum(axis=0)
+    return float(np.abs(np.fft.ifft(spec)).sum()) * 2.0 * math.pi
+
+
+def test_length_square_maps_match_fft_oracle():
+    # the square maps' speed nearly vanishes at the corners as r -> 1
+    for F in (catalog.f0(9), catalog.f1(9)):
+        for r in (0.5, 1.0 - 2.0 ** -10, 1.0 - 2.0 ** -20, 1.0):
+            want = _fft_length(F, r)
+            assert abs(curve_length(F, r) - want) <= 1e-10 * want
+
+
+def test_length_zero_near_panel_end():
+    # f0 at J = 41 and r = 1 - 2^-10 has speed zeros 6.5e-6 inside eight
+    # starting panels, where whole and halves are off alike by 5e-9
+    F, r = catalog.f0(41), 1.0 - 2.0 ** -10
+    want = curve_length(F, r, tol=1e-13)
+    assert abs(curve_length(F, r) - want) <= 1e-10 * want
+
+
+def test_length_zero_speed_settles():
+    # the default constant-ratio map has an all-zero table
+    F = catalog.builtin("form37")
+    assert curve_length(F, 0.5) == 0.0
+    assert sup_length(F) == 0.0
 
 
 # ---- area ----
@@ -200,14 +233,6 @@ def test_area_growth_excess_f2():
     s = r + r**3 + r**5
     want = 2.0 * r * s * (1.0 + 3.0 * r**2 + 5.0 * r**4) - 2.0 * s**2
     assert abs(area_growth_excess(F, r) - want) <= 1e-12
-
-
-def test_phi_area_values_and_domain():
-    F = catalog.monomial(1, 2, 1.0)
-    # the double cover z^2 has S(r) = 2 r^4, so phi(r) = 2 r^2
-    assert abs(phi_area(F, 0.5) - 0.5) <= 1e-15
-    with pytest.raises(InvalidParams):
-        phi_area(F, 0.0)
 
 
 # ---- diameter ----
@@ -327,30 +352,3 @@ def test_diameter_memory_stays_linear_in_hull_size():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
-
-
-# ---- profiles ----
-
-
-def test_profiles_shapes_and_meanings():
-    F = catalog.f2()
-    grid = np.linspace(0.1, 0.9, 9)
-    lp = length_profile(F, grid)
-    ap = area_profile(F, grid)
-    pp = phi_area_profile(F, grid)
-    assert lp.meaning == "length" and ap.meaning == "area" and pp.meaning == "phi_area"
-    assert np.array_equal(lp.grid, grid)
-    assert np.all(np.diff(ap.values) > 0)
-
-
-def test_radius_profile_validation():
-    good = np.linspace(0.1, 0.9, 5)
-    with pytest.raises(InvalidParams):
-        RadiusProfile(good[::-1].copy(), np.ones(5), "length")
-    with pytest.raises(InvalidParams):
-        RadiusProfile(good, np.array([1, 2, np.nan, 4, 5.0]), "length")
-    with pytest.raises(InvalidParams):
-        RadiusProfile(good, np.ones(5), "volume")
-    prof = RadiusProfile(good, np.ones(5), "psi")
-    with pytest.raises(Exception):
-        prof.values[0] = 2.0

@@ -9,12 +9,13 @@ from polyharm.errors import (
     NoSignChange,
     NotDecreasing,
 )
-from polyharm.landau import (
-    LandauResult,
-    landau_from_diameter,
-    landau_from_length,
-    least_positive_root,
-)
+from polyharm import landau
+from polyharm.landau import LandauResult, landau_from_diameter, landau_from_length
+
+
+def least_positive_root(phi, tol=1e-12):
+    # the root solver behind both bounds, without their normalization
+    return landau._decreasing_root(phi, tol)[0]
 
 
 def _grid_bracket(phi, n=1_000_001):

@@ -173,12 +173,12 @@ def test_harmonic_check_guards():
 
 def test_psi_profile_shape():
     grid = np.linspace(0.0, 1.0 - 1e-6, 1024)
-    prof = psi_profile(grid)
-    assert prof.meaning == "psi"
-    assert prof.values[0] == 1.0
-    assert np.all(np.diff(prof.values) > 0.0)
-    assert np.all(prof.values < math.pi / 2.0)
-    assert prof.values[-1] > 1.57
+    psi = psi_profile(grid)
+    assert psi.shape == grid.shape
+    assert psi[0] == 1.0
+    assert np.all(np.diff(psi) > 0.0)
+    assert np.all(psi < math.pi / 2.0)
+    assert psi[-1] > 1.57
 
 
 def test_psi_profile_domain():
