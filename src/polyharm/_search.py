@@ -1,4 +1,4 @@
-"""Bracketed scalar searches: golden-section refinement and bisection.
+"""Bracketed searches: a batched bracket zoom for maxima and bisection.
 
 These are deliberately hand-rolled: the call sites need deterministic probe
 sequences (for byte-identical reports) and best-seen-so-far semantics (so a
@@ -8,52 +8,31 @@ from __future__ import annotations
 
 import math
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+import numpy as np
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Golden-section maximization on [lo, hi].
+def zoom_max(f, lo: float, hi: float, tol: float, k: int = 9):
+    """Maximize f on [lo, hi] by zooming in on a k-point grid (k >= 4).
 
-    Returns ``(x_best, f_best)`` over every probed point, endpoints included,
-    so the result is a valid lower bound for the true maximum even when f is
-    monotone and the supremum sits on the boundary of the bracket.
+    Each round calls f once on the array of k equispaced points of the
+    bracket, ends included, and narrows the bracket to the best point's two
+    neighbours (its one neighbour at an end).  The search stops once that
+    bracket is narrower than tol.  Returns ``(x_best, f_best)`` over every
+    probed point, so the result is a valid lower bound for the true maximum
+    even when f is monotone and the supremum sits on a bracket end, which
+    is then returned exactly.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    best_x, best_f = lo, f(lo)
-    fhi = f(hi)
-    if fhi > best_f:
-        best_x, best_f = hi, fhi
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        return best_x, best_f
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if v > best_f:
-            best_x, best_f = x, v
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-        it += 1
-    return best_x, best_f
+    best_x, best_f = lo, -math.inf
+    while True:
+        xs = np.linspace(lo, hi, k)
+        vals = np.asarray(f(xs), dtype=float)
+        i = int(np.argmax(vals))
+        if vals[i] > best_f:
+            best_x, best_f = float(xs[i]), float(vals[i])
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, k - 1)])
+        if b - a < tol or b - a >= hi - lo:  # narrow, or stalled at float spacing
+            return best_x, best_f
+        lo, hi = a, b
 
 
 def bisect_decreasing(phi, lo: float, hi: float, tol: float,

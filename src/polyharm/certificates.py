@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import zoom_max
 from .core import PolyharmonicMap, evaluate
 from .errors import InvalidDiameter, InvalidParams, NotAnalytic
 from .geometry import area_growth_excess, area_series
@@ -256,11 +256,8 @@ def _circle_log_max(F: PolyharmonicMap, r: float, n_theta: int) -> float:
     vals = np.abs(evaluate(F, r * np.exp(1j * th)))
     i0 = int(np.argmax(vals))
     d_th = 2.0 * np.pi / n_theta
-
-    def at(x):
-        return abs(evaluate(F, r * cmath.exp(1j * x)))
-
-    _, v = golden_max(at, float(th[i0] - d_th), float(th[i0] + d_th), tol=1e-12)
+    _, v = zoom_max(lambda xs: np.abs(evaluate(F, r * np.exp(1j * xs))),
+                    float(th[i0] - d_th), float(th[i0] + d_th), tol=1e-12)
     return math.log(max(float(vals[i0]), v))
 
 

@@ -24,12 +24,11 @@ exactly the bits of the matching entry of an array call.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import zoom_max
 from .errors import DegenerateMap, InvalidParams, MalformedSpec
 
 __all__ = [
@@ -242,51 +241,55 @@ def dilatation(F: PolyharmonicMap, z) -> DilatationPair:
     return DilatationPair(abs(m - mm), m + mm)
 
 
-def _lambda_grid(F: PolyharmonicMap, Z: np.ndarray):
-    fz, fzb = wirtinger(F, Z)
-    m = np.abs(fz)
-    mm = np.abs(fzb)
-    return np.abs(m - mm), m + mm
+_K_RADII, _K_ANGLES = 256, 512
+_K_TOL = 1e-10
 
 
-def quasiregularity_constant(F: PolyharmonicMap, r_max: float,
-                             n_radii: int = 256, n_angles: int = 512,
-                             refine_tol: float = 1e-10) -> float:
+def quasiregularity_constant(F: PolyharmonicMap, r_max: float) -> float:
     """Supremum of lambda_big / lambda_small over |z| <= r_max.
 
-    Polar grid scan (``n_radii`` x ``n_angles``) followed by golden-section
-    refinement in radius and then angle around the best sample; the result is
-    a lower bound for the true supremum at the refinement tolerance.  Raises
-    :class:`DegenerateMap` as soon as lambda_small drops below
+    Polar grid scan (256 radii x 512 angles) followed by a bracket zoom in
+    radius and then in angle around the best sample, each down to 1e-10;
+    the result is a lower bound for the true supremum.  Raises
+    :class:`DegenerateMap` when the Jacobian takes both signs among the
+    probed points, since lambda_small then vanishes between the two
+    witnesses and the map folds, and as soon as lambda_small drops below
     ``1e-12 * (1 + max coefficient)`` at any probed point.
     """
     if not (0.0 < r_max <= 1.0):
         raise InvalidParams(f"r_max must lie in (0, 1], got {r_max}")
     tol_deg = 1e-12 * (1.0 + F.table.max_coefficient())
-    radii = r_max * np.arange(1, n_radii + 1) / n_radii
-    th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    radii = r_max * np.arange(1, _K_RADII + 1) / _K_RADII
+    th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
     Z = radii[:, None] * np.exp(1j * th)[None, :]
-    lam, big = _lambda_grid(F, Z)
-    if lam.min() < tol_deg:
-        i, j = np.unravel_index(int(np.argmin(lam)), lam.shape)
-        raise DegenerateMap(f"lambda_small = {lam[i, j]:.3e} near z = {Z[i, j]:.6g}")
-    ratio = big / lam
+
+    def ratios(z):
+        # lambda_big / lambda_small at z; d has the sign of the Jacobian
+        fz, fzb = wirtinger(F, z)
+        m, mm = np.abs(fz), np.abs(fzb)
+        d, big = m - mm, m + mm
+        if d.max() > 0.0 > d.min():
+            jac = d * big
+            pos, neg = int(np.argmax(jac)), int(np.argmin(jac))
+            raise DegenerateMap(f"the Jacobian takes both signs: {jac.flat[pos]:.3e} "
+                                f"at z = {z.flat[pos]:.6g}, {jac.flat[neg]:.3e} "
+                                f"at z = {z.flat[neg]:.6g}")
+        lam = np.abs(d)
+        if lam.min() < tol_deg:
+            i = int(np.argmin(lam))
+            raise DegenerateMap(f"lambda_small = {lam.flat[i]:.3e} near z = {z.flat[i]:.6g}")
+        return big / lam
+
+    ratio = ratios(Z)
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     best = float(ratio[i0, j0])
-
-    def ratio_at(r: float, theta: float) -> float:
-        d = dilatation(F, r * complex(math.cos(theta), math.sin(theta)))
-        if d.lambda_small < tol_deg:
-            raise DegenerateMap(f"lambda_small = {d.lambda_small:.3e} at "
-                                f"r = {r:.6g}, theta = {theta:.6g}")
-        return d.lambda_big / d.lambda_small
-
     th0 = float(th[j0])
-    r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / n_radii
-    r_hi = float(radii[i0 + 1]) if i0 + 1 < n_radii else r_max
-    r_best, v_r = golden_max(lambda r: ratio_at(r, th0), r_lo, r_hi, refine_tol)
-    dth = 2.0 * np.pi / n_angles
-    _, v_th = golden_max(lambda s: ratio_at(r_best, s), th0 - dth, th0 + dth, refine_tol)
+    r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
+    r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else r_max
+    r_best, v_r = zoom_max(lambda rs: ratios(rs * np.exp(1j * th0)), r_lo, r_hi, _K_TOL)
+    dth = 2.0 * np.pi / _K_ANGLES
+    _, v_th = zoom_max(lambda ts: ratios(r_best * np.exp(1j * ts)),
+                       th0 - dth, th0 + dth, _K_TOL)
     return float(max(best, v_r, v_th))
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._search import golden_max
+from ._search import zoom_max
 from .core import PolyharmonicMap, _horner, evaluate, wirtinger
 from .errors import InvalidParams, NoConvergence
 
@@ -125,30 +125,34 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
     return r * done
 
 
-def sup_length(F: PolyharmonicMap, k_max: int = 20, refine_tol: float = 1e-12,
-               integral_tol: float = 1e-10) -> float:
-    """sup over 0 < r < 1 of curve_length(F, r).
+_SCAN_RADII = 20  # sup_length scans r = 1 - 2^-k, k = 1..20
+_RADIUS_TOL = 1e-12
 
-    Scans radii 1 - 2^-k and polishes the best one by golden-section; the
-    supremum of a polynomial-coefficient length profile is attained either
-    in the interior or in the limit r -> 1, which the r = 1 - 2^-20 end
-    point approximates to well below refine_tol for the maps handled here.
-    Every radius is integrated once, at integral_tol; a radius that does
-    not settle raises NoConvergence.
+
+def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
+    """sup over 0 < r <= 1 of curve_length(F, r).
+
+    Scans radii 1 - 2^-k and zooms in on the best one by a five-point
+    bracket zoom down to a bracket of 1e-12; the scan's last bracket ends
+    at r = 1 itself, where F is still a polynomial, so a length that grows
+    all the way out is measured at the boundary.  Every radius is
+    integrated once, at integral_tol; a radius that does not settle raises
+    NoConvergence.
     """
     seen = {}
 
     def measure(r: float) -> float:
-        if r not in seen:  # golden-section bracket ends were scanned
+        if r not in seen:  # zoom grids share their ends with earlier grids
             seen[r] = curve_length(F, r, tol=integral_tol)
         return seen[r]
 
-    rs = 1.0 - 2.0 ** (-np.arange(1, k_max + 1))
+    rs = 1.0 - 2.0 ** (-np.arange(1, _SCAN_RADII + 1))
     vals = [measure(float(r)) for r in rs]
     i0 = int(np.argmax(vals))
     lo = float(rs[i0 - 1]) if i0 > 0 else 1e-9
-    hi = float(rs[i0 + 1]) if i0 < k_max - 1 else 1.0 - 1e-13
-    _, refined = golden_max(measure, lo, hi, tol=refine_tol)
+    hi = float(rs[i0 + 1]) if i0 < _SCAN_RADII - 1 else 1.0
+    _, refined = zoom_max(lambda xs: [measure(float(x)) for x in xs],
+                          lo, hi, _RADIUS_TOL, k=5)
     return max(max(vals), refined)
 
 
@@ -264,17 +268,21 @@ def _farthest_pair(xy: np.ndarray):
     return int(hull[ia]), int(hull[ib])
 
 
+_POLISH_ROUNDS = 3
+_POLISH_TOL = 1e-10
+
+
 def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
-                      n_angles: int = 1024, refine_rounds: int = 3,
-                      refine_tol: float = 1e-10) -> float:
+                      n_angles: int = 1024) -> float:
     """Lower estimate of diam F(|z| <= r) from a polar sample grid.
 
     Rotating calipers (Toussaint, 1983) on the counter-clockwise qhull hull
     of the sampled image find the farthest sampled pair; ties go to the
     lowest hull positions.  Collinear or coincident samples, which qhull
-    rejects, use the ends along the principal axis.  A few rounds of
-    coordinate-wise golden-section polish around the pair follow.  Always
-    a lower bound on the true diameter.
+    rejects, use the ends along the principal axis.  Three rounds of
+    coordinate-wise bracket zoom polish the pair's radii and angles, one
+    grid step either way, down to 1e-10; each zoom round is one evaluate
+    call.  Always a lower bound on the true diameter.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
@@ -286,33 +294,24 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     ia, ib = _farthest_pair(xy)
     best = float(np.sqrt(((xy[ia] - xy[ib]) ** 2).sum()))
 
-    def unpack(idx: int):
-        i, jj = divmod(idx, n_angles)
-        return float(radii[i]), float(th[jj])
+    (ra, ta), (rb, tb) = divmod(ia, n_angles), divmod(ib, n_angles)
+    state = [float(radii[ra]), float(th[ta]), float(radii[rb]), float(th[tb])]
+    half = (r / n_radii, 2.0 * np.pi / n_angles)
 
-    state = list(unpack(ia) + unpack(ib))  # [rho_a, th_a, rho_b, th_b]
-    d_rho = r / n_radii
-    d_th = 2.0 * np.pi / n_angles
-
-    def dist(s):
-        pa = s[0] * np.exp(1j * s[1])
-        pb = s[2] * np.exp(1j * s[3])
-        return abs(evaluate(F, pa) - evaluate(F, pb))
+    def dist(k, xs):
+        # coordinate k of the pair [rho_a, th_a, rho_b, th_b] runs over xs
+        s = np.tile(state, (xs.size, 1))
+        s[:, k] = xs
+        w = evaluate(F, s[:, 0::2] * np.exp(1j * s[:, 1::2]))
+        return np.abs(w[:, 0] - w[:, 1])
 
     refined = best
-    for _ in range(refine_rounds):
+    for _ in range(_POLISH_ROUNDS):
         for k in range(4):
+            lo, hi = state[k] - half[k % 2], state[k] + half[k % 2]
             if k % 2 == 0:
-                lo, hi = max(0.0, state[k] - d_rho), min(r, state[k] + d_rho)
-            else:
-                lo, hi = state[k] - d_th, state[k] + d_th
-
-            def at(x, k=k):
-                s = list(state)
-                s[k] = x
-                return dist(s)
-
-            x_best, v = golden_max(at, lo, hi, tol=refine_tol)
+                lo, hi = max(0.0, lo), min(r, hi)
+            x_best, v = zoom_max(lambda xs: dist(k, xs), lo, hi, _POLISH_TOL)
             if v > refined:
                 refined = v
                 state[k] = x_best

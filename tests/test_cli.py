@@ -208,6 +208,25 @@ def test_verify_hypotheses_not_met(tmp_path, capsys):
     assert doc["summary"]["exit_code"] == 2
 
 
+def test_verify_folding_map_has_no_K(tmp_path, capsys):
+    # f0 folds near the boundary, so K is infinite and the length
+    # certificate, which needs a finite K, does not apply
+    path = _write(tmp_path, "f0.map", '{"builtin": "f0"}')
+    main(["verify", "--map", path])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["derived"]["K"] is None
+    entry = [e for e in doc["checks"]
+             if e["name"] == "length-coefficient-bounds"][0]
+    assert entry["verdict"] == "skipped"
+    assert entry["reason"] == "map is degenerate on the closed disk"
+
+
+def test_landau_length_folding_map_hnm(tmp_path, capsys):
+    path = _write(tmp_path, "f0.map", '{"builtin": "f0", "params": {"J": 9}}')
+    assert main(["landau", "--mode", "length", "--map", path]) == 2
+    capsys.readouterr()
+
+
 # ---- failure modes ----
 
 

@@ -54,15 +54,23 @@ def test_sup_length_linear_reference():
     assert abs(sup_length(F) - ref) <= 1e-8
 
 
+def test_sup_length_reaches_the_boundary():
+    # the identity's length 2 pi r grows all the way out, and the last
+    # scan bracket ends at r = 1 itself, which the zoom returns exactly
+    F = catalog.identity()
+    assert sup_length(F) == curve_length(F, 1.0)
+
+
 def test_sup_length_relax_limit_exhausted():
-    # tol 0 can never be met; sup_length never loosens a tolerance, as
-    # relax_limit = 0 once asked, so the first radius raises
+    # tol 0 can never be met and sup_length never loosens a tolerance,
+    # so the first radius raises
     with pytest.raises(NoConvergence):
         sup_length(catalog.identity(), integral_tol=0.0)
 
 
 def test_sup_length_integrates_no_radius_twice(monkeypatch):
-    # the golden-section bracket ends were scanned already
+    # the zoom's bracket ends were scanned already, and each zoom grid
+    # shares points with the one before
     radii = []
     inner = geometry.curve_length
 
@@ -257,8 +265,8 @@ def test_diameter_monotone_in_radius():
     rng = np.random.default_rng(53)
     for _ in range(5):
         F = random_map(rng)
-        d_half = diameter_estimate(F, r=0.5, n_radii=8, n_angles=256, refine_rounds=1)
-        d_full = diameter_estimate(F, r=0.9, n_radii=8, n_angles=256, refine_rounds=1)
+        d_half = diameter_estimate(F, r=0.5, n_radii=8, n_angles=256)
+        d_full = diameter_estimate(F, r=0.9, n_radii=8, n_angles=256)
         assert d_full >= d_half - 1e-9
 
 
