@@ -37,7 +37,7 @@ def describe(F):
     print("  sup length over all radii: %.10f" % sup_length(F))
     print("  diameter estimate:         %.10f" % diameter_estimate(F))
     try:
-        print("  quasiregularity constant:  %.10g" % quasiregularity_constant(F, 1.0))
+        print("  quasiregularity constant:  %.10g" % quasiregularity_constant(F))
     except Exception as exc:
         print("  quasiregularity constant:  n/a (%s)" % exc)
     print()

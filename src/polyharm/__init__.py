@@ -11,9 +11,9 @@ from .certificates import (CheckReport, Margin, area_schwarz, arg_condition,
                            hadamard_three_circles, length_coefficient_bounds,
                            three_circles_area)
 from .landau import LandauResult, landau_from_diameter, landau_from_length
-from .metrics import (DiskDomain, LipschitzReport, PairSampler,
-                      contraction_check, harmonic_lipschitz_check, j_metric,
-                      mobius_j_distortion, psi_profile)
+from .metrics import (LipschitzReport, contraction_check,
+                      harmonic_lipschitz_check, j_metric, mobius_j_distortion,
+                      psi_profile)
 from .catalog import BUILTIN_NAMES, Form37Params, builtin, fourgon_coefficients
 from .mapspec import MappingSpec, digest, from_map
 from . import errors
@@ -37,9 +37,8 @@ __all__ = [
     # landau
     "LandauResult", "landau_from_diameter", "landau_from_length",
     # metrics
-    "DiskDomain", "LipschitzReport", "PairSampler", "contraction_check",
-    "harmonic_lipschitz_check", "j_metric", "mobius_j_distortion",
-    "psi_profile",
+    "LipschitzReport", "contraction_check", "harmonic_lipschitz_check",
+    "j_metric", "mobius_j_distortion", "psi_profile",
     # catalog / files
     "BUILTIN_NAMES", "Form37Params", "builtin", "fourgon_coefficients",
     "MappingSpec", "digest", "from_map",

@@ -36,17 +36,17 @@ def zoom_max(f, lo: float, hi: float, tol: float, k: int = 9):
 
 
 def bisect_decreasing(phi, lo: float, hi: float, tol: float,
-                      residual_target: float = math.inf, max_iter: int = 400):
+                      residual_target: float = math.inf):
     """Bisection for a decreasing phi with phi(lo) > 0 > phi(hi).
 
     Narrows until the bracket is below ``tol`` and |phi(mid)| is below
-    ``residual_target`` (or float resolution stops progress).  Returns
-    ``(mid, iterations, (lo, hi))``.
+    ``residual_target`` (or float resolution stops progress, or 400 steps
+    are taken).  Returns ``(mid, iterations, (lo, hi))``.
     """
     it = 0
     mid = 0.5 * (lo + hi)
     val = phi(mid)
-    while it < max_iter:
+    while it < 400:  # float resolution stops a bisection well before this
         if (hi - lo) <= tol and abs(val) <= residual_target:
             break
         if val > 0.0:

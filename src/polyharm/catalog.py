@@ -47,8 +47,7 @@ def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
     b = np.zeros((1, 1), dtype=complex)
     a[0, 0] = alpha
     b[0, 0] = np.conj(beta)  # stored so conj(b) multiplies conj(z)
-    return PolyharmonicMap(CoefficientTable(1, 1, a, b), label="linear",
-                           meta={"alpha": complex(alpha), "beta": complex(beta)})
+    return PolyharmonicMap(CoefficientTable(1, 1, a, b), label="linear")
 
 
 def monomial(p: int, j: int, c: complex = 1.0,
@@ -64,9 +63,7 @@ def monomial(p: int, j: int, c: complex = 1.0,
         b[p - 1, j - 1] = np.conj(c)
     else:
         a[p - 1, j - 1] = c
-    return PolyharmonicMap(CoefficientTable(p, j, a, b), label="monomial",
-                           meta={"p": p, "j": j, "c": complex(c),
-                                 "conjugate": bool(conjugate)})
+    return PolyharmonicMap(CoefficientTable(p, j, a, b), label="monomial")
 
 
 def f2() -> PolyharmonicMap:
@@ -102,18 +99,8 @@ def fourgon_coefficients(J: int) -> CoefficientTable:
     return CoefficientTable(1, J, a, b)
 
 
-def _fourgon_omitted(J: int) -> float:
-    k = J // 4 + 1
-    omit_a = _FOURGON_SCALE / (4 * k + 1)
-    k = (J + 1) // 4 + 1
-    omit_b = _FOURGON_SCALE / (4 * k - 1)
-    return max(omit_a, omit_b)
-
-
 def f0(J: int = 41) -> PolyharmonicMap:
-    table = fourgon_coefficients(J)
-    meta = {"truncation_J": J, "omitted_coefficient_bound": _fourgon_omitted(J)}
-    return PolyharmonicMap(table, label="f0", meta=meta)
+    return PolyharmonicMap(fourgon_coefficients(J), label="f0")
 
 
 def f1(J: int = 41) -> PolyharmonicMap:
@@ -132,10 +119,7 @@ def f1(J: int = 41) -> PolyharmonicMap:
     # conj(i * conj(w)) = -i * w for the stored conjugate-power entries
     a[1] = 1j * a[0]
     b[1] = -1j * b[0]
-    meta = {"truncation_J": J,
-            "omitted_coefficient_bound": c * _fourgon_omitted(J),
-            "radius_formula_depth": 2}
-    return PolyharmonicMap(CoefficientTable(2, J, a, b), label="F1", meta=meta)
+    return PolyharmonicMap(CoefficientTable(2, J, a, b), label="F1")
 
 
 # ---- constant-area-ratio family ----

@@ -27,11 +27,13 @@ from .geometry import area_growth_excess, area_series
 TOL_REPORT = 1e-9
 ANGLE_TOL = 1e-12
 ZERO_COEFF_REL = 1e-14
+R_EDGE = 1.0 - 1e-6  # "near the boundary": where S is compared with 1
 
 __all__ = [
     "TOL_REPORT",
     "ANGLE_TOL",
     "ZERO_COEFF_REL",
+    "R_EDGE",
     "Margin",
     "CheckReport",
     "arg_condition",
@@ -73,7 +75,8 @@ def _verdict(margins) -> str:
     return "pass"
 
 
-def _witnesses(margins, cap: int = 16) -> tuple:
+def _witnesses(margins) -> tuple:
+    # every failing margin and the smallest slack, at most 16 of them
     if not margins:
         return ()
     order = sorted(range(len(margins)), key=lambda i: margins[i].slack)
@@ -81,16 +84,15 @@ def _witnesses(margins, cap: int = 16) -> tuple:
     if order and order[0] not in picked:
         picked.append(order[0])
     out = []
-    for i in picked[:cap]:
+    for i in picked[:16]:
         m = margins[i]
         out.append({"check_id": m.check_id, "slack": m.slack})
     return tuple(out)
 
 
-def _report(name, margins, extras=None, verdict=None):
+def _report(name, margins, extras=None):
     margins = tuple(margins)
-    v = verdict if verdict is not None else _verdict(margins)
-    return CheckReport(name=name, verdict=v, margins=margins,
+    return CheckReport(name=name, verdict=_verdict(margins), margins=margins,
                        witnesses=_witnesses(margins), extras=extras or {})
 
 
@@ -215,19 +217,23 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckR
 
 
 def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
-                       r_grid=None) -> CheckReport:
-    """Interpolation bound S(r) <= m ** (log r / log r1) on [r1, 1).
+                       n_grid: int = 50) -> CheckReport:
+    """Interpolation bound S(r) <= m ** (log r / log r1) on n_grid
+    equispaced radii from r1 to R_EDGE, ends included.
 
     Hypotheses: the area angle condition, S bounded by 1 near the boundary,
-    and 0 < m < 1 with S(r1) <= m.
+    and 0 < m < 1 with S(r1) <= m.  Raises InvalidParams unless
+    0 < r1 <= R_EDGE, m is positive and finite, and n_grid >= 1.
     """
-    if not (0.0 < r1 < 1.0):
-        raise InvalidParams("r1 must be in (0, 1), got %r" % (r1,))
+    if not (0.0 < r1 <= R_EDGE):
+        raise InvalidParams("r1 must be in (0, 1 - 1e-6], got %r" % (r1,))
     if not (math.isfinite(m) and m > 0.0):
         raise InvalidParams("m must be positive and finite, got %r" % (m,))
+    if n_grid < 1:
+        raise InvalidParams("need n_grid >= 1, got %r" % (n_grid,))
     hyp = arg_condition(F, "area")
     s_r1 = float(area_series(F, r1))
-    s_edge = float(area_series(F, 1.0 - 1e-6))
+    s_edge = float(area_series(F, R_EDGE))
     hyp_notes = {
         "angle_condition": hyp.verdict,
         "S_at_r1": s_r1,
@@ -238,12 +244,8 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
             or s_edge > 1.0 + TOL_REPORT):
         return CheckReport(name="three-circles-area",
                            verdict="hypotheses-not-met", extras=hyp_notes)
-    if r_grid is None:
-        r_grid = np.linspace(r1, 1.0 - 1e-6, 50)
-    grid = np.asarray(r_grid, dtype=float)
-    if np.any(grid < r1) or np.any(grid >= 1.0):
-        raise InvalidParams("grid must lie in [r1, 1)")
-    s = np.atleast_1d(area_series(F, grid))
+    grid = np.linspace(r1, R_EDGE, n_grid)
+    s = area_series(F, grid)
     bound = np.exp(math.log(m) * np.log(grid) / math.log(r1))
     margins = [Margin("S(r) r=%.17g" % grid[i], float(s[i]), float(bound[i]),
                       float(bound[i] - s[i]))
@@ -262,25 +264,25 @@ def _circle_log_max(F: PolyharmonicMap, r: float, n_theta: int) -> float:
 
 
 def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
-                           r_grid=None, n_theta: int = 4096) -> CheckReport:
-    """Classical log-convexity of the circle maximum for analytic tables.
+                           n_theta: int = 4096) -> CheckReport:
+    """Classical log-convexity of the circle maximum for analytic tables,
+    on the 23 radii that split [r1, r2] into 24 equal steps.
 
-    Only meaningful when the map is a single analytic layer (p = 1 and no
-    conjugate-power coefficients); anything else raises NotAnalytic.
+    Each circle maximum is the best of n_theta equispaced samples, zoomed
+    in on.  Only meaningful when the map is a single analytic layer (p = 1
+    and no conjugate-power coefficients); anything else raises NotAnalytic.
     """
     t = F.table
     if t.p != 1 or np.any(t.b != 0):
         raise NotAnalytic("three-circles log-convexity needs an analytic map")
     if not (0.0 < r1 < r2 <= 1.0):
         raise InvalidParams("need 0 < r1 < r2 <= 1")
+    if n_theta < 1:
+        raise InvalidParams("need n_theta >= 1, got %r" % (n_theta,))
     if t.max_coefficient() == 0.0:
         return CheckReport(name="hadamard-three-circles", verdict="pass",
                            extras={"reason": "zero map"})
-    if r_grid is None:
-        r_grid = np.linspace(r1, r2, 25)[1:-1]
-    grid = np.asarray(r_grid, dtype=float)
-    if np.any(grid <= r1) or np.any(grid >= r2):
-        raise InvalidParams("grid must lie strictly between r1 and r2")
+    grid = np.linspace(r1, r2, 25)[1:-1]
     log_m1 = _circle_log_max(F, r1, n_theta)
     log_m2 = _circle_log_max(F, r2, n_theta)
     lr1, lr2 = math.log(r1), math.log(r2)
@@ -299,31 +301,31 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
 # ---- area-ratio monotonicity ----
 
 
-def area_schwarz(F: PolyharmonicMap, r_grid=None) -> CheckReport:
+def area_schwarz(F: PolyharmonicMap, n_grid: int = 100) -> CheckReport:
     """Monotonicity of phi(r) = S(r)/r^2 under the area angle condition,
     with the closed-form growth excess as a second route, and the induced
-    S(r) <= r^2 comparison when S stays within the unit-area budget."""
+    S(r) <= r^2 comparison when S stays within the unit-area budget, on
+    n_grid equispaced radii from 0.01 to 0.99.  Raises InvalidParams unless
+    n_grid >= 2, so that at least one monotonicity step is tested."""
+    if n_grid < 2:
+        raise InvalidParams("need n_grid >= 2, got %r" % (n_grid,))
     hyp = arg_condition(F, "area")
     if hyp.verdict != "pass":
         return CheckReport(name="area-schwarz", verdict="hypotheses-not-met",
                            extras={"reason": "area angle condition fails"})
-    if r_grid is None:
-        r_grid = np.linspace(0.01, 0.99, 100)
-    grid = np.asarray(r_grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0):
-        raise InvalidParams("grid must be strictly increasing inside (0, 1)")
-    s = np.atleast_1d(area_series(F, grid))
+    grid = np.linspace(0.01, 0.99, n_grid)
+    s = area_series(F, grid)
     phi = s / grid ** 2
     margins = []
     for i in range(grid.size - 1):
         margins.append(Margin("phi step r=%.17g" % grid[i + 1],
                               float(phi[i]), float(phi[i + 1]),
                               float(phi[i + 1] - phi[i])))
-    excess = np.atleast_1d(area_growth_excess(F, grid))
+    excess = area_growth_excess(F, grid)
     for i in range(grid.size):
         margins.append(Margin("growth excess r=%.17g" % grid[i],
                               0.0, float(excess[i]), float(excess[i]), 1e-12))
-    s_edge = float(area_series(F, 1.0 - 1e-6))
+    s_edge = float(area_series(F, R_EDGE))
     if s_edge <= 1.0 + TOL_REPORT:
         for i in range(grid.size):
             rhs = float(grid[i] ** 2)

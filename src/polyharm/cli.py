@@ -10,6 +10,7 @@ check that ``verify`` skips leaves the exit code alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -93,7 +94,7 @@ def cmd_derive(args) -> int:
 def cmd_length(args) -> int:
     F, _ = _load(args.map)
     if args.sup:
-        v = geometry.sup_length(F)
+        v = geometry.sup_length(F, integral_tol=args.tol)
         print("sup_length = %.17g" % v)
     else:
         if args.r is None:
@@ -143,7 +144,7 @@ def cmd_landau(args) -> int:
     print("p = %d" % p)
     print("alpha = %.17g" % alpha)
     if args.mode == "length":
-        K = args.K if args.K is not None else quasiregularity_constant(F, 1.0)
+        K = args.K if args.K is not None else quasiregularity_constant(F)
         l1 = args.l1 if args.l1 is not None else geometry.sup_length(F)
         print("K = %.17g" % K)
         print("l1 = %.17g" % l1)
@@ -168,12 +169,11 @@ def cmd_three_circles(args) -> int:
                                                   n_theta=args.theta_samples)
     else:
         m = args.m if args.m is not None else float(geometry.area_series(F, args.r1))
-        grid = np.linspace(args.r1, 1.0 - 1e-6, args.grid)
         if args.m is None and not m > 0.0:  # the map's own S(r1) breaks 0 < m
             rep = certificates.CheckReport("three-circles-area", "hypotheses-not-met",
                                            extras={"S_at_r1": m})
         else:
-            rep = certificates.three_circles_area(F, args.r1, m, r_grid=grid)
+            rep = certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
     worst = rep.worst()
@@ -184,8 +184,7 @@ def cmd_three_circles(args) -> int:
 
 def cmd_schwarz(args) -> int:
     F, _ = _load(args.map)
-    grid = np.linspace(0.01, 0.99, args.grid)
-    rep = certificates.area_schwarz(F, r_grid=grid)
+    rep = certificates.area_schwarz(F, n_grid=args.grid)
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
     if rep.verdict != "hypotheses-not-met":
@@ -198,16 +197,15 @@ def cmd_schwarz(args) -> int:
 
 def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
-        rep = metrics.mobius_j_distortion(
-            args.mobius_a, args.mobius_theta,
-            sampler=metrics.PairSampler(seed=args.seed))
+        rep = metrics.mobius_j_distortion(args.mobius_a, args.mobius_theta,
+                                          seed=args.seed)
         print("sup_ratio = %.17g" % rep.sup_ratio)
         print("bound = %.17g" % rep.bound)
         print("verdict = %s" % rep.verdict)
         return _verdict_exit(rep.verdict)
     if args.z is None or args.w is None:
         raise _UsageError("jmetric needs --z and --w (or --mobius-a)")
-    v = metrics.j_metric(args.z, args.w, metrics.DiskDomain(args.M))
+    v = metrics.j_metric(args.z, args.w, args.M)
     print("%.17g" % v)
     return EXIT_PASS
 
@@ -248,13 +246,13 @@ def _derived_quantities(F: PolyharmonicMap, args) -> dict:
         "J": t.J,
         "coefficient_sum": coeff_sum,
         "alpha_at_zero": float(dilatation(F, 0.0).lambda_small),
-        "S_near_boundary": float(geometry.area_series(F, 1.0 - 1e-6)),
+        "S_near_boundary": float(geometry.area_series(F, certificates.R_EDGE)),
     }
     if args.K is not None:
         out["K"] = float(args.K)
     else:
         try:
-            out["K"] = quasiregularity_constant(F, 1.0)
+            out["K"] = quasiregularity_constant(F)
         except DegenerateMap:
             out["K"] = None
     out["l1"] = float(args.l1) if args.l1 is not None else geometry.sup_length(F)
@@ -306,8 +304,7 @@ def cmd_verify(args) -> int:
         if not m > 0.0:
             skip("three-circles-area", "normalized area at r1 is not positive")
         elif derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT and m < 1.0:
-            grid = np.linspace(args.r1, 1.0 - 1e-6, args.grid)
-            rep = certificates.three_circles_area(F, args.r1, m, r_grid=grid)
+            rep = certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)
             add("conclusion", report.check_to_dict(rep))
         else:
             skip("three-circles-area", "normalized area exceeds the unit budget")
@@ -320,10 +317,9 @@ def cmd_verify(args) -> int:
     else:
         skip("hadamard-three-circles", "map is not a single analytic layer")
 
-    sampler = metrics.PairSampler(seed=args.seed)
     target = args.M if args.M is not None else derived["coefficient_sum"]
     if target > 0.0:
-        rep = metrics.contraction_check(F, target, sampler=sampler)
+        rep = metrics.contraction_check(F, target, seed=args.seed)
         add("conclusion", report.lipschitz_to_dict(rep))
     else:
         skip("j-contraction", "zero map has no target disk")
@@ -332,7 +328,7 @@ def cmd_verify(args) -> int:
         skip("harmonic-j-lipschitz", "table has more than one layer")
     else:
         try:
-            rep = metrics.harmonic_lipschitz_check(F, sampler=sampler,
+            rep = metrics.harmonic_lipschitz_check(F, seed=args.seed,
                                                    n_boundary=args.theta_samples)
             add("conclusion", report.lipschitz_to_dict(rep))
         except NotIntoDisk:
@@ -374,9 +370,9 @@ def cmd_verify(args) -> int:
             "theta_samples": args.theta_samples,
             "tol_report": certificates.TOL_REPORT,
             "angle_tol": certificates.ANGLE_TOL,
-            "pair_sampler": {"n_random": sampler.n_random,
-                             "n_ray": sampler.n_ray,
-                             "r_cap": sampler.r_cap},
+            "pair_sampler": {"n_random": metrics.N_RANDOM,
+                             "n_ray": metrics.N_RAY,
+                             "r_cap": metrics.R_CAP},
         },
         "derived": derived,
         "checks": entries,
@@ -393,6 +389,7 @@ def cmd_verify(args) -> int:
 # ---- parser ----
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="polyharm",
                      description="Coefficient-table maps: geometry, univalence "

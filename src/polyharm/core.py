@@ -24,12 +24,12 @@ exactly the bits of the matching entry of an array call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._search import zoom_max
-from .errors import DegenerateMap, InvalidParams, MalformedSpec
+from .errors import DegenerateMap, MalformedSpec
 
 __all__ = [
     "CoefficientTable",
@@ -109,12 +109,10 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class PolyharmonicMap:
-    """An immutable coefficient table together with a label and free-form
-    numeric metadata (truncation notes and the like)."""
+    """An immutable coefficient table together with a label."""
 
     table: CoefficientTable
     label: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def p(self) -> int:
@@ -245,8 +243,8 @@ _K_RADII, _K_ANGLES = 256, 512
 _K_TOL = 1e-10
 
 
-def quasiregularity_constant(F: PolyharmonicMap, r_max: float) -> float:
-    """Supremum of lambda_big / lambda_small over |z| <= r_max.
+def quasiregularity_constant(F: PolyharmonicMap) -> float:
+    """Supremum of lambda_big / lambda_small over the closed unit disk.
 
     Polar grid scan (256 radii x 512 angles) followed by a bracket zoom in
     radius and then in angle around the best sample, each down to 1e-10;
@@ -256,10 +254,8 @@ def quasiregularity_constant(F: PolyharmonicMap, r_max: float) -> float:
     witnesses and the map folds, and as soon as lambda_small drops below
     ``1e-12 * (1 + max coefficient)`` at any probed point.
     """
-    if not (0.0 < r_max <= 1.0):
-        raise InvalidParams(f"r_max must lie in (0, 1], got {r_max}")
     tol_deg = 1e-12 * (1.0 + F.table.max_coefficient())
-    radii = r_max * np.arange(1, _K_RADII + 1) / _K_RADII
+    radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
     Z = radii[:, None] * np.exp(1j * th)[None, :]
 
@@ -285,7 +281,7 @@ def quasiregularity_constant(F: PolyharmonicMap, r_max: float) -> float:
     best = float(ratio[i0, j0])
     th0 = float(th[j0])
     r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
-    r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else r_max
+    r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else 1.0
     r_best, v_r = zoom_max(lambda rs: ratios(rs * np.exp(1j * th0)), r_lo, r_hi, _K_TOL)
     dth = 2.0 * np.pi / _K_ANGLES
     _, v_th = zoom_max(lambda ts: ratios(r_best * np.exp(1j * ts)),
@@ -299,4 +295,4 @@ def scale_map(F: PolyharmonicMap, c) -> PolyharmonicMap:
     c = complex(c)
     t = F.table
     table = CoefficientTable(t.p, t.J, c * t.a, np.conj(c) * t.b)
-    return PolyharmonicMap(table, label=F.label, meta=dict(F.meta))
+    return PolyharmonicMap(table, label=F.label)

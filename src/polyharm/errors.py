@@ -19,8 +19,11 @@ class UnknownName(PolyharmError):
 
 
 class DegenerateMap(PolyharmError):
-    """The smaller directional derivative vanishes at a sampled point, so
-    the dilatation quotient is unbounded there."""
+    """The map degenerates where a quantity needs it not to: the smaller
+    directional derivative vanishes at a sampled point, so the dilatation
+    quotient is unbounded there; the Jacobian takes both signs, so the map
+    folds; the image diameter estimate is zero; or lambda_small(0), the
+    normalization of the Landau bounds, is zero."""
 
 
 class NoConvergence(PolyharmError):

@@ -203,10 +203,14 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
 
     Gauss-Legendre in the radial variable (exact for the polynomial radial
     profile at these orders) times a periodic trapezoid rule in the angle.
-    Independent of area_series by construction.
+    Independent of area_series by construction.  Raises InvalidParams
+    unless n_radial >= 1 and n_theta >= 1.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
+    if n_radial < 1 or n_theta < 1:
+        raise InvalidParams("need n_radial >= 1 and n_theta >= 1, got %r and %r"
+                            % (n_radial, n_theta))
     t, w = _gauss_nodes(int(n_radial))
     rho = 0.5 * r * (t + 1.0)
     wts = 0.5 * r * w
@@ -282,10 +286,14 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     rejects, use the ends along the principal axis.  Three rounds of
     coordinate-wise bracket zoom polish the pair's radii and angles, one
     grid step either way, down to 1e-10; each zoom round is one evaluate
-    call.  Always a lower bound on the true diameter.
+    call.  Always a lower bound on the true diameter.  Raises
+    InvalidParams unless n_radii >= 1 and n_angles >= 1.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
+    if n_radii < 1 or n_angles < 1:
+        raise InvalidParams("need n_radii >= 1 and n_angles >= 1, got %r and %r"
+                            % (n_radii, n_angles))
     radii = r * np.arange(1, n_radii + 1) / n_radii
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
     z = radii[:, None] * np.exp(1j * th)[None, :]

@@ -42,20 +42,11 @@ class LandauResult:
     bracket: tuple
 
 
-def _phi_on_grid(phi, grid: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(phi(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise ValueError
-    except (ValueError, TypeError):
-        vals = np.array([float(phi(float(x))) for x in grid])
-    return vals
-
 def _decreasing_root(phi, tol: float):
     # least positive root of a strictly decreasing phi with phi(0+) > 0:
     # bisection on (0, 1) to bracket width tol and residual
     # |phi(root)| <= tol (1 + phi(0+)), after checking the decrease on a
-    # 1024-point grid
+    # 1024-point grid in one call, so phi must take arrays
     lo, hi = BRACKET_LO, BRACKET_HI
     f_lo = float(phi(lo))
     if not (math.isfinite(f_lo) and f_lo > 0.0):
@@ -64,7 +55,7 @@ def _decreasing_root(phi, tol: float):
     if f_hi >= 0.0:
         raise NoSignChange("majorant stays nonnegative on (0, 1); "
                            "no univalence radius below 1 is certified")
-    vals = _phi_on_grid(phi, np.linspace(lo, hi, 1024))
+    vals = np.asarray(phi(np.linspace(lo, hi, 1024)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise InvalidParams("majorant must be finite on (0, 1)")
     if np.any(np.diff(vals) >= 0.0):

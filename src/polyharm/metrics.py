@@ -17,16 +17,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certificates import TOL_REPORT
 from .core import PolyharmonicMap, evaluate
 from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
                      OutsideDomain)
 
-TOL_REPORT = 1e-9
+# sizes of the pair sample and the largest radius of a random point;
+# verify reports all three
+N_RANDOM = 512
+N_RAY = 64
+R_CAP = 1.0 - 1e-7
 
 __all__ = [
-    "DiskDomain",
     "j_metric",
-    "PairSampler",
     "LipschitzReport",
     "contraction_check",
     "harmonic_lipschitz_check",
@@ -35,26 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiskDomain:
-    """Open disk |z| < M centered at the origin."""
-
-    M: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.M) and self.M > 0.0):
-            raise InvalidParams("disk radius must be positive and finite, got %r"
-                                % (self.M,))
-
-
-def j_metric(z: complex, w: complex, domain: DiskDomain) -> float:
-    """Distance-ratio metric between two points of the open disk."""
-    az, aw = abs(z), abs(w)
-    m = max(az, aw)
-    if m >= domain.M:
+def j_metric(z: complex, w: complex, M: float = 1.0) -> float:
+    """Distance-ratio metric between two points of the open disk |z| < M."""
+    if not (math.isfinite(M) and M > 0.0):
+        raise InvalidParams("disk radius must be positive and finite, got %r"
+                            % (M,))
+    m = max(abs(z), abs(w))
+    if m >= M:
         raise OutsideDomain("points must lie strictly inside the disk of radius %g"
-                            % domain.M)
-    return math.log1p(abs(z - w) / (domain.M - m))
+                            % M)
+    return math.log1p(abs(z - w) / (M - m))
 
 
 def _j_vec(z: np.ndarray, w: np.ndarray, M: float) -> np.ndarray:
@@ -62,35 +55,24 @@ def _j_vec(z: np.ndarray, w: np.ndarray, M: float) -> np.ndarray:
     return np.log1p(np.abs(z - w) / gap)
 
 
-@dataclass(frozen=True)
-class PairSampler:
-    """Deterministic point-pair sampler for Lipschitz ratio estimates.
-
-    Radius-stratified random pairs plus a family of same-ray pairs pushed
-    toward the boundary, where the metric ratio of near-isometries peaks.
-    """
-
-    n_random: int = 512
-    n_ray: int = 64
-    seed: int = 7
-    r_cap: float = 1.0 - 1e-7
-
-    def pairs(self):
-        rng = np.random.default_rng(self.seed)
-        k = np.arange(self.n_random)
-        rz = (k + rng.random(self.n_random)) / self.n_random * self.r_cap
-        rw = (rng.permutation(self.n_random)
-              + rng.random(self.n_random)) / self.n_random * self.r_cap
-        tz = 2.0 * np.pi * rng.random(self.n_random)
-        tw = 2.0 * np.pi * rng.random(self.n_random)
-        z = rz * np.exp(1j * tz)
-        w = rw * np.exp(1j * tw)
-        delta = np.geomspace(1e-1, 1e-6, self.n_ray)
-        phi = 2.0 * np.pi * np.arange(self.n_ray) / self.n_ray
-        u = np.exp(1j * phi)
-        z = np.concatenate([z, (1.0 - delta) * u])
-        w = np.concatenate([w, (1.0 - 2.0 * delta) * u])
-        return z, w
+def _pairs(seed: int):
+    # deterministic point pairs (z, w) for the ratio estimates: N_RANDOM
+    # radius-stratified random pairs, then N_RAY same-ray pairs pushed
+    # toward the boundary, where the metric ratio of near-isometries peaks
+    rng = np.random.default_rng(seed)
+    k = np.arange(N_RANDOM)
+    rz = (k + rng.random(N_RANDOM)) / N_RANDOM * R_CAP
+    rw = (rng.permutation(N_RANDOM) + rng.random(N_RANDOM)) / N_RANDOM * R_CAP
+    tz = 2.0 * np.pi * rng.random(N_RANDOM)
+    tw = 2.0 * np.pi * rng.random(N_RANDOM)
+    z = rz * np.exp(1j * tz)
+    w = rw * np.exp(1j * tw)
+    delta = np.geomspace(1e-1, 1e-6, N_RAY)
+    phi = 2.0 * np.pi * np.arange(N_RAY) / N_RAY
+    u = np.exp(1j * phi)
+    z = np.concatenate([z, (1.0 - delta) * u])
+    w = np.concatenate([w, (1.0 - 2.0 * delta) * u])
+    return z, w
 
 
 @dataclass(frozen=True)
@@ -115,8 +97,9 @@ def _ratio_sup(fz, fw, z, w, m_target: float):
 
 
 def contraction_check(F: PolyharmonicMap, M: float,
-                      sampler: PairSampler | None = None) -> LipschitzReport:
-    """j-metric contraction from the unit disk into the disk of radius M.
+                      seed: int = 7) -> LipschitzReport:
+    """j-metric contraction from the unit disk into the disk of radius M,
+    sampled on the point pairs drawn with ``seed``.
 
     Hypothesis: the total coefficient sum is at most M, which forces
     |F(z)| <= M |z| < M.  When it fails the report says so instead of
@@ -132,8 +115,7 @@ def contraction_check(F: PolyharmonicMap, M: float,
         return LipschitzReport(name="j-contraction", verdict="hypotheses-not-met",
                                sup_ratio=float("nan"), bound=1.0, samples=0,
                                extras=extras)
-    sampler = sampler or PairSampler()
-    z, w = sampler.pairs()
+    z, w = _pairs(seed)
     fz = evaluate(F, z)
     fw = evaluate(F, w)
     sup, pair = _ratio_sup(fz, fw, z, w, M)
@@ -143,15 +125,18 @@ def contraction_check(F: PolyharmonicMap, M: float,
                            extras=extras)
 
 
-def harmonic_lipschitz_check(F: PolyharmonicMap,
-                             sampler: PairSampler | None = None,
+def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7,
                              n_boundary: int = 2048) -> LipschitzReport:
-    """j-metric Lipschitz bound for harmonic polynomials into the unit disk.
+    """j-metric Lipschitz bound for harmonic polynomials into the unit disk,
+    sampled on the point pairs drawn with ``seed``.
 
     The bound grows with the polynomial degree d as (d sqrt(2d) / 2) pi.
-    Raises NotHarmonicPolynomial unless the table has a single layer, and
-    NotIntoDisk when the boundary grid maximum exceeds 1.
+    Raises InvalidParams unless n_boundary >= 1, NotHarmonicPolynomial
+    unless the table has a single layer, and NotIntoDisk when the maximum
+    over n_boundary equispaced boundary points exceeds 1.
     """
+    if n_boundary < 1:
+        raise InvalidParams("need n_boundary >= 1, got %r" % (n_boundary,))
     t = F.table
     if t.p != 1:
         raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % t.p)
@@ -165,8 +150,7 @@ def harmonic_lipschitz_check(F: PolyharmonicMap,
     bound = 0.5 * degree * math.sqrt(2.0 * degree) * math.pi
     parseval = float(np.sum(np.abs(t.a[0]) ** 2 + np.abs(t.b[0]) ** 2))
     coeff_sum = float(np.sum(np.abs(t.a[0]) + np.abs(t.b[0])))
-    sampler = sampler or PairSampler()
-    z, w = sampler.pairs()
+    z, w = _pairs(seed)
     fz = evaluate(F, z)
     fw = evaluate(F, w)
     sup, pair = _ratio_sup(fz, fw, z, w, 1.0)
@@ -192,14 +176,14 @@ def harmonic_lipschitz_check(F: PolyharmonicMap,
 
 
 def mobius_j_distortion(a: complex, theta: float = 0.0,
-                        sampler: PairSampler | None = None) -> LipschitzReport:
+                        seed: int = 7) -> LipschitzReport:
     """Distortion of the j metric under a disk automorphism
-    z -> e^{i theta} (z - a) / (1 - conj(a) z); never more than a factor 2."""
+    z -> e^{i theta} (z - a) / (1 - conj(a) z), sampled on the point pairs
+    drawn with ``seed``; never more than a factor 2."""
     a = complex(a)
     if not abs(a) < 1.0:
         raise InvalidParams("automorphism parameter must satisfy |a| < 1")
-    sampler = sampler or PairSampler()
-    z, w = sampler.pairs()
+    z, w = _pairs(seed)
     rot = complex(math.cos(theta), math.sin(theta))
 
     def mob(q):

@@ -17,33 +17,32 @@ from .errors import InvalidParams
 
 __all__ = ["render_paths", "render_svg"]
 
-_EDGE = 1.0 - 1e-3
+_EDGE = 1.0 - 1e-3  # radius of the outermost ring
 
 
 def render_paths(F: PolyharmonicMap, rings: int = 8, rays: int = 16,
-                 samples: int = 512, r_max: float = _EDGE) -> dict:
-    """Image polylines of the polar mesh, as arrays of complex points.
+                 samples: int = 512) -> dict:
+    """Image polylines of the polar mesh on |z| <= 1 - 1e-3, as arrays of
+    complex points.
 
     The outermost ring doubles as the boundary curve; ray angles are kept
     on the boundary sample grid so every ray ends exactly on it.
     """
     if rings < 1 or rays < 1 or samples < 16:
         raise InvalidParams("need rings >= 1, rays >= 1, samples >= 16")
-    if not (0.0 < r_max <= 1.0):
-        raise InvalidParams("r_max must be in (0, 1]")
     th = 2.0 * np.pi * np.arange(samples) / samples
     u = np.exp(1j * th)
     ring_paths = []
     for k in range(1, rings + 1):
-        z = (r_max * k / rings) * u
+        z = (_EDGE * k / rings) * u
         w = evaluate(F, z)
         ring_paths.append(np.concatenate([w, w[:1]]))  # close the loop
     ray_paths = []
     for m in range(rays):
         ang = 2.0 * np.pi * m / rays
-        t = np.linspace(0.0, r_max, samples)
+        t = np.linspace(0.0, _EDGE, samples)
         ray_paths.append(evaluate(F, t * np.exp(1j * ang)))
-    boundary = evaluate(F, r_max * u)
+    boundary = evaluate(F, _EDGE * u)
     boundary = np.concatenate([boundary, boundary[:1]])
     return {"rings": ring_paths, "rays": ray_paths, "boundary": boundary}
 
@@ -59,7 +58,8 @@ def _points(path: np.ndarray) -> str:
 
 
 def render_svg(F: PolyharmonicMap, out_path=None, rings: int = 8,
-               rays: int = 16, samples: int = 512, size: int = 640) -> str:
+               rays: int = 16, samples: int = 512) -> str:
+    """SVG text of the render_paths mesh, also written to out_path if given."""
     paths = render_paths(F, rings=rings, rays=rays, samples=samples)
     pts = np.concatenate([paths["boundary"]] + paths["rings"] + paths["rays"])
     xs = pts.real
@@ -72,9 +72,8 @@ def render_svg(F: PolyharmonicMap, out_path=None, rings: int = 8,
     stroke = 0.004 * span
     lines = []
     lines.append('<svg xmlns="http://www.w3.org/2000/svg" '
-                 'viewBox="%s %s %s %s" width="%d" height="%d">'
-                 % (_fmt(view[0]), _fmt(view[1]), _fmt(view[2]), _fmt(view[3]),
-                    size, size))
+                 'viewBox="%s %s %s %s" width="640" height="640">'
+                 % (_fmt(view[0]), _fmt(view[1]), _fmt(view[2]), _fmt(view[3])))
     if F.label:
         lines.append("<desc>%s</desc>" % escape(F.label))
     lines.append('<g fill="none" stroke="#99b" stroke-width="%s">'

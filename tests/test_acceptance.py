@@ -91,7 +91,7 @@ def test_criterion_02_area_series_matches_quadrature():
 def test_criterion_03_depth3_chain_quantities():
     with criterion(3, "depth-3 chain: K, boundary length, margins, radii"):
         F = catalog.f2()
-        K = quasiregularity_constant(F, 1.0)
+        K = quasiregularity_constant(F)
         assert abs(K - 3.0) <= 1e-6
         l1 = sup_length(F)
         assert abs(l1 - 6.0 * math.pi) <= 1e-8

@@ -98,15 +98,6 @@ def test_f0_vertex_value():
     assert abs(v401 - 1.0) < abs(v41 - 1.0)
 
 
-def test_f0_meta_tracks_truncation():
-    F = f0(41)
-    assert F.meta["truncation_J"] == 41
-    omit = F.meta["omitted_coefficient_bound"]
-    assert 0.0 < omit < _SCALE / 41.0
-    # tightening the truncation shrinks the omitted coefficient
-    assert f0(401).meta["omitted_coefficient_bound"] < omit
-
-
 def test_f1_rows_are_exact_quarter_turns():
     F = f1()
     t = F.table

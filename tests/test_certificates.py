@@ -186,7 +186,7 @@ def test_three_circles_rejects_bad_params():
     with pytest.raises(InvalidParams):
         three_circles_area(catalog.identity(), 0.3, -0.1)
     with pytest.raises(InvalidParams):
-        three_circles_area(catalog.identity(), 0.3, 0.09, r_grid=[0.2])
+        three_circles_area(catalog.identity(), 0.3, 0.09, n_grid=0)
 
 
 # ---- analytic three circles ----
@@ -285,10 +285,12 @@ def test_area_schwarz_unit_budget_comparison():
 
 
 def test_area_schwarz_grid_validation():
+    # two radii are the fewest that test one monotonicity step
     with pytest.raises(InvalidParams):
-        area_schwarz(catalog.identity(), r_grid=[0.5, 0.4])
+        area_schwarz(catalog.identity(), n_grid=1)
     with pytest.raises(InvalidParams):
-        area_schwarz(catalog.identity(), r_grid=[0.0, 0.5])
+        area_schwarz(catalog.identity(), n_grid=0)
+    assert area_schwarz(catalog.identity(), n_grid=2).verdict == "pass"
 
 
 # ---- report plumbing ----

@@ -257,6 +257,40 @@ def test_invalid_math_params(identity_map, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["diam", "--grid", "0"],
+    ["diam", "--theta-samples", "0"],
+    ["area", "--r", "0.5", "--method", "quadrature", "--theta-samples", "0"],
+    ["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "0"],
+    ["three-circles", "--r1", "0.3", "--grid", "0"],
+    ["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
+     "--theta-samples", "0"],
+    ["schwarz", "--grid", "1"],
+    ["schwarz", "--grid", "-1"],
+    ["verify", "--grid", "0"],
+    ["verify", "--theta-samples", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_sample_counts_below_minimum_are_usage_errors(identity_map, capsys, argv):
+    assert main([argv[0], "--map", identity_map] + argv[1:]) == 3
+    capsys.readouterr()
+
+
+def test_length_sup_honours_tol(identity_map, capsys):
+    assert main(["length", "--map", identity_map, "--sup", "--tol", "0"]) == 4
+    capsys.readouterr()
+
+
+def test_parser_reuse_keeps_no_state(identity_map, capsys):
+    # main() parses every call with one parser; a verify in between must
+    # leave no option behind for the next diam
+    assert main(["diam", "--map", identity_map]) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "--map", identity_map, "--grid", "7"]) == 0
+    capsys.readouterr()
+    assert main(["diam", "--map", identity_map]) == 0
+    assert capsys.readouterr().out == first
+
+
 # ---- map-derived values that break a hypothesis ----
 
 

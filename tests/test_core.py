@@ -276,23 +276,23 @@ def test_dilatation_linear():
 
 
 def test_quasiregularity_identity():
-    K = quasiregularity_constant(catalog.identity(), 1.0)
+    K = quasiregularity_constant(catalog.identity())
     assert abs(K - 1.0) <= 1e-12
 
 
 def test_quasiregularity_linear():
-    K = quasiregularity_constant(catalog.linear(1.0, 1.0 / 3.0), 1.0)
+    K = quasiregularity_constant(catalog.linear(1.0, 1.0 / 3.0))
     assert abs(K - 2.0) <= 1e-12
 
 
 def test_quasiregularity_f2():
-    K = quasiregularity_constant(catalog.f2(), 1.0)
+    K = quasiregularity_constant(catalog.f2())
     assert abs(K - 3.0) <= 1e-6
 
 
 def test_quasiregularity_degenerate():
     with pytest.raises(DegenerateMap):
-        quasiregularity_constant(catalog.linear(1.0, 1.0), 1.0)
+        quasiregularity_constant(catalog.linear(1.0, 1.0))
 
 
 @pytest.mark.parametrize("J", [9, 41])
@@ -301,14 +301,14 @@ def test_quasiregularity_folding_square_maps(name, J):
     # the truncated square series folds near |z| = 1: the Jacobian takes
     # both signs on the scan grid, so lambda_small vanishes between them
     with pytest.raises(DegenerateMap) as exc:
-        quasiregularity_constant(catalog.builtin(name, {"J": J}), 1.0)
+        quasiregularity_constant(catalog.builtin(name, {"J": J}))
     m = re.search(r"both signs: (\S+) at z = .+, (\S+) at z = ", str(exc.value))
     assert float(m.group(1)) > 0.0 > float(m.group(2))
 
 
 def test_quasiregularity_sense_reversing():
     # the conjugate part dominates everywhere: no sign change, finite K
-    K = quasiregularity_constant(catalog.linear(1.0 / 3.0, 1.0), 1.0)
+    K = quasiregularity_constant(catalog.linear(1.0 / 3.0, 1.0))
     assert abs(K - 2.0) <= 1e-12
 
 

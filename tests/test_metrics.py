@@ -10,9 +10,8 @@ from polyharm.errors import (
     NotIntoDisk,
     OutsideDomain,
 )
+from polyharm import metrics
 from polyharm.metrics import (
-    DiskDomain,
-    PairSampler,
     contraction_check,
     harmonic_lipschitz_check,
     j_metric,
@@ -22,16 +21,13 @@ from polyharm.metrics import (
 
 from _gen import coefficient_sum_counterexample, random_harmonic_poly, random_sum_normalized
 
-_D = DiskDomain(1.0)
-
-
 # ---- the metric itself ----
 
 
 def test_j_metric_pinned_values():
-    assert abs(j_metric(0.0, 0.5, _D) - math.log(2.0)) <= 1e-15
-    assert abs(j_metric(0.5, -0.5, _D) - math.log(3.0)) <= 1e-15
-    assert abs(j_metric(0.0, 1.0, DiskDomain(2.0)) - math.log(2.0)) <= 1e-15
+    assert abs(j_metric(0.0, 0.5) - math.log(2.0)) <= 1e-15
+    assert abs(j_metric(0.5, -0.5) - math.log(3.0)) <= 1e-15
+    assert abs(j_metric(0.0, 1.0, 2.0) - math.log(2.0)) <= 1e-15
 
 
 def test_j_metric_axioms():
@@ -40,9 +36,9 @@ def test_j_metric_axioms():
     pts = [complex(x, y) for x, y in pts if math.hypot(x, y) < 0.97]
     for k in range(0, len(pts) - 1, 2):
         z, w = pts[k], pts[k + 1]
-        assert j_metric(z, w, _D) == j_metric(w, z, _D)
-        assert j_metric(z, w, _D) > 0.0
-        assert j_metric(z, z, _D) == 0.0
+        assert j_metric(z, w) == j_metric(w, z)
+        assert j_metric(z, w) > 0.0
+        assert j_metric(z, z) == 0.0
 
 
 def test_j_metric_triangle_inequality():
@@ -53,27 +49,26 @@ def test_j_metric_triangle_inequality():
     keep = np.all(np.abs(zs) < 0.97, axis=0)
     z1, z2, z3 = zs[0, keep], zs[1, keep], zs[2, keep]
     for a, b, c in zip(z1, z2, z3):
-        lhs = j_metric(complex(a), complex(c), _D)
-        rhs = j_metric(complex(a), complex(b), _D) + j_metric(complex(b), complex(c), _D)
+        lhs = j_metric(complex(a), complex(c))
+        rhs = j_metric(complex(a), complex(b)) + j_metric(complex(b), complex(c))
         assert lhs <= rhs + 1e-12
 
 
 def test_j_metric_domain_guard():
     with pytest.raises(OutsideDomain):
-        j_metric(1.0, 0.0, _D)
+        j_metric(1.0, 0.0)
     with pytest.raises(InvalidParams):
-        DiskDomain(-1.0)
+        j_metric(0.0, 0.0, -1.0)
 
 
 # ---- sampler ----
 
 
 def test_pair_sampler_is_deterministic():
-    s = PairSampler()
-    z1, w1 = s.pairs()
-    z2, w2 = s.pairs()
+    z1, w1 = metrics._pairs(7)
+    z2, w2 = metrics._pairs(7)
     assert np.array_equal(z1, z2) and np.array_equal(w1, w2)
-    assert z1.size == s.n_random + s.n_ray
+    assert z1.size == metrics.N_RANDOM + metrics.N_RAY
     assert np.all(np.abs(z1) < 1.0) and np.all(np.abs(w1) < 1.0)
 
 

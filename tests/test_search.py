@@ -82,7 +82,7 @@ def kernel_sizes(monkeypatch):
 def test_polishes_make_no_single_point_calls(kernel_sizes):
     F = random_map(np.random.default_rng(5))
     geometry.diameter_estimate(F)
-    core.quasiregularity_constant(catalog.f2(), 1.0)
+    core.quasiregularity_constant(catalog.f2())
     terms = [(1, j, 1.0 / math.factorial(j), 0.0) for j in range(1, 7)]
     exp6 = PolyharmonicMap(CoefficientTable.from_terms(1, 6, terms))
     certificates.hadamard_three_circles(exp6, 0.3, 0.9)
