@@ -262,6 +262,10 @@ def _derived_quantities(F: PolyharmonicMap, args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    # checked up front: the checks that use them may be skipped for this map
+    if args.grid < 1 or args.theta_samples < 1:
+        raise InvalidParams("need --grid >= 1 and --theta-samples >= 1, got %r and %r"
+                            % (args.grid, args.theta_samples))
     F, spec = _load(args.map)
     derived = _derived_quantities(F, args)
     entries = []

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import PolyharmonicMap, _horner, evaluate, wirtinger
+from .core import CoefficientTable, PolyharmonicMap, _horner, evaluate, wirtinger
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -55,22 +55,28 @@ def _panel_rule():
 def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
     """Length of the image of the circle |z| = r.
 
-    Globally adaptive 8-point Gauss-Legendre bisection on [0, 2 pi)
-    (Gander & Gautschi, 2000) of the speed r |v|, v = F_z - conj(u^2) F_zbar
-    at u = e^(i theta).  The circle starts as 4 (J + p) equal panels.  Each
-    round evaluates both halves of every open panel and accepts a panel of
-    width h when
+    On |z| = r the factors |z|^(2(n-1)) are constants, so the p layers
+    collapse into one harmonic polynomial G(u) = F(r u) with coefficients
+    A_j = sum_n a[n,j] r^(2n-2+j) (B_j likewise from b), and each speed
+    sample costs the single-layer kernel.  The speed of G on |u| = 1 is
+    |v|, v = G_u - conj(u^2) G_ubar at u = e^(i theta), r times that of F.
 
-        |left + right - whole| + hidden < tol (1 + |L0|) h / (2 pi),
+    Globally adaptive 8-point Gauss-Legendre bisection on [0, 2 pi)
+    (Gander & Gautschi, 2000) of |v|.  The circle starts as 4 (J + p) equal
+    panels.  Each round evaluates both halves of every open panel and
+    accepts a panel of width h when
+
+        |left + right - whole| + hidden < tol (r + |L0|) h / (2 pi),
 
     L0 being the first-pass integral of |v|; every other panel is split.
+    Divided by r, this is the test on F's own speed at tol (1 + |L0| / r).
     ``hidden`` covers what the halving test cannot see.  Where v, carried
     to an end of a half, is smaller than its change across the gap g to
     the nearest node, q = |v(end)| / |change| < 1, a zero of v may sit in
     that gap and bend |v| unseen by the whole and by both halves alike.
     On the line through the two values the length it hides is at most
     g |v(end)| q (1 - log q).  The accepted errors thus add up to about
-    tol (1 + |L0|).  A speed that is identically zero settles in the first
+    tol (r + |L0|).  A speed that is identically zero settles in the first
     round; tol = 0 never settles.
 
     Raises NoConvergence, holding the estimate after every round, once the
@@ -80,6 +86,10 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
     x, w, to_ends = _panel_rule()
+    t = F.table
+    powers = r ** (2 * np.arange(t.p)[:, None] + np.arange(1, t.J + 1)[None, :])
+    G = PolyharmonicMap(CoefficientTable(1, t.J, (t.a * powers).sum(axis=0)[None],
+                                         (t.b * powers).sum(axis=0)[None]))
 
     def panels(left, h):
         # blocks of 2^11 panels (2^14 points) keep the kernel's temporaries
@@ -87,7 +97,7 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
         sums, hidden = np.empty(left.size), np.empty(left.size)
         for k in range(0, left.size, 1 << 11):
             u = np.exp(1j * (left[k:k + (1 << 11), None] + h * x[None, :]))
-            fz, fzb = wirtinger(F, r * u)
+            fz, fzb = wirtinger(G, u)
             v = fz - np.conj(u * u) * fzb
             sums[k:k + len(u)] = 0.5 * h * (np.abs(v) @ w)
             # q < 1 where a zero of v may sit between an end and its
@@ -99,19 +109,19 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
             hidden[k:k + len(u)] = x[0] * h * bend.sum(axis=1)
         return sums, hidden
 
-    n0 = 4 * (F.table.J + F.table.p)
+    n0 = 4 * (t.J + t.p)
     h = 2.0 * np.pi / n0
     left = h * np.arange(n0)
     whole, _ = panels(left, h)
     used, done = n0 * x.size, 0.0
     estimates = [float(whole.sum())]
-    scale = tol * (1.0 + abs(estimates[0])) / (2.0 * np.pi)
+    scale = tol * (r + abs(estimates[0])) / (2.0 * np.pi)
     while whole.size:
         if used + 2 * whole.size * x.size > _MAX_SAMPLES:
             raise NoConvergence(
                 "circle-length quadrature at r=%r did not settle within %d "
                 "samples; %d panels still open" % (r, used, whole.size),
-                [r * est for est in estimates])
+                estimates)
         h *= 0.5
         halves, hidden = panels(np.concatenate([left, left + h]), h)
         used += halves.size * x.size
@@ -122,7 +132,7 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
         left = np.concatenate([left[~ok], left[~ok] + h])
         whole = np.concatenate([lo[~ok], hi[~ok]])
         estimates.append(done + float(whole.sum()))
-    return r * done
+    return done
 
 
 _SCAN_RADII = 20  # sup_length scans r = 1 - 2^-k, k = 1..20
@@ -132,13 +142,19 @@ _RADIUS_TOL = 1e-12
 def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
     """sup over 0 < r <= 1 of curve_length(F, r).
 
-    Scans radii 1 - 2^-k and zooms in on the best one by a five-point
-    bracket zoom down to a bracket of 1e-12; the scan's last bracket ends
-    at r = 1 itself, where F is still a polynomial, so a length that grows
-    all the way out is measured at the boundary.  Every radius is
-    integrated once, at integral_tol; a radius that does not settle raises
-    NoConvergence.
+    For p = 1 the angular derivative i (z h' - conj(z g')) of F = h + conj(g)
+    is harmonic, so its modulus is subharmonic and the length, its circle
+    mean, is nondecreasing in r (Duren, Harmonic Mappings in the Plane,
+    2004): the supremum is curve_length(F, 1.0).  For p >= 2 it can be
+    interior (z - |z|^2 z has length 2 pi r (1 - r^2)), so radii 1 - 2^-k
+    are scanned, then a five-point bracket zoom closes in on the best one
+    down to a bracket of 1e-12; the scan's last bracket ends at r = 1
+    itself, where F is still a polynomial, so a length that grows all the
+    way out is measured at the boundary.  Every radius is integrated once,
+    at integral_tol; a radius that does not settle raises NoConvergence.
     """
+    if F.p == 1:
+        return curve_length(F, 1.0, tol=integral_tol)
     seen = {}
 
     def measure(r: float) -> float:

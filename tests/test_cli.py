@@ -275,6 +275,16 @@ def test_sample_counts_below_minimum_are_usage_errors(identity_map, capsys, argv
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--grid", "--theta-samples"])
+def test_verify_rejects_counts_its_map_skips(f2_map, capsys, flag):
+    # f2 skips the checks that use both counts, yet a count of 0 is still
+    # a usage error and no report is written
+    assert main(["verify", "--map", f2_map, flag, "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_length_sup_honours_tol(identity_map, capsys):
     assert main(["length", "--map", identity_map, "--sup", "--tol", "0"]) == 4
     capsys.readouterr()

@@ -6,7 +6,8 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from polyharm import catalog, geometry
-from polyharm.core import evaluate, scale_map, wirtinger
+from polyharm.core import (CoefficientTable, PolyharmonicMap, evaluate, scale_map,
+                           wirtinger)
 from polyharm.errors import NoConvergence
 from polyharm.geometry import (
     area_growth_excess,
@@ -55,8 +56,8 @@ def test_sup_length_linear_reference():
 
 
 def test_sup_length_reaches_the_boundary():
-    # the identity's length 2 pi r grows all the way out, and the last
-    # scan bracket ends at r = 1 itself, which the zoom returns exactly
+    # the identity is one harmonic layer, so its length 2 pi r is largest
+    # at r = 1, the one radius sup_length integrates
     F = catalog.identity()
     assert sup_length(F) == curve_length(F, 1.0)
 
@@ -70,7 +71,82 @@ def test_sup_length_relax_limit_exhausted():
 
 def test_sup_length_integrates_no_radius_twice(monkeypatch):
     # the zoom's bracket ends were scanned already, and each zoom grid
-    # shares points with the one before
+    # shares points with the one before; F1 has two layers, so it scans
+    radii = []
+    inner = geometry.curve_length
+
+    def counted(F, r, **kw):
+        radii.append(r)
+        return inner(F, r, **kw)
+
+    monkeypatch.setattr(geometry, "curve_length", counted)
+    sup_length(catalog.f1(9))
+    assert len(radii) == len(set(radii))
+
+
+def test_sup_length_interior_maximum_for_two_layers(monkeypatch):
+    # z - |z|^2 z has length 2 pi r (1 - r^2): zero at r = 1 and largest at
+    # r = 1/sqrt(3), which is why two or more layers keep the radius scan
+    F = PolyharmonicMap(CoefficientTable(2, 1, [[1.0], [-1.0]], [[0.0], [0.0]]))
+    assert curve_length(F, 1.0) == 0.0
+    seen = {}
+    inner = geometry.curve_length
+
+    def recorded(F, r, **kw):
+        seen[r] = inner(F, r, **kw)
+        return seen[r]
+
+    monkeypatch.setattr(geometry, "curve_length", recorded)
+    assert abs(sup_length(F) - 4.0 * math.pi / (3.0 * math.sqrt(3.0))) <= 1e-9
+    assert abs(max(seen, key=seen.get) - 1.0 / math.sqrt(3.0)) <= 1e-6
+
+
+def _random_table(rng, p, J):
+    a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+    b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+    return PolyharmonicMap(CoefficientTable(p, J, a, b))
+
+
+def test_length_collapse_matches_fft_oracle():
+    # the layers collapsed on the circle against the spectrum of the
+    # angular derivative, summed layer by layer in the oracle
+    rng = np.random.default_rng(909)
+    for p in (2, 3, 4):
+        F = _random_table(rng, p, int(rng.integers(2, 7)))
+        for r in (0.3, 0.8, 1.0):
+            want = _fft_length(F, r)
+            assert abs(curve_length(F, r) - want) <= 1e-10 * want
+
+
+def test_single_layer_length_is_nondecreasing():
+    # |d/dtheta F| is subharmonic for a harmonic F, so its circle mean grows
+    rng = np.random.default_rng(910)
+    rs = np.linspace(0.02, 1.0, 50)
+    for _ in range(4):
+        F = _random_table(rng, 1, int(rng.integers(1, 7)))
+        assert sup_length(F) == curve_length(F, 1.0)
+        lengths = [curve_length(F, float(r)) for r in rs]
+        for lo, hi in zip(lengths, lengths[1:]):
+            assert hi >= lo * (1.0 - 1e-10)
+
+
+def test_length_runs_the_single_layer_kernel(monkeypatch):
+    # every speed sample comes from one collapsed layer, and the samples
+    # still pass through geometry.wirtinger, where traced runs count them
+    calls = []
+    inner = geometry.wirtinger
+
+    def recorded(F, z):
+        calls.append((F.p, np.size(z)))
+        return inner(F, z)
+
+    monkeypatch.setattr(geometry, "wirtinger", recorded)
+    curve_length(catalog.f1(9), 0.9)
+    assert calls and all(p == 1 for p, _ in calls)
+    assert sum(n for _, n in calls) >= 1
+
+
+def test_single_layer_sup_length_integrates_once(monkeypatch):
     radii = []
     inner = geometry.curve_length
 
@@ -80,7 +156,7 @@ def test_sup_length_integrates_no_radius_twice(monkeypatch):
 
     monkeypatch.setattr(geometry, "curve_length", counted)
     sup_length(catalog.f0(9))
-    assert len(radii) == len(set(radii))
+    assert radii == [1.0]
 
 
 def test_length_dominates_min_dilatation():
