@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoefficientTable, PolyharmonicMap
+from .core import CoefficientTable, PolyharmonicMap, check_table_size
 from .errors import MalformedParams, UnknownName
 
 __all__ = [
@@ -57,6 +57,7 @@ def monomial(p: int, j: int, c: complex = 1.0,
         raise MalformedParams("p must be an integer >= 1")
     if not (isinstance(j, int) and not isinstance(j, bool) and j >= 1):
         raise MalformedParams("j must be an integer >= 1")
+    check_table_size(p, j, MalformedParams)
     a = np.zeros((p, j), dtype=complex)
     b = np.zeros((p, j), dtype=complex)
     if conjugate:
@@ -86,6 +87,7 @@ def fourgon_coefficients(J: int) -> CoefficientTable:
     """
     if not (isinstance(J, int) and not isinstance(J, bool) and J >= 1):
         raise MalformedParams("truncation power J must be an integer >= 1")
+    check_table_size(1, J, MalformedParams)
     a = np.zeros((1, J), dtype=complex)
     b = np.zeros((1, J), dtype=complex)
     k = 0
@@ -110,6 +112,7 @@ def f1(J: int = 41) -> PolyharmonicMap:
     smallest directional stretch at the origin is 1.
     """
     base = fourgon_coefficients(J)
+    check_table_size(2, J, MalformedParams)
     c = math.sqrt(2.0) * math.pi / 4.0
     a = np.zeros((2, J), dtype=complex)
     b = np.zeros((2, J), dtype=complex)
@@ -203,6 +206,7 @@ def form37(params: Form37Params, k_max: int | None = None) -> PolyharmonicMap:
         k_max = top
     if not (isinstance(k_max, int) and not isinstance(k_max, bool) and k_max >= top):
         raise MalformedParams("k_max must be an integer >= the largest used power")
+    check_table_size(2, k_max, MalformedParams)
     a = np.zeros((2, k_max), dtype=complex)
     b = np.zeros((2, k_max), dtype=complex)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import zoom_max
-from .core import PolyharmonicMap, evaluate
+from .core import PolyharmonicMap, check_grid_size, evaluate
 from .errors import InvalidDiameter, InvalidParams, NotAnalytic
 from .geometry import area_growth_excess, area_series
 
@@ -223,7 +223,8 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
 
     Hypotheses: the area angle condition, S bounded by 1 near the boundary,
     and 0 < m < 1 with S(r1) <= m.  Raises InvalidParams unless
-    0 < r1 <= R_EDGE, m is positive and finite, and n_grid >= 1.
+    0 < r1 <= R_EDGE, m is positive and finite, and 1 <= n_grid <=
+    MAX_GRID_POINTS.
     """
     if not (0.0 < r1 <= R_EDGE):
         raise InvalidParams("r1 must be in (0, 1 - 1e-6], got %r" % (r1,))
@@ -231,6 +232,7 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
         raise InvalidParams("m must be positive and finite, got %r" % (m,))
     if n_grid < 1:
         raise InvalidParams("need n_grid >= 1, got %r" % (n_grid,))
+    check_grid_size(n_grid, "n_grid")
     hyp = arg_condition(F, "area")
     s_r1 = float(area_series(F, r1))
     s_edge = float(area_series(F, R_EDGE))
@@ -271,6 +273,7 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
     Each circle maximum is the best of n_theta equispaced samples, zoomed
     in on.  Only meaningful when the map is a single analytic layer (p = 1
     and no conjugate-power coefficients); anything else raises NotAnalytic.
+    Raises InvalidParams unless 1 <= n_theta <= MAX_GRID_POINTS.
     """
     t = F.table
     if t.p != 1 or np.any(t.b != 0):
@@ -279,6 +282,7 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
         raise InvalidParams("need 0 < r1 < r2 <= 1")
     if n_theta < 1:
         raise InvalidParams("need n_theta >= 1, got %r" % (n_theta,))
+    check_grid_size(n_theta, "n_theta")
     if t.max_coefficient() == 0.0:
         return CheckReport(name="hadamard-three-circles", verdict="pass",
                            extras={"reason": "zero map"})
@@ -306,9 +310,11 @@ def area_schwarz(F: PolyharmonicMap, n_grid: int = 100) -> CheckReport:
     with the closed-form growth excess as a second route, and the induced
     S(r) <= r^2 comparison when S stays within the unit-area budget, on
     n_grid equispaced radii from 0.01 to 0.99.  Raises InvalidParams unless
-    n_grid >= 2, so that at least one monotonicity step is tested."""
+    n_grid >= 2, so that at least one monotonicity step is tested, and
+    n_grid <= MAX_GRID_POINTS."""
     if n_grid < 2:
         raise InvalidParams("need n_grid >= 2, got %r" % (n_grid,))
+    check_grid_size(n_grid, "n_grid")
     hyp = arg_condition(F, "area")
     if hyp.verdict != "pass":
         return CheckReport(name="area-schwarz", verdict="hypotheses-not-met",

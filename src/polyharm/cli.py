@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__, catalog, certificates, mapspec, metrics, report
 from . import geometry, render as render_mod
 from . import landau as landau_mod
-from .core import (PolyharmonicMap, build_map, dilatation, evaluate, jacobian,
-                   quasiregularity_constant, wirtinger)
+from .core import (PolyharmonicMap, build_map, check_grid_size, dilatation,
+                   evaluate, jacobian, quasiregularity_constant, wirtinger)
 from .errors import (DegenerateMap, InvalidDiameter, InvalidParams,
                      MalformedParams, MalformedSpec, NoConvergence,
                      NoSignChange, NotAnalytic, NotDecreasing,
@@ -266,6 +266,8 @@ def cmd_verify(args) -> int:
     if args.grid < 1 or args.theta_samples < 1:
         raise InvalidParams("need --grid >= 1 and --theta-samples >= 1, got %r and %r"
                             % (args.grid, args.theta_samples))
+    check_grid_size(args.grid, "--grid")
+    check_grid_size(args.theta_samples, "--theta-samples")
     F, spec = _load(args.map)
     derived = _derived_quantities(F, args)
     entries = []

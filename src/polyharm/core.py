@@ -21,6 +21,11 @@ in s across layers, so a call holds a handful of len(z)-sized temporaries
 whatever p and J are.  :func:`evaluate` runs only the value chains.  The
 order of operations is fixed and elementwise, so a scalar call returns
 exactly the bits of the matching entry of an array call.
+
+On a circle |z| = r the factor s is the constant r^2, so the layers fold
+into one trigonometric series per circle.  :func:`ring_wirtinger` takes
+both derivatives at n equispaced points of each circle from that series
+with one inverse FFT; :func:`wirtinger` serves scattered points.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._search import zoom_max
-from .errors import DegenerateMap, MalformedSpec
+from .errors import DegenerateMap, InvalidParams, MalformedSpec
 
 __all__ = [
     "CoefficientTable",
@@ -38,11 +43,36 @@ __all__ = [
     "build_map",
     "evaluate",
     "wirtinger",
+    "ring_wirtinger",
     "jacobian",
     "dilatation",
     "quasiregularity_constant",
     "scale_map",
 ]
+
+
+# caps that keep a mapping file or a sample count from making the tool
+# allocate without bound
+MAX_TABLE_ENTRIES = 4096  # p * J of one table
+MAX_GRID_POINTS = 1 << 20  # points of one sample grid
+
+
+def check_table_size(p: int, J: int, error=MalformedSpec) -> None:
+    """Raise ``error`` when a p x J table is over ``MAX_TABLE_ENTRIES``;
+    called before anything of that size is allocated."""
+    if p * J > MAX_TABLE_ENTRIES:
+        raise error("a p=%d by J=%d table has %d entries, over the cap of %d; "
+                    "its two coefficient arrays would take %d bytes"
+                    % (p, J, p * J, MAX_TABLE_ENTRIES, 32 * p * J))
+
+
+def check_grid_size(points: int, what: str) -> None:
+    """Raise InvalidParams when a sample grid of ``points`` points (``what``
+    names the counts it comes from) is over ``MAX_GRID_POINTS``."""
+    if points > MAX_GRID_POINTS:
+        raise InvalidParams("%s asks for %d points, over the cap of %d; one "
+                            "complex array of them would take %d bytes"
+                            % (what, points, MAX_GRID_POINTS, 16 * points))
 
 
 @dataclass(frozen=True)
@@ -64,6 +94,7 @@ class CoefficientTable:
             raise MalformedSpec("p and J must be integers")
         if self.p < 1 or self.J < 1:
             raise MalformedSpec(f"need p >= 1 and J >= 1, got p={self.p}, J={self.J}")
+        check_table_size(int(self.p), int(self.J))
         a = np.array(self.a, dtype=np.complex128)
         b = np.array(self.b, dtype=np.complex128)
         shape = (int(self.p), int(self.J))
@@ -87,6 +118,7 @@ class CoefficientTable:
             raise MalformedSpec("p and J must be integers")
         if p < 1 or J < 1:
             raise MalformedSpec(f"need p >= 1 and J >= 1, got p={p}, J={J}")
+        check_table_size(int(p), int(J))
         A = np.zeros((p, J), dtype=np.complex128)
         B = np.zeros((p, J), dtype=np.complex128)
         for entry in terms:
@@ -224,6 +256,50 @@ def wirtinger(F: PolyharmonicMap, z):
     return fz, fzb
 
 
+def _collapse(r, shift, *tables):
+    # for each (p, J) array M of tables, the (len(r), J) array of
+    # sum_n M[n-1, j-1] r^(2(n-1)+j+shift) over the radii r: the layers
+    # folded into one series per circle, built a layer at a time so the
+    # memory is O(len(r) J) whatever p is
+    r = np.asarray(r, dtype=float).reshape(-1, 1)
+    e = np.arange(1, tables[0].shape[1] + 1) + shift
+    out = [M[0] * r ** e for M in tables]
+    for n in range(1, tables[0].shape[0]):
+        pw = r ** (2 * n + e)
+        for acc, M in zip(out, tables):
+            acc += M[n] * pw
+    return out
+
+
+def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
+    """``(F_z, F_zbar)`` at ``radii[i] * exp(2 pi i k / n_angles)`` for
+    k = 0..n_angles-1, as two (len(radii), n_angles) arrays.
+
+    On |z| = r the layer formulas in the module docstring are trigonometric
+    series: F_z has sum_n (j+n-1) a[n,j] r^(2n+j-3) at frequency j-1 and
+    sum_n (n-1) conj(b[n,j]) r^(2n+j-3) at -(j+1); F_zbar has
+    sum_n (j+n-1) conj(b[n,j]) r^(2n+j-3) at -(j-1) and
+    sum_n (n-1) a[n,j] r^(2n+j-3) at j+1.  Each coefficient is added into
+    slot m mod n_angles of its circle's spectrum, so the samples stay exact
+    when frequencies alias (2J + 2 > n_angles), and one inverse FFT per
+    circle gives its samples.
+    """
+    t = F.table
+    j = np.arange(1, t.J + 1)
+    layer = np.arange(t.p)[:, None]  # n - 1
+    bc = np.conj(t.b)
+    up_a, down_b, up_b, down_a = _collapse(radii, -1, (j + layer) * t.a,
+                                           layer * bc, (j + layer) * bc,
+                                           layer * t.a)
+    fz = np.zeros((up_a.shape[0], n_angles), dtype=np.complex128)
+    fzb = np.zeros_like(fz)
+    for spec, c, m in ((fz, up_a, j - 1), (fz, down_b, -j - 1),
+                       (fzb, up_b, 1 - j), (fzb, down_a, j + 1)):
+        np.add.at(spec, (slice(None), m % n_angles), c)
+    return (np.fft.ifft(fz, axis=1, norm="forward"),
+            np.fft.ifft(fzb, axis=1, norm="forward"))
+
+
 def jacobian(F: PolyharmonicMap, z):
     """|F_z|^2 - |F_zbar|^2 at ``z`` (scalar or ndarray)."""
     fz, fzb = wirtinger(F, z)
@@ -240,51 +316,65 @@ def dilatation(F: PolyharmonicMap, z) -> DilatationPair:
 
 
 _K_RADII, _K_ANGLES = 256, 512
+_K_BLOCK = 32  # rings per ring_wirtinger call
 _K_TOL = 1e-10
 
 
 def quasiregularity_constant(F: PolyharmonicMap) -> float:
     """Supremum of lambda_big / lambda_small over the closed unit disk.
 
-    Polar grid scan (256 radii x 512 angles) followed by a bracket zoom in
-    radius and then in angle around the best sample, each down to 1e-10;
-    the result is a lower bound for the true supremum.  Raises
-    :class:`DegenerateMap` when the Jacobian takes both signs among the
-    probed points, since lambda_small then vanishes between the two
-    witnesses and the map folds, and as soon as lambda_small drops below
-    ``1e-12 * (1 + max coefficient)`` at any probed point.
+    Scans a polar grid of 256 radii x 512 angles, taken from each circle's
+    spectrum by :func:`ring_wirtinger`, then zooms in radius and then in
+    angle around the best sample, each down to a 1e-10 bracket, on the
+    pointwise :func:`wirtinger`; the result is a lower bound for the true
+    supremum.  Raises :class:`DegenerateMap` when the Jacobian takes both
+    signs among the probed points, since lambda_small then vanishes between
+    the two witnesses and the map folds, and as soon as lambda_small drops
+    below ``1e-12 * (1 + max coefficient)`` at any probed point.  Both
+    checks see the whole grid before any zoom.
     """
     tol_deg = 1e-12 * (1.0 + F.table.max_coefficient())
     radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
-    Z = radii[:, None] * np.exp(1j * th)[None, :]
+    u = np.exp(1j * th)
 
-    def ratios(z):
-        # lambda_big / lambda_small at z; d has the sign of the Jacobian
-        fz, fzb = wirtinger(F, z)
-        m, mm = np.abs(fz), np.abs(fzb)
-        d, big = m - mm, m + mm
+    def ratios(d, big, at):
+        # lambda_big / lambda_small from d = |F_z| - |F_zbar|, which has the
+        # sign of the Jacobian, and big = |F_z| + |F_zbar|, both overwritten;
+        # at(i) is the point of flat index i
         if d.max() > 0.0 > d.min():
             jac = d * big
             pos, neg = int(np.argmax(jac)), int(np.argmin(jac))
             raise DegenerateMap(f"the Jacobian takes both signs: {jac.flat[pos]:.3e} "
-                                f"at z = {z.flat[pos]:.6g}, {jac.flat[neg]:.3e} "
-                                f"at z = {z.flat[neg]:.6g}")
-        lam = np.abs(d)
+                                f"at z = {at(pos):.6g}, {jac.flat[neg]:.3e} "
+                                f"at z = {at(neg):.6g}")
+        lam = np.abs(d, out=d)
         if lam.min() < tol_deg:
             i = int(np.argmin(lam))
-            raise DegenerateMap(f"lambda_small = {lam.flat[i]:.3e} near z = {z.flat[i]:.6g}")
-        return big / lam
+            raise DegenerateMap(f"lambda_small = {lam.flat[i]:.3e} near z = {at(i):.6g}")
+        return np.divide(big, lam, out=big)
 
-    ratio = ratios(Z)
+    def probe(z):
+        m, mm = (np.abs(w) for w in wirtinger(F, z))
+        return ratios(m - mm, m + mm, lambda i: z.flat[i])
+
+    # the spectra of 32 rings (2^14 samples) are reused from the heap
+    # instead of being page-faulted in afresh on every call
+    d = np.empty((_K_RADII, _K_ANGLES))
+    big = np.empty_like(d)
+    for k in range(0, _K_RADII, _K_BLOCK):
+        m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:k + _K_BLOCK], _K_ANGLES))
+        np.subtract(m, mm, out=d[k:k + _K_BLOCK])
+        np.add(m, mm, out=big[k:k + _K_BLOCK])
+    ratio = ratios(d, big, lambda i: radii[i // _K_ANGLES] * u[i % _K_ANGLES])
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     best = float(ratio[i0, j0])
     th0 = float(th[j0])
     r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
     r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else 1.0
-    r_best, v_r = zoom_max(lambda rs: ratios(rs * np.exp(1j * th0)), r_lo, r_hi, _K_TOL)
+    r_best, v_r = zoom_max(lambda rs: probe(rs * np.exp(1j * th0)), r_lo, r_hi, _K_TOL)
     dth = 2.0 * np.pi / _K_ANGLES
-    _, v_th = zoom_max(lambda ts: ratios(r_best * np.exp(1j * ts)),
+    _, v_th = zoom_max(lambda ts: probe(r_best * np.exp(1j * ts)),
                        th0 - dth, th0 + dth, _K_TOL)
     return float(max(best, v_r, v_th))
 

@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import CoefficientTable, PolyharmonicMap, _horner, evaluate, wirtinger
+from .core import (CoefficientTable, PolyharmonicMap, _collapse, _horner,
+                   check_grid_size, evaluate, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -87,9 +88,7 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
     x, w, to_ends = _panel_rule()
     t = F.table
-    powers = r ** (2 * np.arange(t.p)[:, None] + np.arange(1, t.J + 1)[None, :])
-    G = PolyharmonicMap(CoefficientTable(1, t.J, (t.a * powers).sum(axis=0)[None],
-                                         (t.b * powers).sum(axis=0)[None]))
+    G = PolyharmonicMap(CoefficientTable(1, t.J, *_collapse([r], 0, t.a, t.b)))
 
     def panels(left, h):
         # blocks of 2^11 panels (2^14 points) keep the kernel's temporaries
@@ -220,13 +219,17 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
     Gauss-Legendre in the radial variable (exact for the polynomial radial
     profile at these orders) times a periodic trapezoid rule in the angle.
     Independent of area_series by construction.  Raises InvalidParams
-    unless n_radial >= 1 and n_theta >= 1.
+    unless n_radial >= 1 and n_theta >= 1, and when the n_radial x n_theta
+    grid or the n_radial x n_radial matrix behind the Gauss-Legendre nodes
+    is over MAX_GRID_POINTS.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
     if n_radial < 1 or n_theta < 1:
         raise InvalidParams("need n_radial >= 1 and n_theta >= 1, got %r and %r"
                             % (n_radial, n_theta))
+    check_grid_size(n_radial * n_theta, "n_radial x n_theta")
+    check_grid_size(n_radial * n_radial, "the Gauss-Legendre matrix n_radial x n_radial")
     t, w = _gauss_nodes(int(n_radial))
     rho = 0.5 * r * (t + 1.0)
     wts = 0.5 * r * w
@@ -303,13 +306,15 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     coordinate-wise bracket zoom polish the pair's radii and angles, one
     grid step either way, down to 1e-10; each zoom round is one evaluate
     call.  Always a lower bound on the true diameter.  Raises
-    InvalidParams unless n_radii >= 1 and n_angles >= 1.
+    InvalidParams unless n_radii >= 1 and n_angles >= 1, and when the grid
+    is over MAX_GRID_POINTS.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
     if n_radii < 1 or n_angles < 1:
         raise InvalidParams("need n_radii >= 1 and n_angles >= 1, got %r and %r"
                             % (n_radii, n_angles))
+    check_grid_size(n_radii * n_angles, "n_radii x n_angles")
     radii = r * np.arange(1, n_radii + 1) / n_radii
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
     z = radii[:, None] * np.exp(1j * th)[None, :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import TOL_REPORT
-from .core import PolyharmonicMap, evaluate
+from .core import PolyharmonicMap, check_grid_size, evaluate
 from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
                      OutsideDomain)
 
@@ -131,12 +131,14 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7,
     sampled on the point pairs drawn with ``seed``.
 
     The bound grows with the polynomial degree d as (d sqrt(2d) / 2) pi.
-    Raises InvalidParams unless n_boundary >= 1, NotHarmonicPolynomial
-    unless the table has a single layer, and NotIntoDisk when the maximum
-    over n_boundary equispaced boundary points exceeds 1.
+    Raises InvalidParams unless 1 <= n_boundary <= MAX_GRID_POINTS,
+    NotHarmonicPolynomial unless the table has a single layer, and
+    NotIntoDisk when the maximum over n_boundary equispaced boundary points
+    exceeds 1.
     """
     if n_boundary < 1:
         raise InvalidParams("need n_boundary >= 1, got %r" % (n_boundary,))
+    check_grid_size(n_boundary, "n_boundary")
     t = F.table
     if t.p != 1:
         raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % t.p)

@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .core import PolyharmonicMap, evaluate
+from .core import PolyharmonicMap, check_grid_size, evaluate
 from .errors import InvalidParams
 
 __all__ = ["render_paths", "render_svg"]
@@ -26,10 +26,12 @@ def render_paths(F: PolyharmonicMap, rings: int = 8, rays: int = 16,
     complex points.
 
     The outermost ring doubles as the boundary curve; ray angles are kept
-    on the boundary sample grid so every ray ends exactly on it.
+    on the boundary sample grid so every ray ends exactly on it.  The
+    (rings + rays + 1) x samples points may not exceed MAX_GRID_POINTS.
     """
     if rings < 1 or rays < 1 or samples < 16:
         raise InvalidParams("need rings >= 1, rays >= 1, samples >= 16")
+    check_grid_size((rings + rays + 1) * samples, "(rings + rays + 1) x samples")
     th = 2.0 * np.pi * np.arange(samples) / samples
     u = np.exp(1j * th)
     ring_paths = []

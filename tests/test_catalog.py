@@ -139,6 +139,18 @@ def test_form37_default_instance():
     assert abs(evaluate(F, z) - want) <= 1e-16
 
 
+@pytest.mark.parametrize("make", [
+    lambda: f0(10 ** 10),
+    lambda: builtin("F1", {"J": 2049}),
+    lambda: builtin("monomial", {"p": 4097, "j": 1}),
+    lambda: form37(Form37Params(eta=1.0), k_max=10 ** 12),
+    lambda: builtin("form37", {"zeta2": {"100000000000": 1.0}}),
+], ids=["f0", "F1", "monomial", "form37-k_max", "form37-key"])
+def test_builtin_table_over_the_cap_is_malformed_params(make):
+    with pytest.raises(MalformedParams, match="entries, over the cap of 4096"):
+        make()
+
+
 def test_form37_pads_to_k_max():
     F = form37(Form37Params(eta=1.0, zeta2={1: 1.0}), k_max=5)
     assert F.table.J == 5

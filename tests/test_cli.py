@@ -285,6 +285,40 @@ def test_verify_rejects_counts_its_map_skips(f2_map, capsys, flag):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("text, entries", [
+    ('{"p": 1, "J": 100000000000, "terms": []}', "100000000000"),
+    ('{"builtin": "f0", "params": {"J": 10000000000}}', "10000000000"),
+], ids=["table", "builtin"])
+def test_oversized_table_is_refused_before_allocation(tmp_path, capsys, text, entries):
+    path = _write(tmp_path, "big.json", text)
+    assert main(["eval", "--map", path, "--z", "0"]) == 4
+    err = capsys.readouterr().err
+    assert "has %s entries, over the cap of 4096" % entries in err
+    assert "%d bytes" % (32 * int(entries)) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diam", "--grid", "100000", "--theta-samples", "100000"],
+    ["area", "--r", "0.5", "--method", "quadrature", "--theta-samples", "10000000000"],
+    ["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "1025"],
+    ["three-circles", "--r1", "0.3", "--grid", "10000000000"],
+    ["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
+     "--theta-samples", "10000000000"],
+    ["schwarz", "--grid", "10000000000"],
+    ["render", "--out", "never.svg", "--rings", "100000", "--samples", "100000"],
+    ["verify", "--grid", "10000000000"],
+    ["verify", "--theta-samples", "10000000000"],
+], ids=lambda argv: " ".join(argv))
+def test_sample_counts_above_the_cap_are_usage_errors(identity_map, tmp_path,
+                                                      capsys, argv):
+    argv = [str(tmp_path / a) if a == "never.svg" else a for a in argv]
+    assert main([argv[0], "--map", identity_map] + argv[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the cap of 1048576" in captured.err and "bytes" in captured.err
+    assert not (tmp_path / "never.svg").exists()
+
+
 def test_length_sup_honours_tol(identity_map, capsys):
     assert main(["length", "--map", identity_map, "--sup", "--tol", "0"]) == 4
     capsys.readouterr()

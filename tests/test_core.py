@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyharm import catalog
+from polyharm._search import zoom_max
 from polyharm.core import (
+    MAX_TABLE_ENTRIES,
     CoefficientTable,
     PolyharmonicMap,
     build_map,
@@ -15,6 +17,7 @@ from polyharm.core import (
     evaluate,
     jacobian,
     quasiregularity_constant,
+    ring_wirtinger,
     scale_map,
     wirtinger,
 )
@@ -65,6 +68,18 @@ def test_from_terms_rejects_bad_indices():
         CoefficientTable.from_terms(1, 1, [(1, 0, 1.0, 0.0)])
     with pytest.raises(MalformedSpec):
         CoefficientTable.from_terms(1, 1, [(1.5, 1, 1.0, 0.0)])
+
+
+def test_table_size_is_capped_before_allocation():
+    # a table one entry over the cap is refused on its p and J alone
+    with pytest.raises(MalformedSpec, match=r"has 4097 entries.* 131104 bytes"):
+        CoefficientTable.from_terms(17, 241, [])
+    with pytest.raises(MalformedSpec, match="100000000000 entries"):
+        CoefficientTable.from_terms(1, 10 ** 11, [])
+    with pytest.raises(MalformedSpec, match="over the cap"):
+        CoefficientTable(1, MAX_TABLE_ENTRIES + 1, np.zeros((1, 1), complex),
+                         np.zeros((1, 1), complex))
+    assert CoefficientTable.from_terms(1, MAX_TABLE_ENTRIES, []).J == MAX_TABLE_ENTRIES
 
 
 def test_max_coefficient():
@@ -310,6 +325,70 @@ def test_quasiregularity_sense_reversing():
     # the conjugate part dominates everywhere: no sign change, finite K
     K = quasiregularity_constant(catalog.linear(1.0 / 3.0, 1.0))
     assert abs(K - 2.0) <= 1e-12
+
+
+# ---- the ring kernel against the pointwise kernel ----
+
+
+def _seeded_table(p, J, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+    b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+    return PolyharmonicMap(CoefficientTable(p, J, a, b))
+
+
+@pytest.mark.parametrize("J", [1, 8, 300])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_ring_wirtinger_matches_pointwise(p, J):
+    # J = 300 puts frequencies -(J+1)..J+1 past n = 512, so they alias
+    F = _seeded_table(p, J, 1000 * p + J)
+    radii = np.array([1.0 / 256.0, 0.5, 1.0])
+    n = 512
+    fz, fzb = ring_wirtinger(F, radii, n)
+    assert fz.shape == fzb.shape == (3, n)
+    z = radii[:, None] * np.exp(2j * np.pi * np.arange(n) / n)[None, :]
+    wz, wzb = wirtinger(F, z)
+    # the coefficient sum of the derivative series, which bounds |F_z|
+    t = F.table
+    weight = np.arange(1, J + 1)[None, :] + np.arange(p)[:, None]
+    scale = float(np.sum(weight * (np.abs(t.a) + np.abs(t.b))))
+    assert np.abs(fz - wz).max() <= 1e-13 * scale
+    assert np.abs(fzb - wzb).max() <= 1e-13 * scale
+
+
+def _pointwise_grid_K(F):
+    # the grid scan run on the pointwise kernel, then the same two zooms,
+    # for a map whose Jacobian is known to stay positive
+    def ratios(z):
+        m, mm = (np.abs(w) for w in wirtinger(F, z))
+        return (m + mm) / (m - mm)
+
+    radii = np.arange(1, 257) / 256
+    th = 2.0 * np.pi * np.arange(512) / 512
+    ratio = ratios(radii[:, None] * np.exp(1j * th)[None, :])
+    i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    th0 = float(th[j0])
+    r_lo = float(radii[i0 - 1]) if i0 > 0 else 1.0 / 256 ** 2
+    r_hi = float(radii[i0 + 1]) if i0 < 255 else 1.0
+    r_best, v_r = zoom_max(lambda rs: ratios(rs * np.exp(1j * th0)), r_lo, r_hi, 1e-10)
+    dth = 2.0 * np.pi / 512
+    _, v_th = zoom_max(lambda ts: ratios(r_best * np.exp(1j * ts)),
+                       th0 - dth, th0 + dth, 1e-10)
+    return max(float(ratio[i0, j0]), v_r, v_th)
+
+
+def test_quasiregularity_matches_pointwise_grid_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        t = random_map(rng, p_max=3, J_max=6).table
+        # a first power that outweighs every other derivative term keeps
+        # the Jacobian positive, so K is finite
+        weight = np.arange(1, t.J + 1)[None, :] + np.arange(t.p)[:, None]
+        a = t.a.copy()
+        a[0, 0] = 1.0 + np.sum(weight * (np.abs(t.a) + np.abs(t.b)))
+        F = PolyharmonicMap(CoefficientTable(t.p, t.J, a, t.b))
+        expected = _pointwise_grid_K(F)
+        assert abs(quasiregularity_constant(F) - expected) <= 1e-12 * expected
 
 
 # ---- structural maps ----

@@ -79,6 +79,21 @@ def kernel_sizes(monkeypatch):
     return sizes
 
 
+def test_quasiregularity_grid_stays_off_the_pointwise_kernel(monkeypatch):
+    # the 256 x 512 grid comes from the ring kernel; only the zooms' 9-point
+    # probes reach wirtinger
+    sizes = []
+    inner = core.wirtinger
+
+    def counted(F, z):
+        sizes.append(np.size(z))
+        return inner(F, z)
+
+    monkeypatch.setattr(core, "wirtinger", counted)
+    core.quasiregularity_constant(catalog.f2())
+    assert sizes and max(sizes) <= 9
+
+
 def test_polishes_make_no_single_point_calls(kernel_sizes):
     F = random_map(np.random.default_rng(5))
     geometry.diameter_estimate(F)
