@@ -41,7 +41,9 @@ def bisect_decreasing(phi, lo: float, hi: float, tol: float,
 
     Narrows until the bracket is below ``tol`` and |phi(mid)| is below
     ``residual_target`` (or float resolution stops progress, or 400 steps
-    are taken).  Returns ``(mid, iterations, (lo, hi))``.
+    are taken).  Returns ``(x, iterations, (lo, hi))``, x being the largest
+    probed point with phi > 0: the last midpoint when phi is positive there,
+    else the bracket's lo.  So x never lies above the least root.
     """
     it = 0
     mid = 0.5 * (lo + hi)
@@ -59,4 +61,4 @@ def bisect_decreasing(phi, lo: float, hi: float, tol: float,
         mid = new_mid
         val = phi(mid)
         it += 1
-    return mid, it, (lo, hi)
+    return (mid if val > 0.0 else lo), it, (lo, hi)

@@ -262,33 +262,107 @@ def area_growth_excess(F: PolyharmonicMap, r):
 # ---- diameter ----
 
 
+_BLOCK = 1 << 14  # hull edges scored at once by the calipers
+
+
+def _hull(xy: np.ndarray) -> np.ndarray:
+    # sample indices of the strict convex-hull vertices of the rows of xy,
+    # counter-clockwise from the least (x, y); a repeated point counts once,
+    # by its lowest index.  Fewer than 3 when the points are collinear or
+    # coincident.
+    x, y = xy[:, 0], xy[:, 1]
+    # Akl-Toussaint filter: the extremes in 8 directions, taken in
+    # counter-clockwise order, span an octagon inside the hull; a point
+    # strictly inside it, by more than rounding, is no vertex
+    s, d = x + y, x - y
+    octagon = [int(k) for k in (np.argmin(y), np.argmax(d), np.argmax(x), np.argmax(s),
+                                np.argmax(y), np.argmin(d), np.argmin(x), np.argmin(s))]
+    size = max(abs(x[octagon]).max(), abs(y[octagon]).max())
+    inside = None
+    for a, b in zip(octagon, octagon[1:] + octagon[:1]):
+        ex, ey = x[b] - x[a], y[b] - y[a]
+        if ex or ey:
+            margin = 16.0 * np.finfo(float).eps * size * (abs(ex) + abs(ey))
+            left = ex * (y - y[a]) - ey * (x - x[a]) > margin
+            inside = left if inside is None else inside & left
+    idx = np.arange(len(xy)) if inside is None else np.flatnonzero(~inside)
+    # Andrew's monotone chain: sort by (x, y), stably, so that the first of
+    # each run of equal points has the lowest index, and keep only that one
+    idx = idx[np.lexsort((y[idx], x[idx]))]
+    px, py = x[idx], y[idx]
+    idx = idx[np.concatenate([[True], (px[1:] != px[:-1]) | (py[1:] != py[:-1])])]
+    if idx.size < 3:
+        return idx
+    lo, hi = idx[0], idx[-1]
+    px, py = x[idx[1:-1]], y[idx[1:-1]]
+    side = (x[hi] - x[lo]) * (py - y[lo]) - (y[hi] - y[lo]) * (px - x[lo])
+    # the polygon: lo, the points below the line lo -> hi left to right,
+    # hi, the points above it right to left
+    seq = np.concatenate([[lo], idx[1:-1][side < 0.0], [hi],
+                          idx[1:-1][side > 0.0][::-1]])
+    # vectorized passes drop every point that is no strict left turn; they
+    # stop once the polygon is convex, or hand over to a sequential chain
+    # once a pass drops less than 1/8 of the points
+    while True:
+        px, py = x[seq], y[seq]
+        turn = ((px - np.roll(px, 1)) * (np.roll(py, -1) - py)
+                - (py - np.roll(py, 1)) * (np.roll(px, -1) - px))
+        keep = (turn > 0.0) | (seq == lo) | (seq == hi)
+        dropped = seq.size - int(keep.sum())
+        seq = seq[keep]
+        if dropped == 0:
+            return seq
+        if 8 * dropped < seq.size + dropped:
+            break
+    xs, ys, top = x[seq].tolist(), y[seq].tolist(), int(np.flatnonzero(seq == hi)[0])
+    stack, floor = [0], 1  # stack entries below floor are lo and hi: never dropped
+    for k in list(range(1, seq.size)) + [0]:
+        while len(stack) > floor:
+            a, b = stack[-2], stack[-1]
+            if (xs[b] - xs[a]) * (ys[k] - ys[b]) - (ys[b] - ys[a]) * (xs[k] - xs[b]) > 0.0:
+                break
+            stack.pop()
+        stack.append(k)
+        if k == top:
+            floor = len(stack)
+    return seq[stack[:-1]]
+
+
 def _farthest_pair(xy: np.ndarray):
-    # sample indices (ia, ib) of a farthest pair of the rows of xy; scipy is
-    # imported here because a module-level import slows every start-up
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        hull = ConvexHull(xy).vertices  # counter-clockwise in 2-d
-    except QhullError:  # collinear or coincident: ends of the principal axis
+    # sample indices (ia, ib), ia < ib, of a farthest pair of the rows of xy
+    hull = _hull(xy)
+    h = hull.size
+    if h < 3:  # collinear or coincident: ends of the principal axis
         centered = xy - xy.mean(axis=0)
         s = xy @ np.linalg.eigh(centered.T @ centered)[1][:, 1]
         return tuple(sorted((int(np.argmin(s)), int(np.argmax(s)))))
-    pts, h = xy[hull], len(hull)
-    ex, ey = (np.roll(pts, -1, axis=0) - pts).T.tolist()
-    # rotating calipers: j moves forward while edge j still turns left of
-    # edge i; {i, i+1} x {j, j+1} are the candidates, the j+1 ones kept so
-    # that rounding in the turn test cannot drop the farthest pair
-    pairs, j = [], 1
-    for i in range(h):
-        j = max(j, i + 1)  # never behind edge i, whatever the rounding
-        while ex[i] * ey[j % h] - ey[i] * ex[j % h] > 0.0:
-            j += 1
-        pairs += [(i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)]
-    a, b = (np.asarray(pairs) % h).T
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    d2 = ((pts[lo] - pts[hi]) ** 2).sum(axis=1)
-    # ties: the lowest hull positions, the earlier one first
-    ia, ib = divmod(int((lo * h + hi)[d2 == d2.max()].min()), h)
-    return int(hull[ia]), int(hull[ib])
+    x, y = xy[hull, 0], xy[hull, 1]
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    # rotating calipers, vectorized: edge i (vertex i to i+1) points at
+    # angle theta[i], unwrapped from the turns between edges; the vertex
+    # farthest from its line starts the first edge turned by pi or more
+    nx, ny = np.roll(ex, -1), np.roll(ey, -1)
+    turn = np.maximum(np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny), 0.0)
+    theta = np.concatenate([[0.0], np.cumsum(turn[:-1])])
+    j = np.searchsorted(np.concatenate([theta, theta + theta[-1] + turn[-1]]),
+                        theta + np.pi)
+    # candidates {i, i+1} x {j-1 .. j+2}: the wide window keeps rounding in
+    # the angles from dropping the farthest pair
+    da = np.repeat([0, 1], 4)[:, None]
+    db = np.tile([-1, 0, 1, 2], 2)[:, None]
+    n, best, key = len(xy), -1.0, 0
+    for start in range(0, h, _BLOCK):
+        i = np.arange(start, min(h, start + _BLOCK))
+        pa, pb = (i + da) % h, (j[i] + db) % h
+        d2 = (x[pa] - x[pb]) ** 2 + (y[pa] - y[pb]) ** 2
+        top = float(d2.max())
+        if top >= best:
+            # ties: the least (lower index, higher index) pair
+            a, b = hull[pa][d2 == top], hull[pb][d2 == top]
+            tied = np.minimum(a, b) * n + np.maximum(a, b)
+            key = int(tied.min()) if top > best else min(key, int(tied.min()))
+            best = top
+    return divmod(key, n)
 
 
 _POLISH_ROUNDS = 3
@@ -299,10 +373,18 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
                       n_angles: int = 1024) -> float:
     """Lower estimate of diam F(|z| <= r) from a polar sample grid.
 
-    Rotating calipers (Toussaint, 1983) on the counter-clockwise qhull hull
-    of the sampled image find the farthest sampled pair; ties go to the
-    lowest hull positions.  Collinear or coincident samples, which qhull
-    rejects, use the ends along the principal axis.  Three rounds of
+    The farthest sampled pair is found on the convex hull of the sampled
+    image, in numpy.  An Akl-Toussaint filter (1978) drops the samples
+    strictly inside the octagon of the extremes in 8 directions.  Andrew's
+    monotone chain (1979) runs over the rest, sorted by (x, y): vectorized
+    passes drop every non-left turn while each pass drops at least 1/8 of
+    the points, then a sequential chain finishes.  Rotating calipers
+    (Toussaint, 1983), vectorized, pair each hull edge with the vertex
+    farthest from its line, found by a binary search on the unwrapped edge
+    angles, and score a window of neighbouring pairs.  Ties go to the least
+    (lower sample index, higher sample index) pair.  A hull of fewer than
+    3 vertices (collinear or coincident samples) uses the ends along the
+    principal axis instead.  Three rounds of
     coordinate-wise bracket zoom polish the pair's radii and angles, one
     grid step either way, down to 1e-10; each zoom round is one evaluate
     call.  Always a lower bound on the true diameter.  Raises

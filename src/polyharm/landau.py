@@ -2,9 +2,11 @@
 
 Each bound takes caller-supplied aggregates (a normalization alpha for the
 smallest directional stretch at 0, an image diameter, or a quasiregularity
-constant together with the sup of circle-image lengths) and produces the
-least positive root of an explicitly decreasing majorant phi on (0, 1),
-plus the covering radius of the schlicht disk guaranteed at that root.
+constant together with the sup of circle-image lengths) and brackets the
+least positive root of an explicitly decreasing majorant phi on (0, 1).
+It returns the largest probed radius where phi is still positive, within
+the bracket width below the root, plus the covering radius of the
+schlicht disk guaranteed there.
 
 This module never inspects a map; composition with the geometry estimators
 happens at the command-line layer.  That keeps the root-solving testable
@@ -45,8 +47,9 @@ class LandauResult:
 def _decreasing_root(phi, tol: float):
     # least positive root of a strictly decreasing phi with phi(0+) > 0:
     # bisection on (0, 1) to bracket width tol and residual
-    # |phi(root)| <= tol (1 + phi(0+)), after checking the decrease on a
-    # 1024-point grid in one call, so phi must take arrays
+    # |phi(mid)| <= tol (1 + phi(0+)), after checking the decrease on a
+    # 1024-point grid in one call, so phi must take arrays.  The radius
+    # returned is the largest probed one with phi > 0, never above the root
     lo, hi = BRACKET_LO, BRACKET_HI
     f_lo = float(phi(lo))
     if not (math.isfinite(f_lo) and f_lo > 0.0):

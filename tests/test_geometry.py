@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,11 +361,14 @@ def test_diameter_is_lower_bound():
 
 
 def _farthest_pair_matrix(xy, n_dir=180):
-    # exhaustive reference: the h x h distance matrix over the hull
-    # vertices, or over projection extremes on a fan of directions plus
-    # the principal axes when qhull rejects the points
+    # exhaustive reference: the distance matrix over every sample at a
+    # qhull hull vertex, or over projection extremes on a fan of directions
+    # plus the principal axes when qhull rejects the points.  The candidates
+    # go in index order, so the first maximum is the least (lower index,
+    # higher index) pair among the ties
     try:
-        cand = np.asarray(ConvexHull(xy).vertices, dtype=int)
+        v = ConvexHull(xy).vertices
+        cand = np.flatnonzero((xy[:, None, :] == xy[None, v, :]).all(axis=2).any(axis=1))
     except QhullError:
         phis = np.pi * np.arange(n_dir) / n_dir
         proj = xy @ np.column_stack([np.cos(phis), np.sin(phis)]).T
@@ -381,38 +385,75 @@ def _farthest_pair_matrix(xy, n_dir=180):
     return int(cand[ia]), int(cand[ib])
 
 
-def _point_clouds():
+def _tagged_clouds():
+    # (points, in general position: no three collinear, no two equal)
     rng = np.random.default_rng(61)
     for n in (3, 5, 40, 400):
-        yield rng.normal(size=(n, 2))
-        yield rng.uniform(-1.0, 1.0, size=(n, 2))
+        yield rng.normal(size=(n, 2)), True
+        yield rng.uniform(-1.0, 1.0, size=(n, 2)), True
     # integer points on the circle of radius 5: antipodes tie exactly
     ring = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3), (-5, 0),
             (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
-    yield np.array(ring, dtype=float)
-    yield np.array(ring[::-1] + ring[:3], dtype=float)
+    yield np.array(ring, dtype=float), False
+    yield np.array(ring[::-1] + ring[:3], dtype=float), False
     for n in (7, 64, 1024):
         th = 2.0 * np.pi * np.arange(n) / n
-        yield np.column_stack([np.cos(th), np.sin(th)])
-        yield np.column_stack([np.cos(th), np.sin(th)]) + 1e-13 * rng.normal(size=(n, 2))
+        yield np.column_stack([np.cos(th), np.sin(th)]), False
+        yield np.column_stack([np.cos(th), np.sin(th)]) + 1e-13 * rng.normal(size=(n, 2)), False
     for _ in range(6):
         th = rng.uniform(0.0, 2.0 * np.pi, size=200)
         e = np.column_stack([2.0 * np.cos(th), rng.uniform(0.2, 1.0) * np.sin(th)])
         phi = rng.uniform(0.0, np.pi)
         rot = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
-        yield e @ rot + rng.normal(size=2)
+        yield e @ rot + rng.normal(size=2), True
     for _ in range(5):  # polar sample grids of random maps
         z = np.outer(np.arange(1, 9) / 8.0, np.exp(2j * np.pi * np.arange(256) / 256))
         w = evaluate(random_map(rng), z).ravel()
-        yield np.column_stack([w.real, w.imag])
-    yield np.array([[0.0, 0.0], [1.0, 2.0]])
-    yield np.array([[0.0, 0.0], [0.0, 0.0]])
-    yield np.array([[0.5, -1.0], [0.25, 1.5], [2.0, 0.0]])
+        yield np.column_stack([w.real, w.imag]), True
+    yield np.array([[0.0, 0.0], [1.0, 2.0]]), False
+    yield np.array([[0.0, 0.0], [0.0, 0.0]]), False
+    yield np.array([[0.5, -1.0], [0.25, 1.5], [2.0, 0.0]]), True
     t = rng.permutation(np.arange(-8, 9) / 4.0)
-    yield np.column_stack([t, 2.0 * t + 0.5])  # collinear
-    yield np.column_stack([t, np.zeros_like(t)])
-    yield np.tile([[1.5, -0.5]], (9, 1))  # coincident
-    yield np.array([[1.0, 1.0]] * 4 + [[-2.0, 3.0]] * 3 + [[1.0, 1.0]])
+    yield np.column_stack([t, 2.0 * t + 0.5]), False  # collinear
+    yield np.column_stack([t, np.zeros_like(t)]), False
+    yield np.tile([[1.5, -0.5]], (9, 1)), False  # coincident
+    yield np.array([[1.0, 1.0]] * 4 + [[-2.0, 3.0]] * 3 + [[1.0, 1.0]]), False
+    for xy in _degenerate_clouds():
+        yield xy, False
+
+
+def _point_clouds():
+    return (xy for xy, _ in _tagged_clouds())
+
+
+def _degenerate_clouds():
+    rng = np.random.default_rng(62)
+    for n in (40, 400, 2000):
+        # collinear runs and repeats on a 0.1 lattice, and on a 1/3 one,
+        # where rounding leaves some lattice-collinear triples a strict turn
+        yield np.round(rng.normal(size=(n, 2)), 1)
+        yield np.round(3.0 * rng.normal(size=(n, 2))) / 3.0
+    for n in (6, 50, 500):
+        # several points share the least and the greatest x
+        u = rng.uniform(-1.0, 1.0, size=(n, 2))
+        u[rng.choice(n, 4, replace=False), 0] = 1.0
+        u[rng.choice(n, 3, replace=False), 0] = -1.0
+        yield u
+        # repeated points at both ends of the lower and the upper chain
+        u = rng.normal(size=(n, 2))
+        ends = [np.argmin(u[:, 0]), np.argmax(u[:, 0]), np.argmin(u[:, 1]), np.argmax(u[:, 1])]
+        yield np.concatenate([u, u[ends * 2]])[rng.permutation(n + 8)]
+    # lattice parabolas, the upper one with its arc over 10 < x < 20
+    # replaced by lattice points on the chord and dents just below it: the
+    # chord points turn left until the dents go, and 3 dents are too few
+    # for another vectorized pass, so the sequential chain must drop them
+    t = np.arange(-40.0, 41.0)
+    c = np.array([x for x in range(-39, 40) if not 10 < x < 20], dtype=float)
+    chord = [(12, 3040), (13, 3008), (14, 2980), (15, 2948), (16, 2920),
+             (17, 2888), (18, 2860)]
+    pts = np.concatenate([np.column_stack([t, t * t]),
+                          np.column_stack([c, 3200.0 - c * c]), np.array(chord, dtype=float)])
+    yield pts[rng.permutation(len(pts))]
 
 
 def test_farthest_pair_matches_distance_matrix():
@@ -420,9 +461,49 @@ def test_farthest_pair_matches_distance_matrix():
         assert geometry._farthest_pair(xy) == _farthest_pair_matrix(xy)
 
 
+def test_hull_matches_qhull_in_general_position():
+    for xy in (xy for xy, general in _tagged_clouds() if general):
+        hull = geometry._hull(xy)
+        assert len(hull) == len(set(hull.tolist()))
+        assert set(hull.tolist()) == set(ConvexHull(xy).vertices.tolist())
+
+
+def test_farthest_distance_matches_qhull_on_every_cloud():
+    # qhull merges turns within its rounding tolerance, so on lattice
+    # points it may keep fewer vertices; none of its own may go missing,
+    # and the farthest distance must be the same bits
+    flat = 0
+    for xy in _point_clouds():
+        ia, ib = geometry._farthest_pair(xy)
+        try:
+            v = ConvexHull(xy).vertices
+        except QhullError:
+            flat += 1
+            continue
+        pts = xy[v]
+        want = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max()
+        assert ((xy[ia] - xy[ib]) ** 2).sum() == want
+        ours = {tuple(q) for q in xy[geometry._hull(xy)].tolist()}
+        assert {tuple(q) for q in pts.tolist()} <= ours
+    assert flat == 6
+
+
+def test_hull_turns_strictly_left_in_exact_arithmetic():
+    # every vertex kept is a strict left turn of the sampled floats, taken
+    # exactly, so a lattice-collinear vertex is dropped whatever rounding
+    # does to the turn test
+    for xy in _point_clouds():
+        hull = geometry._hull(xy)
+        if len(hull) < 3:
+            continue
+        q = [(Fraction(a), Fraction(b)) for a, b in xy[hull].tolist()]
+        for (ax, ay), (bx, by), (cx, cy) in zip(q[-1:] + q[:-1], q, q[1:] + q[:1]):
+            assert (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0
+
+
 def test_diameter_collinear_image_exact():
-    # z + conj(z) = 2 Re z maps the disk onto the segment [-2, 2], which
-    # qhull rejects as flat
+    # z + conj(z) = 2 Re z maps the disk onto the segment [-2, 2], whose
+    # samples have a hull of two vertices
     assert diameter_estimate(catalog.linear(1.0, 1.0)) == 4.0
 
 

@@ -236,3 +236,59 @@ def test_root_residual_invariant():
         assert lo <= res.r_univ <= hi
         assert 0.0 < res.r_univ < 1.0
         assert res.iterations > 0
+
+
+# ---- the radius returned is certified ----
+
+
+def _solve_recording_phi(monkeypatch, bound, *args):
+    # the majorant the bound solves, taken from the root solver's call
+    seen = []
+    inner = landau._decreasing_root
+
+    def recorded(phi, tol):
+        seen.append(phi)
+        return inner(phi, tol)
+
+    monkeypatch.setattr(landau, "_decreasing_root", recorded)
+    return bound(*args), seen[0]
+
+
+def _landau_inputs():
+    from polyharm import catalog, geometry
+    from polyharm.core import dilatation, quasiregularity_constant
+    from polyharm.errors import DegenerateMap
+    for F in (catalog.identity(), catalog.f2(), catalog.f0(9), catalog.f1(9),
+              catalog.monomial(2, 3, 0.5), catalog.linear(1.0, 0.3)):
+        alpha = float(dilatation(F, 0.0).lambda_small)
+        try:
+            K = quasiregularity_constant(F)
+        except DegenerateMap:
+            K = None
+        yield F.p, alpha, geometry.diameter_estimate(F), K, geometry.sup_length(F)
+    rng = np.random.default_rng(97)
+    for _ in range(40):
+        yield (int(rng.integers(1, 5)), float(rng.uniform(0.2, 3.0)),
+               float(rng.uniform(0.1, 10.0)), float(rng.uniform(1.0, 5.0)),
+               float(rng.uniform(0.5, 20.0)))
+
+
+def test_radius_lies_where_the_majorant_is_positive(monkeypatch):
+    # r_univ is the largest probed radius with phi > 0, so it never lies
+    # above the least root; the bracket's hi end has phi <= 0
+    solved = 0
+    for p, alpha, diam, K, l1 in _landau_inputs():
+        runs = [(landau_from_diameter, (p, alpha, diam))]
+        if K is not None:
+            runs.append((landau_from_length, (p, alpha, K, l1)))
+        for bound, args in runs:
+            try:
+                res, phi = _solve_recording_phi(monkeypatch, bound, *args)
+            except (NoSignChange, InvalidParams):
+                continue
+            lo, hi = res.bracket
+            assert lo <= res.r_univ <= hi
+            assert float(phi(res.r_univ)) > 0.0
+            assert float(phi(hi)) <= 0.0
+            solved += 1
+    assert solved >= 40
