@@ -146,11 +146,17 @@ def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
     mean, is nondecreasing in r (Duren, Harmonic Mappings in the Plane,
     2004): the supremum is curve_length(F, 1.0).  For p >= 2 it can be
     interior (z - |z|^2 z has length 2 pi r (1 - r^2)), so radii 1 - 2^-k
-    are scanned, then a five-point bracket zoom closes in on the best one
-    down to a bracket of 1e-12; the scan's last bracket ends at r = 1
-    itself, where F is still a polynomial, so a length that grows all the
-    way out is measured at the boundary.  Every radius is integrated once,
-    at integral_tol; a radius that does not settle raises NoConvergence.
+    are scanned, then a five-point bracket zoom closes in on the best one;
+    the scan's last bracket ends at r = 1 itself, where F is still a
+    polynomial, so a length that grows all the way out is measured at the
+    boundary.  The zoom stops once a round's five lengths spread by at most
+    integral_tol (1 + best), below which they are no more accurate, or once
+    the best is the length at r = 1, the three radii nearest it rise into
+    it, and the parabola through them still climbs there.  That second
+    rule assumes no bump in the length between the last probe and r = 1;
+    it is a heuristic, not a bound.  The zoom also stops at a bracket of
+    1e-12.  Every radius is integrated once, at integral_tol; a radius that
+    does not settle raises NoConvergence.
     """
     if F.p == 1:
         return curve_length(F, 1.0, tol=integral_tol)
@@ -167,7 +173,7 @@ def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
     lo = float(rs[i0 - 1]) if i0 > 0 else 1e-9
     hi = float(rs[i0 + 1]) if i0 < _SCAN_RADII - 1 else 1.0
     _, refined = zoom_max(lambda xs: [measure(float(x)) for x in xs],
-                          lo, hi, _RADIUS_TOL, k=5)
+                          lo, hi, _RADIUS_TOL, k=5, rtol=integral_tol)
     return max(max(vals), refined)
 
 
@@ -367,6 +373,7 @@ def _farthest_pair(xy: np.ndarray):
 
 _POLISH_ROUNDS = 3
 _POLISH_TOL = 1e-10
+_POLISH_RTOL = 1e-14  # a few ulps of the distance
 
 
 def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
@@ -384,10 +391,15 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     angles, and score a window of neighbouring pairs.  Ties go to the least
     (lower sample index, higher sample index) pair.  A hull of fewer than
     3 vertices (collinear or coincident samples) uses the ends along the
-    principal axis instead.  Three rounds of
-    coordinate-wise bracket zoom polish the pair's radii and angles, one
-    grid step either way, down to 1e-10; each zoom round is one evaluate
-    call.  Always a lower bound on the true diameter.  Raises
+    principal axis instead.  Three rounds of coordinate-wise bracket zoom
+    polish the pair's radii and angles, one grid step either way; each
+    zoom stops once a round's distances agree to a few ulps (or its bracket
+    is below 1e-10), and each zoom round is one evaluate call.  Three
+    rounds do not reach the pair's local maximum: on the default grid the
+    result can stay up to ~5e-8 relative short of it, by an amount that
+    depends on which end of the pair moves first.  So this is a lower
+    estimate, not a polished maximum, and a lower bound on the true
+    diameter up to rounding.  Raises
     InvalidParams unless n_radii >= 1 and n_angles >= 1, and when the grid
     is over MAX_GRID_POINTS.
     """
@@ -422,7 +434,8 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
             lo, hi = state[k] - half[k % 2], state[k] + half[k % 2]
             if k % 2 == 0:
                 lo, hi = max(0.0, lo), min(r, hi)
-            x_best, v = zoom_max(lambda xs: dist(k, xs), lo, hi, _POLISH_TOL)
+            x_best, v = zoom_max(lambda xs: dist(k, xs), lo, hi, _POLISH_TOL,
+                                 rtol=_POLISH_RTOL)
             if v > refined:
                 refined = v
                 state[k] = x_best

@@ -81,6 +81,33 @@ def test_diam(tmp_path, capsys):
     assert abs(got - 2.0) <= 1e-9
 
 
+def _readme_tour():
+    # the CLI tour's commands, each with the lines quoted after it
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    block = readme.split("## CLI tour", 1)[1].split("```")[1]
+    tour, argv = {}, None
+    for line in block.splitlines():
+        if line.startswith("$ polyharm "):
+            argv = tuple(line.split()[2:])
+            tour[argv] = []
+        elif line and argv is not None:
+            tour[argv].append(line)
+    return tour
+
+
+@pytest.mark.parametrize("argv", [
+    ("length", "--map", "f2.map", "--sup"),
+    ("derive", "--map", "f2.map", "--z", "0.5"),
+    ("jmetric", "--z", "0.5", "--w", "0.25"),
+])
+def test_readme_tour_output_is_current(argv, f2_map, capsys):
+    quoted = _readme_tour()[argv]
+    assert quoted
+    assert main([f2_map if a == "f2.map" else a for a in argv]) == 0
+    assert capsys.readouterr().out == "".join(ln + "\n" for ln in quoted)
+
+
 # ---- radii ----
 
 

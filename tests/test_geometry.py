@@ -102,6 +102,21 @@ def test_sup_length_interior_maximum_for_two_layers(monkeypatch):
     assert abs(max(seen, key=seen.get) - 1.0 / math.sqrt(3.0)) <= 1e-6
 
 
+def test_sup_length_stops_once_the_lengths_settle(monkeypatch):
+    # F1's length climbs into r = 1: the scan takes 20 radii and the first
+    # zoom round 3 more, after which nothing can change the result
+    calls = []
+    inner = geometry.curve_length
+
+    def counted(F, r, **kw):
+        calls.append(r)
+        return inner(F, r, **kw)
+
+    monkeypatch.setattr(geometry, "curve_length", counted)
+    sup_length(catalog.f1(9))
+    assert len(calls) <= 24
+
+
 def _random_table(rng, p, J):
     a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
     b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
@@ -336,6 +351,20 @@ def test_diameter_monomials():
     for n, c in ((1, 1.0), (2, 0.5), (3, 2.0), (5, 1.25)):
         F = catalog.monomial(1, n, c)
         assert abs(diameter_estimate(F) - 2.0 * c) <= 1e-9
+
+
+def test_diameter_polish_stops_once_the_distances_settle(monkeypatch):
+    # 3 rounds x 4 coordinates of zoom, each stopping within a few ulps
+    calls = []
+    inner = geometry.evaluate
+
+    def counted(F, z):
+        calls.append(np.size(z))
+        return inner(F, z)
+
+    monkeypatch.setattr(geometry, "evaluate", counted)
+    assert abs(diameter_estimate(catalog.f2()) - 6.0) <= 1e-9
+    assert len(calls) <= 80
 
 
 def test_diameter_monotone_in_radius():

@@ -61,6 +61,45 @@ def test_zoom_width_below_float_spacing_terminates():
     assert abs(x - 0.5) <= 1e-15 and v <= 0.0
 
 
+# ---- zoom_max with rtol: stop once the values settle ----
+
+
+def test_zoom_rtol_constant_takes_one_call():
+    calls = []
+
+    def f(xs):
+        calls.append(xs)
+        return np.full(xs.size, 2.5)
+
+    x, v = zoom_max(f, 0.1, 0.7, 1e-12, rtol=1e-14)
+    assert len(calls) == 1 and v == 2.5 and 0.1 <= x <= 0.7
+
+
+def test_zoom_rtol_rise_into_end_takes_one_round():
+    # rule (b): the best is the original hi and the last probes climb into it
+    calls = []
+
+    def f(xs):
+        calls.append(xs)
+        return np.exp(xs)
+
+    x, v = zoom_max(f, 0.1, 0.7, 1e-12, rtol=1e-10)
+    assert len(calls) == 1
+    assert x == 0.7 and v == np.exp(0.7)
+
+
+@pytest.mark.parametrize("peak", [0.3, 0.123456789, 0.6999])
+def test_zoom_rtol_concave_quadratic_value_within_rtol(peak):
+    # peak value 1: rule (a) stops once a round spreads by rtol (1 + 1);
+    # 0.123456789 and 0.6999 lie within one first-round probe spacing of an
+    # end, where the values rise into the end but the parabola through the
+    # last three turns before it, so rule (b) must not stop there
+    rtol = 1e-10
+    x, v = zoom_max(lambda xs: 1.0 - 3.0 * (xs - peak) ** 2, 0.1, 0.7, 1e-12, rtol=rtol)
+    assert 1.0 - 2.0 * rtol <= v <= 1.0
+    assert 0.1 <= x <= 0.7
+
+
 # ---- no polish calls the kernel one point at a time ----
 
 
