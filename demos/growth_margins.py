@@ -16,7 +16,7 @@ from polyharm.certificates import (
     length_coefficient_bounds,
     three_circles_area,
 )
-from polyharm.core import CoefficientTable, PolyharmonicMap
+from polyharm.core import PolyharmonicMap
 from polyharm.geometry import area_series
 
 
@@ -37,7 +37,7 @@ def random_area_cond(rng):
         a[n, 0] = rng.uniform(0.2, 1.0) * np.exp(1j * (base + rng.uniform(-0.6, 0.6)))
     b[0, 0] = 0.5 * abs(a[0, 0])
     b[1, 0] = -0.5 * abs(a[1, 0])
-    return PolyharmonicMap(CoefficientTable(p, 2, a, b), label="random")
+    return PolyharmonicMap(p, 2, a, b, label="random")
 
 
 def main():

@@ -9,7 +9,7 @@ polynomials, and stays under 2 for disk automorphisms.
 import numpy as np
 
 from polyharm import catalog
-from polyharm.core import CoefficientTable, PolyharmonicMap, evaluate, scale_map
+from polyharm.core import PolyharmonicMap, evaluate, scale_map
 from polyharm.metrics import (
     contraction_check,
     harmonic_lipschitz_check,
@@ -23,7 +23,7 @@ def normalized_random_map(rng):
     J = int(rng.integers(1, 5))
     a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
     b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
-    F = PolyharmonicMap(CoefficientTable(p, J, a, b))
+    F = PolyharmonicMap(p, J, a, b)
     total = float(np.sum(np.abs(a)) + np.sum(np.abs(b)))
     return scale_map(F, 1.0 / total)
 
@@ -46,7 +46,7 @@ def main():
         J = int(rng.integers(1, 6))
         a = rng.uniform(-1, 1, (1, J)) + 1j * rng.uniform(-1, 1, (1, J))
         b = rng.uniform(-1, 1, (1, J)) + 1j * rng.uniform(-1, 1, (1, J))
-        F = PolyharmonicMap(CoefficientTable(1, J, a, b))
+        F = PolyharmonicMap(1, J, a, b)
         th = 2.0 * np.pi * np.arange(4096) / 4096
         F = scale_map(F, 0.999 / float(np.abs(evaluate(F, np.exp(1j * th))).max()))
         rep = harmonic_lipschitz_check(F)

@@ -1,9 +1,9 @@
 """Truncated coefficient-table representations of planar polyharmonic
 mappings, with numeric verification of their geometric inequalities."""
 
-from .core import (CoefficientTable, DilatationPair, PolyharmonicMap,
-                   build_map, dilatation, evaluate, jacobian,
-                   quasiregularity_constant, scale_map, wirtinger)
+from .core import (DilatationPair, PolyharmonicMap, build_map, dilatation,
+                   evaluate, jacobian, quasiregularity_constant, scale_map,
+                   wirtinger)
 from .geometry import (area_growth_excess, area_quadrature, area_series,
                        curve_length, diameter_estimate, sup_length)
 from .certificates import (CheckReport, Margin, area_schwarz, arg_condition,
@@ -14,7 +14,7 @@ from .landau import LandauResult, landau_from_diameter, landau_from_length
 from .metrics import (LipschitzReport, contraction_check,
                       harmonic_lipschitz_check, j_metric, mobius_j_distortion,
                       psi_profile)
-from .catalog import BUILTIN_NAMES, Form37Params, builtin, fourgon_coefficients
+from .catalog import BUILTIN_NAMES, Form37Params, builtin
 from .mapspec import MappingSpec, digest, from_map
 from . import errors
 
@@ -24,9 +24,9 @@ __all__ = [
     "__version__",
     "errors",
     # core
-    "CoefficientTable", "DilatationPair", "PolyharmonicMap", "build_map",
-    "dilatation", "evaluate", "jacobian",
-    "quasiregularity_constant", "scale_map", "wirtinger",
+    "DilatationPair", "PolyharmonicMap", "build_map", "dilatation",
+    "evaluate", "jacobian", "quasiregularity_constant", "scale_map",
+    "wirtinger",
     # geometry
     "area_growth_excess", "area_quadrature", "area_series", "curve_length",
     "diameter_estimate", "sup_length",
@@ -40,6 +40,6 @@ __all__ = [
     "LipschitzReport", "contraction_check", "harmonic_lipschitz_check",
     "j_metric", "mobius_j_distortion", "psi_profile",
     # catalog / files
-    "BUILTIN_NAMES", "Form37Params", "builtin", "fourgon_coefficients",
+    "BUILTIN_NAMES", "Form37Params", "builtin",
     "MappingSpec", "digest", "from_map",
 ]

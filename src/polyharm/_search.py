@@ -56,7 +56,7 @@ def zoom_max(f, lo: float, hi: float, tol: float, k: int = 9, rtol: float = 0.0)
 
 
 def bisect_decreasing(phi, lo: float, hi: float, tol: float,
-                      residual_target: float = math.inf):
+                      residual_target: float):
     """Bisection for a decreasing phi with phi(lo) > 0 > phi(hi).
 
     Narrows until the bracket is below ``tol`` and |phi(mid)| is below

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoefficientTable, PolyharmonicMap, check_table_size
+from .core import PolyharmonicMap, check_table_size
 from .errors import MalformedParams, UnknownName
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "linear",
     "monomial",
     "f2",
-    "fourgon_coefficients",
     "f0",
     "f1",
     "Form37Params",
@@ -36,9 +35,8 @@ __all__ = [
 
 
 def identity() -> PolyharmonicMap:
-    table = CoefficientTable(1, 1, np.array([[1.0 + 0.0j]]),
-                             np.zeros((1, 1), dtype=complex))
-    return PolyharmonicMap(table, label="identity")
+    return PolyharmonicMap(1, 1, np.array([[1.0 + 0.0j]]),
+                           np.zeros((1, 1), dtype=complex), label="identity")
 
 
 def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
@@ -47,7 +45,7 @@ def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
     b = np.zeros((1, 1), dtype=complex)
     a[0, 0] = alpha
     b[0, 0] = np.conj(beta)  # stored so conj(b) multiplies conj(z)
-    return PolyharmonicMap(CoefficientTable(1, 1, a, b), label="linear")
+    return PolyharmonicMap(1, 1, a, b, label="linear")
 
 
 def monomial(p: int, j: int, c: complex = 1.0,
@@ -64,14 +62,14 @@ def monomial(p: int, j: int, c: complex = 1.0,
         b[p - 1, j - 1] = np.conj(c)
     else:
         a[p - 1, j - 1] = c
-    return PolyharmonicMap(CoefficientTable(p, j, a, b), label="monomial")
+    return PolyharmonicMap(p, j, a, b, label="monomial")
 
 
 def f2() -> PolyharmonicMap:
     """Three stacked unit layers at the first power: z(1 + |z|^2 + |z|^4)."""
     a = np.ones((3, 1), dtype=complex)
     b = np.zeros((3, 1), dtype=complex)
-    return PolyharmonicMap(CoefficientTable(3, 1, a, b), label="f2")
+    return PolyharmonicMap(3, 1, a, b, label="f2")
 
 
 # ---- square-image series ----
@@ -79,8 +77,8 @@ def f2() -> PolyharmonicMap:
 _FOURGON_SCALE = 2.0 * math.sqrt(2.0) / math.pi
 
 
-def fourgon_coefficients(J: int) -> CoefficientTable:
-    """Single-layer table of the square-image series truncated at power J.
+def f0(J: int = 41) -> PolyharmonicMap:
+    """Single-layer square-image series truncated at power J.
 
     Analytic powers 4k+1 carry (-1)^k / (4k+1), conjugate powers 4k-1
     carry (-1)^(k+1) / (4k-1), both scaled by 2 sqrt(2) / pi.
@@ -98,11 +96,7 @@ def fourgon_coefficients(J: int) -> CoefficientTable:
     while 4 * k - 1 <= J:
         b[0, 4 * k - 2] = _FOURGON_SCALE * (-1.0) ** (k + 1) / (4 * k - 1)
         k += 1
-    return CoefficientTable(1, J, a, b)
-
-
-def f0(J: int = 41) -> PolyharmonicMap:
-    return PolyharmonicMap(fourgon_coefficients(J), label="f0")
+    return PolyharmonicMap(1, J, a, b, label="f0")
 
 
 def f1(J: int = 41) -> PolyharmonicMap:
@@ -111,7 +105,7 @@ def f1(J: int = 41) -> PolyharmonicMap:
     The scale makes the first analytic coefficient exactly one, so the
     smallest directional stretch at the origin is 1.
     """
-    base = fourgon_coefficients(J)
+    base = f0(J)
     check_table_size(2, J, MalformedParams)
     c = math.sqrt(2.0) * math.pi / 4.0
     a = np.zeros((2, J), dtype=complex)
@@ -122,7 +116,7 @@ def f1(J: int = 41) -> PolyharmonicMap:
     # conj(i * conj(w)) = -i * w for the stored conjugate-power entries
     a[1] = 1j * a[0]
     b[1] = -1j * b[0]
-    return PolyharmonicMap(CoefficientTable(2, J, a, b), label="F1")
+    return PolyharmonicMap(2, J, a, b, label="F1")
 
 
 # ---- constant-area-ratio family ----
@@ -225,7 +219,7 @@ def form37(params: Form37Params, k_max: int | None = None) -> PolyharmonicMap:
         # orthogonal in floating point
         a[1, k - 1] = (1j * s) * (w * unit(params.theta, k))
         b[1, k - 1] = (-1j * t) * (w * np.conj(unit(params.phi, k)))
-    return PolyharmonicMap(CoefficientTable(2, k_max, a, b), label="form37")
+    return PolyharmonicMap(2, k_max, a, b, label="form37")
 
 
 # ---- registry ----
@@ -314,14 +308,20 @@ def _mk_form37(params: dict) -> PolyharmonicMap:
     return form37(Form37Params(**kw), k_max)
 
 
+# name -> (maker, one-line description); `polyharm catalog` lists them in
+# this order
 _BUILTIN = {
-    "identity": _mk_identity,
-    "linear": _mk_linear,
-    "monomial": _mk_monomial,
-    "f2": _mk_f2,
-    "f0": _mk_f0,
-    "F1": _mk_f1,
-    "form37": _mk_form37,
+    "identity": (_mk_identity, "single unit coefficient; the map z -> z"),
+    "linear": (_mk_linear, "alpha z + conjugate part beta; params alpha, beta"),
+    "monomial": (_mk_monomial, "c |z|^(2(p-1)) z^j or conjugate variant; "
+                               "params p, j, c, conjugate"),
+    "f2": (_mk_f2, "three stacked unit layers: z (1 + |z|^2 + |z|^4)"),
+    "f0": (_mk_f0, "truncated square-image series; param J (default 41)"),
+    "F1": (_mk_f1, "f0 with a quarter-turn second layer, unit stretch at 0; "
+                   "param J"),
+    "form37": (_mk_form37, "two-layer family with constant S(r)/r^2; params "
+                           "eta, xi, zeta1, zeta2, theta, phi, sign_a, sign_b, "
+                           "k_max"),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTIN))
@@ -333,7 +333,7 @@ def builtin(name: str, params: dict | None = None) -> PolyharmonicMap:
         raise UnknownName("no built-in map named %r (have: %s)"
                           % (name, ", ".join(BUILTIN_NAMES)))
     params = dict(params or {})
-    out = _BUILTIN[name](params)
+    out = _BUILTIN[name][0](params)
     if params:
         raise MalformedParams("unknown parameters for %r: %s"
                               % (name, ", ".join(sorted(map(str, params)))))

@@ -119,8 +119,7 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     """
     if kind not in ("diameter", "length", "area"):
         raise InvalidParams("unknown angle condition kind %r" % (kind,))
-    t = F.table
-    scale = t.max_coefficient()
+    scale = F.max_coefficient()
     cut = ZERO_COEFF_REL * scale
     margins = []
     half = math.pi / 2.0
@@ -128,11 +127,11 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     def live(x):
         return abs(x) > cut
 
-    for j in range(1, t.J + 1):
-        for n1 in range(1, t.p + 1):
-            for n2 in range(n1 + 1, t.p + 1):
-                a1, a2 = t.a[n1 - 1, j - 1], t.a[n2 - 1, j - 1]
-                b1, b2 = t.b[n1 - 1, j - 1], t.b[n2 - 1, j - 1]
+    for j in range(1, F.J + 1):
+        for n1 in range(1, F.p + 1):
+            for n2 in range(n1 + 1, F.p + 1):
+                a1, a2 = F.a[n1 - 1, j - 1], F.a[n2 - 1, j - 1]
+                b1, b2 = F.b[n1 - 1, j - 1], F.b[n2 - 1, j - 1]
                 if live(a1) and live(a2):
                     ang = _pair_angle(a1, a2)
                     cid = "a-pair n1=%d n2=%d j=%d" % (n1, n2, j)
@@ -151,9 +150,9 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
                         # area condition wants the b layers to disagree
                         margins.append(Margin(cid, half, ang, ang - half, ANGLE_TOL))
     if kind == "area":
-        for n in range(1, t.p + 1):
-            for j in range(1, t.J + 1):
-                a, b = t.a[n - 1, j - 1], t.b[n - 1, j - 1]
+        for n in range(1, F.p + 1):
+            for j in range(1, F.J + 1):
+                a, b = F.a[n - 1, j - 1], F.b[n - 1, j - 1]
                 if live(a) or live(b):
                     cid = "modulus n=%d j=%d" % (n, j)
                     margins.append(Margin(cid, abs(b), abs(a), abs(a) - abs(b)))
@@ -169,19 +168,18 @@ def diameter_coefficient_bounds(F: PolyharmonicMap, diam: float) -> CheckReport:
     the image diameter, one margin per power j plus the combined sum."""
     if not (diam > 0.0 and math.isfinite(diam)):
         raise InvalidDiameter("diameter must be positive and finite, got %r" % (diam,))
-    t = F.table
     hyp = arg_condition(F, "diameter")
     if hyp.verdict != "pass":
         return CheckReport(name="diameter-coefficient-bounds",
                            verdict="hypotheses-not-met",
                            extras={"reason": "layer angle condition fails",
                                    "hypothesis": hyp.name})
-    ca = 0.5 * math.sqrt(t.p) * diam
-    cab = 0.5 * math.sqrt(2.0 * t.p) * diam
+    ca = 0.5 * math.sqrt(F.p) * diam
+    cab = 0.5 * math.sqrt(2.0 * F.p) * diam
     margins = []
-    for j in range(1, t.J + 1):
-        sa = float(np.sum(np.abs(t.a[:, j - 1])))
-        sb = float(np.sum(np.abs(t.b[:, j - 1])))
+    for j in range(1, F.J + 1):
+        sa = float(np.sum(np.abs(F.a[:, j - 1])))
+        sb = float(np.sum(np.abs(F.b[:, j - 1])))
         margins.append(Margin("sum|a| j=%d" % j, sa, ca, ca - sa))
         margins.append(Margin("sum|b| j=%d" % j, sb, ca, ca - sb))
         margins.append(Margin("sum|a|+|b| j=%d" % j, sa + sb, cab, cab - (sa + sb)))
@@ -196,7 +194,6 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckR
         raise InvalidParams("quasiregularity constant must be >= 1, got %r" % (K,))
     if not (l1 > 0.0 and math.isfinite(l1)):
         raise InvalidParams("boundary length must be positive, got %r" % (l1,))
-    t = F.table
     hyp = arg_condition(F, "length")
     if hyp.verdict != "pass":
         return CheckReport(name="length-coefficient-bounds",
@@ -204,9 +201,9 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckR
                            extras={"reason": "layer alignment condition fails",
                                    "hypothesis": hyp.name})
     margins = []
-    for n in range(1, t.p + 1):
-        for j in range(1, t.J + 1):
-            lhs = abs(t.a[n - 1, j - 1]) + abs(t.b[n - 1, j - 1])
+    for n in range(1, F.p + 1):
+        for j in range(1, F.J + 1):
+            lhs = abs(F.a[n - 1, j - 1]) + abs(F.b[n - 1, j - 1])
             rhs = K * l1 / (2.0 * math.pi * (n + j - 1))
             margins.append(Margin("|a|+|b| n=%d j=%d" % (n, j), lhs, rhs, rhs - lhs))
     return _report("length-coefficient-bounds", margins,
@@ -275,15 +272,14 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
     and no conjugate-power coefficients); anything else raises NotAnalytic.
     Raises InvalidParams unless 1 <= n_theta <= MAX_GRID_POINTS.
     """
-    t = F.table
-    if t.p != 1 or np.any(t.b != 0):
+    if F.p != 1 or np.any(F.b != 0):
         raise NotAnalytic("three-circles log-convexity needs an analytic map")
     if not (0.0 < r1 < r2 <= 1.0):
         raise InvalidParams("need 0 < r1 < r2 <= 1")
     if n_theta < 1:
         raise InvalidParams("need n_theta >= 1, got %r" % (n_theta,))
     check_grid_size(n_theta, "n_theta")
-    if t.max_coefficient() == 0.0:
+    if F.max_coefficient() == 0.0:
         return CheckReport(name="hadamard-three-circles", verdict="pass",
                            extras={"reason": "zero map"})
     grid = np.linspace(r1, r2, 25)[1:-1]

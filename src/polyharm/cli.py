@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
@@ -23,9 +22,8 @@ from .core import (PolyharmonicMap, build_map, check_grid_size, dilatation,
                    evaluate, jacobian, quasiregularity_constant, wirtinger)
 from .errors import (DegenerateMap, InvalidDiameter, InvalidParams,
                      MalformedParams, MalformedSpec, NoConvergence,
-                     NoSignChange, NotAnalytic, NotDecreasing,
-                     NotHarmonicPolynomial, NotIntoDisk, OutsideDomain,
-                     UnknownName)
+                     NoSignChange, NotAnalytic, NotHarmonicPolynomial,
+                     NotIntoDisk, OutsideDomain, UnknownName)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -33,7 +31,7 @@ EXIT_HNM = 2
 EXIT_USAGE = 3
 EXIT_IO = 4
 
-_HNM_ERRORS = (DegenerateMap, NoSignChange, NotDecreasing, NotAnalytic,
+_HNM_ERRORS = (DegenerateMap, NoSignChange, NotAnalytic,
                NotHarmonicPolynomial, NotIntoDisk)
 _USAGE_ERRORS = (InvalidParams, InvalidDiameter, OutsideDomain)
 _IO_ERRORS = (MalformedSpec, MalformedParams, UnknownName, NoConvergence)
@@ -56,9 +54,7 @@ def _cnum(text: str) -> complex:
 
 
 def _load(path) -> PolyharmonicMap:
-    spec = mapspec.load(path)
-    F = build_map(spec)
-    return F, spec
+    return build_map(mapspec.load(path))
 
 
 def _fmt_c(v: complex) -> str:
@@ -73,14 +69,14 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     v = evaluate(F, args.z)
     print(_fmt_c(v))
     return EXIT_PASS
 
 
 def cmd_derive(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     fz, fzb = wirtinger(F, args.z)
     lam = dilatation(F, args.z)
     print("F_z     = %s" % _fmt_c(fz))
@@ -92,7 +88,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_length(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     if args.sup:
         v = geometry.sup_length(F, integral_tol=args.tol)
         print("sup_length = %.17g" % v)
@@ -105,7 +101,7 @@ def cmd_length(args) -> int:
 
 
 def cmd_area(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     if args.method in ("series", "both"):
         s = geometry.area_series(F, args.r)
         print("S_series = %.17g" % s)
@@ -119,7 +115,7 @@ def cmd_area(args) -> int:
 
 
 def cmd_diam(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     v = geometry.diameter_estimate(F, args.r, n_radii=args.grid,
                                    n_angles=args.theta_samples)
     print("diameter >= %.17g" % v)
@@ -127,7 +123,7 @@ def cmd_diam(args) -> int:
 
 
 def cmd_landau(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     if args.mode == "fourgon":
         for flag in ("alpha", "K", "l1"):
             if getattr(args, flag) is not None:
@@ -161,7 +157,7 @@ def cmd_landau(args) -> int:
 
 
 def cmd_three_circles(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     if args.analytic:
         if args.r2 is None:
             raise _UsageError("--analytic needs --r2")
@@ -183,7 +179,7 @@ def cmd_three_circles(args) -> int:
 
 
 def cmd_schwarz(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     rep = certificates.area_schwarz(F, n_grid=args.grid)
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
@@ -211,26 +207,14 @@ def cmd_jmetric(args) -> int:
 
 
 def cmd_render(args) -> int:
-    F, _ = _load(args.map)
+    F = _load(args.map)
     render_mod.render_svg(F, args.out, rings=args.rings, rays=args.rays,
                           samples=args.samples)
     return EXIT_PASS
 
 
-_CATALOG_HELP = (
-    ("identity", "single unit coefficient; the map z -> z"),
-    ("linear", "alpha z + conjugate part beta; params alpha, beta"),
-    ("monomial", "c |z|^(2(p-1)) z^j or conjugate variant; params p, j, c, conjugate"),
-    ("f2", "three stacked unit layers: z (1 + |z|^2 + |z|^4)"),
-    ("f0", "truncated square-image series; param J (default 41)"),
-    ("F1", "f0 with a quarter-turn second layer, unit stretch at 0; param J"),
-    ("form37", "two-layer family with constant S(r)/r^2; params eta, xi, "
-               "zeta1, zeta2, theta, phi, sign_a, sign_b, k_max"),
-)
-
-
 def cmd_catalog(args) -> int:
-    for name, desc in _CATALOG_HELP:
+    for name, (_, desc) in catalog._BUILTIN.items():
         print("%-9s %s" % (name, desc))
     return EXIT_PASS
 
@@ -239,11 +223,10 @@ def cmd_catalog(args) -> int:
 
 
 def _derived_quantities(F: PolyharmonicMap, args) -> dict:
-    t = F.table
-    coeff_sum = float(np.sum(np.abs(t.a)) + np.sum(np.abs(t.b)))
+    coeff_sum = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
     out = {
-        "p": t.p,
-        "J": t.J,
+        "p": F.p,
+        "J": F.J,
         "coefficient_sum": coeff_sum,
         "alpha_at_zero": float(dilatation(F, 0.0).lambda_small),
         "S_near_boundary": float(geometry.area_series(F, certificates.R_EDGE)),
@@ -268,7 +251,8 @@ def cmd_verify(args) -> int:
                             % (args.grid, args.theta_samples))
     check_grid_size(args.grid, "--grid")
     check_grid_size(args.theta_samples, "--theta-samples")
-    F, spec = _load(args.map)
+    spec = mapspec.load(args.map)
+    F = build_map(spec)
     derived = _derived_quantities(F, args)
     entries = []
 
@@ -317,7 +301,7 @@ def cmd_verify(args) -> int:
         rep = certificates.area_schwarz(F)
         add("conclusion", report.check_to_dict(rep))
 
-    if F.p == 1 and not np.any(F.table.b != 0):
+    if F.p == 1 and not np.any(F.b != 0):
         rep = certificates.hadamard_three_circles(F, 0.3, 0.9)
         add("conclusion", report.check_to_dict(rep))
     else:

@@ -1,7 +1,8 @@
-"""Truncated Almansi coefficient tables and pointwise calculus for planar
-polyharmonic mappings.
+"""Truncated planar polyharmonic mappings and their pointwise calculus.
 
-A table of depth ``p`` and truncation ``J`` represents
+A :class:`PolyharmonicMap` is the one map type of the package: a label and
+the Almansi coefficient arrays ``a``, ``b`` of depth ``p`` and truncation
+``J``, which represent
 
     F(z) = sum_{n=1}^{p} |z|^(2(n-1)) sum_{j=1}^{J}
            ( a[n,j] * z**j + conj(b[n,j]) * conj(z)**j )
@@ -37,7 +38,6 @@ from ._search import zoom_max
 from .errors import DegenerateMap, InvalidParams, MalformedSpec
 
 __all__ = [
-    "CoefficientTable",
     "PolyharmonicMap",
     "DilatationPair",
     "build_map",
@@ -75,26 +75,33 @@ def check_grid_size(points: int, what: str) -> None:
                             % (what, points, MAX_GRID_POINTS, 16 * points))
 
 
+def _check_dims(p, J) -> None:
+    # p and J are checked, the table cap too, before anything is allocated
+    if not isinstance(p, (int, np.integer)) or not isinstance(J, (int, np.integer)):
+        raise MalformedSpec("p and J must be integers")
+    if p < 1 or J < 1:
+        raise MalformedSpec(f"need p >= 1 and J >= 1, got p={p}, J={J}")
+    check_table_size(int(p), int(J))
+
+
 @dataclass(frozen=True)
-class CoefficientTable:
-    """Dense (p x J) coefficient arrays.
+class PolyharmonicMap:
+    """A truncated map: dense (p x J) coefficient arrays and a label.
 
     ``a[n-1, j-1]`` multiplies ``z**j`` inside the ``|z|**(2(n-1))`` block and
     ``conj(b[n-1, j-1])`` multiplies ``conj(z)**j`` there.  Instances are
     immutable: the arrays are copied on construction and flagged read-only.
+    Calling a map evaluates it.
     """
 
     p: int
     J: int
     a: np.ndarray
     b: np.ndarray
+    label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or not isinstance(self.J, (int, np.integer)):
-            raise MalformedSpec("p and J must be integers")
-        if self.p < 1 or self.J < 1:
-            raise MalformedSpec(f"need p >= 1 and J >= 1, got p={self.p}, J={self.J}")
-        check_table_size(int(self.p), int(self.J))
+        _check_dims(self.p, self.J)
         a = np.array(self.a, dtype=np.complex128)
         b = np.array(self.b, dtype=np.complex128)
         shape = (int(self.p), int(self.J))
@@ -111,14 +118,10 @@ class CoefficientTable:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_terms(cls, p: int, J: int, terms) -> "CoefficientTable":
+    def from_terms(cls, p: int, J: int, terms) -> "PolyharmonicMap":
         """Build from an iterable of ``(n, j, a, b)`` entries; omitted entries
         are zero.  Indices are 1-based and must fall inside (p, J)."""
-        if not isinstance(p, (int, np.integer)) or not isinstance(J, (int, np.integer)):
-            raise MalformedSpec("p and J must be integers")
-        if p < 1 or J < 1:
-            raise MalformedSpec(f"need p >= 1 and J >= 1, got p={p}, J={J}")
-        check_table_size(int(p), int(J))
+        _check_dims(p, J)
         A = np.zeros((p, J), dtype=np.complex128)
         B = np.zeros((p, J), dtype=np.complex128)
         for entry in terms:
@@ -137,22 +140,6 @@ class CoefficientTable:
     def max_coefficient(self) -> float:
         """Largest coefficient modulus; the scale used by tolerance rules."""
         return float(max(np.abs(self.a).max(), np.abs(self.b).max()))
-
-
-@dataclass(frozen=True)
-class PolyharmonicMap:
-    """An immutable coefficient table together with a label."""
-
-    table: CoefficientTable
-    label: str = ""
-
-    @property
-    def p(self) -> int:
-        return self.table.p
-
-    @property
-    def J(self) -> int:
-        return self.table.J
 
     def __call__(self, z):
         return evaluate(self, z)
@@ -184,9 +171,8 @@ def build_map(spec) -> PolyharmonicMap:
         return F
     if spec.p is None or spec.J is None:
         raise MalformedSpec("explicit table form needs both p and J")
-    table = CoefficientTable.from_terms(spec.p, spec.J, spec.terms)
-    label = spec.label or f"table(p={table.p},J={table.J})"
-    return PolyharmonicMap(table, label=label)
+    F = PolyharmonicMap.from_terms(spec.p, spec.J, spec.terms)
+    return replace(F, label=spec.label or f"table(p={F.p},J={F.J})")
 
 
 # Complex-by-complex products are formed out of place (acc = acc * w): the
@@ -221,12 +207,11 @@ def _points(z):
 
 def evaluate(F: PolyharmonicMap, z):
     """Value of the truncated series at ``z`` (scalar or ndarray)."""
-    t = F.table
     scalar, zz, zc, s = _points(z)
     out = None
-    for n in range(t.p, 0, -1):
-        h = _horner(t.a[n - 1], zz)
-        h += _horner(np.conj(t.b[n - 1]), zc)
+    for n in range(F.p, 0, -1):
+        h = _horner(F.a[n - 1], zz)
+        h += _horner(np.conj(F.b[n - 1]), zc)
         out = h if out is None else out * s + h
     return complex(out[0]) if scalar else out
 
@@ -234,12 +219,11 @@ def evaluate(F: PolyharmonicMap, z):
 def wirtinger(F: PolyharmonicMap, z):
     """Both Wirtinger derivatives ``(F_z, F_zbar)`` at ``z`` from the
     layer formulas in the module docstring."""
-    t = F.table
     scalar, zz, zc, s = _points(z)
     fz = fzb = g = None
-    for n in range(t.p, 0, -1):
-        a = t.a[n - 1]
-        bc = np.conj(t.b[n - 1])
+    for n in range(F.p, 0, -1):
+        a = F.a[n - 1]
+        bc = np.conj(F.b[n - 1])
         dp = _horner_deriv(a, zz)
         dq = _horner_deriv(bc, zc)
         fz = dp if fz is None else fz * s + dp
@@ -284,13 +268,12 @@ def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
     when frequencies alias (2J + 2 > n_angles), and one inverse FFT per
     circle gives its samples.
     """
-    t = F.table
-    j = np.arange(1, t.J + 1)
-    layer = np.arange(t.p)[:, None]  # n - 1
-    bc = np.conj(t.b)
-    up_a, down_b, up_b, down_a = _collapse(radii, -1, (j + layer) * t.a,
+    j = np.arange(1, F.J + 1)
+    layer = np.arange(F.p)[:, None]  # n - 1
+    bc = np.conj(F.b)
+    up_a, down_b, up_b, down_a = _collapse(radii, -1, (j + layer) * F.a,
                                            layer * bc, (j + layer) * bc,
-                                           layer * t.a)
+                                           layer * F.a)
     fz = np.zeros((up_a.shape[0], n_angles), dtype=np.complex128)
     fzb = np.zeros_like(fz)
     for spec, c, m in ((fz, up_a, j - 1), (fz, down_b, -j - 1),
@@ -333,7 +316,7 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
     below ``1e-12 * (1 + max coefficient)`` at any probed point.  Both
     checks see the whole grid before any zoom.
     """
-    tol_deg = 1e-12 * (1.0 + F.table.max_coefficient())
+    tol_deg = 1e-12 * (1.0 + F.max_coefficient())
     radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
     u = np.exp(1j * th)
@@ -383,6 +366,4 @@ def scale_map(F: PolyharmonicMap, c) -> PolyharmonicMap:
     """The map ``z -> c * F(z)``: scales a by c and b by conj(c) because b is
     stored under conjugation."""
     c = complex(c)
-    t = F.table
-    table = CoefficientTable(t.p, t.J, c * t.a, np.conj(c) * t.b)
-    return PolyharmonicMap(table, label=F.label)
+    return replace(F, a=c * F.a, b=np.conj(c) * F.b)

@@ -53,10 +53,6 @@ class NoSignChange(PolyharmError):
     """The root function never becomes negative on the search bracket."""
 
 
-class NotDecreasing(PolyharmError):
-    """The root function is not strictly decreasing on the check grid."""
-
-
 class OutsideDomain(PolyharmError):
     """A point lies outside the disk the metric is defined on."""
 

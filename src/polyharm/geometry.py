@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import (CoefficientTable, PolyharmonicMap, _collapse, _horner,
-                   check_grid_size, evaluate, wirtinger)
+from .core import (PolyharmonicMap, _collapse, _horner, check_grid_size,
+                   evaluate, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -87,8 +87,7 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
     x, w, to_ends = _panel_rule()
-    t = F.table
-    G = PolyharmonicMap(CoefficientTable(1, t.J, *_collapse([r], 0, t.a, t.b)))
+    G = PolyharmonicMap(1, F.J, *_collapse([r], 0, F.a, F.b))
 
     def panels(left, h):
         # blocks of 2^11 panels (2^14 points) keep the kernel's temporaries
@@ -108,7 +107,7 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
             hidden[k:k + len(u)] = x[0] * h * bend.sum(axis=1)
         return sums, hidden
 
-    n0 = 4 * (t.J + t.p)
+    n0 = 4 * (F.J + F.p)
     h = 2.0 * np.pi / n0
     left = h * np.arange(n0)
     whole, _ = panels(left, h)
@@ -188,17 +187,16 @@ def _area_coefficients(F: PolyharmonicMap) -> np.ndarray:
     2*j*Re(a1*conj(a2) - b1*conj(b2)) across layers.  Moduli are expanded
     as re^2 + im^2 so that exactly mirrored tables cancel exactly.
     """
-    t = F.table
-    j = np.arange(1, t.J + 1)
-    c = np.zeros(2 * t.p + t.J - 2)
-    for n1 in range(1, t.p + 1):
-        for n2 in range(n1, t.p + 1):
-            a1, a2 = t.a[n1 - 1], t.a[n2 - 1]
-            b1, b2 = t.b[n1 - 1], t.b[n2 - 1]
+    j = np.arange(1, F.J + 1)
+    c = np.zeros(2 * F.p + F.J - 2)
+    for n1 in range(1, F.p + 1):
+        for n2 in range(n1, F.p + 1):
+            a1, a2 = F.a[n1 - 1], F.a[n2 - 1]
+            b1, b2 = F.b[n1 - 1], F.b[n2 - 1]
             re_a = a1.real * a2.real + a1.imag * a2.imag
             re_b = b1.real * b2.real + b1.imag * b2.imag
             weight = j if n1 == n2 else 2.0 * j
-            c[n1 + n2 - 2:n1 + n2 - 2 + t.J] += weight * (re_a - re_b)
+            c[n1 + n2 - 2:n1 + n2 - 2 + F.J] += weight * (re_a - re_b)
     return c
 
 

@@ -169,12 +169,11 @@ def digest(spec: MappingSpec) -> str:
 
 def from_map(F) -> MappingSpec:
     """Table-form spec of a map's nonzero entries."""
-    t = F.table
     terms = []
-    for n in range(1, t.p + 1):
-        for j in range(1, t.J + 1):
-            a = complex(t.a[n - 1, j - 1])
-            b = complex(t.b[n - 1, j - 1])
+    for n in range(1, F.p + 1):
+        for j in range(1, F.J + 1):
+            a = complex(F.a[n - 1, j - 1])
+            b = complex(F.b[n - 1, j - 1])
             if a != 0 or b != 0:
                 terms.append((n, j, a, b))
-    return MappingSpec(p=t.p, J=t.J, terms=tuple(terms), label=F.label)
+    return MappingSpec(p=F.p, J=F.J, terms=tuple(terms), label=F.label)

@@ -108,8 +108,7 @@ def contraction_check(F: PolyharmonicMap, M: float,
     if not (math.isfinite(M) and M > 0.0):
         raise InvalidParams("target radius must be positive and finite, got %r"
                             % (M,))
-    t = F.table
-    coeff_sum = float(np.sum(np.abs(t.a)) + np.sum(np.abs(t.b)))
+    coeff_sum = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
     extras = {"coefficient_sum": coeff_sum, "M": M}
     if coeff_sum > M + 1e-12:
         return LipschitzReport(name="j-contraction", verdict="hypotheses-not-met",
@@ -139,10 +138,9 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7,
     if n_boundary < 1:
         raise InvalidParams("need n_boundary >= 1, got %r" % (n_boundary,))
     check_grid_size(n_boundary, "n_boundary")
-    t = F.table
-    if t.p != 1:
-        raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % t.p)
-    live = (np.abs(t.a[0]) > 0) | (np.abs(t.b[0]) > 0)
+    if F.p != 1:
+        raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % F.p)
+    live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
     degree = int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
     th = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
     boundary = np.abs(evaluate(F, np.exp(1j * th)))
@@ -150,8 +148,8 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7,
     if sup_boundary > 1.0 + 1e-9:
         raise NotIntoDisk("boundary modulus reaches %.6g > 1" % sup_boundary)
     bound = 0.5 * degree * math.sqrt(2.0 * degree) * math.pi
-    parseval = float(np.sum(np.abs(t.a[0]) ** 2 + np.abs(t.b[0]) ** 2))
-    coeff_sum = float(np.sum(np.abs(t.a[0]) + np.abs(t.b[0])))
+    parseval = float(np.sum(np.abs(F.a[0]) ** 2 + np.abs(F.b[0]) ** 2))
+    coeff_sum = float(np.sum(np.abs(F.a[0]) + np.abs(F.b[0])))
     z, w = _pairs(seed)
     fz = evaluate(F, z)
     fw = evaluate(F, w)

@@ -9,14 +9,12 @@ analytic side).
 
 import numpy as np
 
-from polyharm.core import CoefficientTable, PolyharmonicMap, evaluate, scale_map
+from polyharm.core import PolyharmonicMap, evaluate, scale_map
 
 
 def conjugate_map(F):
     """The map with the a and b arrays swapped, so that G(z) = conj(F(z))."""
-    t = F.table
-    return PolyharmonicMap(CoefficientTable(t.p, t.J, t.b.copy(), t.a.copy()),
-                           label="conj")
+    return PolyharmonicMap(F.p, F.J, F.b.copy(), F.a.copy(), label="conj")
 
 
 def random_map(rng, p_max=3, J_max=6, scale=1.0):
@@ -28,7 +26,7 @@ def random_map(rng, p_max=3, J_max=6, scale=1.0):
     b[rng.random((p, J)) < 0.2] = 0
     if not np.any(a) and not np.any(b):
         a[0, 0] = 0.5 * scale
-    return PolyharmonicMap(CoefficientTable(p, J, a, b), label="random")
+    return PolyharmonicMap(p, J, a, b, label="random")
 
 
 def random_area_cond_map(rng, p_max=3, J_max=4):
@@ -66,13 +64,12 @@ def random_area_cond_map(rng, p_max=3, J_max=4):
                            * np.exp(1j * ph))
     if not np.any(a):
         a[0, 0] = 0.5
-    return PolyharmonicMap(CoefficientTable(p, J, a, b), label="area-cond")
+    return PolyharmonicMap(p, J, a, b, label="area-cond")
 
 
 def random_sum_normalized(rng, target=1.0, p_max=3, J_max=5):
     F = random_map(rng, p_max=p_max, J_max=J_max)
-    t = F.table
-    total = float(np.sum(np.abs(t.a)) + np.sum(np.abs(t.b)))
+    total = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
     return scale_map(F, target / total)
 
 
@@ -84,7 +81,7 @@ def random_harmonic_poly(rng, J_max=5, boundary_target=0.999, n_grid=4096):
     b[rng.random((1, J)) < 0.3] = 0
     if not np.any(a) and not np.any(b):
         a[0, 0] = 0.5
-    F = PolyharmonicMap(CoefficientTable(1, J, a, b), label="harmonic")
+    F = PolyharmonicMap(1, J, a, b, label="harmonic")
     th = 2.0 * np.pi * np.arange(n_grid) / n_grid
     sup = float(np.abs(evaluate(F, np.exp(1j * th))).max())
     return scale_map(F, boundary_target / sup)
@@ -97,7 +94,7 @@ def coefficient_sum_counterexample():
     a = np.array([[0.26, 0.25j]], dtype=complex)
     # stored entries act through their conjugates on the conjugate powers
     b = np.array([[0.25, 0.25j]], dtype=complex)
-    return PolyharmonicMap(CoefficientTable(1, 2, a, b), label="sum-1.01")
+    return PolyharmonicMap(1, 2, a, b, label="sum-1.01")
 
 
 def random_analytic_poly(rng, J_max=4, min_terms=2):
@@ -109,5 +106,5 @@ def random_analytic_poly(rng, J_max=4, min_terms=2):
     for j in cols:
         mag = rng.uniform(0.1, 1.0)
         a[0, j] = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return PolyharmonicMap(CoefficientTable(1, J, a, np.zeros_like(a)),
+    return PolyharmonicMap(1, J, a, np.zeros_like(a),
                            label="analytic")

@@ -242,8 +242,8 @@ def test_criterion_11_cli_round_trip_and_exit_codes(tmp_path, capsys):
         again = mapspec.load(path)
         assert again == spec
         G = build_map(again)
-        assert np.array_equal(G.table.a, F.table.a)
-        assert np.array_equal(G.table.b, F.table.b)
+        assert np.array_equal(G.a, F.a)
+        assert np.array_equal(G.b, F.b)
 
         f2_path = tmp_path / "f2.map"
         mapspec.dump(mapspec.loads('{"builtin": "f2"}'), f2_path)

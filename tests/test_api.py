@@ -1,0 +1,122 @@
+"""What other code and the README rely on: the package's exports, the
+functions the benchmark tracer wraps, and the values README's Python
+examples quote.
+
+A stale ``__all__`` entry breaks ``from polyharm import *``.  A renamed
+function that bench/tracer.py wraps breaks every traced benchmark run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import math
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import polyharm
+from polyharm import catalog
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(polyharm.__path__)
+                    if m.name != "__main__")  # importing it runs the tool
+
+
+def test_package_exports_resolve():
+    missing = [name for name in polyharm.__all__ if not hasattr(polyharm, name)]
+    assert missing == []
+    namespace = {}
+    exec("from polyharm import *", namespace)
+    assert set(polyharm.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_exports_resolve(module):
+    mod = importlib.import_module("polyharm." + module)
+    missing = [name for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert missing == []
+
+
+def _tracer(monkeypatch):
+    # loaded from its file without writing bytecode next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_functions_exist(monkeypatch):
+    wrapped = _tracer(monkeypatch).WRAPPED
+    missing = []
+    for module, names in wrapped.items():
+        mod = importlib.import_module("polyharm." + module)
+        missing += ["%s.%s" % (module, name) for name in names
+                    if not callable(getattr(mod, name, None))]
+    assert missing == []
+    # the tracer counts wirtinger work as points * F.p * F.J
+    F = catalog.f2()
+    assert (F.p, F.J) == (3, 1)
+
+
+# ---- README's Python examples ----
+
+# every expression line of README's ```python blocks that carries a comment:
+# how the comment begins, and the value it stands for (None: prose, not a
+# value, so the line only has to run)
+README_VALUES = {
+    "F(0.5)": ("(0.65625+0j)", 0.65625),
+    "wirtinger(F, 0.5)": ("((1.6875+0j), (0.375+0j))", (1.6875, 0.375)),
+    "quasiregularity_constant(F)": ("3.0", 3.0),
+    "curve_length(F, 0.5)": ("pi * 1.3125", math.pi * 1.3125),
+    "sup_length(F)": ("6 pi", 6.0 * math.pi),
+    "area_series(F, 0.9)": ("exact coefficient series", None),
+    "area_quadrature(F, 0.9)": ("Gauss-Legendre x trapezoid", None),
+    "res.r_univ, res.rho_cover": ("(0.5, 1 - log 2)", (0.5, 1.0 - math.log(2.0))),
+    "rep.verdict": ('"pass"', "pass"),
+    "rep.worst().slack": ("3 sqrt(3) - 3", 3.0 * math.sqrt(3.0) - 3.0),
+}
+
+
+def _run_readme_examples():
+    # runs the blocks in order in one namespace; returns each commented
+    # expression's (comment, value)
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace, seen = {}, {}
+    for block in blocks:
+        lines = block.splitlines()
+        for node in ast.parse(block).body:
+            source = ast.get_source_segment(block, node)
+            line = lines[node.end_lineno - 1]
+            if isinstance(node, ast.Expr) and "#" in line:
+                value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                             namespace)
+                seen[source] = (line.split("#", 1)[1].strip(), value)
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    return seen
+
+
+def _close(value, expected):
+    if isinstance(expected, tuple):
+        return len(value) == len(expected) and all(map(_close, value, expected))
+    if isinstance(expected, str):
+        return value == expected
+    if isinstance(value, complex):
+        return value == expected  # dyadic values, exact in floating point
+    return abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_readme_examples_show_current_values():
+    seen = _run_readme_examples()
+    assert set(seen) == set(README_VALUES)
+    for source, (comment, value) in seen.items():
+        quoted, expected = README_VALUES[source]
+        assert comment.startswith(quoted), source
+        assert expected is None or _close(value, expected), (source, value)

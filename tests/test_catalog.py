@@ -12,7 +12,6 @@ from polyharm.catalog import (
     f1,
     f2,
     form37,
-    fourgon_coefficients,
     identity,
     linear,
     monomial,
@@ -28,14 +27,14 @@ _SCALE = 2.0 * math.sqrt(2.0) / math.pi
 
 
 def test_identity_table():
-    t = identity().table
-    assert t.p == 1 and t.J == 1
-    assert t.a[0, 0] == 1.0 and t.b[0, 0] == 0.0
+    F = identity()
+    assert F.p == 1 and F.J == 1
+    assert F.a[0, 0] == 1.0 and F.b[0, 0] == 0.0
 
 
 def test_linear_stores_conjugated_entry():
     F = linear(2.0, 0.5 - 0.25j)
-    assert F.table.b[0, 0] == 0.5 + 0.25j  # acts through its conjugate
+    assert F.b[0, 0] == 0.5 + 0.25j  # acts through its conjugate
     z = 0.3 + 0.8j
     assert evaluate(F, z) == 2.0 * z + (0.5 - 0.25j) * np.conj(z)
 
@@ -58,18 +57,19 @@ def test_monomial_validation():
 
 
 def test_f2_is_unit_chain():
-    t = f2().table
-    assert t.p == 3 and t.J == 1
-    assert np.all(t.a == 1.0) and np.all(t.b == 0.0)
+    F = f2()
+    assert F.p == 3 and F.J == 1
+    assert np.all(F.a == 1.0) and np.all(F.b == 0.0)
 
 
 # ---- square-image truncations ----
 
 
 def test_fourgon_coefficient_pattern():
-    t = fourgon_coefficients(13)
-    live_a = {j + 1: t.a[0, j] for j in range(13) if t.a[0, j] != 0}
-    live_b = {j + 1: t.b[0, j] for j in range(13) if t.b[0, j] != 0}
+    F = f0(13)
+    assert F.p == 1 and F.label == "f0"
+    live_a = {j + 1: F.a[0, j] for j in range(13) if F.a[0, j] != 0}
+    live_b = {j + 1: F.b[0, j] for j in range(13) if F.b[0, j] != 0}
     assert set(live_a) == {1, 5, 9, 13}
     assert set(live_b) == {3, 7, 11}
     assert live_a[1] == _SCALE
@@ -80,12 +80,12 @@ def test_fourgon_coefficient_pattern():
 
 
 def test_fourgon_edges():
-    t1 = fourgon_coefficients(1)
-    assert t1.a[0, 0] == _SCALE and np.all(t1.b == 0)
-    t3 = fourgon_coefficients(3)
-    assert t3.b[0, 2] == _SCALE / 3.0
+    F1 = f0(1)
+    assert F1.a[0, 0] == _SCALE and np.all(F1.b == 0)
+    F3 = f0(3)
+    assert F3.b[0, 2] == _SCALE / 3.0
     with pytest.raises(MalformedParams):
-        fourgon_coefficients(0)
+        f0(0)
 
 
 def test_f0_vertex_value():
@@ -100,13 +100,12 @@ def test_f0_vertex_value():
 
 def test_f1_rows_are_exact_quarter_turns():
     F = f1()
-    t = F.table
-    assert t.p == 2 and F.label == "F1"
-    assert np.array_equal(t.a[1], 1j * t.a[0])
-    assert np.array_equal(t.b[1], -1j * t.b[0])
+    assert F.p == 2 and F.label == "F1"
+    assert np.array_equal(F.a[1], 1j * F.a[0])
+    assert np.array_equal(F.b[1], -1j * F.b[0])
     c = math.sqrt(2.0) * math.pi / 4.0
-    assert abs(t.a[0, 0] - c * _SCALE) == 0.0
-    assert abs(t.a[0, 0] - 1.0) <= 4e-16
+    assert abs(F.a[0, 0] - c * _SCALE) == 0.0
+    assert abs(F.a[0, 0] - 1.0) <= 4e-16
 
 
 def test_f1_origin_stretch():
@@ -130,10 +129,9 @@ def test_f1_is_lifted_f0():
 
 def test_form37_default_instance():
     F = form37(Form37Params(eta=1.0, zeta2={1: 1.0}))
-    t = F.table
-    assert t.p == 2 and t.J == 1
-    assert t.a[0, 0] == 1.0 and t.a[1, 0] == 1j
-    assert t.b[0, 0] == 0.0 and t.b[1, 0] == -1j
+    assert F.p == 2 and F.J == 1
+    assert F.a[0, 0] == 1.0 and F.a[1, 0] == 1j
+    assert F.b[0, 0] == 0.0 and F.b[1, 0] == -1j
     z = 0.4 + 0.2j
     want = z + 1j * abs(z) ** 2 * (z + np.conj(z))
     assert abs(evaluate(F, z) - want) <= 1e-16
@@ -153,7 +151,7 @@ def test_builtin_table_over_the_cap_is_malformed_params(make):
 
 def test_form37_pads_to_k_max():
     F = form37(Form37Params(eta=1.0, zeta2={1: 1.0}), k_max=5)
-    assert F.table.J == 5
+    assert F.J == 5
     with pytest.raises(MalformedParams):
         form37(Form37Params(eta=1.0, zeta2={3: 1.0}), k_max=2)
 
@@ -212,7 +210,7 @@ def test_builtin_dispatch():
     G = builtin("monomial", {"p": 1, "j": 2, "c": [0.5, 0.0]})
     assert evaluate(G, 2.0) == 2.0
     H = builtin("form37", {"eta": 1.0, "zeta2": {"1": 1.0}})
-    assert H.table.a[1, 0] == 1j
+    assert H.a[1, 0] == 1j
 
 
 def test_builtin_rejects_unknown():

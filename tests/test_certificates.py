@@ -13,7 +13,7 @@ from polyharm.certificates import (
     length_coefficient_bounds,
     three_circles_area,
 )
-from polyharm.core import CoefficientTable, PolyharmonicMap, evaluate
+from polyharm.core import PolyharmonicMap, evaluate
 from polyharm.errors import InvalidDiameter, InvalidParams, NotAnalytic
 from polyharm.geometry import area_series, diameter_estimate
 
@@ -21,7 +21,7 @@ from _gen import random_analytic_poly, random_area_cond_map
 
 
 def _table(p, J, terms):
-    return PolyharmonicMap(CoefficientTable.from_terms(p, J, terms))
+    return PolyharmonicMap.from_terms(p, J, terms)
 
 
 _MISALIGNED = _table(2, 1, [(1, 1, 1.0, 0.0), (2, 1, -1.0, 0.0)])  # a-pair at pi

@@ -8,6 +8,7 @@ import pytest
 
 import polyharm
 from polyharm import mapspec
+from polyharm.catalog import BUILTIN_NAMES
 from polyharm.cli import main
 
 
@@ -184,6 +185,9 @@ def test_catalog_listing(capsys):
     out = capsys.readouterr().out
     for name in ("identity", "linear", "monomial", "f2", "f0", "F1", "form37"):
         assert name in out
+    # one builtin per line, each listed once, and every builtin listed
+    names = [line.split()[0] for line in out.splitlines()]
+    assert sorted(names) == list(BUILTIN_NAMES)
 
 
 # ---- verify ----

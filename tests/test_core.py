@@ -10,7 +10,6 @@ from polyharm import catalog
 from polyharm._search import zoom_max
 from polyharm.core import (
     MAX_TABLE_ENTRIES,
-    CoefficientTable,
     PolyharmonicMap,
     build_map,
     dilatation,
@@ -37,54 +36,54 @@ def _fd_wirtinger(F, z, h=1e-5):
 
 
 def test_table_shape_and_freeze():
-    t = CoefficientTable(2, 3, np.zeros((2, 3), complex), np.zeros((2, 3), complex))
-    assert t.p == 2 and t.J == 3
+    F = PolyharmonicMap(2, 3, np.zeros((2, 3), complex), np.zeros((2, 3), complex))
+    assert F.p == 2 and F.J == 3 and F.label == ""
     with pytest.raises(Exception):
-        t.a[0, 0] = 1.0  # arrays are read-only
+        F.a[0, 0] = 1.0  # arrays are read-only
 
 
 def test_table_rejects_bad_shapes():
     with pytest.raises(MalformedSpec):
-        CoefficientTable(0, 1, np.zeros((0, 1), complex), np.zeros((0, 1), complex))
+        PolyharmonicMap(0, 1, np.zeros((0, 1), complex), np.zeros((0, 1), complex))
     with pytest.raises(MalformedSpec):
-        CoefficientTable(2, 2, np.zeros((2, 1), complex), np.zeros((2, 2), complex))
+        PolyharmonicMap(2, 2, np.zeros((2, 1), complex), np.zeros((2, 2), complex))
     bad = np.zeros((1, 1), complex)
     bad[0, 0] = np.nan
     with pytest.raises(MalformedSpec):
-        CoefficientTable(1, 1, bad, np.zeros((1, 1), complex))
+        PolyharmonicMap(1, 1, bad, np.zeros((1, 1), complex))
 
 
 def test_from_terms_round_trip():
-    t = CoefficientTable.from_terms(2, 2, [(1, 1, 1 + 2j, 0), (2, 2, 0, 3 - 1j)])
-    assert t.a[0, 0] == 1 + 2j
-    assert t.b[1, 1] == 3 - 1j
-    assert t.a[1, 1] == 0 and t.b[0, 0] == 0
+    F = PolyharmonicMap.from_terms(2, 2, [(1, 1, 1 + 2j, 0), (2, 2, 0, 3 - 1j)])
+    assert F.a[0, 0] == 1 + 2j
+    assert F.b[1, 1] == 3 - 1j
+    assert F.a[1, 1] == 0 and F.b[0, 0] == 0
 
 
 def test_from_terms_rejects_bad_indices():
     with pytest.raises(MalformedSpec):
-        CoefficientTable.from_terms(1, 1, [(2, 1, 1.0, 0.0)])
+        PolyharmonicMap.from_terms(1, 1, [(2, 1, 1.0, 0.0)])
     with pytest.raises(MalformedSpec):
-        CoefficientTable.from_terms(1, 1, [(1, 0, 1.0, 0.0)])
+        PolyharmonicMap.from_terms(1, 1, [(1, 0, 1.0, 0.0)])
     with pytest.raises(MalformedSpec):
-        CoefficientTable.from_terms(1, 1, [(1.5, 1, 1.0, 0.0)])
+        PolyharmonicMap.from_terms(1, 1, [(1.5, 1, 1.0, 0.0)])
 
 
 def test_table_size_is_capped_before_allocation():
     # a table one entry over the cap is refused on its p and J alone
     with pytest.raises(MalformedSpec, match=r"has 4097 entries.* 131104 bytes"):
-        CoefficientTable.from_terms(17, 241, [])
+        PolyharmonicMap.from_terms(17, 241, [])
     with pytest.raises(MalformedSpec, match="100000000000 entries"):
-        CoefficientTable.from_terms(1, 10 ** 11, [])
+        PolyharmonicMap.from_terms(1, 10 ** 11, [])
     with pytest.raises(MalformedSpec, match="over the cap"):
-        CoefficientTable(1, MAX_TABLE_ENTRIES + 1, np.zeros((1, 1), complex),
+        PolyharmonicMap(1, MAX_TABLE_ENTRIES + 1, np.zeros((1, 1), complex),
                          np.zeros((1, 1), complex))
-    assert CoefficientTable.from_terms(1, MAX_TABLE_ENTRIES, []).J == MAX_TABLE_ENTRIES
+    assert PolyharmonicMap.from_terms(1, MAX_TABLE_ENTRIES, []).J == MAX_TABLE_ENTRIES
 
 
 def test_max_coefficient():
-    t = CoefficientTable.from_terms(1, 2, [(1, 1, 3 + 4j, 0), (1, 2, 0, 1.0)])
-    assert t.max_coefficient() == 5.0
+    F = PolyharmonicMap.from_terms(1, 2, [(1, 1, 3 + 4j, 0), (1, 2, 0, 1.0)])
+    assert F.max_coefficient() == 5.0
 
 
 # ---- evaluation ----
@@ -128,14 +127,13 @@ def test_evaluate_matches_naive_reversed_sum():
     rng = np.random.default_rng(5)
     for _ in range(20):
         F = random_map(rng)
-        t = F.table
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         acc = 0.0 + 0.0j
-        for n in range(t.p, 0, -1):
-            for j in range(t.J, 0, -1):
+        for n in range(F.p, 0, -1):
+            for j in range(F.J, 0, -1):
                 w = (abs(z) ** 2) ** (n - 1)
-                acc += w * (t.a[n - 1, j - 1] * z**j
-                            + np.conj(t.b[n - 1, j - 1]) * np.conj(z) ** j)
+                acc += w * (F.a[n - 1, j - 1] * z**j
+                            + np.conj(F.b[n - 1, j - 1]) * np.conj(z) ** j)
         ref = evaluate(F, z)
         assert abs(acc - ref) <= 1e-13 * (1.0 + abs(ref))
 
@@ -165,13 +163,12 @@ def _termwise_wirtinger(F, z):
     #   d/dz:    (n+j-1) a z^(n+j-2) zbar^(n-1) + (n-1) conj(b) z^(n-2) zbar^(n+j-1)
     #   d/dzbar: (n-1) a z^(n+j-1) zbar^(n-2) + (n+j-1) conj(b) z^(n-1) zbar^(n+j-2)
     # the (n-1) factors vanish exactly where an exponent would go negative
-    t = F.table
     zb = z.conjugate()
     fz = fzb = 0j
-    for n in range(1, t.p + 1):
-        for j in range(1, t.J + 1):
-            a = complex(t.a[n - 1, j - 1])
-            bc = complex(t.b[n - 1, j - 1]).conjugate()
+    for n in range(1, F.p + 1):
+        for j in range(1, F.J + 1):
+            a = complex(F.a[n - 1, j - 1])
+            bc = complex(F.b[n - 1, j - 1]).conjugate()
             fz += (n + j - 1) * a * z ** (n + j - 2) * zb ** (n - 1)
             fzb += (n + j - 1) * bc * z ** (n - 1) * zb ** (n + j - 2)
             if n >= 2:
@@ -235,7 +232,7 @@ def polyharmonic_residual(F, z, h, order=None):
 
     Exact polyharmonicity makes this O(h^2) as h -> 0.
     """
-    times = F.table.p if order is None else int(order)
+    times = F.p if order is None else int(order)
 
     def laplacian(g):
         def out(w):
@@ -258,14 +255,13 @@ def test_residual_small_for_true_tables():
         F = random_map(rng, p_max=2, J_max=3)
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
         res = polyharmonic_residual(F, z, 1e-2)
-        scale = 1.0 + F.table.max_coefficient()
+        scale = 1.0 + F.max_coefficient()
         assert abs(res) <= 1e-3 * scale
 
 
 def test_residual_second_order_convergence():
     # pure truncation error, so halving h divides the residual by about 4
-    t = CoefficientTable.from_terms(1, 6, [(1, 6, 1.0, 0.0)])
-    F = PolyharmonicMap(t)
+    F = PolyharmonicMap.from_terms(1, 6, [(1, 6, 1.0, 0.0)])
     z = 0.3 + 0.2j
     r1 = abs(polyharmonic_residual(F, z, 1e-2))
     r2 = abs(polyharmonic_residual(F, z, 5e-3))
@@ -334,7 +330,7 @@ def _seeded_table(p, J, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
     b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
-    return PolyharmonicMap(CoefficientTable(p, J, a, b))
+    return PolyharmonicMap(p, J, a, b)
 
 
 @pytest.mark.parametrize("J", [1, 8, 300])
@@ -349,9 +345,8 @@ def test_ring_wirtinger_matches_pointwise(p, J):
     z = radii[:, None] * np.exp(2j * np.pi * np.arange(n) / n)[None, :]
     wz, wzb = wirtinger(F, z)
     # the coefficient sum of the derivative series, which bounds |F_z|
-    t = F.table
     weight = np.arange(1, J + 1)[None, :] + np.arange(p)[:, None]
-    scale = float(np.sum(weight * (np.abs(t.a) + np.abs(t.b))))
+    scale = float(np.sum(weight * (np.abs(F.a) + np.abs(F.b))))
     assert np.abs(fz - wz).max() <= 1e-13 * scale
     assert np.abs(fzb - wzb).max() <= 1e-13 * scale
 
@@ -380,13 +375,13 @@ def _pointwise_grid_K(F):
 def test_quasiregularity_matches_pointwise_grid_oracle():
     rng = np.random.default_rng(41)
     for _ in range(12):
-        t = random_map(rng, p_max=3, J_max=6).table
+        G = random_map(rng, p_max=3, J_max=6)
         # a first power that outweighs every other derivative term keeps
         # the Jacobian positive, so K is finite
-        weight = np.arange(1, t.J + 1)[None, :] + np.arange(t.p)[:, None]
-        a = t.a.copy()
-        a[0, 0] = 1.0 + np.sum(weight * (np.abs(t.a) + np.abs(t.b)))
-        F = PolyharmonicMap(CoefficientTable(t.p, t.J, a, t.b))
+        weight = np.arange(1, G.J + 1)[None, :] + np.arange(G.p)[:, None]
+        a = G.a.copy()
+        a[0, 0] = 1.0 + np.sum(weight * (np.abs(G.a) + np.abs(G.b)))
+        F = PolyharmonicMap(G.p, G.J, a, G.b)
         expected = _pointwise_grid_K(F)
         assert abs(quasiregularity_constant(F) - expected) <= 1e-12 * expected
 

@@ -7,8 +7,7 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from polyharm import catalog, geometry
-from polyharm.core import (CoefficientTable, PolyharmonicMap, evaluate, scale_map,
-                           wirtinger)
+from polyharm.core import PolyharmonicMap, evaluate, scale_map, wirtinger
 from polyharm.errors import NoConvergence
 from polyharm.geometry import (
     area_growth_excess,
@@ -88,7 +87,7 @@ def test_sup_length_integrates_no_radius_twice(monkeypatch):
 def test_sup_length_interior_maximum_for_two_layers(monkeypatch):
     # z - |z|^2 z has length 2 pi r (1 - r^2): zero at r = 1 and largest at
     # r = 1/sqrt(3), which is why two or more layers keep the radius scan
-    F = PolyharmonicMap(CoefficientTable(2, 1, [[1.0], [-1.0]], [[0.0], [0.0]]))
+    F = PolyharmonicMap(2, 1, [[1.0], [-1.0]], [[0.0], [0.0]])
     assert curve_length(F, 1.0) == 0.0
     seen = {}
     inner = geometry.curve_length
@@ -120,7 +119,7 @@ def test_sup_length_stops_once_the_lengths_settle(monkeypatch):
 def _random_table(rng, p, J):
     a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
     b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
-    return PolyharmonicMap(CoefficientTable(p, J, a, b))
+    return PolyharmonicMap(p, J, a, b)
 
 
 def test_length_collapse_matches_fft_oracle():
@@ -205,12 +204,11 @@ def test_length_no_convergence():
 def _fft_length(F, r, n=1 << 22):
     # periodic trapezoid rule on n points; on |z| = r the angular derivative
     # has coefficient i j A_j(r) at frequency j and -i j B_j(r) at -j
-    t = F.table
-    powers = r ** (2 * np.arange(t.p)[:, None] + np.arange(1, t.J + 1)[None, :])
-    j = np.arange(1, t.J + 1)
+    powers = r ** (2 * np.arange(F.p)[:, None] + np.arange(1, F.J + 1)[None, :])
+    j = np.arange(1, F.J + 1)
     spec = np.zeros(n, dtype=complex)
-    spec[j] += 1j * j * (t.a * powers).sum(axis=0)
-    spec[n - j] -= 1j * j * (np.conj(t.b) * powers).sum(axis=0)
+    spec[j] += 1j * j * (F.a * powers).sum(axis=0)
+    spec[n - j] -= 1j * j * (np.conj(F.b) * powers).sum(axis=0)
     return float(np.abs(np.fft.ifft(spec)).sum()) * 2.0 * math.pi
 
 

@@ -70,8 +70,8 @@ def test_dump_load_round_trip_exact(tmp_path):
         again = mapspec.load(path)
         assert again == spec
         G = build_map(again)
-        assert np.array_equal(G.table.a, F.table.a)
-        assert np.array_equal(G.table.b, F.table.b)
+        assert np.array_equal(G.a, F.a)
+        assert np.array_equal(G.b, F.b)
 
 
 def test_round_trip_keeps_awkward_floats():
