@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import zoom_max
-from .core import PolyharmonicMap, check_grid_size, evaluate
+from .core import PolyharmonicMap, check_grid_size, evaluate, ring_values
 from .errors import InvalidDiameter, InvalidParams, NotAnalytic
 from .geometry import area_growth_excess, area_series
 
@@ -77,17 +77,12 @@ def _verdict(margins) -> str:
 
 def _witnesses(margins) -> tuple:
     # every failing margin and the smallest slack, at most 16 of them
-    if not margins:
-        return ()
     order = sorted(range(len(margins)), key=lambda i: margins[i].slack)
     picked = [i for i in order if margins[i].slack < -margins[i].tol]
     if order and order[0] not in picked:
         picked.append(order[0])
-    out = []
-    for i in picked[:16]:
-        m = margins[i]
-        out.append({"check_id": m.check_id, "slack": m.slack})
-    return tuple(out)
+    return tuple({"check_id": margins[i].check_id, "slack": margins[i].slack}
+                 for i in picked[:16])
 
 
 def _report(name, margins, extras=None):
@@ -253,12 +248,11 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
 
 
 def _circle_log_max(F: PolyharmonicMap, r: float, n_theta: int) -> float:
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    vals = np.abs(evaluate(F, r * np.exp(1j * th)))
+    vals = np.abs(ring_values(F, [r], n_theta)[0])
     i0 = int(np.argmax(vals))
-    d_th = 2.0 * np.pi / n_theta
+    th0, d_th = 2.0 * np.pi * i0 / n_theta, 2.0 * np.pi / n_theta
     _, v = zoom_max(lambda xs: np.abs(evaluate(F, r * np.exp(1j * xs))),
-                    float(th[i0] - d_th), float(th[i0] + d_th), tol=1e-12)
+                    th0 - d_th, th0 + d_th, tol=1e-12)
     return math.log(max(float(vals[i0]), v))
 
 

@@ -17,16 +17,15 @@ and its Wirtinger derivatives are
     F_z    = sum_n s^(n-1) P_n'(z)    + zbar * G
     F_zbar = sum_n s^(n-1) Q*_n'(zbar) + z * G,   G = sum_{n>=2} (n-1) s^(n-2) H_n.
 
-Every sum is evaluated by Horner's rule: in z (or zbar) within a layer and
-in s across layers, so a call holds a handful of len(z)-sized temporaries
-whatever p and J are.  :func:`evaluate` runs only the value chains.  The
-order of operations is fixed and elementwise, so a scalar call returns
-exactly the bits of the matching entry of an array call.
-
-On a circle |z| = r the factor s is the constant r^2, so the layers fold
-into one trigonometric series per circle.  :func:`ring_wirtinger` takes
-both derivatives at n equispaced points of each circle from that series
-with one inverse FFT; :func:`wirtinger` serves scattered points.
+There are two kernels, one per access pattern.  At scattered points,
+:func:`evaluate` and :func:`wirtinger` take every sum by Horner's rule: in z
+(or zbar) within a layer and in s across layers, so a call holds a handful
+of len(z)-sized temporaries whatever p and J are.  The order of operations
+is fixed and elementwise, so a scalar call returns exactly the bits of the
+matching entry of an array call.  On a circle |z| = r the factor s is the
+constant r^2, so the layers fold into one trigonometric series per circle;
+:func:`ring_values` and :func:`ring_wirtinger` take F and both derivatives
+at n equispaced points of each circle from it with one inverse FFT.
 """
 from __future__ import annotations
 
@@ -43,6 +42,7 @@ __all__ = [
     "build_map",
     "evaluate",
     "wirtinger",
+    "ring_values",
     "ring_wirtinger",
     "jacobian",
     "dilatation",
@@ -255,6 +255,30 @@ def _collapse(r, shift, *tables):
     return out
 
 
+def _ring_samples(radii, n_angles, shift, *outputs):
+    # one (len(radii), n_angles) array per output, each a list of (table,
+    # frequencies) pairs folded as ring_wirtinger describes; circles go in
+    # blocks of ~2^14 entries so _collapse's tables stay small for any J
+    radii = np.asarray(radii, dtype=float).ravel()
+    tables = [M for terms in outputs for M, _ in terms]
+    rows = max(1, (1 << 14) // max(n_angles, tables[0].shape[1]))
+    specs = [np.zeros((radii.size, n_angles), dtype=np.complex128) for _ in outputs]
+    for k in range(0, radii.size, rows):
+        coeffs = iter(_collapse(radii[k:k + rows], shift, *tables))
+        for spec, terms in zip(specs, outputs):
+            for _, m in terms:
+                np.add.at(spec[k:k + rows], (slice(None), m % n_angles), next(coeffs))
+    return [np.fft.ifft(spec, axis=1, norm="forward") for spec in specs]
+
+
+def ring_values(F: PolyharmonicMap, radii, n_angles: int):
+    """F at the points of :func:`ring_wirtinger`, as a (len(radii), n_angles)
+    array: on |z| = r, F has sum_n a[n,j] r^(2n+j-2) at frequency j and
+    sum_n conj(b[n,j]) r^(2n+j-2) at -j."""
+    j = np.arange(1, F.J + 1)
+    return _ring_samples(radii, n_angles, 0, [(F.a, j), (np.conj(F.b), -j)])[0]
+
+
 def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
     """``(F_z, F_zbar)`` at ``radii[i] * exp(2 pi i k / n_angles)`` for
     k = 0..n_angles-1, as two (len(radii), n_angles) arrays.
@@ -271,16 +295,9 @@ def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
     j = np.arange(1, F.J + 1)
     layer = np.arange(F.p)[:, None]  # n - 1
     bc = np.conj(F.b)
-    up_a, down_b, up_b, down_a = _collapse(radii, -1, (j + layer) * F.a,
-                                           layer * bc, (j + layer) * bc,
-                                           layer * F.a)
-    fz = np.zeros((up_a.shape[0], n_angles), dtype=np.complex128)
-    fzb = np.zeros_like(fz)
-    for spec, c, m in ((fz, up_a, j - 1), (fz, down_b, -j - 1),
-                       (fzb, up_b, 1 - j), (fzb, down_a, j + 1)):
-        np.add.at(spec, (slice(None), m % n_angles), c)
-    return (np.fft.ifft(fz, axis=1, norm="forward"),
-            np.fft.ifft(fzb, axis=1, norm="forward"))
+    return tuple(_ring_samples(radii, n_angles, -1,
+                               [((j + layer) * F.a, j - 1), (layer * bc, -j - 1)],
+                               [((j + layer) * bc, 1 - j), (layer * F.a, j + 1)]))
 
 
 def jacobian(F: PolyharmonicMap, z):
@@ -319,7 +336,6 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
     tol_deg = 1e-12 * (1.0 + F.max_coefficient())
     radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
-    u = np.exp(1j * th)
 
     def ratios(d, big, at):
         # lambda_big / lambda_small from d = |F_z| - |F_zbar|, which has the
@@ -349,7 +365,7 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
         m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:k + _K_BLOCK], _K_ANGLES))
         np.subtract(m, mm, out=d[k:k + _K_BLOCK])
         np.add(m, mm, out=big[k:k + _K_BLOCK])
-    ratio = ratios(d, big, lambda i: radii[i // _K_ANGLES] * u[i % _K_ANGLES])
+    ratio = ratios(d, big, lambda i: radii[i // _K_ANGLES] * np.exp(1j * th[i % _K_ANGLES]))
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     best = float(ratio[i0, j0])
     th0 = float(th[j0])

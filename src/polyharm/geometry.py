@@ -2,9 +2,10 @@
 
 Everything here is derived from the coefficient table alone: perimeter of
 the image of a circle, normalized image area (two independent routes: the
-exact coefficient series and a tensor Gauss-Legendre x trapezoid quadrature
-of the Jacobian), the area growth excess r*S'(r) - 2*S(r) in closed form,
-and a sampled lower estimate of the image diameter.
+exact coefficient series, and a tensor Gauss-Legendre x trapezoid
+quadrature of Jacobian samples taken from the circle spectra), the area
+growth excess r*S'(r) - 2*S(r) in closed form, and a sampled lower
+estimate of the image diameter.
 
 The two area routes are kept deliberately separate so they can be played
 against each other in tests; do not "simplify" one into the other.
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._search import zoom_max
 from .core import (PolyharmonicMap, _collapse, _horner, check_grid_size,
-                   evaluate, wirtinger)
+                   evaluate, ring_values, ring_wirtinger, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -237,14 +238,12 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
     t, w = _gauss_nodes(int(n_radial))
     rho = 0.5 * r * (t + 1.0)
     wts = 0.5 * r * w
-    th = 2.0 * np.pi * np.arange(int(n_theta)) / int(n_theta)
-    u = np.exp(1j * th)
     # rings in blocks of ~2^14 points: temporaries that small are reused
     # from the heap instead of being page-faulted in afresh on every call
-    rows = max(1, (1 << 14) // u.size)
+    rows = max(1, (1 << 14) // int(n_theta))
     ring_means = np.empty(rho.size)
     for k in range(0, rho.size, rows):
-        fz, fzb = wirtinger(F, rho[k:k + rows, None] * u[None, :])
+        fz, fzb = ring_wirtinger(F, rho[k:k + rows], int(n_theta))
         jac = (fz.real * fz.real + fz.imag * fz.imag
                - fzb.real * fzb.real - fzb.imag * fzb.imag)
         ring_means[k:k + rows] = jac.mean(axis=1)
@@ -376,7 +375,7 @@ _POLISH_RTOL = 1e-14  # a few ulps of the distance
 
 def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
                       n_angles: int = 1024) -> float:
-    """Lower estimate of diam F(|z| <= r) from a polar sample grid.
+    """Lower estimate of diam F(|z| <= r) from a ring_values polar grid.
 
     The farthest sampled pair is found on the convex hull of the sampled
     image, in numpy.  An Akl-Toussaint filter (1978) drops the samples
@@ -409,8 +408,7 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     check_grid_size(n_radii * n_angles, "n_radii x n_angles")
     radii = r * np.arange(1, n_radii + 1) / n_radii
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    z = radii[:, None] * np.exp(1j * th)[None, :]
-    w = evaluate(F, z).ravel()
+    w = ring_values(F, radii, n_angles).ravel()
     xy = np.column_stack([w.real, w.imag])
     ia, ib = _farthest_pair(xy)
     best = float(np.sqrt(((xy[ia] - xy[ib]) ** 2).sum()))

@@ -44,6 +44,7 @@ class LandauResult:
     bracket: tuple
 
 
+@np.errstate(over="ignore", divide="ignore")
 def _decreasing_root(phi, tol: float):
     # least positive root of a strictly decreasing phi with phi(0+) > 0:
     # bisection on (0, 1) to bracket width tol and residual
@@ -52,7 +53,7 @@ def _decreasing_root(phi, tol: float):
     # construction: each majorant is alpha minus a positive multiple of a
     # sum of terms that increase in r, and the callers check that alpha,
     # diam, K and l1 are finite with diam > 0, K >= 1 and l1 > 0.  Near
-    # r = 1 phi may overflow to -inf; the bisection reads only its sign
+    # r = 1 phi may overflow to -inf, unwarned; the bisection reads its sign
     lo, hi = BRACKET_LO, BRACKET_HI
     f_lo = float(phi(lo))
     if not (math.isfinite(f_lo) and f_lo > 0.0):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import TOL_REPORT
-from .core import PolyharmonicMap, check_grid_size, evaluate
+from .core import PolyharmonicMap, check_grid_size, evaluate, ring_values
 from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
                      OutsideDomain)
 
@@ -142,8 +142,7 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7,
         raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % F.p)
     live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
     degree = int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
-    th = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
-    boundary = np.abs(evaluate(F, np.exp(1j * th)))
+    boundary = np.abs(ring_values(F, [1.0], n_boundary)[0])
     sup_boundary = float(boundary.max())
     if sup_boundary > 1.0 + 1e-9:
         raise NotIntoDisk("boundary modulus reaches %.6g > 1" % sup_boundary)

@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .core import PolyharmonicMap, check_grid_size, evaluate
+from .core import PolyharmonicMap, check_grid_size, evaluate, ring_values
 from .errors import InvalidParams
 
 __all__ = ["render_paths", "render_svg"]
@@ -25,32 +25,24 @@ def render_paths(F: PolyharmonicMap, rings: int = 8, rays: int = 16,
     """Image polylines of the polar mesh on |z| <= 1 - 1e-3, as arrays of
     complex points.
 
-    The outermost ring doubles as the boundary curve; ray angles are kept
-    on the boundary sample grid so every ray ends exactly on it.  The
+    Rings come from ring_values; the outermost, at radius exactly 1 - 1e-3,
+    is the boundary curve, and every ray ends on one of its samples.  The
     (rings + rays + 1) x samples points may not exceed MAX_GRID_POINTS.
     """
     if rings < 1 or rays < 1 or samples < 16:
         raise InvalidParams("need rings >= 1, rays >= 1, samples >= 16")
     check_grid_size((rings + rays + 1) * samples, "(rings + rays + 1) x samples")
-    th = 2.0 * np.pi * np.arange(samples) / samples
-    u = np.exp(1j * th)
-    ring_paths = []
-    for k in range(1, rings + 1):
-        z = (_EDGE * k / rings) * u
-        w = evaluate(F, z)
-        ring_paths.append(np.concatenate([w, w[:1]]))  # close the loop
-    ray_paths = []
-    for m in range(rays):
-        ang = 2.0 * np.pi * m / rays
-        t = np.linspace(0.0, _EDGE, samples)
-        ray_paths.append(evaluate(F, t * np.exp(1j * ang)))
-    boundary = evaluate(F, _EDGE * u)
-    boundary = np.concatenate([boundary, boundary[:1]])
-    return {"rings": ring_paths, "rays": ray_paths, "boundary": boundary}
+    radii = _EDGE * (np.arange(1, rings + 1) / rings)
+    ring_paths = [np.concatenate([w, w[:1]])  # close the loop
+                  for w in ring_values(F, radii, samples)]
+    t = np.linspace(0.0, _EDGE, samples)
+    ray_paths = [evaluate(F, t * np.exp(1j * (2.0 * np.pi * m / rays)))
+                 for m in range(rays)]
+    return {"rings": ring_paths, "rays": ray_paths, "boundary": ring_paths[-1]}
 
 
 def _fmt(x: float) -> str:
-    return "%.10g" % x
+    return "%.10g" % (x + 0.0)  # -0.0 prints as 0
 
 
 def _points(path: np.ndarray) -> str:
@@ -63,7 +55,7 @@ def render_svg(F: PolyharmonicMap, out_path=None, rings: int = 8,
                rays: int = 16, samples: int = 512) -> str:
     """SVG text of the render_paths mesh, also written to out_path if given."""
     paths = render_paths(F, rings=rings, rays=rays, samples=samples)
-    pts = np.concatenate([paths["boundary"]] + paths["rings"] + paths["rays"])
+    pts = np.concatenate(paths["rings"] + paths["rays"])  # the boundary is the last ring
     xs = pts.real
     ys = -pts.imag
     x0, x1 = float(xs.min()), float(xs.max())

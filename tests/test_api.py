@@ -63,6 +63,16 @@ def test_traced_functions_exist(monkeypatch):
     assert (F.p, F.J) == (3, 1)
 
 
+def test_equispaced_circles_are_sampled_only_in_core():
+    # one evaluation kernel per access pattern: exp(1j * th), the idiom of
+    # an equispaced circle grid, stays inside core's circle samplers
+    package = Path(polyharm.__file__).parent
+    found = [path.name for path in sorted(package.glob("*.py"))
+             if path.name != "core.py"
+             and "exp(1j * th)" in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
 # ---- README's Python examples ----
 
 # every expression line of README's ```python blocks that carries a comment:

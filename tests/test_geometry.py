@@ -7,7 +7,8 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from polyharm import catalog, geometry
-from polyharm.core import PolyharmonicMap, evaluate, scale_map, wirtinger
+from polyharm.core import (PolyharmonicMap, evaluate, ring_wirtinger, scale_map,
+                           wirtinger)
 from polyharm.errors import NoConvergence
 from polyharm.geometry import (
     area_growth_excess,
@@ -272,13 +273,17 @@ def test_area_quadrature_pinned():
     assert abs(area_quadrature(G, 1.0) + math.pi / math.pi) <= 1e-12
 
 
-def _area_quadrature_one_shot(F, r, n_radial=64, n_theta=2048):
-    # every Gauss ring in one wirtinger call
+def _area_quadrature_one_shot(F, r, n_radial, n_theta, pointwise=False):
+    # every Gauss ring in one ring_wirtinger call, or in one call of the
+    # pointwise Horner kernel on the same equispaced angles
     t, w = np.polynomial.legendre.leggauss(n_radial)
     rho = 0.5 * r * (t + 1.0)
     wts = 0.5 * r * w
-    u = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
-    fz, fzb = wirtinger(F, rho[:, None] * u[None, :])
+    if pointwise:
+        u = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
+        fz, fzb = wirtinger(F, rho[:, None] * u[None, :])
+    else:
+        fz, fzb = ring_wirtinger(F, rho, n_theta)
     jac = (fz.real * fz.real + fz.imag * fz.imag
            - fzb.real * fzb.real - fzb.imag * fzb.imag)
     return float(2.0 * np.sum(wts * rho * jac.mean(axis=1)))
@@ -290,8 +295,11 @@ def test_area_quadrature_blocks_are_bitwise_one_shot():
                               (64, 4096), (8, 30000)):
         F = random_map(rng)
         r = float(rng.uniform(0.2, 1.0))
-        assert (area_quadrature(F, r, n_radial, n_theta)
-                == _area_quadrature_one_shot(F, r, n_radial, n_theta))
+        s = area_quadrature(F, r, n_radial, n_theta)
+        assert s == _area_quadrature_one_shot(F, r, n_radial, n_theta)
+        # the Horner kernel stays an independent oracle for the sampler
+        horner = _area_quadrature_one_shot(F, r, n_radial, n_theta, pointwise=True)
+        assert abs(s - horner) <= 1e-14 * (1.0 + abs(s))
 
 
 def test_area_series_matches_quadrature():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,15 @@ def test_radius_lies_where_the_majorant_is_positive(monkeypatch):
             assert float(phi(hi)) <= 0.0
             solved += 1
     assert solved >= 40
+
+
+def test_overflowing_majorants_warn_nothing():
+    # phi overflows to -inf near r = 1 for these inputs; the solver reads
+    # only its sign, and numpy's overflow warnings stay off stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert landau_from_diameter(1, 1e300, 1e299).rho_cover > 0.0
+        assert landau_from_length(3, 1e300, 1e10, 1e290).rho_cover > 0.0
 
 
 def test_majorants_strictly_decrease(monkeypatch):

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from polyharm import catalog
 from polyharm.certificates import area_schwarz, length_coefficient_bounds
+from polyharm.core import ring_values
 from polyharm.errors import InvalidParams
 from polyharm.metrics import contraction_check
 from polyharm.render import render_paths, render_svg
@@ -89,6 +91,14 @@ def test_render_paths_bbox_containment():
                 assert np.all(path.imag >= lo_y) and np.all(path.imag <= hi_y)
 
 
+def test_render_paths_boundary_is_the_outer_ring():
+    # sampled once, on the circle of radius exactly 1 - 1e-3
+    F = catalog.f2()
+    paths = render_paths(F)
+    assert paths["boundary"] is paths["rings"][-1]
+    assert np.array_equal(paths["boundary"][:-1], ring_values(F, [1.0 - 1e-3], 512)[0])
+
+
 def test_render_paths_validation():
     with pytest.raises(InvalidParams):
         render_paths(catalog.identity(), rings=0)
@@ -106,6 +116,12 @@ def test_render_svg_structure(tmp_path):
     assert text.startswith("<svg ")
     assert text.count("<polyline") == 4 + 8  # rings (incl. boundary) + rays
     assert "f2" in text  # label lands in the description
+
+
+def test_render_svg_prints_no_negative_zero():
+    # f2 maps the real axis to itself, so -imag is -0.0 at those points
+    tokens = re.split(r'[\s,"]+', render_svg(catalog.f2()))
+    assert "0" in tokens and "-0" not in tokens
 
 
 def test_render_svg_deterministic():
