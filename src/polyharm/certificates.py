@@ -77,12 +77,17 @@ def _verdict(margins) -> str:
 
 def _witnesses(margins) -> tuple:
     # every failing margin and the smallest slack, at most 16 of them
+    if not margins:
+        return ()
     order = sorted(range(len(margins)), key=lambda i: margins[i].slack)
     picked = [i for i in order if margins[i].slack < -margins[i].tol]
     if order and order[0] not in picked:
         picked.append(order[0])
-    return tuple({"check_id": margins[i].check_id, "slack": margins[i].slack}
-                 for i in picked[:16])
+    out = []
+    for i in picked[:16]:
+        m = margins[i]
+        out.append({"check_id": m.check_id, "slack": m.slack})
+    return tuple(out)
 
 
 def _report(name, margins, extras=None):

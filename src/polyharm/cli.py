@@ -324,15 +324,23 @@ def cmd_verify(args) -> int:
         except NotIntoDisk:
             skip("harmonic-j-lipschitz", "map does not send the disk into itself")
 
-    counts = {v: sum(e["verdict"] == v for e in entries)
-              for v in ("pass", "fail", "hypotheses-not-met", "skipped")}
-    failed = {e["counts_as"] for e in entries if e["verdict"] == "fail"}
-    if "conclusion" in failed:
+    counts = {"pass": 0, "fail": 0, "hypotheses-not-met": 0, "skipped": 0}
+    exit_code = EXIT_PASS
+    conclusion_fail = False
+    hnm_seen = False
+    for e in entries:
+        v = e["verdict"]
+        if v in counts:
+            counts[v] += 1
+        if e["counts_as"] == "conclusion" and v == "fail":
+            conclusion_fail = True
+        if v == "hypotheses-not-met" or (e["counts_as"] == "hypothesis"
+                                         and v == "fail"):
+            hnm_seen = True
+    if conclusion_fail:
         exit_code = EXIT_FAIL
-    elif counts["hypotheses-not-met"] or "hypothesis" in failed:
+    elif hnm_seen:
         exit_code = EXIT_HNM
-    else:
-        exit_code = EXIT_PASS
 
     doc = {
         "tool": "polyharm",

@@ -336,6 +336,7 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
     tol_deg = 1e-12 * (1.0 + F.max_coefficient())
     radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
+    u = np.exp(1j * th)
 
     def ratios(d, big, at):
         # lambda_big / lambda_small from d = |F_z| - |F_zbar|, which has the
@@ -365,7 +366,7 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
         m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:k + _K_BLOCK], _K_ANGLES))
         np.subtract(m, mm, out=d[k:k + _K_BLOCK])
         np.add(m, mm, out=big[k:k + _K_BLOCK])
-    ratio = ratios(d, big, lambda i: radii[i // _K_ANGLES] * np.exp(1j * th[i % _K_ANGLES]))
+    ratio = ratios(d, big, lambda i: radii[i // _K_ANGLES] * u[i % _K_ANGLES])
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     best = float(ratio[i0, j0])
     th0 = float(th[j0])

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._search import zoom_max
 from .core import (PolyharmonicMap, _collapse, _horner, check_grid_size,
-                   evaluate, ring_values, ring_wirtinger, wirtinger)
+                   evaluate, ring_wirtinger, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -375,7 +375,7 @@ _POLISH_RTOL = 1e-14  # a few ulps of the distance
 
 def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
                       n_angles: int = 1024) -> float:
-    """Lower estimate of diam F(|z| <= r) from a ring_values polar grid.
+    """Lower estimate of diam F(|z| <= r) from a polar sample grid.
 
     The farthest sampled pair is found on the convex hull of the sampled
     image, in numpy.  An Akl-Toussaint filter (1978) drops the samples
@@ -408,7 +408,8 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     check_grid_size(n_radii * n_angles, "n_radii x n_angles")
     radii = r * np.arange(1, n_radii + 1) / n_radii
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    w = ring_values(F, radii, n_angles).ravel()
+    z = radii[:, None] * np.exp(1j * th)[None, :]
+    w = evaluate(F, z).ravel()
     xy = np.column_stack([w.real, w.imag])
     ia, ib = _farthest_pair(xy)
     best = float(np.sqrt(((xy[ia] - xy[ib]) ** 2).sum()))

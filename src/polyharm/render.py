@@ -26,8 +26,10 @@ def render_paths(F: PolyharmonicMap, rings: int = 8, rays: int = 16,
     complex points.
 
     Rings come from ring_values; the outermost, at radius exactly 1 - 1e-3,
-    is the boundary curve, and every ray ends on one of its samples.  The
-    (rings + rays + 1) x samples points may not exceed MAX_GRID_POINTS.
+    is the boundary curve.  Rays run to that radius at angles 2 pi m / rays;
+    they end on the boundary curve only to rounding, and only when rays
+    divides samples.  The (rings + rays + 1) x samples points may not
+    exceed MAX_GRID_POINTS.
     """
     if rings < 1 or rays < 1 or samples < 16:
         raise InvalidParams("need rings >= 1, rays >= 1, samples >= 16")
@@ -35,9 +37,11 @@ def render_paths(F: PolyharmonicMap, rings: int = 8, rays: int = 16,
     radii = _EDGE * (np.arange(1, rings + 1) / rings)
     ring_paths = [np.concatenate([w, w[:1]])  # close the loop
                   for w in ring_values(F, radii, samples)]
-    t = np.linspace(0.0, _EDGE, samples)
-    ray_paths = [evaluate(F, t * np.exp(1j * (2.0 * np.pi * m / rays)))
-                 for m in range(rays)]
+    ray_paths = []
+    for m in range(rays):
+        ang = 2.0 * np.pi * m / rays
+        t = np.linspace(0.0, _EDGE, samples)
+        ray_paths.append(evaluate(F, t * np.exp(1j * ang)))
     return {"rings": ring_paths, "rays": ray_paths, "boundary": ring_paths[-1]}
 
 

@@ -65,12 +65,14 @@ def test_traced_functions_exist(monkeypatch):
 
 def test_equispaced_circles_are_sampled_only_in_core():
     # one evaluation kernel per access pattern: exp(1j * th), the idiom of
-    # an equispaced circle grid, stays inside core's circle samplers
+    # an equispaced circle grid, stays inside core's circle samplers.  The
+    # one exception left is diameter_estimate's polar grid, which stays
+    # pointwise while bench/test_bench.py counts its points through
+    # core.evaluate (ROADMAP item 1)
     package = Path(polyharm.__file__).parent
-    found = [path.name for path in sorted(package.glob("*.py"))
-             if path.name != "core.py"
-             and "exp(1j * th)" in path.read_text(encoding="utf-8")]
-    assert found == []
+    found = {path.name: path.read_text(encoding="utf-8").count("exp(1j * th)")
+             for path in sorted(package.glob("*.py")) if path.name != "core.py"}
+    assert {name: k for name, k in found.items() if k} == {"geometry.py": 1}
 
 
 # ---- README's Python examples ----
