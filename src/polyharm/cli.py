@@ -301,12 +301,6 @@ def cmd_verify(args) -> int:
         rep = certificates.area_schwarz(F)
         add("conclusion", report.check_to_dict(rep))
 
-    if F.p == 1 and not np.any(F.b != 0):
-        rep = certificates.hadamard_three_circles(F, 0.3, 0.9)
-        add("conclusion", report.check_to_dict(rep))
-    else:
-        skip("hadamard-three-circles", "map is not a single analytic layer")
-
     target = args.M if args.M is not None else derived["coefficient_sum"]
     if target > 0.0:
         rep = metrics.contraction_check(F, target, seed=args.seed)
