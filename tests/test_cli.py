@@ -252,6 +252,44 @@ def test_verify_folding_map_has_no_K(tmp_path, capsys):
     assert entry["reason"] == "map is degenerate on the closed disk"
 
 
+_VERIFY_CHECKS = ["arg-condition-diameter", "arg-condition-length",
+                  "arg-condition-area", "diameter-coefficient-bounds",
+                  "length-coefficient-bounds", "three-circles-area",
+                  "area-schwarz", "j-contraction", "harmonic-j-lipschitz"]
+
+
+@pytest.mark.parametrize("text, skips", [
+    ('{"builtin": "identity"}', {}),
+    ('{"p": 1, "J": 1, "terms": []}', {
+        "diameter-coefficient-bounds": "image diameter estimate is zero",
+        "length-coefficient-bounds": "map is degenerate on the closed disk",
+        "three-circles-area": "normalized area at r1 is not positive",
+        "j-contraction": "zero map has no target disk",
+    }),
+    # two opposed layers: every angle condition fails
+    ('{"p": 2, "J": 1, "terms": [{"n": 1, "j": 1, "a": [1, 0]},'
+     '{"n": 2, "j": 1, "a": [-1, 0]}]}', {
+        "diameter-coefficient-bounds": "layer angle condition fails",
+        "length-coefficient-bounds": "layer alignment condition fails",
+        "three-circles-area": "area angle condition fails",
+        "area-schwarz": "area angle condition fails",
+        "harmonic-j-lipschitz": "table has more than one layer",
+    }),
+    ('{"p": 1, "J": 2, "terms": [{"n": 1, "j": 1, "a": [1, 0]},'
+     '{"n": 1, "j": 2, "a": [10, 0]}]}', {
+        "three-circles-area": "normalized area exceeds the unit budget",
+        "harmonic-j-lipschitz": "map does not send the disk into itself",
+    }),
+], ids=["identity", "zero", "opposed-layers", "large"])
+def test_verify_check_order_and_skip_reasons(tmp_path, capsys, text, skips):
+    path = _write(tmp_path, "m.map", text)
+    main(["verify", "--map", path])
+    doc = json.loads(capsys.readouterr().out)
+    assert [e["name"] for e in doc["checks"]] == _VERIFY_CHECKS
+    assert {e["name"]: e["reason"] for e in doc["checks"]
+            if e["verdict"] == "skipped"} == skips
+
+
 def test_landau_length_folding_map_hnm(tmp_path, capsys):
     path = _write(tmp_path, "f0.map", '{"builtin": "f0", "params": {"J": 9}}')
     assert main(["landau", "--mode", "length", "--map", path]) == 2
