@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -101,6 +102,8 @@ def cmd_length(args) -> int:
 
 
 def cmd_area(args) -> int:
+    if not 0.0 < args.r <= 1.0:  # area_series would extrapolate past the disk
+        raise InvalidParams("--r must be in (0, 1], got %r" % (args.r,))
     F = _load(args.map)
     if args.method in ("series", "both"):
         s = geometry.area_series(F, args.r)
@@ -244,11 +247,28 @@ def _derived_quantities(F: PolyharmonicMap, args) -> dict:
     return out
 
 
+def _positive(v) -> bool:
+    return 0.0 < v < math.inf
+
+
+_VERIFY_VALUES = (  # flag, rule, test; an unset flag is not tested
+    ("grid", ">= 1", lambda v: v >= 1),
+    ("theta_samples", ">= 1", lambda v: v >= 1),
+    ("r1", "in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
+    ("K", "finite and >= 1", lambda v: 1.0 <= v < math.inf),
+    ("l1", "positive and finite", _positive),
+    ("diam", "positive and finite", _positive),
+    ("M", "positive and finite", _positive),
+)
+
+
 def cmd_verify(args) -> int:
     # checked up front: the checks that use them may be skipped for this map
-    if args.grid < 1 or args.theta_samples < 1:
-        raise InvalidParams("need --grid >= 1 and --theta-samples >= 1, got %r and %r"
-                            % (args.grid, args.theta_samples))
+    for flag, rule, ok in _VERIFY_VALUES:
+        v = getattr(args, flag)
+        if v is not None and not ok(v):
+            raise InvalidParams("--%s must be %s, got %r"
+                                % (flag.replace("_", "-"), rule, v))
     check_grid_size(args.grid, "--grid")
     check_grid_size(args.theta_samples, "--theta-samples")
     spec = mapspec.load(args.map)

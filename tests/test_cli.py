@@ -252,6 +252,10 @@ def test_verify_folding_map_has_no_K(tmp_path, capsys):
     assert entry["reason"] == "map is degenerate on the closed disk"
 
 
+_ZERO = '{"p": 1, "J": 1, "terms": []}'
+# two opposed layers: every angle condition fails
+_OPPOSED = ('{"p": 2, "J": 1, "terms": [{"n": 1, "j": 1, "a": [1, 0]},'
+            '{"n": 2, "j": 1, "a": [-1, 0]}]}')
 _VERIFY_CHECKS = ["arg-condition-diameter", "arg-condition-length",
                   "arg-condition-area", "diameter-coefficient-bounds",
                   "length-coefficient-bounds", "three-circles-area",
@@ -260,15 +264,13 @@ _VERIFY_CHECKS = ["arg-condition-diameter", "arg-condition-length",
 
 @pytest.mark.parametrize("text, skips", [
     ('{"builtin": "identity"}', {}),
-    ('{"p": 1, "J": 1, "terms": []}', {
+    (_ZERO, {
         "diameter-coefficient-bounds": "image diameter estimate is zero",
         "length-coefficient-bounds": "map is degenerate on the closed disk",
         "three-circles-area": "normalized area at r1 is not positive",
         "j-contraction": "zero map has no target disk",
     }),
-    # two opposed layers: every angle condition fails
-    ('{"p": 2, "J": 1, "terms": [{"n": 1, "j": 1, "a": [1, 0]},'
-     '{"n": 2, "j": 1, "a": [-1, 0]}]}', {
+    (_OPPOSED, {
         "diameter-coefficient-bounds": "layer angle condition fails",
         "length-coefficient-bounds": "layer alignment condition fails",
         "three-circles-area": "area angle condition fails",
@@ -344,14 +346,36 @@ def test_sample_counts_below_minimum_are_usage_errors(identity_map, capsys, argv
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", ["--grid", "--theta-samples"])
-def test_verify_rejects_counts_its_map_skips(f2_map, capsys, flag):
-    # f2 skips the checks that use both counts, yet a count of 0 is still
-    # a usage error and no report is written
-    assert main(["verify", "--map", f2_map, flag, "0"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert flag in captured.err
+_BAD_VERIFY_VALUES = [("--grid", "0"), ("--theta-samples", "0"),
+                      ("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
+                      ("--M", "-1"), ("--M", "inf"), ("--l1", "0"),
+                      ("--l1", "nan"), ("--diam", "0"), ("--diam", "inf"),
+                      ("--K", "0.5"), ("--K", "inf")]
+
+
+@pytest.mark.parametrize("flag, value", _BAD_VERIFY_VALUES,
+                         ids=[f if f in ("--grid", "--theta-samples") else f + " " + v
+                              for f, v in _BAD_VERIFY_VALUES])
+def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, value):
+    # each map skips some check that uses the flag, yet a bad value is
+    # still a usage error on every map and no report is written
+    maps = [f2_map, _write(tmp_path, "identity.map", '{"builtin": "identity"}'),
+            _write(tmp_path, "zero.map", _ZERO),
+            _write(tmp_path, "opposed.map", _OPPOSED)]
+    for path in maps:
+        assert main(["verify", "--map", path, flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
+def test_area_radius_outside_the_disk_is_a_usage_error(f2_map, capsys, method):
+    for r in ("5", "0", "nan"):
+        assert main(["area", "--map", f2_map, "--r", r, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--r must be in (0, 1]" in captured.err
 
 
 @pytest.mark.parametrize("text, entries", [
