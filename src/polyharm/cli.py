@@ -274,69 +274,56 @@ def cmd_verify(args) -> int:
     spec = mapspec.load(args.map)
     F = build_map(spec)
     derived = _derived_quantities(F, args)
-    entries = []
-
-    def add(kind, payload):
-        payload = dict(payload)
-        payload["counts_as"] = kind
-        entries.append(payload)
-
-    def skip(name, reason):
-        add("skipped", {"name": name, "verdict": "skipped", "reason": reason})
-
-    hyps = {}
-    for kind in ("diameter", "length", "area"):
-        rep = certificates.arg_condition(F, kind)
-        hyps[kind] = rep.verdict == "pass"
-        add("hypothesis", report.check_to_dict(rep))
-
-    if not hyps["diameter"]:
-        skip("diameter-coefficient-bounds", "layer angle condition fails")
-    elif args.diam is None and not derived["diam"] > 0.0:
-        skip("diameter-coefficient-bounds", "image diameter estimate is zero")
-    else:
-        rep = certificates.diameter_coefficient_bounds(F, derived["diam"])
-        add("conclusion", report.check_to_dict(rep))
-
-    if not hyps["length"]:
-        skip("length-coefficient-bounds", "layer alignment condition fails")
-    elif derived["K"] is None:
-        skip("length-coefficient-bounds", "map is degenerate on the closed disk")
-    else:
-        rep = certificates.length_coefficient_bounds(F, derived["K"], derived["l1"])
-        add("conclusion", report.check_to_dict(rep))
-
+    angle = {kind: certificates.arg_condition(F, kind)
+             for kind in ("diameter", "length", "area")}
     m = float(geometry.area_series(F, args.r1))
-    if not hyps["area"]:
-        skip("three-circles-area", "area angle condition fails")
-        skip("area-schwarz", "area angle condition fails")
-    else:
-        if not m > 0.0:
-            skip("three-circles-area", "normalized area at r1 is not positive")
-        elif derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT and m < 1.0:
-            rep = certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)
-            add("conclusion", report.check_to_dict(rep))
-        else:
-            skip("three-circles-area", "normalized area exceeds the unit budget")
-        rep = certificates.area_schwarz(F)
-        add("conclusion", report.check_to_dict(rep))
-
     target = args.M if args.M is not None else derived["coefficient_sum"]
-    if target > 0.0:
-        rep = metrics.contraction_check(F, target, seed=args.seed)
-        add("conclusion", report.lipschitz_to_dict(rep))
-    else:
-        skip("j-contraction", "zero map has no target disk")
-
-    if F.p != 1:
-        skip("harmonic-j-lipschitz", "table has more than one layer")
-    else:
-        try:
-            rep = metrics.harmonic_lipschitz_check(F, seed=args.seed,
-                                                   n_boundary=args.theta_samples)
-            add("conclusion", report.lipschitz_to_dict(rep))
-        except NotIntoDisk:
-            skip("harmonic-j-lipschitz", "map does not send the disk into itself")
+    # each hypothesis a conclusion may need: whether the map meets it, and
+    # the reason the conclusion is skipped when it does not
+    hypotheses = {
+        "diameter-angle": (angle["diameter"].verdict == "pass",
+                           "layer angle condition fails"),
+        "length-alignment": (angle["length"].verdict == "pass",
+                             "layer alignment condition fails"),
+        "area-angle": (angle["area"].verdict == "pass", "area angle condition fails"),
+        "diameter": (derived["diam"] > 0.0, "image diameter estimate is zero"),
+        "finite-K": (derived["K"] is not None, "map is degenerate on the closed disk"),
+        "area-at-r1": (m > 0.0, "normalized area at r1 is not positive"),
+        "unit-budget": (derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT
+                        and m < 1.0, "normalized area exceeds the unit budget"),
+        "target-disk": (target > 0.0, "zero map has no target disk"),
+        "one-layer": (F.p == 1, "table has more than one layer"),
+    }
+    conclusions = (  # in report order: name, hypotheses, run
+        ("diameter-coefficient-bounds", ("diameter-angle", "diameter"),
+         lambda: certificates.diameter_coefficient_bounds(F, derived["diam"])),
+        ("length-coefficient-bounds", ("length-alignment", "finite-K"),
+         lambda: certificates.length_coefficient_bounds(F, derived["K"], derived["l1"])),
+        ("three-circles-area", ("area-angle", "area-at-r1", "unit-budget"),
+         lambda: certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)),
+        ("area-schwarz", ("area-angle",), lambda: certificates.area_schwarz(F)),
+        ("j-contraction", ("target-disk",),
+         lambda: metrics.contraction_check(F, target, seed=args.seed)),
+        ("harmonic-j-lipschitz", ("one-layer",),
+         lambda: metrics.harmonic_lipschitz_check(F, seed=args.seed,
+                                                  n_boundary=args.theta_samples)),
+    )
+    entries = [dict(report.check_to_dict(rep), counts_as="hypothesis")
+               for rep in angle.values()]
+    for name, needs, run in conclusions:
+        reason = next((hypotheses[h][1] for h in needs if not hypotheses[h][0]), None)
+        if reason is None:
+            try:
+                rep = run()
+            except NotIntoDisk:  # found only by sampling the boundary
+                reason = "map does not send the disk into itself"
+        if reason is not None:
+            entries.append({"name": name, "verdict": "skipped", "reason": reason,
+                            "counts_as": "skipped"})
+        elif isinstance(rep, certificates.CheckReport):
+            entries.append(dict(report.check_to_dict(rep), counts_as="conclusion"))
+        else:
+            entries.append(dict(report.lipschitz_to_dict(rep), counts_as="conclusion"))
 
     counts = {"pass": 0, "fail": 0, "hypotheses-not-met": 0, "skipped": 0}
     exit_code = EXIT_PASS
