@@ -323,7 +323,7 @@ def cmd_verify(args) -> int:
         elif isinstance(rep, certificates.CheckReport):
             entries.append(dict(report.check_to_dict(rep), counts_as="conclusion"))
         else:
-            entries.append(dict(report.lipschitz_to_dict(rep), counts_as="conclusion"))
+            entries.append(dict(report.to_jsonable(rep), counts_as="conclusion"))
 
     counts = {"pass": 0, "fail": 0, "hypotheses-not-met": 0, "skipped": 0}
     exit_code = EXIT_PASS

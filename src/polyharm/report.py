@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from .certificates import CheckReport
-from .metrics import LipschitzReport
 
-__all__ = ["to_jsonable", "check_to_dict", "lipschitz_to_dict", "render_json"]
+__all__ = ["to_jsonable", "check_to_dict", "render_json"]
 
 
 def to_jsonable(v):
@@ -56,18 +55,6 @@ def check_to_dict(rep: CheckReport) -> dict:
         "extras": to_jsonable(rep.extras),
     }
     return out
-
-
-def lipschitz_to_dict(rep: LipschitzReport) -> dict:
-    return {
-        "name": rep.name,
-        "verdict": rep.verdict,
-        "sup_ratio": to_jsonable(rep.sup_ratio),
-        "bound": to_jsonable(rep.bound),
-        "worst_pair": to_jsonable(rep.worst_pair),
-        "samples": rep.samples,
-        "extras": to_jsonable(rep.extras),
-    }
 
 
 def render_json(doc: dict) -> str:

@@ -11,7 +11,7 @@ from polyharm.core import ring_values
 from polyharm.errors import InvalidParams
 from polyharm.metrics import contraction_check
 from polyharm.render import render_paths, render_svg
-from polyharm.report import check_to_dict, lipschitz_to_dict, render_json, to_jsonable
+from polyharm.report import check_to_dict, render_json, to_jsonable
 
 
 # ---- json conversion ----
@@ -49,12 +49,15 @@ def test_check_report_serialization():
 
 def test_lipschitz_report_serialization():
     rep = contraction_check(catalog.identity(), 1.0)
-    d = lipschitz_to_dict(rep)
-    assert d["sup_ratio"] == 1.0 and d["samples"] == rep.samples
-    json.dumps(to_jsonable(d))
+    d = to_jsonable(rep)
+    assert d == {"name": "j-contraction", "verdict": rep.verdict,
+                 "sup_ratio": 1.0, "bound": rep.bound,
+                 "worst_pair": to_jsonable(rep.worst_pair),
+                 "samples": rep.samples, "extras": to_jsonable(rep.extras)}
+    json.dumps(d)
     hnm = contraction_check(catalog.linear(1.0, 0.5), 1.2)
     # NaN sup must serialize as null, not break strict JSON
-    text = render_json(to_jsonable(lipschitz_to_dict(hnm)))
+    text = render_json(to_jsonable(hnm))
     assert json.loads(text)["sup_ratio"] is None
 
 
