@@ -286,20 +286,20 @@ def cmd_verify(args) -> int:
         "length-alignment": (angle["length"].verdict == "pass",
                              "layer alignment condition fails"),
         "area-angle": (angle["area"].verdict == "pass", "area angle condition fails"),
-        "diameter": (derived["diam"] > 0.0, "image diameter estimate is zero"),
+        "positive-diameter": (derived["diam"] > 0.0, "image diameter estimate is zero"),
         "finite-K": (derived["K"] is not None, "map is degenerate on the closed disk"),
-        "area-at-r1": (m > 0.0, "normalized area at r1 is not positive"),
+        "positive-area-at-r1": (m > 0.0, "normalized area at r1 is not positive"),
         "unit-budget": (derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT
                         and m < 1.0, "normalized area exceeds the unit budget"),
         "target-disk": (target > 0.0, "zero map has no target disk"),
         "one-layer": (F.p == 1, "table has more than one layer"),
     }
     conclusions = (  # in report order: name, hypotheses, run
-        ("diameter-coefficient-bounds", ("diameter-angle", "diameter"),
+        ("diameter-coefficient-bounds", ("diameter-angle", "positive-diameter"),
          lambda: certificates.diameter_coefficient_bounds(F, derived["diam"])),
         ("length-coefficient-bounds", ("length-alignment", "finite-K"),
          lambda: certificates.length_coefficient_bounds(F, derived["K"], derived["l1"])),
-        ("three-circles-area", ("area-angle", "area-at-r1", "unit-budget"),
+        ("three-circles-area", ("area-angle", "positive-area-at-r1", "unit-budget"),
          lambda: certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)),
         ("area-schwarz", ("area-angle",), lambda: certificates.area_schwarz(F)),
         ("j-contraction", ("target-disk",),
