@@ -66,6 +66,34 @@ def _verdict_exit(verdict: str) -> int:
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL}.get(verdict, EXIT_HNM)
 
 
+def _positive(v) -> bool:
+    return 0.0 < v < math.inf
+
+
+_VALUE_RULES = {  # flag: rule, test
+    "grid": (">= 1", lambda v: v >= 1),
+    "theta_samples": (">= 1", lambda v: v >= 1),
+    "r1": ("in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
+    "K": ("finite and >= 1", lambda v: 1.0 <= v < math.inf),
+    "alpha": ("positive and finite", _positive),
+    "l1": ("positive and finite", _positive),
+    "diam": ("positive and finite", _positive),
+    "M": ("positive and finite", _positive),
+    "tol": ("positive and finite", _positive),
+}
+
+
+def _check_values(args, flags) -> None:
+    # InvalidParams for the first of flags set to a value its rule rejects;
+    # an unset flag is not tested
+    for flag in flags:
+        v = getattr(args, flag)
+        rule, ok = _VALUE_RULES[flag]
+        if v is not None and not ok(v):
+            raise InvalidParams("--%s must be %s, got %r"
+                                % (flag.replace("_", "-"), rule, v))
+
+
 # ---- subcommands ----
 
 
@@ -126,12 +154,15 @@ def cmd_diam(args) -> int:
 
 
 def cmd_landau(args) -> int:
-    F = _load(args.map)
+    # checked before the map is read
     if args.mode == "fourgon":
         for flag in ("alpha", "K", "l1"):
             if getattr(args, flag) is not None:
                 raise _UsageError("--mode fourgon solves with alpha = 1 and "
                                   "takes no --%s" % flag)
+    _check_values(args, ("alpha", "K", "l1", "diam", "tol"))
+    F = _load(args.map)
+    if args.mode == "fourgon":
         p, alpha = 2, 1.0  # the two-layer bound at unit normalization
     else:
         p, alpha = F.p, args.alpha
@@ -139,23 +170,23 @@ def cmd_landau(args) -> int:
             alpha = dilatation(F, 0.0).lambda_small
             if not alpha > 0.0:
                 raise DegenerateMap("lambda_small = %.3e at z = 0" % alpha)
-    print("mode = %s" % args.mode)
-    print("p = %d" % p)
-    print("alpha = %.17g" % alpha)
     if args.mode == "length":
         K = args.K if args.K is not None else quasiregularity_constant(F)
         l1 = args.l1 if args.l1 is not None else geometry.sup_length(F)
-        print("K = %.17g" % K)
-        print("l1 = %.17g" % l1)
         res = landau_mod.landau_from_length(p, alpha, K, l1, tol=args.tol)
+        inputs = [("K", K), ("l1", l1)]
     else:
         diam = args.diam if args.diam is not None else geometry.diameter_estimate(F)
         if args.diam is None and not diam > 0.0:
             raise DegenerateMap("image diameter estimate is %r" % diam)
-        print("diam = %.17g" % diam)
         res = landau_mod.landau_from_diameter(p, alpha, diam, tol=args.tol)
-    print("r_univ = %.17g" % res.r_univ)
-    print("rho_cover = %.17g" % res.rho_cover)
+        inputs = [("diam", diam)]
+    # printed once the solver has accepted them, so an error prints nothing
+    print("mode = %s" % args.mode)
+    print("p = %d" % p)
+    for name, v in [("alpha", alpha)] + inputs + [("r_univ", res.r_univ),
+                                                  ("rho_cover", res.rho_cover)]:
+        print("%s = %.17g" % (name, v))
     return EXIT_PASS
 
 
@@ -247,28 +278,9 @@ def _derived_quantities(F: PolyharmonicMap, args) -> dict:
     return out
 
 
-def _positive(v) -> bool:
-    return 0.0 < v < math.inf
-
-
-_VERIFY_VALUES = (  # flag, rule, test; an unset flag is not tested
-    ("grid", ">= 1", lambda v: v >= 1),
-    ("theta_samples", ">= 1", lambda v: v >= 1),
-    ("r1", "in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
-    ("K", "finite and >= 1", lambda v: 1.0 <= v < math.inf),
-    ("l1", "positive and finite", _positive),
-    ("diam", "positive and finite", _positive),
-    ("M", "positive and finite", _positive),
-)
-
-
 def cmd_verify(args) -> int:
     # checked up front: the checks that use them may be skipped for this map
-    for flag, rule, ok in _VERIFY_VALUES:
-        v = getattr(args, flag)
-        if v is not None and not ok(v):
-            raise InvalidParams("--%s must be %s, got %r"
-                                % (flag.replace("_", "-"), rule, v))
+    _check_values(args, ("grid", "theta_samples", "r1", "K", "l1", "diam", "M"))
     check_grid_size(args.grid, "--grid")
     check_grid_size(args.theta_samples, "--theta-samples")
     spec = mapspec.load(args.map)

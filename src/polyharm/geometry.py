@@ -368,9 +368,65 @@ def _farthest_pair(xy: np.ndarray):
     return divmod(key, n)
 
 
-_POLISH_ROUNDS = 3
-_POLISH_TOL = 1e-10
-_POLISH_RTOL = 1e-14  # a few ulps of the distance
+_STEP = 1e-6  # central-difference step of the polish's Hessian
+_NEWTON_STEPS = 8
+_HALVINGS = 4
+_GAIN_RTOL = 1e-15
+_STEP_TOL = 1e-13
+# the pair itself, then the pairs _STEP away in each of its 4 coordinates
+_STENCIL = np.vstack([np.zeros(4), _STEP * np.eye(4), -_STEP * np.eye(4)])
+
+
+def _ascend(F: PolyharmonicMap, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    # projected Newton ascent of D = |F(z_a) - F(z_b)|^2 over the pair
+    # x = (rho_a, th_a, rho_b, th_b) in the box lo <= x <= hi, from x;
+    # returns the last accepted pair and its distance
+    def stencil(x):
+        s = x + _STENCIL
+        u = np.exp(1j * s[:, 1::2])
+        z = s[:, 0::2] * u
+        return u, z, evaluate(F, z)
+
+    def slopes(u, z, f):
+        # the gradient of D at each stencil pair from the exact derivatives
+        # dF/drho = u F_z + conj(u) F_zbar and dF/dth = i (z F_z - conj(z) F_zbar)
+        fz, fzb = wirtinger(F, z)
+        dw = np.stack([u * fz + np.conj(u) * fzb,
+                       1j * (z * fz - np.conj(z) * fzb)], axis=2)
+        dw[:, 1] *= -1.0
+        w = f[:, 0] - f[:, 1]
+        g = 2.0 * (np.conj(w)[:, None] * dw.reshape(-1, 4)).real
+        hess = (g[1:5] - g[5:]) / (2.0 * _STEP)
+        return g[0], 0.5 * (hess + hess.T)
+
+    u, z, f = stencil(x)
+    d = abs(f[0, 0] - f[0, 1])
+    for _ in range(_NEWTON_STEPS):
+        g, hess = slopes(u, z, f)
+        # a coordinate at a bound of the box, with the gradient pointing
+        # out of it, is held fixed
+        free = ~(((x >= hi) & (g > 0.0)) | ((x <= lo) & (g < 0.0)))
+        lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
+        top = np.abs(lam).max(initial=0.0)
+        if top == 0.0:
+            break
+        # Newton's step along each eigenvector, uphill also where D is not
+        # concave, with the curvature floored at 1e-8 of the largest
+        s = np.zeros(4)
+        s[free] = vec @ ((vec.T @ g[free]) / np.maximum(np.abs(lam), 1e-8 * top))
+        s = np.clip(x + s, lo, hi) - x
+        if g @ s <= _GAIN_RTOL * d * d or np.abs(s).max() < _STEP_TOL:
+            break
+        for t in 0.5 ** np.arange(_HALVINGS + 1):
+            trial = np.clip(x + t * s, lo, hi)
+            ut, zt, ft = stencil(trial)
+            dt = abs(ft[0, 0] - ft[0, 1])
+            if dt > d:
+                break
+        else:
+            break
+        x, u, z, f, d = trial, ut, zt, ft, dt
+    return x, d
 
 
 def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
@@ -388,17 +444,23 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     angles, and score a window of neighbouring pairs.  Ties go to the least
     (lower sample index, higher sample index) pair.  A hull of fewer than
     3 vertices (collinear or coincident samples) uses the ends along the
-    principal axis instead.  Three rounds of coordinate-wise bracket zoom
-    polish the pair's radii and angles, one grid step either way; each
-    zoom stops once a round's distances agree to a few ulps (or its bracket
-    is below 1e-10), and each zoom round is one evaluate call.  Three
-    rounds do not reach the pair's local maximum: on the default grid the
-    result can stay up to ~5e-8 relative short of it, by an amount that
-    depends on which end of the pair moves first.  So this is a lower
-    estimate, not a polished maximum, and a lower bound on the true
-    diameter up to rounding.  Raises
-    InvalidParams unless n_radii >= 1 and n_angles >= 1, and when the grid
-    is over MAX_GRID_POINTS.
+    principal axis instead.
+
+    A projected Newton ascent then polishes the pair's radii and angles,
+    each within one grid step of its sample and the radii within [0, r].
+    The gradient of |F(z_a) - F(z_b)|^2 is exact, from the Wirtinger
+    derivatives; the Hessian is its central difference at step 1e-6.  Each
+    pair tried costs one evaluate call on the 9 pairs of its difference
+    stencil, and each pair accepted (the sampled one included) one
+    wirtinger call on them.  A coordinate at a bound with the gradient
+    pointing outward is held fixed.  A step is taken only if the distance
+    grows, after at most 4 halvings; the ascent stops once the step's
+    predicted gain g . s is at most 1e-15 of |F(z_a) - F(z_b)|^2, the step
+    is below 1e-13, no halving helps, or after 8 steps.  The result is the
+    larger of the sampled and the polished distance, each realized by two
+    points of the disk: a lower bound on the true diameter up to rounding,
+    at the pair's local maximum.  Raises InvalidParams unless n_radii >= 1
+    and n_angles >= 1, and when the grid is over MAX_GRID_POINTS.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
@@ -415,25 +477,9 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     best = float(np.sqrt(((xy[ia] - xy[ib]) ** 2).sum()))
 
     (ra, ta), (rb, tb) = divmod(ia, n_angles), divmod(ib, n_angles)
-    state = [float(radii[ra]), float(th[ta]), float(radii[rb]), float(th[tb])]
-    half = (r / n_radii, 2.0 * np.pi / n_angles)
-
-    def dist(k, xs):
-        # coordinate k of the pair [rho_a, th_a, rho_b, th_b] runs over xs
-        s = np.tile(state, (xs.size, 1))
-        s[:, k] = xs
-        w = evaluate(F, s[:, 0::2] * np.exp(1j * s[:, 1::2]))
-        return np.abs(w[:, 0] - w[:, 1])
-
-    refined = best
-    for _ in range(_POLISH_ROUNDS):
-        for k in range(4):
-            lo, hi = state[k] - half[k % 2], state[k] + half[k % 2]
-            if k % 2 == 0:
-                lo, hi = max(0.0, lo), min(r, hi)
-            x_best, v = zoom_max(lambda xs: dist(k, xs), lo, hi, _POLISH_TOL,
-                                 rtol=_POLISH_RTOL)
-            if v > refined:
-                refined = v
-                state[k] = x_best
-    return max(best, refined)
+    x = np.array([radii[ra], th[ta], radii[rb], th[tb]])
+    half = np.array([r / n_radii, 2.0 * np.pi / n_angles] * 2)
+    lo, hi = x - half, x + half
+    lo[0::2], hi[0::2] = np.maximum(lo[0::2], 0.0), np.minimum(hi[0::2], r)
+    _, polished = _ascend(F, x, lo, hi)
+    return max(best, float(polished))

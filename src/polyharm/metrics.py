@@ -178,10 +178,13 @@ def mobius_j_distortion(a: complex, theta: float = 0.0,
                         seed: int = 7) -> LipschitzReport:
     """Distortion of the j metric under a disk automorphism
     z -> e^{i theta} (z - a) / (1 - conj(a) z), sampled on the point pairs
-    drawn with ``seed``; never more than a factor 2."""
+    drawn with ``seed``; never more than a factor 2.  Raises InvalidParams
+    unless |a| < 1 and theta is finite."""
     a = complex(a)
     if not abs(a) < 1.0:
         raise InvalidParams("automorphism parameter must satisfy |a| < 1")
+    if not math.isfinite(theta):
+        raise InvalidParams("rotation angle must be finite, got %r" % (theta,))
     z, w = _pairs(seed)
     rot = complex(math.cos(theta), math.sin(theta))
 

@@ -108,3 +108,18 @@ def random_analytic_poly(rng, J_max=4, min_terms=2):
         a[0, j] = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     return PolyharmonicMap(1, J, a, np.zeros_like(a),
                            label="analytic")
+
+
+def convex_map(rng, J=7):
+    """Single-layer table of a dominant first power, |b_1| <= 0.3 |a_1|, and
+    higher powers with sum_j j^2 (|a_j| + |b_j|) <= 0.24, so the boundary
+    image is a convex curve close to the ellipse of the first power."""
+    a = np.zeros((1, J), dtype=complex)
+    b = np.zeros((1, J), dtype=complex)
+    a[0, 0] = np.exp(2j * np.pi * rng.random())
+    b[0, 0] = rng.uniform(0.0, 0.3) * np.exp(2j * np.pi * rng.random())
+    for j in range(2, J + 1):
+        w = 0.2 / (J - 1) / (j * j)
+        a[0, j - 1] = rng.uniform(0.2, 1.0) * w * np.exp(2j * np.pi * rng.random())
+        b[0, j - 1] = rng.uniform(0.0, 0.2) * w * np.exp(2j * np.pi * rng.random())
+    return PolyharmonicMap(1, J, a, b, label="convex")

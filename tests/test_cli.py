@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import polyharm
-from polyharm import mapspec
+from polyharm import geometry, mapspec
 from polyharm.catalog import BUILTIN_NAMES
 from polyharm.cli import main
 
@@ -169,6 +169,14 @@ def test_jmetric_mobius(capsys):
     assert vals["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_jmetric_nonfinite_mobius_theta_is_a_usage_error(capsys, theta):
+    assert main(["jmetric", "--mobius-a", "0.5", "--mobius-theta=" + theta]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "angle must be finite" in captured.err
+
+
 # ---- rendering ----
 
 
@@ -211,6 +219,17 @@ def test_verify_pass_and_deterministic(f2_map, tmp_path, capsys):
     names = [c["name"] for c in doc["checks"]]
     assert "diameter-coefficient-bounds" in names
     assert "area-schwarz" in names
+
+
+def test_verify_square_map_is_deterministic(tmp_path, capsys):
+    # the diameter polish solves small eigenproblems; its report must still
+    # come out byte for byte the same
+    path = _write(tmp_path, "f0.map", '{"builtin": "f0", "params": {"J": 9}}')
+    first_code = main(["verify", "--map", path])
+    first = capsys.readouterr().out
+    assert main(["verify", "--map", path]) == first_code
+    assert capsys.readouterr().out == first
+    assert json.loads(first)["input"]["J"] == 9
 
 
 def test_verify_conclusion_failure(tmp_path, capsys):
@@ -506,6 +525,38 @@ def test_landau_fourgon_is_unit_depth2_diameter_mode(tmp_path, capsys):
     general = _lines(capsys)
     for key in ("p", "alpha", "diam", "r_univ", "rho_cover"):
         assert fourgon[key] == general[key]
+
+
+_BAD_LANDAU_VALUES = [("diameter", "--diam", "nan"), ("diameter", "--diam", "0"),
+                      ("diameter", "--alpha", "nan"), ("diameter", "--alpha", "-1"),
+                      ("diameter", "--tol", "nan"), ("diameter", "--tol", "0"),
+                      ("length", "--K", "nan"), ("length", "--K", "0.5"),
+                      ("length", "--l1", "inf"), ("fourgon", "--tol", "inf")]
+
+
+@pytest.mark.parametrize("mode, flag, value", _BAD_LANDAU_VALUES,
+                         ids=[" ".join(v) for v in _BAD_LANDAU_VALUES])
+def test_landau_rejects_bad_values_before_any_work(f2_map, capsys, monkeypatch,
+                                                  mode, flag, value):
+    # nothing is printed and no quantity is estimated before the rejection
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimated before the values were checked")
+
+    for name in ("diameter_estimate", "sup_length"):
+        monkeypatch.setattr(geometry, name, unreachable)
+    assert main(["landau", "--mode", mode, "--map", f2_map, flag, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_landau_solver_rejection_prints_nothing(f2_map, capsys):
+    # so small a length bound keeps the majorant positive on all of (0, 1)
+    assert main(["landau", "--mode", "length", "--map", f2_map,
+                 "--K", "1", "--l1", "1e-12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stays nonnegative" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--K", "--l1"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from polyharm.geometry import (
     sup_length,
 )
 
-from _gen import conjugate_map, random_map
+from _gen import conjugate_map, convex_map, random_map
 
 
 # ---- curve length ----
@@ -359,18 +360,77 @@ def test_diameter_monomials():
         assert abs(diameter_estimate(F) - 2.0 * c) <= 1e-9
 
 
-def test_diameter_polish_stops_once_the_distances_settle(monkeypatch):
-    # 3 rounds x 4 coordinates of zoom, each stopping within a few ulps
+@pytest.mark.parametrize("F", [catalog.f2(), convex_map(np.random.default_rng(3))],
+                         ids=["f2", "convex"])
+def test_diameter_polish_makes_few_kernel_calls(monkeypatch, F):
+    # the grid is one evaluate call; each Newton step is one evaluate and
+    # one wirtinger call on its 9-pair stencil, each rejected step one
+    # more evaluate call, and the ascent stops at the pair's local maximum
     calls = []
-    inner = geometry.evaluate
+    for name in ("evaluate", "wirtinger"):
+        inner = getattr(geometry, name)
 
-    def counted(F, z):
-        calls.append(np.size(z))
-        return inner(F, z)
+        def counted(F, z, inner=inner):
+            calls.append(np.size(z))
+            return inner(F, z)
 
-    monkeypatch.setattr(geometry, "evaluate", counted)
-    assert abs(diameter_estimate(catalog.f2()) - 6.0) <= 1e-9
-    assert len(calls) <= 80
+        monkeypatch.setattr(geometry, name, counted)
+    diameter_estimate(F)
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 6])
+def test_diameter_reaches_the_local_maximum(monkeypatch, seed):
+    boxes = []  # the box of each ascent, and the pair it returned
+    inner = geometry._ascend
+
+    def spy(F, x, lo, hi):
+        x, d = inner(F, x, lo, hi)
+        boxes.append((lo, hi, x))
+        return x, d
+
+    monkeypatch.setattr(geometry, "_ascend", spy)
+    F = convex_map(np.random.default_rng(seed))
+    results = []
+    for n_radii, n_angles in ((16, 1024), (2, 4096), (8, 333)):
+        d = diameter_estimate(F, n_radii=n_radii, n_angles=n_angles)
+        lo, hi, x = boxes[-1]
+        results.append(d)
+        # at least the farthest sampled pair
+        rho = np.arange(1, n_radii + 1) / n_radii
+        th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+        w = evaluate(F, np.outer(rho, np.exp(1j * th))).ravel()
+        v = w[ConvexHull(np.column_stack([w.real, w.imag])).vertices]
+        assert d >= max(np.abs(v[k:k + 256, None] - v).max() for k in range(0, v.size, 256))
+
+        # the returned pair realizes d, and no coordinate free to move can
+        # still raise |F(z_a) - F(z_b)|^2: its gradient, by central
+        # differences of evaluate, is at most 1e-7 of it
+        def dist2(s):
+            f = evaluate(F, s[0::2] * np.exp(1j * s[1::2]))
+            return abs(f[0] - f[1]) ** 2
+
+        assert math.sqrt(dist2(x)) == pytest.approx(d, rel=1e-15)
+        g = np.array([(dist2(x + e) - dist2(x - e)) / 2e-6 for e in 1e-6 * np.eye(4)])
+        g[((x >= hi) & (g > 0.0)) | ((x <= lo) & (g < 0.0))] = 0.0
+        assert np.abs(g).max() <= 1e-7 * d * d
+    # the same maximum whichever grid sample the ascent starts from
+    assert max(results) - min(results) <= 4.0 * np.spacing(max(results))
+
+
+@pytest.mark.parametrize("F, want, rtol", [
+    (catalog.linear(0.0, 0.0), 0.0, 0.0),
+    (catalog.linear(1.0, 1.0), 4.0, 0.0),  # a segment: its sampled ends
+    (catalog.identity(), 2.0, 1e-15),
+    (catalog.f2(), 6.0, 1e-15),
+], ids=["zero", "collinear", "identity", "f2"])
+def test_diameter_polish_raises_no_warnings(F, want, rtol):
+    # a zero, flat or rotation-invariant distance leaves the Newton system
+    # singular
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = diameter_estimate(F)
+    assert abs(d - want) <= rtol * want
 
 
 def test_diameter_monotone_in_radius():

@@ -208,3 +208,9 @@ def test_mobius_distortion_not_trivial():
 def test_mobius_rejects_boundary_parameter():
     with pytest.raises(InvalidParams):
         mobius_j_distortion(1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_mobius_rejects_nonfinite_angle(theta):
+    with pytest.raises(InvalidParams, match="angle must be finite"):
+        mobius_j_distortion(0.5, theta)
