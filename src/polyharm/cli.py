@@ -73,6 +73,7 @@ def _positive(v) -> bool:
 _VALUE_RULES = {  # flag: rule, test
     "grid": (">= 1", lambda v: v >= 1),
     "theta_samples": (">= 1", lambda v: v >= 1),
+    "radial_nodes": (">= 1", lambda v: v >= 1),
     "r1": ("in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
     "K": ("finite and >= 1", lambda v: 1.0 <= v < math.inf),
     "alpha": ("positive and finite", _positive),
@@ -117,6 +118,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_length(args) -> int:
+    _check_values(args, ("tol",))
     F = _load(args.map)
     if args.sup:
         v = geometry.sup_length(F, integral_tol=args.tol)
@@ -132,6 +134,11 @@ def cmd_length(args) -> int:
 def cmd_area(args) -> int:
     if not 0.0 < args.r <= 1.0:  # area_series would extrapolate past the disk
         raise InvalidParams("--r must be in (0, 1], got %r" % (args.r,))
+    # the quadrature's flags are checked whatever --method is
+    _check_values(args, ("radial_nodes", "theta_samples"))
+    check_grid_size(args.radial_nodes * args.theta_samples,
+                    "--radial-nodes x --theta-samples")
+    check_grid_size(args.radial_nodes ** 2, "--radial-nodes x --radial-nodes")
     F = _load(args.map)
     if args.method in ("series", "both"):
         s = geometry.area_series(F, args.r)

@@ -25,7 +25,9 @@ is fixed and elementwise, so a scalar call returns exactly the bits of the
 matching entry of an array call.  On a circle |z| = r the factor s is the
 constant r^2, so the layers fold into one trigonometric series per circle;
 :func:`ring_values` and :func:`ring_wirtinger` take F and both derivatives
-at n equispaced points of each circle from it with one inverse FFT.
+at n equispaced points of each circle from it with one inverse FFT, and
+``_ring_energies`` takes the circle means of |F_z|^2 and |F_zbar|^2 over
+those points from it by Parseval, with no FFT.
 """
 from __future__ import annotations
 
@@ -247,7 +249,8 @@ def _collapse(r, shift, *tables):
     # memory is O(len(r) J) whatever p is
     r = np.asarray(r, dtype=float).reshape(-1, 1)
     e = np.arange(1, tables[0].shape[1] + 1) + shift
-    out = [M[0] * r ** e for M in tables]
+    pw = r ** e
+    out = [M[0] * pw for M in tables]
     for n in range(1, tables[0].shape[0]):
         pw = r ** (2 * n + e)
         for acc, M in zip(out, tables):
@@ -289,15 +292,53 @@ def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
     sum_n (j+n-1) conj(b[n,j]) r^(2n+j-3) at -(j-1) and
     sum_n (n-1) a[n,j] r^(2n+j-3) at j+1.  Each coefficient is added into
     slot m mod n_angles of its circle's spectrum, so the samples stay exact
-    when frequencies alias (2J + 2 > n_angles), and one inverse FFT per
+    when frequencies alias (n_angles <= 2J), and one inverse FFT per
     circle gives its samples.
     """
+    return tuple(_ring_samples(radii, n_angles, -1, *_wirtinger_terms(F)))
+
+
+def _wirtinger_terms(F: PolyharmonicMap):
+    # the (table, frequencies) pairs of F_z and of F_zbar on a circle, as
+    # ring_wirtinger's docstring gives them, for _collapse's shift -1
     j = np.arange(1, F.J + 1)
     layer = np.arange(F.p)[:, None]  # n - 1
     bc = np.conj(F.b)
-    return tuple(_ring_samples(radii, n_angles, -1,
-                               [((j + layer) * F.a, j - 1), (layer * bc, -j - 1)],
-                               [((j + layer) * bc, 1 - j), (layer * F.a, j + 1)]))
+    return ([((j + layer) * F.a, j - 1), (layer * bc, -j - 1)],
+            [((j + layer) * bc, 1 - j), (layer * F.a, j + 1)])
+
+
+def _ring_energies(F: PolyharmonicMap, radii, n_angles: int):
+    # the means of |F_z|^2 and of |F_zbar|^2 over the samples of
+    # ring_wirtinger, two len(radii) arrays, by Parseval: the sum of |c|^2
+    # over the slots c of each circle's spectrum folded mod n_angles.  A
+    # derivative whose frequencies fall in distinct slots has its
+    # coefficients squared as they are; otherwise each slot first sums its
+    # coefficients in the order ring_wirtinger adds them.  Circles go in
+    # blocks of ~2^14 coefficient entries, and a folded spectrum (n_angles
+    # <= 2J slots) is no larger
+    radii = np.asarray(radii, dtype=float).ravel()
+    outputs = _wirtinger_terms(F)
+    slots = []  # per derivative, the slot of each coefficient, or None
+    for terms in outputs:
+        m = np.concatenate([m for _, m in terms]) % n_angles
+        s = np.sort(m)  # np.unique would import numpy.ma, 1.6 MB of RSS
+        slots.append(m if np.any(s[1:] == s[:-1]) else None)
+    tables = [M for terms in outputs for M, _ in terms]
+    rows = max(1, (1 << 14) // (4 * F.J))
+    energies = np.empty((len(outputs), radii.size))
+    for k in range(0, radii.size, rows):
+        # one row per circle: F_z's coefficients, then F_zbar's
+        c = np.concatenate(_collapse(radii[k:k + rows], -1, *tables), axis=1)
+        for out, part, m in zip(energies, np.split(c, len(outputs), axis=1), slots):
+            if m is not None:
+                at = (np.arange(len(c))[:, None] * n_angles + m).ravel()
+                re, im = (np.bincount(at, x.ravel(), len(c) * n_angles)
+                          .reshape(len(c), n_angles) for x in (part.real, part.imag))
+            else:
+                re, im = part.real, part.imag
+            out[k:k + len(c)] = (re * re + im * im).sum(axis=1)
+    return energies
 
 
 def jacobian(F: PolyharmonicMap, z):

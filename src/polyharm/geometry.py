@@ -3,9 +3,10 @@
 Everything here is derived from the coefficient table alone: perimeter of
 the image of a circle, normalized image area (two independent routes: the
 exact coefficient series, and a tensor Gauss-Legendre x trapezoid
-quadrature of Jacobian samples taken from the circle spectra), the area
-growth excess r*S'(r) - 2*S(r) in closed form, and a sampled lower
-estimate of the image diameter.
+quadrature of the Jacobian, its angular trapezoid rule evaluated exactly
+by Parseval from the circle spectra, n_theta still setting the aliasing
+fold), the area growth excess r*S'(r) - 2*S(r) in closed form, and a
+sampled lower estimate of the image diameter.
 
 The two area routes are kept deliberately separate so they can be played
 against each other in tests; do not "simplify" one into the other.
@@ -18,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import (PolyharmonicMap, _collapse, _horner, check_grid_size,
-                   evaluate, ring_wirtinger, wirtinger)
+from .core import (PolyharmonicMap, _collapse, _horner, _ring_energies,
+                   check_grid_size, evaluate, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -222,8 +223,12 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
     """S(r) by quadrature of the Jacobian over the disk |z| <= r.
 
     Gauss-Legendre in the radial variable (exact for the polynomial radial
-    profile at these orders) times a periodic trapezoid rule in the angle.
-    Independent of area_series by construction.  Raises InvalidParams
+    profile at these orders) times a periodic trapezoid rule of n_theta
+    points in the angle, evaluated by Parseval without sampling: on each
+    Gauss circle, the mean of |F_z|^2 - |F_zbar|^2 over the n_theta points
+    is the sum of the squared moduli of the circle's Wirtinger coefficients
+    folded mod n_theta, aliasing included.  Independent of area_series by
+    construction.  Raises InvalidParams
     unless n_radial >= 1 and n_theta >= 1, and when the n_radial x n_theta
     grid or the n_radial x n_radial matrix behind the Gauss-Legendre nodes
     is over MAX_GRID_POINTS.
@@ -238,17 +243,9 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
     t, w = _gauss_nodes(int(n_radial))
     rho = 0.5 * r * (t + 1.0)
     wts = 0.5 * r * w
-    # rings in blocks of ~2^14 points: temporaries that small are reused
-    # from the heap instead of being page-faulted in afresh on every call
-    rows = max(1, (1 << 14) // int(n_theta))
-    ring_means = np.empty(rho.size)
-    for k in range(0, rho.size, rows):
-        fz, fzb = ring_wirtinger(F, rho[k:k + rows], int(n_theta))
-        jac = (fz.real * fz.real + fz.imag * fz.imag
-               - fzb.real * fzb.real - fzb.imag * fzb.imag)
-        ring_means[k:k + rows] = jac.mean(axis=1)
+    ez, ezb = _ring_energies(F, rho, int(n_theta))
     # (1/pi) * int_0^2pi int_0^r J rho drho dth  ==  2 * sum w_q rho_q mean_th J
-    return float(2.0 * np.sum(wts * rho * ring_means))
+    return float(2.0 * np.sum(wts * rho * (ez - ezb)))
 
 
 def area_growth_excess(F: PolyharmonicMap, r):

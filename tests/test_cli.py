@@ -32,6 +32,9 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+_F0_J9 = '{"builtin": "f0", "params": {"J": 9}}'
+
+
 def _lines(capsys):
     out = capsys.readouterr().out
     return {ln.split("=")[0].strip(): ln.split("=", 1)[1].strip()
@@ -335,8 +338,9 @@ def test_io_errors(tmp_path, identity_map, capsys):
     assert main(["eval", "--map", bad, "--z", "0"]) == 4
     unknown = _write(tmp_path, "unk.map", '{"builtin": "spiral"}')
     assert main(["eval", "--map", unknown, "--z", "0"]) == 4
-    assert main(["length", "--map", identity_map, "--r", "0.5",
-                 "--tol", "0"]) == 4  # cannot converge to zero tolerance
+    f0 = _write(tmp_path, "f0.map", _F0_J9)
+    assert main(["length", "--map", f0, "--r", "0.5",
+                 "--tol", "1e-300"]) == 4  # cannot converge that far
     capsys.readouterr()
 
 
@@ -431,9 +435,43 @@ def test_sample_counts_above_the_cap_are_usage_errors(identity_map, tmp_path,
     assert not (tmp_path / "never.svg").exists()
 
 
-def test_length_sup_honours_tol(identity_map, capsys):
-    assert main(["length", "--map", identity_map, "--sup", "--tol", "0"]) == 4
+def test_length_sup_honours_tol(tmp_path, capsys):
+    f0 = _write(tmp_path, "f0.map", _F0_J9)
+    assert main(["length", "--map", f0, "--sup", "--tol", "1e-300"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", [["--sup"], ["--r", "0.5"]], ids=" ".join)
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"], ids=lambda v: "tol " + v)
+def test_length_rejects_bad_tol_before_reading_the_map(tmp_path, capsys,
+                                                       monkeypatch, mode, tol):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("measured before --tol was checked")
+
+    for name in ("curve_length", "sup_length"):
+        monkeypatch.setattr(geometry, name, unreachable)
+    missing = str(tmp_path / "missing.map")
+    assert main(["length", "--map", missing, "--tol", tol] + mode) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
+@pytest.mark.parametrize("flags, message", [
+    (["--theta-samples", "0"], "--theta-samples must be >= 1"),
+    (["--radial-nodes", "-5"], "--radial-nodes must be >= 1"),
+    (["--theta-samples", "10000000000"], "over the cap of 1048576"),
+    (["--radial-nodes", "1025"], "over the cap of 1048576"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_area_checks_the_quadrature_flags_before_reading_the_map(
+        tmp_path, capsys, method, flags, message):
+    missing = str(tmp_path / "missing.map")
+    assert main(["area", "--map", missing, "--r", "0.5", "--method", method]
+                + flags) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_parser_reuse_keeps_no_state(identity_map, capsys):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
-from polyharm import catalog, geometry
-from polyharm.core import (PolyharmonicMap, evaluate, ring_wirtinger, scale_map,
-                           wirtinger)
+from polyharm import catalog, core, geometry
+from polyharm.core import (PolyharmonicMap, _collapse, _wirtinger_terms, evaluate,
+                           ring_wirtinger, scale_map, wirtinger)
 from polyharm.errors import NoConvergence
 from polyharm.geometry import (
     area_growth_excess,
@@ -274,12 +274,39 @@ def test_area_quadrature_pinned():
     assert abs(area_quadrature(G, 1.0) + math.pi / math.pi) <= 1e-12
 
 
-def _area_quadrature_one_shot(F, r, n_radial, n_theta, pointwise=False):
-    # every Gauss ring in one ring_wirtinger call, or in one call of the
-    # pointwise Horner kernel on the same equispaced angles
+def _gauss_rings(r, n_radial):
     t, w = np.polynomial.legendre.leggauss(n_radial)
-    rho = 0.5 * r * (t + 1.0)
-    wts = 0.5 * r * w
+    return 0.5 * r * (t + 1.0), 0.5 * r * w
+
+
+def _area_from_ring_means(r, n_radial, means):
+    rho, wts = _gauss_rings(r, n_radial)
+    return float(2.0 * np.sum(wts * rho * means))
+
+
+def _energies_one_shot(F, rho, n_theta):
+    # every Gauss ring at once: each derivative's circle coefficients,
+    # squared as they are, or first added into their slots mod n_theta by
+    # np.add.at where two of them share a slot; F_z's energy minus F_zbar's
+    terms = _wirtinger_terms(F)
+    tables = iter(_collapse(rho, -1, *[M for pairs in terms for M, _ in pairs]))
+    energy = []
+    for pairs in terms:
+        c = np.concatenate([next(tables) for _ in pairs], axis=1)
+        m = np.concatenate([m for _, m in pairs]) % n_theta
+        if np.unique(m).size < m.size:
+            spec = np.zeros((len(rho), n_theta), dtype=complex)
+            np.add.at(spec, (slice(None), m), c)
+            c = spec
+        re, im = c.real, c.imag
+        energy.append((re * re + im * im).sum(axis=1))
+    return energy[0] - energy[1]
+
+
+def _sampled_means(F, rho, n_theta, pointwise=False):
+    # the ring means of the sampled Jacobian: every Gauss ring in one
+    # ring_wirtinger call, or in one call of the pointwise Horner kernel on
+    # the same equispaced angles
     if pointwise:
         u = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
         fz, fzb = wirtinger(F, rho[:, None] * u[None, :])
@@ -287,7 +314,20 @@ def _area_quadrature_one_shot(F, r, n_radial, n_theta, pointwise=False):
         fz, fzb = ring_wirtinger(F, rho, n_theta)
     jac = (fz.real * fz.real + fz.imag * fz.imag
            - fzb.real * fzb.real - fzb.imag * fzb.imag)
-    return float(2.0 * np.sum(wts * rho * jac.mean(axis=1)))
+    return jac.mean(axis=1)
+
+
+def _check_against_oracles(F, r, n_radial, n_theta, horner=True):
+    rho, _ = _gauss_rings(r, n_radial)
+    s = area_quadrature(F, r, n_radial, n_theta)
+    # blocks of rings give the bits of all rings at once
+    assert s == _area_from_ring_means(r, n_radial, _energies_one_shot(F, rho, n_theta))
+    # Parseval agrees with the sampled trapezoid rule, aliasing included
+    sampled = _area_from_ring_means(r, n_radial, _sampled_means(F, rho, n_theta))
+    assert abs(s - sampled) <= 1e-14 * (1.0 + abs(s))
+    if horner:  # the Horner kernel stays an independent oracle
+        pointwise = _sampled_means(F, rho, n_theta, pointwise=True)
+        assert abs(s - _area_from_ring_means(r, n_radial, pointwise)) <= 1e-14 * (1.0 + abs(s))
 
 
 def test_area_quadrature_blocks_are_bitwise_one_shot():
@@ -295,12 +335,42 @@ def test_area_quadrature_blocks_are_bitwise_one_shot():
     for n_radial, n_theta in ((64, 16), (64, 1000), (64, 2048), (64, 3000),
                               (64, 4096), (8, 30000)):
         F = random_map(rng)
+        _check_against_oracles(F, float(rng.uniform(0.2, 1.0)), n_radial, n_theta)
+
+
+def test_area_quadrature_keeps_the_aliasing_of_its_samples():
+    # n_theta <= 2J folds frequencies onto each other, as the samples would
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        F = random_map(rng, J_max=12)
         r = float(rng.uniform(0.2, 1.0))
-        s = area_quadrature(F, r, n_radial, n_theta)
-        assert s == _area_quadrature_one_shot(F, r, n_radial, n_theta)
-        # the Horner kernel stays an independent oracle for the sampler
-        horner = _area_quadrature_one_shot(F, r, n_radial, n_theta, pointwise=True)
-        assert abs(s - horner) <= 1e-14 * (1.0 + abs(s))
+        for n_theta in (1, 3, 2 * F.J, 2 * F.J + 1, 2 * F.J + 2):
+            _check_against_oracles(F, r, 16, n_theta)
+
+
+def test_area_quadrature_matches_its_samples_on_f0_at_J_1024():
+    # 2048 angles alias J = 1024's frequencies -1025 and 1023
+    _check_against_oracles(catalog.f0(1024), 1.0, 64, 2048, horner=False)
+
+
+def test_area_quadrature_neither_samples_nor_transforms(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("area_quadrature sampled a circle")
+
+    monkeypatch.setattr(np.fft, "ifft", boom)
+    monkeypatch.setattr(core, "ring_wirtinger", boom)
+    monkeypatch.setattr(core, "_ring_samples", boom)
+    F = catalog.f2()
+    want = area_series(F, 0.9)
+    area_quadrature(F, 0.9, 64, 1 << 14)  # warm the Gauss-Legendre cache
+    tracemalloc.start()
+    try:
+        s = area_quadrature(F, 0.9, 64, 1 << 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(s - want) <= 1e-12 * (1.0 + abs(want))
+    assert peak < 1 << 20
 
 
 def test_area_series_matches_quadrature():
