@@ -10,6 +10,8 @@ check that ``verify`` skips leaves the exit code alone.
 from __future__ import annotations
 
 import argparse
+import cmath
+import collections
 import functools
 import math
 import sys
@@ -70,12 +72,20 @@ def _positive(v) -> bool:
     return 0.0 < v < math.inf
 
 
-_VALUE_RULES = {  # flag: rule, test
+_VALUE_RULES = {  # option dest: rule, test; every numeric option has one
+    "z": ("finite", cmath.isfinite),
+    "w": ("finite", cmath.isfinite),
+    "mobius_a": ("finite", cmath.isfinite),
+    "mobius_theta": ("finite", cmath.isfinite),
+    "r": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "r2": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "r1": ("in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
     "grid": (">= 1", lambda v: v >= 1),
     "theta_samples": (">= 1", lambda v: v >= 1),
     "radial_nodes": (">= 1", lambda v: v >= 1),
-    "r1": ("in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
+    "seed": (">= 0", lambda v: v >= 0),
     "K": ("finite and >= 1", lambda v: 1.0 <= v < math.inf),
+    "m": ("positive and finite", _positive),
     "alpha": ("positive and finite", _positive),
     "l1": ("positive and finite", _positive),
     "diam": ("positive and finite", _positive),
@@ -84,15 +94,15 @@ _VALUE_RULES = {  # flag: rule, test
 }
 
 
-def _check_values(args, flags) -> None:
-    # InvalidParams for the first of flags set to a value its rule rejects;
-    # an unset flag is not tested
-    for flag in flags:
-        v = getattr(args, flag)
-        rule, ok = _VALUE_RULES[flag]
-        if v is not None and not ok(v):
-            raise InvalidParams("--%s must be %s, got %r"
-                                % (flag.replace("_", "-"), rule, v))
+def _check_values(args) -> None:
+    # InvalidParams for the first option set to a value its rule rejects;
+    # an unset option is not tested
+    for dest, v in vars(args).items():
+        if dest in _VALUE_RULES and v is not None:
+            rule, ok = _VALUE_RULES[dest]
+            if not ok(v):
+                raise InvalidParams("--%s must be %s, got %r"
+                                    % (dest.replace("_", "-"), rule, v))
 
 
 # ---- subcommands ----
@@ -118,24 +128,20 @@ def cmd_derive(args) -> int:
 
 
 def cmd_length(args) -> int:
-    _check_values(args, ("tol",))
+    if not args.sup and args.r is None:
+        raise _UsageError("length needs --r or --sup")
     F = _load(args.map)
     if args.sup:
         v = geometry.sup_length(F, integral_tol=args.tol)
         print("sup_length = %.17g" % v)
     else:
-        if args.r is None:
-            raise _UsageError("length needs --r or --sup")
         v = geometry.curve_length(F, args.r, tol=args.tol)
         print("length = %.17g" % v)
     return EXIT_PASS
 
 
 def cmd_area(args) -> int:
-    if not 0.0 < args.r <= 1.0:  # area_series would extrapolate past the disk
-        raise InvalidParams("--r must be in (0, 1], got %r" % (args.r,))
-    # the quadrature's flags are checked whatever --method is
-    _check_values(args, ("radial_nodes", "theta_samples"))
+    # the quadrature's grid is capped whatever --method is
     check_grid_size(args.radial_nodes * args.theta_samples,
                     "--radial-nodes x --theta-samples")
     check_grid_size(args.radial_nodes ** 2, "--radial-nodes x --radial-nodes")
@@ -153,6 +159,7 @@ def cmd_area(args) -> int:
 
 
 def cmd_diam(args) -> int:
+    check_grid_size(args.grid * args.theta_samples, "--grid x --theta-samples")
     F = _load(args.map)
     v = geometry.diameter_estimate(F, args.r, n_radii=args.grid,
                                    n_angles=args.theta_samples)
@@ -161,13 +168,11 @@ def cmd_diam(args) -> int:
 
 
 def cmd_landau(args) -> int:
-    # checked before the map is read
     if args.mode == "fourgon":
         for flag in ("alpha", "K", "l1"):
             if getattr(args, flag) is not None:
                 raise _UsageError("--mode fourgon solves with alpha = 1 and "
                                   "takes no --%s" % flag)
-    _check_values(args, ("alpha", "K", "l1", "diam", "tol"))
     F = _load(args.map)
     if args.mode == "fourgon":
         p, alpha = 2, 1.0  # the two-layer bound at unit normalization
@@ -198,19 +203,18 @@ def cmd_landau(args) -> int:
 
 
 def cmd_three_circles(args) -> int:
+    if args.analytic and args.r2 is None:
+        raise _UsageError("--analytic needs --r2")
     F = _load(args.map)
     if args.analytic:
-        if args.r2 is None:
-            raise _UsageError("--analytic needs --r2")
-        rep = certificates.hadamard_three_circles(F, args.r1, args.r2,
-                                                  n_theta=args.theta_samples)
+        rep = certificates.hadamard_three_circles(F, args.r1, args.r2)
     else:
         m = args.m if args.m is not None else float(geometry.area_series(F, args.r1))
         if args.m is None and not m > 0.0:  # the map's own S(r1) breaks 0 < m
             rep = certificates.CheckReport("three-circles-area", "hypotheses-not-met",
                                            extras={"S_at_r1": m})
         else:
-            rep = certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)
+            rep = certificates.three_circles_area(F, args.r1, m)
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
     worst = rep.worst()
@@ -221,7 +225,7 @@ def cmd_three_circles(args) -> int:
 
 def cmd_schwarz(args) -> int:
     F = _load(args.map)
-    rep = certificates.area_schwarz(F, n_grid=args.grid)
+    rep = certificates.area_schwarz(F)
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
     if rep.verdict != "hypotheses-not-met":
@@ -249,8 +253,7 @@ def cmd_jmetric(args) -> int:
 
 def cmd_render(args) -> int:
     F = _load(args.map)
-    render_mod.render_svg(F, args.out, rings=args.rings, rays=args.rays,
-                          samples=args.samples)
+    render_mod.render_svg(F, args.out)
     return EXIT_PASS
 
 
@@ -286,10 +289,6 @@ def _derived_quantities(F: PolyharmonicMap, args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    # checked up front: the checks that use them may be skipped for this map
-    _check_values(args, ("grid", "theta_samples", "r1", "K", "l1", "diam", "M"))
-    check_grid_size(args.grid, "--grid")
-    check_grid_size(args.theta_samples, "--theta-samples")
     spec = mapspec.load(args.map)
     F = build_map(spec)
     derived = _derived_quantities(F, args)
@@ -319,13 +318,12 @@ def cmd_verify(args) -> int:
         ("length-coefficient-bounds", ("length-alignment", "finite-K"),
          lambda: certificates.length_coefficient_bounds(F, derived["K"], derived["l1"])),
         ("three-circles-area", ("area-angle", "positive-area-at-r1", "unit-budget"),
-         lambda: certificates.three_circles_area(F, args.r1, m, n_grid=args.grid)),
+         lambda: certificates.three_circles_area(F, args.r1, m)),
         ("area-schwarz", ("area-angle",), lambda: certificates.area_schwarz(F)),
         ("j-contraction", ("target-disk",),
          lambda: metrics.contraction_check(F, target, seed=args.seed)),
         ("harmonic-j-lipschitz", ("one-layer",),
-         lambda: metrics.harmonic_lipschitz_check(F, seed=args.seed,
-                                                  n_boundary=args.theta_samples)),
+         lambda: metrics.harmonic_lipschitz_check(F, seed=args.seed)),
     )
     entries = [dict(report.check_to_dict(rep), counts_as="hypothesis")
                for rep in angle.values()]
@@ -344,23 +342,14 @@ def cmd_verify(args) -> int:
         else:
             entries.append(dict(report.to_jsonable(rep), counts_as="conclusion"))
 
-    counts = {"pass": 0, "fail": 0, "hypotheses-not-met": 0, "skipped": 0}
-    exit_code = EXIT_PASS
-    conclusion_fail = False
-    hnm_seen = False
-    for e in entries:
-        v = e["verdict"]
-        if v in counts:
-            counts[v] += 1
-        if e["counts_as"] == "conclusion" and v == "fail":
-            conclusion_fail = True
-        if v == "hypotheses-not-met" or (e["counts_as"] == "hypothesis"
-                                         and v == "fail"):
-            hnm_seen = True
-    if conclusion_fail:
-        exit_code = EXIT_FAIL
-    elif hnm_seen:
-        exit_code = EXIT_HNM
+    seen = collections.Counter(e["verdict"] for e in entries)
+    counts = {v: seen[v] for v in ("pass", "fail", "hypotheses-not-met", "skipped")}
+    failed = any(e["verdict"] == "fail" and e["counts_as"] == "conclusion"
+                 for e in entries)
+    unmet = any(e["verdict"] == "hypotheses-not-met"
+                or (e["verdict"] == "fail" and e["counts_as"] == "hypothesis")
+                for e in entries)
+    exit_code = EXIT_FAIL if failed else EXIT_HNM if unmet else EXIT_PASS
 
     doc = {
         "tool": "polyharm",
@@ -375,9 +364,9 @@ def cmd_verify(args) -> int:
         },
         "environment": {
             "seed": args.seed,
-            "grid": args.grid,
+            "grid": 50,  # three_circles_area's n_grid
             "r1": args.r1,
-            "theta_samples": args.theta_samples,
+            "theta_samples": 2048,  # harmonic_lipschitz_check's n_boundary
             "tol_report": certificates.TOL_REPORT,
             "angle_tol": certificates.ANGLE_TOL,
             "pair_sampler": {"n_random": metrics.N_RANDOM,
@@ -432,7 +421,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("series", "quadrature", "both"),
                    default="series")
     p.add_argument("--theta-samples", type=int, default=2048)
-    p.add_argument("--radial-nodes", type=int, default=64)
+    p.add_argument("--radial-nodes", type=int, default=64,
+                   help="Gauss-Legendre radii; exact once >= 2p + J - 2")
     p.set_defaults(func=cmd_area)
 
     p = mapped(sub.add_parser("diam", help="lower estimate of the image diameter"))
@@ -456,14 +446,11 @@ def build_parser() -> _Parser:
                                    "classical analytic version)"))
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--m", type=float)
-    p.add_argument("--grid", type=int, default=50)
     p.add_argument("--analytic", action="store_true")
     p.add_argument("--r2", type=float)
-    p.add_argument("--theta-samples", type=int, default=4096)
     p.set_defaults(func=cmd_three_circles)
 
     p = mapped(sub.add_parser("schwarz", help="monotonicity of S(r)/r^2"))
-    p.add_argument("--grid", type=int, default=100)
     p.set_defaults(func=cmd_schwarz)
 
     p = sub.add_parser("jmetric", help="distance-ratio metric and distortion")
@@ -478,9 +465,7 @@ def build_parser() -> _Parser:
     p = mapped(sub.add_parser("verify", help="run every applicable certificate"))
     p.add_argument("--out", help="also write the JSON report here")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--grid", type=int, default=50)
     p.add_argument("--r1", type=float, default=0.3)
-    p.add_argument("--theta-samples", type=int, default=2048)
     p.add_argument("--K", type=float)
     p.add_argument("--l1", type=float)
     p.add_argument("--diam", type=float)
@@ -489,9 +474,6 @@ def build_parser() -> _Parser:
 
     p = mapped(sub.add_parser("render", help="SVG sketch of the mapped mesh"))
     p.add_argument("--out", required=True)
-    p.add_argument("--rings", type=int, default=8)
-    p.add_argument("--rays", type=int, default=16)
-    p.add_argument("--samples", type=int, default=512)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("catalog", help="list built-in maps")
@@ -504,6 +486,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_values(args)  # before any command reads its map
         return args.func(args)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -222,15 +222,18 @@ def area_quadrature(F: PolyharmonicMap, r: float, n_radial: int = 64,
                     n_theta: int = 2048) -> float:
     """S(r) by quadrature of the Jacobian over the disk |z| <= r.
 
-    Gauss-Legendre in the radial variable (exact for the polynomial radial
-    profile at these orders) times a periodic trapezoid rule of n_theta
-    points in the angle, evaluated by Parseval without sampling: on each
-    Gauss circle, the mean of |F_z|^2 - |F_zbar|^2 over the n_theta points
-    is the sum of the squared moduli of the circle's Wirtinger coefficients
-    folded mod n_theta, aliasing included.  Independent of area_series by
-    construction.  Raises InvalidParams
-    unless n_radial >= 1 and n_theta >= 1, and when the n_radial x n_theta
-    grid or the n_radial x n_radial matrix behind the Gauss-Legendre nodes
+    Gauss-Legendre in the radial variable times a periodic trapezoid rule
+    of n_theta points in the angle.  Each circle coefficient of F_z and
+    F_zbar is a polynomial of degree at most 2p + J - 3 in rho, so rho times
+    a ring mean has degree at most 4p + 2J - 5: the radial rule is exact
+    once n_radial >= 2p + J - 2 and truncates below that.  The angular rule
+    is evaluated by Parseval without sampling: on each Gauss circle, the
+    mean of |F_z|^2 - |F_zbar|^2 over the n_theta points is the sum of the
+    squared moduli of the circle's Wirtinger coefficients folded mod
+    n_theta, aliasing included.  Independent of area_series by
+    construction.  Raises InvalidParams unless n_radial >= 1 and
+    n_theta >= 1, and when the n_radial x n_theta grid or the
+    n_radial x n_radial matrix behind the Gauss-Legendre nodes
     is over MAX_GRID_POINTS.
     """
     if not (0.0 < r <= 1.0):

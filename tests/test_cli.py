@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import polyharm
-from polyharm import geometry, mapspec
+from polyharm import cli, geometry, mapspec
 from polyharm.catalog import BUILTIN_NAMES
 from polyharm.cli import main
 
@@ -177,7 +180,7 @@ def test_jmetric_nonfinite_mobius_theta_is_a_usage_error(capsys, theta):
     assert main(["jmetric", "--mobius-a", "0.5", "--mobius-theta=" + theta]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "angle must be finite" in captured.err
+    assert "--mobius-theta must be finite" in captured.err
 
 
 # ---- rendering ----
@@ -381,7 +384,8 @@ _BAD_VERIFY_VALUES = [("--grid", "0"), ("--theta-samples", "0"),
                               for f, v in _BAD_VERIFY_VALUES])
 def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, value):
     # each map skips some check that uses the flag, yet a bad value is
-    # still a usage error on every map and no report is written
+    # still a usage error on every map and no report is written; --grid and
+    # --theta-samples are no longer verify options, so they are unknown flags
     maps = [f2_map, _write(tmp_path, "identity.map", '{"builtin": "identity"}'),
             _write(tmp_path, "zero.map", _ZERO),
             _write(tmp_path, "opposed.map", _OPPOSED)]
@@ -413,26 +417,153 @@ def test_oversized_table_is_refused_before_allocation(tmp_path, capsys, text, en
     assert "%d bytes" % (32 * int(entries)) in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["diam", "--grid", "100000", "--theta-samples", "100000"],
-    ["area", "--r", "0.5", "--method", "quadrature", "--theta-samples", "10000000000"],
-    ["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "1025"],
-    ["three-circles", "--r1", "0.3", "--grid", "10000000000"],
-    ["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
-     "--theta-samples", "10000000000"],
-    ["schwarz", "--grid", "10000000000"],
-    ["render", "--out", "never.svg", "--rings", "100000", "--samples", "100000"],
-    ["verify", "--grid", "10000000000"],
-    ["verify", "--theta-samples", "10000000000"],
-], ids=lambda argv: " ".join(argv))
+def _over_cap(argv, message=r"over the cap of 1048576; .* \d+ bytes"):
+    return pytest.param(argv, message, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv, message", [
+    _over_cap(["diam", "--grid", "100000", "--theta-samples", "100000"]),
+    _over_cap(["area", "--r", "0.5", "--method", "quadrature",
+               "--theta-samples", "10000000000"]),
+    _over_cap(["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "1025"]),
+    # sample counts that are no longer options: unknown flags are usage errors
+    _over_cap(["three-circles", "--r1", "0.3", "--grid", "10000000000"],
+              "unrecognized arguments: --grid"),
+    _over_cap(["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
+               "--theta-samples", "10000000000"], "unrecognized arguments: --theta-samples"),
+    _over_cap(["schwarz", "--grid", "10000000000"], "unrecognized arguments: --grid"),
+    _over_cap(["render", "--out", "never.svg", "--rings", "100000", "--samples", "100000"],
+              "unrecognized arguments: --rings"),
+    _over_cap(["verify", "--grid", "10000000000"], "unrecognized arguments: --grid"),
+    _over_cap(["verify", "--theta-samples", "10000000000"],
+              "unrecognized arguments: --theta-samples"),
+])
 def test_sample_counts_above_the_cap_are_usage_errors(identity_map, tmp_path,
-                                                      capsys, argv):
+                                                      capsys, argv, message):
     argv = [str(tmp_path / a) if a == "never.svg" else a for a in argv]
     assert main([argv[0], "--map", identity_map] + argv[1:]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "over the cap of 1048576" in captured.err and "bytes" in captured.err
+    assert re.search(message, captured.err)
     assert not (tmp_path / "never.svg").exists()
+
+
+def _numeric_options():
+    # (command, option, dest) for every option typed int, float or complex
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action.dest)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.type in (int, float, cli._cnum)]
+
+
+_NUMERIC_OPTIONS = _numeric_options()
+
+
+def test_every_numeric_option_has_a_value_rule():
+    # main checks a value only if its dest has a rule, so a new numeric
+    # option without one would reach its command unchecked
+    assert [o for o in _NUMERIC_OPTIONS if o[2] not in cli._VALUE_RULES] == []
+
+
+_BAD_VALUE = {"z": "nan", "w": "inf", "mobius_a": "nan", "mobius_theta": "-inf",
+              "r": "1.5", "r2": "0", "r1": "1", "grid": "0", "theta_samples": "0",
+              "radial_nodes": "-5", "seed": "-1", "K": "0.5", "m": "-1",
+              "alpha": "nan", "l1": "inf", "diam": "0", "M": "-1", "tol": "0"}
+_REQUIRED = {"length": ["--sup"], "area": ["--r", "0.5"],
+             "landau": ["--mode", "diameter"], "three-circles": ["--r1", "0.3"]}
+
+
+@pytest.mark.parametrize("command, option, dest", _NUMERIC_OPTIONS,
+                         ids=["%s %s" % o[:2] for o in _NUMERIC_OPTIONS])
+def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys,
+                                                     command, option, dest):
+    # the map file does not exist, so a check made after reading it would
+    # exit 4; a required option given twice takes its last value
+    argv = [command] + _REQUIRED.get(command, []) + [option + "=" + _BAD_VALUE[dest]]
+    if command != "jmetric":
+        argv += ["--map", str(tmp_path / "missing.map")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option + " must be " in captured.err
+
+
+_ACROSS_FLAGS = [
+    (["length"], "length needs --r or --sup"),
+    (["three-circles", "--r1", "0.3", "--analytic"], "--analytic needs --r2"),
+    (["landau", "--mode", "fourgon", "--l1", "2"], "takes no --l1"),
+    (["diam", "--grid", "2048", "--theta-samples", "1024"],
+     "--grid x --theta-samples asks for 2097152 points, over the cap"),
+    (["area", "--r", "0.5", "--radial-nodes", "1025", "--theta-samples", "1"],
+     "--radial-nodes x --radial-nodes asks for 1050625 points, over the cap"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _ACROSS_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in _ACROSS_FLAGS])
+def test_checks_across_flags_come_before_the_map_is_read(tmp_path, capsys,
+                                                         argv, message):
+    missing = str(tmp_path / "missing.map")
+    assert main(argv[:1] + ["--map", missing] + argv[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--grid"), ("verify", "--theta-samples"),
+    ("three-circles", "--grid"), ("three-circles", "--theta-samples"),
+    ("schwarz", "--grid"), ("render", "--rings"), ("render", "--rays"),
+    ("render", "--samples"),
+], ids=" ".join)
+def test_removed_sample_count_flags_are_usage_errors(identity_map, tmp_path, capsys,
+                                                      command, flag):
+    svg = tmp_path / "never.svg"
+    argv = [command, "--map", identity_map, flag, "8"]
+    argv += {"three-circles": ["--r1", "0.3"], "render": ["--out", str(svg)]}.get(command, [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: %s 8" % flag in captured.err
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--map", "f2.map", "--seed", "-1"],
+    ["jmetric", "--mobius-a", "0.5", "--seed", "-1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(f2_map, capsys, argv):
+    # numpy refuses negative seeds; the flag is refused before it gets there
+    assert main([f2_map if a == "f2.map" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be >= 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--map", "f2.map", "--z", "nan"],
+    ["derive", "--map", "f2.map", "--z", "inf"],
+    ["jmetric", "--w", "0", "--z", "nan"],
+    ["jmetric", "--z", "0", "--w", "inf"],
+], ids=" ".join)
+def test_nonfinite_point_is_a_usage_error(f2_map, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no arithmetic on the point either
+        assert main([f2_map if a == "f2.map" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] + " must be finite" in captured.err  # the last flag is the bad one
+
+
+def test_three_circles_analytic_takes_r1_up_to_the_edge(identity_map, capsys):
+    argv = ["three-circles", "--map", identity_map, "--analytic", "--r2", "1"]
+    assert main(argv + ["--r1", "0.9999"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--r1", "0.9999995"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--r1 must be in (0, 1 - 1e-6]" in captured.err
 
 
 def test_length_sup_honours_tol(tmp_path, capsys):
@@ -475,11 +606,12 @@ def test_area_checks_the_quadrature_flags_before_reading_the_map(
 
 
 def test_parser_reuse_keeps_no_state(identity_map, capsys):
-    # main() parses every call with one parser; a verify in between must
-    # leave no option behind for the next diam
+    # main() parses every call with one parser; an area call in between must
+    # leave none of the options it shares with diam behind for the next diam
     assert main(["diam", "--map", identity_map]) == 0
     first = capsys.readouterr().out
-    assert main(["verify", "--map", identity_map, "--grid", "7"]) == 0
+    assert main(["area", "--map", identity_map, "--r", "0.5",
+                 "--theta-samples", "7"]) == 0
     capsys.readouterr()
     assert main(["diam", "--map", identity_map]) == 0
     assert capsys.readouterr().out == first
@@ -599,8 +731,9 @@ def test_landau_solver_rejection_prints_nothing(f2_map, capsys):
 
 @pytest.mark.parametrize("flag", ["--alpha", "--K", "--l1"])
 def test_landau_fourgon_rejects_ignored_flags(f2_map, capsys, flag):
-    # the fourgon bound fixes alpha = 1 and never reads K or l1
-    assert main(["landau", "--mode", "fourgon", "--map", f2_map, flag, "0.3"]) == 3
+    # the fourgon bound fixes alpha = 1 and never reads K or l1; the value
+    # passes each flag's own rule, so only the exclusion rejects it
+    assert main(["landau", "--mode", "fourgon", "--map", f2_map, flag, "2"]) == 3
     assert "takes no " + flag in capsys.readouterr().err
 
 

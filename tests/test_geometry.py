@@ -373,6 +373,26 @@ def test_area_quadrature_neither_samples_nor_transforms(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("p, J", [(1, 6), (2, 6), (3, 5), (1, 1), (4, 3)])
+def test_area_quadrature_radial_rule_is_exact_from_2p_plus_J_minus_2_nodes(p, J):
+    # rho times a ring mean has degree <= 4p + 2J - 5 in rho, which n
+    # Gauss-Legendre nodes integrate exactly once 2n - 1 reaches it; one
+    # node fewer truncates
+    rng = np.random.default_rng(100 * p + J)
+    n = 2 * p + J - 2
+    below = []
+    for _ in range(8):
+        a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+        b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+        F = PolyharmonicMap(p, J, a, b)
+        r = float(rng.uniform(0.5, 1.0))
+        s = area_series(F, r)
+        assert abs(area_quadrature(F, r, n) - s) <= 1e-14 * (1.0 + abs(s))
+        if n > 1:
+            below.append(abs(area_quadrature(F, r, n - 1) - s) / (1.0 + abs(s)))
+    assert n == 1 or max(below) > 1e-10
+
+
 def test_area_series_matches_quadrature():
     rng = np.random.default_rng(41)
     for _ in range(25):
