@@ -21,9 +21,9 @@ from polyharm.geometry import area_series
 
 
 def show(rep):
-    worst = rep.worst() if rep.margins else None
+    worst = rep.worst()
     print("  %-28s verdict=%-20s margins=%3d  worst slack=%s"
-          % (rep.name, rep.verdict, len(rep.margins),
+          % (rep.name, rep.verdict, rep.count,
              "%.3e" % worst.slack if worst else "n/a"))
 
 

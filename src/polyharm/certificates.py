@@ -1,10 +1,11 @@
 """Checkable inequality certificates for truncated polyharmonic maps.
 
 Each check returns a CheckReport: a verdict ("pass", "fail", or
-"hypotheses-not-met"), a list of margins (one per tested inequality
-instance, slack = rhs - lhs for bounds of the form lhs <= rhs), and
-witnesses for the smallest or negative slacks.  A report fails exactly
-when some margin's slack drops below minus that margin's tolerance.
+"hypotheses-not-met"), the number of margins (one per tested inequality
+instance, slack = rhs - lhs for bounds of the form lhs <= rhs), the worst
+margin, and witnesses for the smallest or negative slacks.  A report fails
+exactly when some margin's slack drops below minus that margin's
+tolerance.  Margins travel as numpy columns; ``margins`` rebuilds them.
 
 Layer-pair angle conditions are evaluated on arguments of coefficient
 ratios, computed as the phase of x * conj(y) so that zero-angle and
@@ -13,7 +14,6 @@ quarter-turn families come out exact in floating point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -28,21 +28,11 @@ TOL_REPORT = 1e-9
 ANGLE_TOL = 1e-12
 ZERO_COEFF_REL = 1e-14
 R_EDGE = 1.0 - 1e-6  # "near the boundary": where S is compared with 1
+_PAIR_ROWS = 1 << 14  # (j, n1, n2) cells of one dense block of layer-pair angles
 
-__all__ = [
-    "TOL_REPORT",
-    "ANGLE_TOL",
-    "ZERO_COEFF_REL",
-    "R_EDGE",
-    "Margin",
-    "CheckReport",
-    "arg_condition",
-    "diameter_coefficient_bounds",
-    "length_coefficient_bounds",
-    "three_circles_area",
-    "hadamard_three_circles",
-    "area_schwarz",
-]
+__all__ = ["TOL_REPORT", "ANGLE_TOL", "ZERO_COEFF_REL", "R_EDGE", "Margin", "CheckReport",
+           "arg_condition", "diameter_coefficient_bounds", "length_coefficient_bounds",
+           "three_circles_area", "hadamard_three_circles", "area_schwarz"]
 
 
 @dataclass(frozen=True)
@@ -58,52 +48,89 @@ class Margin:
 class CheckReport:
     name: str
     verdict: str  # "pass" | "fail" | "hypotheses-not-met"
-    margins: tuple = ()
+    count: int = 0  # margins tested
+    worst_margin: Margin | None = None
     witnesses: tuple = ()
     extras: dict = field(default_factory=dict)
+    blocks: object = field(default=tuple, repr=False, compare=False)
 
     def worst(self):
-        if not self.margins:
-            return None
-        return min(self.margins, key=lambda m: m.slack)
+        return self.worst_margin
+
+    @property
+    def margins(self) -> tuple:
+        """Every margin in check order, rebuilt from the column blocks."""
+        rows = []
+        for ids, key, lhs, rhs, slack, tol in _columns(self.blocks):
+            lhs, rhs = np.broadcast_arrays(lhs, rhs, slack)[:2]
+            rows += [(k, Margin(ids(i), float(lhs[i]), float(rhs[i]), float(slack[i]), tol))
+                     for i, k in enumerate(key.tolist())]
+        return tuple(m for _, m in sorted(rows, key=lambda row: row[0]))
 
 
-def _verdict(margins) -> str:
-    for m in margins:
-        if m.slack < -m.tol:
-            return "fail"
-    return "pass"
+def _columns(blocks):
+    # each block with its slack; rhs None is the bound lhs <= 0 (slack -lhs keeps -0.0)
+    for ids, key, lhs, rhs, tol in blocks():
+        yield (ids, key, lhs, 0.0, -lhs, tol) if rhs is None else \
+            (ids, key, lhs, rhs, rhs - lhs, tol)
 
 
-def _witnesses(margins) -> tuple:
-    # every failing margin and the smallest slack, at most 16 of them
-    if not margins:
-        return ()
-    order = sorted(range(len(margins)), key=lambda i: margins[i].slack)
-    picked = [i for i in order if margins[i].slack < -margins[i].tol]
-    if order and order[0] not in picked:
-        picked.append(order[0])
-    out = []
-    for i in picked[:16]:
-        m = margins[i]
-        out.append({"check_id": m.check_id, "slack": m.slack})
-    return tuple(out)
-
-
-def _report(name, margins, extras=None):
-    margins = tuple(margins)
-    return CheckReport(name=name, verdict=_verdict(margins), margins=margins,
-                       witnesses=_witnesses(margins), extras=extras or {})
+def _report(name, blocks, extras=None):
+    """CheckReport of the (ids, key, lhs, rhs, tol) column blocks that
+    ``blocks()`` yields: ``ids(i)`` formats row i's check_id, ``key`` is
+    each row's place in check order (rising within a block), and one tol
+    per block puts its failing rows first by slack.  Kept are the count,
+    the worst margin (ties to the lower key) and as witnesses the first 16
+    of the failing margins by slack, then the worst if it passes."""
+    count, worst, failing = 0, None, []
+    for block in _columns(blocks):
+        _, key, _, _, slack, tol = block
+        count += slack.size
+        # the 16 smallest slacks' rows (ties in row order, NaN last), sorted
+        rows = np.arange(slack.size) if slack.size <= 256 else \
+            np.flatnonzero(~(slack > np.partition(slack, 15)[15]))
+        picked = rows[np.argsort(slack[rows], kind="stable")[:16]]
+        cands = list(zip(slack[picked].tolist(), key[picked].tolist(), picked.tolist(),
+                         [block] * picked.size))
+        if cands and (worst is None or cands[0][:2] < worst[:2]):
+            worst = cands[0]
+        failing = sorted(failing + [c for c in cands if c[0] < -tol])[:16]
+    verdict, margin = "fail" if failing else "pass", None
+    if worst is not None:
+        slack, _, i, (ids, _, lhs, rhs, _, tol) = worst
+        lhs, rhs = (float(v[i] if isinstance(v, np.ndarray) else v) for v in (lhs, rhs))
+        margin = Margin(ids(i), lhs, rhs, slack, tol)
+        failing = failing if slack < -tol else (failing + [worst])[:16]
+    # check_ids are formatted only for the margins reported
+    witnesses = tuple({"check_id": r[3][0](r[2]), "slack": r[0]} for r in failing)
+    return CheckReport(name, verdict, count, margin, witnesses, extras or {}, blocks)
 
 
 # ---- layer-pair angle conditions ----
 
 
-def _pair_angle(x: complex, y: complex) -> float:
-    ang = abs(cmath.phase(x * y.conjugate()))
-    if ang < ANGLE_TOL:
-        return 0.0
-    return ang
+def _angle_columns(F: PolyharmonicMap):
+    # the columns no kind changes: the live entries' keys, |b|, |a| and (n, j),
+    # then per block of first layers n1 the live layer pairs' keys and angles
+    p, J = F.p, F.J
+    T = np.ascontiguousarray(np.array((F.a, F.b)).T)  # (j, n, a|b)
+    re, im = T.real, T.imag
+    mod = np.hypot(re, im)  # bitwise abs() of each entry
+    live = mod > ZERO_COEFF_REL * mod.max()
+    n, j = (live[..., 0] | live[..., 1]).T.nonzero()
+    yield 2 * J * p * p + n * J + j, mod[j, n, 1], mod[j, n, 0], n, j
+    h = min(p, max(1, _PAIR_ROWS // (p * J)))
+    for lo in range(0, p - 1, h):
+        # dense over (j, n1, n2, a|b) with n1 in [lo, lo + h): check order
+        x, y = (re[:, lo:lo + h, None], im[:, lo:lo + h, None]), (re[:, None], im[:, None])
+        # the phase of x * conj(y), the product formed as Python forms it
+        ang = np.abs(np.arctan2(x[1] * y[0] - x[0] * y[1], x[0] * y[0] + x[1] * y[1]))
+        ang[ang < ANGLE_TOL] = 0.0
+        at = (live[:, lo:lo + h, None] & live[:, None] & (
+            np.arange(lo, lo + h)[:, None] < np.arange(p))[:, :, None]).ravel().nonzero()[0]
+        hb = min(h, p - lo)
+        key = at if hb == p else at + (at // (2 * hb * p) * (p - hb) + lo) * 2 * p
+        yield key, ang.ravel()[at]
 
 
 def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
@@ -115,49 +142,41 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     least a quarter turn, and |a| >= |b| entry-wise.
 
     Zero coefficients (below ZERO_COEFF_REL relative to the largest entry)
-    take part in no pair.
+    take part in no pair.  Margins run over (j, n1, n2), the a-pair before
+    the b-pair, then the area moduli over (n, j).
     """
     if kind not in ("diameter", "length", "area"):
         raise InvalidParams("unknown angle condition kind %r" % (kind,))
-    scale = F.max_coefficient()
-    cut = ZERO_COEFF_REL * scale
-    margins = []
-    half = math.pi / 2.0
+    memo = F._derived  # verify asks for each kind, then again in each conclusion
+    if ("arg_condition", kind) in memo:
+        return memo["arg_condition", kind]
+    p, J, half = F.p, F.J, math.pi / 2.0
+    if "angle_columns" not in memo:  # one block's columns serve every kind
+        memo["angle_columns"] = list(_angle_columns(F)) if p * p * J <= _PAIR_ROWS else None
+    columns = memo["angle_columns"]
 
-    def live(x):
-        return abs(x) > cut
+    def blocks():
+        cols = iter(columns if columns is not None else _angle_columns(F))
+        key, mod_b, mod_a, n, j = next(cols)
+        if kind == "area":
+            yield (lambda i: "modulus n=%d j=%d" % (n.item(i) + 1, j.item(i) + 1),
+                   key, mod_b, mod_a, TOL_REPORT)
+        for key, ang in cols:
+            lhs, rhs = ang, None if kind == "length" else half
+            if kind == "area":  # b-pairs are wanted a quarter turn apart or more
+                lhs, rhs = np.where(key & 1, half, ang), np.where(key & 1, ang, half)
 
-    for j in range(1, F.J + 1):
-        for n1 in range(1, F.p + 1):
-            for n2 in range(n1 + 1, F.p + 1):
-                a1, a2 = F.a[n1 - 1, j - 1], F.a[n2 - 1, j - 1]
-                b1, b2 = F.b[n1 - 1, j - 1], F.b[n2 - 1, j - 1]
-                if live(a1) and live(a2):
-                    ang = _pair_angle(a1, a2)
-                    cid = "a-pair n1=%d n2=%d j=%d" % (n1, n2, j)
-                    if kind == "length":
-                        margins.append(Margin(cid, ang, 0.0, -ang, ANGLE_TOL))
-                    else:
-                        margins.append(Margin(cid, ang, half, half - ang, ANGLE_TOL))
-                if live(b1) and live(b2):
-                    ang = _pair_angle(b1, b2)
-                    cid = "b-pair n1=%d n2=%d j=%d" % (n1, n2, j)
-                    if kind == "length":
-                        margins.append(Margin(cid, ang, 0.0, -ang, ANGLE_TOL))
-                    elif kind == "diameter":
-                        margins.append(Margin(cid, ang, half, half - ang, ANGLE_TOL))
-                    else:
-                        # area condition wants the b layers to disagree
-                        margins.append(Margin(cid, half, ang, ang - half, ANGLE_TOL))
-    if kind == "area":
-        for n in range(1, F.p + 1):
-            for j in range(1, F.J + 1):
-                a, b = F.a[n - 1, j - 1], F.b[n - 1, j - 1]
-                if live(a) or live(b):
-                    cid = "modulus n=%d j=%d" % (n, j)
-                    margins.append(Margin(cid, abs(b), abs(a), abs(a) - abs(b)))
-    return _report("arg-condition-%s" % kind, margins,
-                   extras={"kind": kind, "pairs": len(margins)})
+            def ids(i, key=key):  # key = ((j * p + n1) * p + n2) * 2 + (0 for a, 1 for b)
+                j_n1, n2_t = divmod(key.item(i), 2 * p)
+                (j, n1), (n2, t) = divmod(j_n1, p), divmod(n2_t, 2)
+                return "%s-pair n1=%d n2=%d j=%d" % ("ab"[t], n1 + 1, n2 + 1, j + 1)
+
+            yield ids, key, lhs, rhs, ANGLE_TOL
+
+    rep = memo["arg_condition", kind] = _report("arg-condition-%s" % kind, blocks,
+                                                extras={"kind": kind})
+    rep.extras["pairs"] = rep.count
+    return rep
 
 
 # ---- coefficient bounds ----
@@ -170,21 +189,16 @@ def diameter_coefficient_bounds(F: PolyharmonicMap, diam: float) -> CheckReport:
         raise InvalidDiameter("diameter must be positive and finite, got %r" % (diam,))
     hyp = arg_condition(F, "diameter")
     if hyp.verdict != "pass":
-        return CheckReport(name="diameter-coefficient-bounds",
-                           verdict="hypotheses-not-met",
-                           extras={"reason": "layer angle condition fails",
-                                   "hypothesis": hyp.name})
-    ca = 0.5 * math.sqrt(F.p) * diam
-    cab = 0.5 * math.sqrt(2.0 * F.p) * diam
-    margins = []
-    for j in range(1, F.J + 1):
-        sa = float(np.sum(np.abs(F.a[:, j - 1])))
-        sb = float(np.sum(np.abs(F.b[:, j - 1])))
-        margins.append(Margin("sum|a| j=%d" % j, sa, ca, ca - sa))
-        margins.append(Margin("sum|b| j=%d" % j, sb, ca, ca - sb))
-        margins.append(Margin("sum|a|+|b| j=%d" % j, sa + sb, cab, cab - (sa + sb)))
-    return _report("diameter-coefficient-bounds", margins,
-                   extras={"diameter": diam})
+        return CheckReport("diameter-coefficient-bounds", "hypotheses-not-met", extras={
+            "reason": "layer angle condition fails", "hypothesis": hyp.name})
+    ca, cab = 0.5 * math.sqrt(F.p) * diam, 0.5 * math.sqrt(2.0 * F.p) * diam
+    # one contiguous row per power, summed as a column on its own would be
+    sa, sb = (np.ascontiguousarray(np.abs(X).T).sum(axis=1) for X in (F.a, F.b))
+    lhs = np.array((sa, sb, sa + sb)).T.ravel()  # per power: a, b, then both
+    return _report("diameter-coefficient-bounds", lambda: [(
+        lambda i: "%s j=%d" % (("sum|a|", "sum|b|", "sum|a|+|b|")[i % 3], i // 3 + 1),
+        np.arange(lhs.size), lhs, np.array((ca, ca, cab) * F.J), TOL_REPORT)],
+        extras={"diameter": diam})
 
 
 def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckReport:
@@ -196,18 +210,14 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckR
         raise InvalidParams("boundary length must be positive, got %r" % (l1,))
     hyp = arg_condition(F, "length")
     if hyp.verdict != "pass":
-        return CheckReport(name="length-coefficient-bounds",
-                           verdict="hypotheses-not-met",
-                           extras={"reason": "layer alignment condition fails",
-                                   "hypothesis": hyp.name})
-    margins = []
-    for n in range(1, F.p + 1):
-        for j in range(1, F.J + 1):
-            lhs = abs(F.a[n - 1, j - 1]) + abs(F.b[n - 1, j - 1])
-            rhs = K * l1 / (2.0 * math.pi * (n + j - 1))
-            margins.append(Margin("|a|+|b| n=%d j=%d" % (n, j), lhs, rhs, rhs - lhs))
-    return _report("length-coefficient-bounds", margins,
-                   extras={"K": K, "l1": l1})
+        return CheckReport("length-coefficient-bounds", "hypotheses-not-met", extras={
+            "reason": "layer alignment condition fails", "hypothesis": hyp.name})
+    lhs = np.hypot(F.a.real, F.a.imag) + np.hypot(F.b.real, F.b.imag)
+    rhs = K * l1 / (2.0 * math.pi * (np.arange(F.p)[:, None] + np.arange(1, F.J + 1)))
+    return _report("length-coefficient-bounds", lambda: [(
+        lambda i: "|a|+|b| n=%d j=%d" % (i // F.J + 1, i % F.J + 1),
+        np.arange(lhs.size), lhs.ravel(), rhs.ravel(), TOL_REPORT)],
+        extras={"K": K, "l1": l1})
 
 
 # ---- three-circles style growth bounds ----
@@ -231,25 +241,18 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
         raise InvalidParams("need n_grid >= 1, got %r" % (n_grid,))
     check_grid_size(n_grid, "n_grid")
     hyp = arg_condition(F, "area")
-    s_r1 = float(area_series(F, r1))
-    s_edge = float(area_series(F, R_EDGE))
-    hyp_notes = {
-        "angle_condition": hyp.verdict,
-        "S_at_r1": s_r1,
-        "S_near_boundary": s_edge,
-        "m": m,
-    }
+    s_r1, s_edge = float(area_series(F, r1)), float(area_series(F, R_EDGE))
+    hyp_notes = {"angle_condition": hyp.verdict, "S_at_r1": s_r1,
+                 "S_near_boundary": s_edge, "m": m}
     if (hyp.verdict != "pass" or m >= 1.0 or s_r1 > m + TOL_REPORT
             or s_edge > 1.0 + TOL_REPORT):
-        return CheckReport(name="three-circles-area",
-                           verdict="hypotheses-not-met", extras=hyp_notes)
+        return CheckReport("three-circles-area", "hypotheses-not-met", extras=hyp_notes)
     grid = np.linspace(r1, R_EDGE, n_grid)
     s = area_series(F, grid)
     bound = np.exp(math.log(m) * np.log(grid) / math.log(r1))
-    margins = [Margin("S(r) r=%.17g" % grid[i], float(s[i]), float(bound[i]),
-                      float(bound[i] - s[i]))
-               for i in range(grid.size)]
-    return _report("three-circles-area", margins, extras=hyp_notes)
+    return _report("three-circles-area", lambda: [(
+        lambda i: "S(r) r=%.17g" % grid[i], np.arange(grid.size), s, bound, TOL_REPORT)],
+        extras=hyp_notes)
 
 
 def _circle_log_max(F: PolyharmonicMap, r: float, n_theta: int) -> float:
@@ -282,19 +285,15 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
         return CheckReport(name="hadamard-three-circles", verdict="pass",
                            extras={"reason": "zero map"})
     grid = np.linspace(r1, r2, 25)[1:-1]
-    log_m1 = _circle_log_max(F, r1, n_theta)
-    log_m2 = _circle_log_max(F, r2, n_theta)
+    log_m1, log_m2 = (_circle_log_max(F, r, n_theta) for r in (r1, r2))
     lr1, lr2 = math.log(r1), math.log(r2)
-    margins = []
-    for r in grid:
-        lm = _circle_log_max(F, float(r), n_theta)
-        lr = math.log(float(r))
-        # log M(r) <= [(lr2 - lr) log M1 + (lr - lr1) log M2] / (lr2 - lr1)
-        rhs = ((lr2 - lr) * log_m1 + (lr - lr1) * log_m2) / (lr2 - lr1)
-        margins.append(Margin("logM r=%.17g" % r, lm, rhs, rhs - lm))
-    return _report("hadamard-three-circles", margins,
-                   extras={"r1": r1, "r2": r2, "log_max_r1": log_m1,
-                           "log_max_r2": log_m2})
+    lhs = np.array([_circle_log_max(F, float(r), n_theta) for r in grid])
+    # log M(r) <= [(lr2 - lr) log M1 + (lr - lr1) log M2] / (lr2 - lr1)
+    rhs = np.array([((lr2 - lr) * log_m1 + (lr - lr1) * log_m2) / (lr2 - lr1)
+                    for lr in (math.log(float(r)) for r in grid)])
+    return _report("hadamard-three-circles", lambda: [(
+        lambda i: "logM r=%.17g" % grid[i], np.arange(grid.size), lhs, rhs, TOL_REPORT)],
+        extras={"r1": r1, "r2": r2, "log_max_r1": log_m1, "log_max_r2": log_m2})
 
 
 # ---- area-ratio monotonicity ----
@@ -317,33 +316,23 @@ def area_schwarz(F: PolyharmonicMap, n_grid: int = 100) -> CheckReport:
     grid = np.linspace(0.01, 0.99, n_grid)
     s = area_series(F, grid)
     phi = s / grid ** 2
-    margins = []
-    for i in range(grid.size - 1):
-        margins.append(Margin("phi step r=%.17g" % grid[i + 1],
-                              float(phi[i]), float(phi[i + 1]),
-                              float(phi[i + 1] - phi[i])))
     excess = area_growth_excess(F, grid)
-    for i in range(grid.size):
-        margins.append(Margin("growth excess r=%.17g" % grid[i],
-                              0.0, float(excess[i]), float(excess[i]), 1e-12))
     s_edge = float(area_series(F, R_EDGE))
+    n = grid.size
+    blocks = [(lambda i: "phi step r=%.17g" % grid[i + 1], np.arange(n - 1),
+               phi[:-1], phi[1:], TOL_REPORT),
+              (lambda i: "growth excess r=%.17g" % grid[i], np.arange(n - 1, 2 * n - 1),
+               0.0, excess, 1e-12)]
     if s_edge <= 1.0 + TOL_REPORT:
-        for i in range(grid.size):
-            rhs = float(grid[i] ** 2)
-            margins.append(Margin("S<=r^2 r=%.17g" % grid[i], float(s[i]),
-                                  rhs, rhs - float(s[i])))
-    spread = float(phi.max() - phi.min())
-    if spread < 1e-10:
+        blocks.append((lambda i: "S<=r^2 r=%.17g" % grid[i],
+                       np.arange(2 * n - 1, 3 * n - 1), s, grid ** 2, TOL_REPORT))
+    if float(phi.max() - phi.min()) < 1e-10:
         classification = "constant"
     elif np.all(np.diff(phi) > 1e-10):
         classification = "strictly-increasing"
     else:
         classification = "nondecreasing"
-    extras = {
-        "classification": classification,
-        "phi_min": float(phi.min()),
-        "phi_max": float(phi.max()),
-        "S_near_boundary": s_edge,
-        "unit_area_budget": s_edge <= 1.0 + TOL_REPORT,
-    }
-    return _report("area-schwarz", margins, extras=extras)
+    return _report("area-schwarz", lambda: blocks, extras={
+        "classification": classification, "phi_min": float(phi.min()),
+        "phi_max": float(phi.max()), "S_near_boundary": s_edge,
+        "unit_area_budget": s_edge <= 1.0 + TOL_REPORT})

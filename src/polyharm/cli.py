@@ -94,15 +94,33 @@ _VALUE_RULES = {  # option dest: rule, test; every numeric option has one
 }
 
 
+_UNREAD = (  # command, mode, whether args choose it, options that mode never reads
+    ("landau", "--mode fourgon", lambda a: a.mode == "fourgon", ("alpha", "K", "l1")),
+    ("landau", "--mode diameter", lambda a: a.mode == "diameter", ("K", "l1")),
+    ("landau", "--mode length", lambda a: a.mode == "length", ("diam",)),
+    ("three-circles", "three-circles without --analytic", lambda a: not a.analytic,
+     ("r2",)),
+    ("three-circles", "--analytic", lambda a: a.analytic, ("m",)),
+    ("jmetric", "--mobius-a", lambda a: a.mobius_a is not None, ("z", "w", "M")),
+    ("jmetric", "jmetric without --mobius-a", lambda a: a.mobius_a is None,
+     ("mobius_theta", "seed")),
+    ("length", "--sup", lambda a: a.sup, ("r",)),
+)
+
+
 def _check_values(args) -> None:
-    # InvalidParams for the first option set to a value its rule rejects;
-    # an unset option is not tested
+    # InvalidParams for the first option set to a value its rule rejects (an unset
+    # one is not tested), then a usage error for one its chosen mode never reads
     for dest, v in vars(args).items():
         if dest in _VALUE_RULES and v is not None:
             rule, ok = _VALUE_RULES[dest]
             if not ok(v):
                 raise InvalidParams("--%s must be %s, got %r"
                                     % (dest.replace("_", "-"), rule, v))
+    for command, mode, chosen, unread in _UNREAD:
+        for dest in unread:
+            if command == args.command and chosen(args) and getattr(args, dest) is not None:
+                raise _UsageError("%s takes no --%s" % (mode, dest.replace("_", "-")))
 
 
 # ---- subcommands ----
@@ -168,11 +186,6 @@ def cmd_diam(args) -> int:
 
 
 def cmd_landau(args) -> int:
-    if args.mode == "fourgon":
-        for flag in ("alpha", "K", "l1"):
-            if getattr(args, flag) is not None:
-                raise _UsageError("--mode fourgon solves with alpha = 1 and "
-                                  "takes no --%s" % flag)
     F = _load(args.map)
     if args.mode == "fourgon":
         p, alpha = 2, 1.0  # the two-layer bound at unit normalization
@@ -215,38 +228,38 @@ def cmd_three_circles(args) -> int:
                                            extras={"S_at_r1": m})
         else:
             rep = certificates.three_circles_area(F, args.r1, m)
+    return _print_check(rep)
+
+
+def cmd_schwarz(args) -> int:
+    rep = certificates.area_schwarz(_load(args.map))
+    own = [] if rep.verdict == "hypotheses-not-met" else [
+        "classification = %s" % rep.extras["classification"]]
+    return _print_check(rep, *own)
+
+
+def _print_check(rep, *own) -> int:
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
+    for line in own:  # the check's own lines go before its worst slack
+        print(line)
     worst = rep.worst()
     if worst is not None:
         print("worst slack = %.6g (%s)" % (worst.slack, worst.check_id))
     return _verdict_exit(rep.verdict)
 
 
-def cmd_schwarz(args) -> int:
-    F = _load(args.map)
-    rep = certificates.area_schwarz(F)
-    print("check = %s" % rep.name)
-    print("verdict = %s" % rep.verdict)
-    if rep.verdict != "hypotheses-not-met":
-        print("classification = %s" % rep.extras["classification"])
-        worst = rep.worst()
-        if worst is not None:
-            print("worst slack = %.6g (%s)" % (worst.slack, worst.check_id))
-    return _verdict_exit(rep.verdict)
-
-
 def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
-        rep = metrics.mobius_j_distortion(args.mobius_a, args.mobius_theta,
-                                          seed=args.seed)
+        rep = metrics.mobius_j_distortion(args.mobius_a, **{k: v for k, v in (  # those set
+            ("theta", args.mobius_theta), ("seed", args.seed)) if v is not None})
         print("sup_ratio = %.17g" % rep.sup_ratio)
         print("bound = %.17g" % rep.bound)
         print("verdict = %s" % rep.verdict)
         return _verdict_exit(rep.verdict)
     if args.z is None or args.w is None:
         raise _UsageError("jmetric needs --z and --w (or --mobius-a)")
-    v = metrics.j_metric(args.z, args.w, args.M)
+    v = metrics.j_metric(args.z, args.w, 1.0 if args.M is None else args.M)
     print("%.17g" % v)
     return EXIT_PASS
 
@@ -456,10 +469,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("jmetric", help="distance-ratio metric and distortion")
     p.add_argument("--z", type=_cnum)
     p.add_argument("--w", type=_cnum)
-    p.add_argument("--M", type=float, default=1.0)
+    p.add_argument("--M", type=float, help="default 1")
     p.add_argument("--mobius-a", type=_cnum)
-    p.add_argument("--mobius-theta", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--mobius-theta", type=float, help="default 0")
+    p.add_argument("--seed", type=int, help="default 7")
     p.set_defaults(func=cmd_jmetric)
 
     p = mapped(sub.add_parser("verify", help="run every applicable certificate"))

@@ -190,15 +190,13 @@ def _area_coefficients(F: PolyharmonicMap) -> np.ndarray:
     as re^2 + im^2 so that exactly mirrored tables cancel exactly.
     """
     j = np.arange(1, F.J + 1)
+    at = np.add.outer(np.arange(F.p), j - 1)  # m - 1 - 2 (n1 - 1) for rows n2 >= n1
     c = np.zeros(2 * F.p + F.J - 2)
-    for n1 in range(1, F.p + 1):
-        for n2 in range(n1, F.p + 1):
-            a1, a2 = F.a[n1 - 1], F.a[n2 - 1]
-            b1, b2 = F.b[n1 - 1], F.b[n2 - 1]
-            re_a = a1.real * a2.real + a1.imag * a2.imag
-            re_b = b1.real * b2.real + b1.imag * b2.imag
-            weight = j if n1 == n2 else 2.0 * j
-            c[n1 + n2 - 2:n1 + n2 - 2 + F.J] += weight * (re_a - re_b)
+    for n1 in range(F.p):
+        a1, a2, b1, b2 = F.a[n1], F.a[n1:], F.b[n1], F.b[n1:]
+        d = a1.real * a2.real + a1.imag * a2.imag - (b1.real * b2.real + b1.imag * b2.imag)
+        d[1:] *= 2.0  # exact, so j * d is bitwise (2.0 * j) * d off the diagonal
+        np.add.at(c, 2 * n1 + at[:F.p - n1], j * d)  # row by row: c[m] sums in n2 order
     return c
 
 

@@ -45,16 +45,9 @@ def to_jsonable(v):
 
 
 def check_to_dict(rep: CheckReport) -> dict:
-    worst = rep.worst()
-    out = {
-        "name": rep.name,
-        "verdict": rep.verdict,
-        "margins": len(rep.margins),
-        "worst_margin": to_jsonable(worst) if worst is not None else None,
-        "witnesses": to_jsonable(rep.witnesses),
-        "extras": to_jsonable(rep.extras),
-    }
-    return out
+    return {"name": rep.name, "verdict": rep.verdict, "margins": rep.count,
+            "worst_margin": to_jsonable(rep.worst()),
+            "witnesses": to_jsonable(rep.witnesses), "extras": to_jsonable(rep.extras)}
 
 
 def render_json(doc: dict) -> str:

@@ -1,10 +1,14 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polyharm import catalog
+from polyharm import catalog, certificates
 from polyharm.certificates import (
+    ANGLE_TOL,
+    ZERO_COEFF_REL,
     Margin,
     area_schwarz,
     arg_condition,
@@ -16,8 +20,9 @@ from polyharm.certificates import (
 from polyharm.core import PolyharmonicMap, evaluate
 from polyharm.errors import InvalidDiameter, InvalidParams, NotAnalytic
 from polyharm.geometry import area_series, diameter_estimate
+from polyharm.report import check_to_dict
 
-from _gen import random_analytic_poly, random_area_cond_map
+from _gen import conjugate_map, random_analytic_poly, random_area_cond_map, random_map
 
 
 def _table(p, J, terms):
@@ -75,6 +80,141 @@ def test_arg_condition_ignores_dead_entries():
     t = _table(2, 1, [(1, 1, 1.0, 0.0), (2, 1, -1e-18, 0.0)])
     rep = arg_condition(t, "length")
     assert rep.verdict == "pass" and len(rep.margins) == 0
+
+
+def _arg_condition_oracle(F, kind):
+    # the triple loop the column blocks replaced: one Margin per layer pair,
+    # the phase from cmath, then the moduli; returns the margins, the
+    # indices of the failing ones by slack, and the witnesses
+    cut = ZERO_COEFF_REL * F.max_coefficient()
+    half = math.pi / 2.0
+    margins = []
+
+    def angle(x, y):
+        ang = abs(cmath.phase(x * y.conjugate()))
+        return 0.0 if ang < ANGLE_TOL else ang
+
+    for j in range(1, F.J + 1):
+        for n1 in range(1, F.p + 1):
+            for n2 in range(n1 + 1, F.p + 1):
+                for t, X in (("a", F.a), ("b", F.b)):
+                    x, y = X[n1 - 1, j - 1], X[n2 - 1, j - 1]
+                    if not (abs(x) > cut and abs(y) > cut):
+                        continue
+                    ang = angle(x, y)
+                    cid = "%s-pair n1=%d n2=%d j=%d" % (t, n1, n2, j)
+                    if kind == "length":
+                        margins.append(Margin(cid, ang, 0.0, -ang, ANGLE_TOL))
+                    elif kind == "diameter" or t == "a":
+                        margins.append(Margin(cid, ang, half, half - ang, ANGLE_TOL))
+                    else:
+                        margins.append(Margin(cid, half, ang, ang - half, ANGLE_TOL))
+    if kind == "area":
+        for n in range(1, F.p + 1):
+            for j in range(1, F.J + 1):
+                a, b = F.a[n - 1, j - 1], F.b[n - 1, j - 1]
+                if abs(a) > cut or abs(b) > cut:
+                    margins.append(Margin("modulus n=%d j=%d" % (n, j),
+                                          abs(b), abs(a), abs(a) - abs(b)))
+    order = sorted(range(len(margins)), key=lambda i: margins[i].slack)
+    failing = [i for i in order if margins[i].slack < -margins[i].tol]
+    picked = failing + [i for i in order[:1] if i not in failing]
+    return margins, failing, [margins[i] for i in picked[:16]]
+
+
+def _bits(x) -> str:
+    return float(x).hex()  # tells -0.0 from 0.0
+
+
+def _same_margin(got, want, kind):
+    # bitwise, or the angle (the lhs, or the rhs of an area b-pair) within
+    # 1 ulp of the cmath one, with the other values following it
+    assert got.check_id == want.check_id and got.tol == want.tol
+    on_rhs = kind == "area" and want.check_id.startswith("b-pair")
+    ang = want.rhs if on_rhs else want.lhs
+    if _bits(got.rhs if on_rhs else got.lhs) == _bits(ang):
+        assert list(map(_bits, (got.lhs, got.rhs, got.slack))) == \
+            list(map(_bits, (want.lhs, want.rhs, want.slack)))
+        return
+    assert not want.check_id.startswith("modulus")
+    for g, w, rounding in ((got.lhs, want.lhs, 0.0), (got.rhs, want.rhs, 0.0),
+                           (got.slack, want.slack, np.spacing(abs(want.slack)))):
+        assert abs(g - w) <= np.spacing(ang) + rounding
+
+
+def _tables(rng, count):
+    # _gen tables, their mirror images, real-valued ones with many equal
+    # slacks (so the tie order gets tested too), and ones whose analytic
+    # layers turn by less than ANGLE_TOL, which counts as aligned
+    for k in range(count):
+        F = random_area_cond_map(rng, p_max=5, J_max=5) if k % 3 == 0 else \
+            random_map(rng, p_max=6, J_max=5)
+        if k % 5 == 1:
+            F = conjugate_map(F)
+        if k % 4 == 2:
+            F = PolyharmonicMap(F.p, F.J, np.sign(F.a.real), np.round(F.b.real))
+        if k % 7 == 3:
+            turn = np.exp(1j * (np.angle(F.a[:1]) + 1e-13 * np.arange(F.p)[:, None]))
+            F = PolyharmonicMap(F.p, F.J, np.abs(F.a) * turn, F.b)
+        yield F
+
+
+def test_arg_condition_matches_the_pair_loop(monkeypatch):
+    rng = np.random.default_rng(1913)
+    for k, F in enumerate(_tables(rng, 330)):
+        if k % 3 == 1:  # a block per first layer, so blocks interleave in check order
+            monkeypatch.setattr(certificates, "_PAIR_ROWS", 1)
+        else:
+            monkeypatch.undo()
+        for kind in ("diameter", "length", "area"):
+            # a fresh map each time: a report is reused for the same map
+            rep = arg_condition(PolyharmonicMap(F.p, F.J, F.a, F.b), kind)
+            margins, failing, witnesses = _arg_condition_oracle(F, kind)
+            assert rep.verdict == ("fail" if failing else "pass")
+            assert rep.count == rep.extras["pairs"] == len(margins)
+            got = rep.margins
+            assert len(got) == len(margins)
+            for g, w in zip(got, margins):
+                _same_margin(g, w, kind)
+            if margins:  # the old worst(): the first of the smallest slacks
+                _same_margin(rep.worst(), min(margins, key=lambda m: m.slack), kind)
+            else:
+                assert rep.worst() is None
+            assert [w["check_id"] for w in rep.witnesses] == [m.check_id for m in witnesses]
+            by_id = {m.check_id: m for m in got}
+            assert all(_bits(w["slack"]) == _bits(by_id[w["check_id"]].slack)
+                       for w in rep.witnesses)
+
+
+def test_arg_condition_shares_a_maps_columns_across_kinds():
+    # kinds asked of one map in turn share its angle columns, and a kind
+    # asked again gets the stored report; each matches a fresh copy's
+    rng = np.random.default_rng(1917)
+    for F in _tables(rng, 40):
+        for kind in ("area", "diameter", "area", "length"):
+            fresh = arg_condition(PolyharmonicMap(F.p, F.J, F.a, F.b), kind)
+            assert check_to_dict(arg_condition(F, kind)) == check_to_dict(fresh)
+        assert arg_condition(F, "area") is arg_condition(F, "area")
+
+
+def test_arg_condition_at_the_table_cap_keeps_no_margin_per_pair():
+    # (512, 8) has 2.09 M a- and b-pairs per kind; a report keeps the count,
+    # the worst margin and 16 witnesses, and the blocks stay O(p J)
+    rng = np.random.default_rng(512)
+    shape = (512, 8)
+    F = PolyharmonicMap(512, 8, rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                        rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    tracemalloc.start()
+    try:
+        rep = arg_condition(F, "diameter")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert rep.count == 2 * 8 * 512 * 511 // 2
+    assert rep.verdict == "fail" and len(rep.witnesses) == 16
+    slacks = [w["slack"] for w in rep.witnesses]
+    assert slacks == sorted(slacks) and slacks[0] == rep.worst().slack
 
 
 def test_arg_condition_unknown_kind():

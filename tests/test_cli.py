@@ -168,6 +168,13 @@ def test_jmetric_value(capsys):
     assert abs(float(out) - math.log(2.0)) <= 1e-15
 
 
+def test_jmetric_default_target_radius_is_one(capsys):
+    assert main(["jmetric", "--z", "0", "--w", "0.5"]) == 0
+    default = capsys.readouterr().out
+    assert main(["jmetric", "--z", "0", "--w", "0.5", "--M", "1"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_jmetric_mobius(capsys):
     assert main(["jmetric", "--mobius-a", "0.5", "--mobius-theta", "0.3"]) == 0
     vals = _lines(capsys)
@@ -506,6 +513,39 @@ def test_checks_across_flags_come_before_the_map_is_read(tmp_path, capsys,
                                                          argv, message):
     missing = str(tmp_path / "missing.map")
     assert main(argv[:1] + ["--map", missing] + argv[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+_UNREAD_FLAGS = [
+    (["three-circles", "--r1", "0.3", "--r2", "0.9", "--m", "0.5"],
+     "three-circles without --analytic takes no --r2"),
+    (["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9", "--m", "0.5"],
+     "--analytic takes no --m"),
+    (["jmetric", "--mobius-a", "0.5", "--z", "0.1"], "--mobius-a takes no --z"),
+    (["jmetric", "--mobius-a", "0.5", "--w", "0.2"], "--mobius-a takes no --w"),
+    (["jmetric", "--mobius-a", "0.5", "--M", "3"], "--mobius-a takes no --M"),
+    (["jmetric", "--z", "0", "--w", "0.5", "--mobius-theta", "1"],
+     "jmetric without --mobius-a takes no --mobius-theta"),
+    (["jmetric", "--z", "0", "--w", "0.5", "--seed", "3"],
+     "jmetric without --mobius-a takes no --seed"),
+    (["length", "--r", "0.5", "--sup"], "--sup takes no --r"),
+    (["landau", "--mode", "fourgon", "--alpha", "2"], "--mode fourgon takes no --alpha"),
+    (["landau", "--mode", "diameter", "--K", "2"], "--mode diameter takes no --K"),
+    (["landau", "--mode", "diameter", "--l1", "2"], "--mode diameter takes no --l1"),
+    (["landau", "--mode", "length", "--diam", "2"], "--mode length takes no --diam"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNREAD_FLAGS,
+                         ids=[" ".join(argv) for argv, _ in _UNREAD_FLAGS])
+def test_flag_its_mode_never_reads_is_refused_before_the_map_is_read(
+        tmp_path, capsys, argv, message):
+    # each value passes its own rule, so only the mode's exclusion rejects it
+    if argv[0] != "jmetric":
+        argv = argv + ["--map", str(tmp_path / "missing.map")]
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

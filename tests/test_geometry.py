@@ -268,6 +268,35 @@ def test_area_series_array_and_scalar():
         assert area_series(F, float(r)) == arr[k]
 
 
+def _area_coefficients_oracle(F):
+    # the pair-by-pair sum the coefficient pass replaced: every layer pair
+    # n1 <= n2, in lexicographic order, adds its row at m = n1 + n2 + j - 2
+    j = np.arange(1, F.J + 1)
+    c = np.zeros(2 * F.p + F.J - 2)
+    for n1 in range(1, F.p + 1):
+        for n2 in range(n1, F.p + 1):
+            a1, a2 = F.a[n1 - 1], F.a[n2 - 1]
+            b1, b2 = F.b[n1 - 1], F.b[n2 - 1]
+            re_a = a1.real * a2.real + a1.imag * a2.imag
+            re_b = b1.real * b2.real + b1.imag * b2.imag
+            weight = j if n1 == n2 else 2.0 * j
+            c[n1 + n2 - 2:n1 + n2 - 2 + F.J] += weight * (re_a - re_b)
+    return c
+
+
+def test_area_coefficients_are_bitwise_the_pair_loop():
+    rng = np.random.default_rng(2061)
+    tables = [catalog.f0(), catalog.f1(), catalog.f2(),
+              catalog.builtin("form37", {"eta": 1.0, "zeta2": {"1": 1.0}})]
+    for k in range(320):
+        F = random_map(rng, p_max=9, J_max=7, scale=10.0 ** rng.uniform(-3, 3))
+        tables.append(conjugate_map(F) if k % 4 == 3 else F)
+    for F in tables:
+        got, want = geometry._area_coefficients(F), _area_coefficients_oracle(F)
+        # compared as bit patterns, so a zero's sign counts too
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), F.label
+
+
 def test_area_quadrature_pinned():
     assert abs(area_quadrature(catalog.identity(), 0.5) - 0.25) <= 1e-12
     G = catalog.monomial(1, 1, 1.0, conjugate=True)
