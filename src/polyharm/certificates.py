@@ -30,9 +30,20 @@ ZERO_COEFF_REL = 1e-14
 R_EDGE = 1.0 - 1e-6  # "near the boundary": where S is compared with 1
 _PAIR_ROWS = 1 << 14  # (j, n1, n2) cells of one dense block of layer-pair angles
 
-__all__ = ["TOL_REPORT", "ANGLE_TOL", "ZERO_COEFF_REL", "R_EDGE", "Margin", "CheckReport",
-           "arg_condition", "diameter_coefficient_bounds", "length_coefficient_bounds",
-           "three_circles_area", "hadamard_three_circles", "area_schwarz"]
+__all__ = [
+    "TOL_REPORT",
+    "ANGLE_TOL",
+    "ZERO_COEFF_REL",
+    "R_EDGE",
+    "Margin",
+    "CheckReport",
+    "arg_condition",
+    "diameter_coefficient_bounds",
+    "length_coefficient_bounds",
+    "three_circles_area",
+    "hadamard_three_circles",
+    "area_schwarz",
+]
 
 
 @dataclass(frozen=True)
@@ -52,7 +63,7 @@ class CheckReport:
     worst_margin: Margin | None = None
     witnesses: tuple = ()
     extras: dict = field(default_factory=dict)
-    blocks: object = field(default=tuple, repr=False, compare=False)
+    blocks: object = field(default=(), repr=False, compare=False)
 
     def worst(self):
         return self.worst_margin
@@ -70,18 +81,18 @@ class CheckReport:
 
 def _columns(blocks):
     # each block with its slack; rhs None is the bound lhs <= 0 (slack -lhs keeps -0.0)
-    for ids, key, lhs, rhs, tol in blocks():
+    for ids, key, lhs, rhs, tol in blocks:
         yield (ids, key, lhs, 0.0, -lhs, tol) if rhs is None else \
             (ids, key, lhs, rhs, rhs - lhs, tol)
 
 
 def _report(name, blocks, extras=None):
-    """CheckReport of the (ids, key, lhs, rhs, tol) column blocks that
-    ``blocks()`` yields: ``ids(i)`` formats row i's check_id, ``key`` is
-    each row's place in check order (rising within a block), and one tol
-    per block puts its failing rows first by slack.  Kept are the count,
-    the worst margin (ties to the lower key) and as witnesses the first 16
-    of the failing margins by slack, then the worst if it passes."""
+    """CheckReport of the (ids, key, lhs, rhs, tol) column blocks in
+    ``blocks``: ``ids(i)`` formats row i's check_id, ``key`` is each row's
+    place in check order (rising within a block), and one tol per block
+    puts its failing rows first by slack.  Kept are the count, the worst
+    margin (ties to the lower key) and as witnesses the first 16 of the
+    failing margins by slack, then the worst if it passes."""
     count, worst, failing = 0, None, []
     for block in _columns(blocks):
         _, key, _, _, slack, tol = block
@@ -109,28 +120,51 @@ def _report(name, blocks, extras=None):
 # ---- layer-pair angle conditions ----
 
 
-def _angle_columns(F: PolyharmonicMap):
-    # the columns no kind changes: the live entries' keys, |b|, |a| and (n, j),
-    # then per block of first layers n1 the live layer pairs' keys and angles
-    p, J = F.p, F.J
-    T = np.ascontiguousarray(np.array((F.a, F.b)).T)  # (j, n, a|b)
-    re, im = T.real, T.imag
-    mod = np.hypot(re, im)  # bitwise abs() of each entry
-    live = mod > ZERO_COEFF_REL * mod.max()
-    n, j = (live[..., 0] | live[..., 1]).T.nonzero()
-    yield 2 * J * p * p + n * J + j, mod[j, n, 1], mod[j, n, 0], n, j
-    h = min(p, max(1, _PAIR_ROWS // (p * J)))
-    for lo in range(0, p - 1, h):
-        # dense over (j, n1, n2, a|b) with n1 in [lo, lo + h): check order
-        x, y = (re[:, lo:lo + h, None], im[:, lo:lo + h, None]), (re[:, None], im[:, None])
-        # the phase of x * conj(y), the product formed as Python forms it
-        ang = np.abs(np.arctan2(x[1] * y[0] - x[0] * y[1], x[0] * y[0] + x[1] * y[1]))
-        ang[ang < ANGLE_TOL] = 0.0
-        at = (live[:, lo:lo + h, None] & live[:, None] & (
-            np.arange(lo, lo + h)[:, None] < np.arange(p))[:, :, None]).ravel().nonzero()[0]
-        hb = min(h, p - lo)
-        key = at if hb == p else at + (at // (2 * hb * p) * (p - hb) + lo) * 2 * p
-        yield key, ang.ravel()[at]
+class _AngleBlocks:
+    """The column blocks of one kind's angle condition, worked out afresh on
+    each pass: the layer pairs a block of first layers n1 at a time, dense
+    over (j, n1, n2, a|b) so that memory stays O(p J), then the moduli."""
+
+    def __init__(self, F: PolyharmonicMap, kind: str):
+        self.F, self.kind = F, kind
+
+    def __iter__(self):
+        p, J, kind, half = self.F.p, self.F.J, self.kind, math.pi / 2.0
+        T = np.ascontiguousarray(np.array((self.F.a, self.F.b)).T)  # (j, n, a|b)
+        re, im = T.real, T.imag
+        mod = np.hypot(re, im)  # bitwise abs() of each entry
+        live = mod > ZERO_COEFF_REL * mod.max()
+        h = min(p, max(1, _PAIR_ROWS // (p * J)))
+        for lo in range(0, p - 1, h):
+            hb = min(h, p - lo)  # first layers n1 in [lo, lo + hb)
+            x = re[:, lo:lo + hb, None], im[:, lo:lo + hb, None]
+            y = re[:, None], im[:, None]
+            # the phase of x * conj(y), the product formed as Python forms it
+            ang = np.abs(np.arctan2(x[1] * y[0] - x[0] * y[1], x[0] * y[0] + x[1] * y[1]))
+            ang[ang < ANGLE_TOL] = 0.0
+            upper = (np.arange(lo, lo + hb)[:, None] < np.arange(p))[:, :, None]  # n1 < n2
+            at = (live[:, lo:lo + hb, None] & live[:, None] & upper).ravel().nonzero()[0]
+            # key = ((j * p + n1) * p + n2) * 2 + (0 for a, 1 for b)
+            key = at + (at // (2 * hb * p) * (p - hb) + lo) * 2 * p
+            lhs, rhs = ang.ravel()[at], None if kind == "length" else half
+            if kind == "area":  # b-pairs are wanted a quarter turn apart or more
+                lhs, rhs = np.where(key & 1, half, lhs), np.where(key & 1, lhs, half)
+
+            def ids(i, key=key):
+                j_n1, n2_t = divmod(key.item(i), 2 * p)
+                (j, n1), (n2, t) = divmod(j_n1, p), divmod(n2_t, 2)
+                return "%s-pair n1=%d n2=%d j=%d" % ("ab"[t], n1 + 1, n2 + 1, j + 1)
+
+            yield ids, key, lhs, rhs, ANGLE_TOL
+        if kind == "area":
+            n, j = (live[..., 0] | live[..., 1]).T.nonzero()
+            yield (lambda i: "modulus n=%d j=%d" % (n.item(i) + 1, j.item(i) + 1),
+                   2 * J * p * p + n * J + j, mod[j, n, 1], mod[j, n, 0], TOL_REPORT)
+
+
+# the map last asked about and its angle reports by kind: verify asks for
+# each kind, and then each conclusion asks again for the kind it assumes
+_asked = {"map": None}
 
 
 def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
@@ -147,36 +181,14 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     """
     if kind not in ("diameter", "length", "area"):
         raise InvalidParams("unknown angle condition kind %r" % (kind,))
-    memo = F._derived  # verify asks for each kind, then again in each conclusion
-    if ("arg_condition", kind) in memo:
-        return memo["arg_condition", kind]
-    p, J, half = F.p, F.J, math.pi / 2.0
-    if "angle_columns" not in memo:  # one block's columns serve every kind
-        memo["angle_columns"] = list(_angle_columns(F)) if p * p * J <= _PAIR_ROWS else None
-    columns = memo["angle_columns"]
-
-    def blocks():
-        cols = iter(columns if columns is not None else _angle_columns(F))
-        key, mod_b, mod_a, n, j = next(cols)
-        if kind == "area":
-            yield (lambda i: "modulus n=%d j=%d" % (n.item(i) + 1, j.item(i) + 1),
-                   key, mod_b, mod_a, TOL_REPORT)
-        for key, ang in cols:
-            lhs, rhs = ang, None if kind == "length" else half
-            if kind == "area":  # b-pairs are wanted a quarter turn apart or more
-                lhs, rhs = np.where(key & 1, half, ang), np.where(key & 1, ang, half)
-
-            def ids(i, key=key):  # key = ((j * p + n1) * p + n2) * 2 + (0 for a, 1 for b)
-                j_n1, n2_t = divmod(key.item(i), 2 * p)
-                (j, n1), (n2, t) = divmod(j_n1, p), divmod(n2_t, 2)
-                return "%s-pair n1=%d n2=%d j=%d" % ("ab"[t], n1 + 1, n2 + 1, j + 1)
-
-            yield ids, key, lhs, rhs, ANGLE_TOL
-
-    rep = memo["arg_condition", kind] = _report("arg-condition-%s" % kind, blocks,
-                                                extras={"kind": kind})
-    rep.extras["pairs"] = rep.count
-    return rep
+    if _asked["map"] is not F:  # maps are immutable, so a report holds for its map
+        _asked.clear()
+        _asked["map"] = F
+    if kind not in _asked:
+        rep = _asked[kind] = _report("arg-condition-%s" % kind, _AngleBlocks(F, kind),
+                                     extras={"kind": kind})
+        rep.extras["pairs"] = rep.count
+    return _asked[kind]
 
 
 # ---- coefficient bounds ----
@@ -189,16 +201,20 @@ def diameter_coefficient_bounds(F: PolyharmonicMap, diam: float) -> CheckReport:
         raise InvalidDiameter("diameter must be positive and finite, got %r" % (diam,))
     hyp = arg_condition(F, "diameter")
     if hyp.verdict != "pass":
-        return CheckReport("diameter-coefficient-bounds", "hypotheses-not-met", extras={
-            "reason": "layer angle condition fails", "hypothesis": hyp.name})
-    ca, cab = 0.5 * math.sqrt(F.p) * diam, 0.5 * math.sqrt(2.0 * F.p) * diam
+        return CheckReport(name="diameter-coefficient-bounds",
+                           verdict="hypotheses-not-met",
+                           extras={"reason": "layer angle condition fails",
+                                   "hypothesis": hyp.name})
+    ca = 0.5 * math.sqrt(F.p) * diam
+    cab = 0.5 * math.sqrt(2.0 * F.p) * diam
     # one contiguous row per power, summed as a column on its own would be
     sa, sb = (np.ascontiguousarray(np.abs(X).T).sum(axis=1) for X in (F.a, F.b))
     lhs = np.array((sa, sb, sa + sb)).T.ravel()  # per power: a, b, then both
-    return _report("diameter-coefficient-bounds", lambda: [(
-        lambda i: "%s j=%d" % (("sum|a|", "sum|b|", "sum|a|+|b|")[i % 3], i // 3 + 1),
-        np.arange(lhs.size), lhs, np.array((ca, ca, cab) * F.J), TOL_REPORT)],
-        extras={"diameter": diam})
+    ids = ("sum|a| j=%d", "sum|b| j=%d", "sum|a|+|b| j=%d")
+    return _report("diameter-coefficient-bounds",
+                   [(lambda i: ids[i % 3] % (i // 3 + 1), np.arange(lhs.size), lhs,
+                     np.array((ca, ca, cab) * F.J), TOL_REPORT)],
+                   extras={"diameter": diam})
 
 
 def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckReport:
@@ -210,14 +226,16 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckR
         raise InvalidParams("boundary length must be positive, got %r" % (l1,))
     hyp = arg_condition(F, "length")
     if hyp.verdict != "pass":
-        return CheckReport("length-coefficient-bounds", "hypotheses-not-met", extras={
-            "reason": "layer alignment condition fails", "hypothesis": hyp.name})
+        return CheckReport(name="length-coefficient-bounds",
+                           verdict="hypotheses-not-met",
+                           extras={"reason": "layer alignment condition fails",
+                                   "hypothesis": hyp.name})
     lhs = np.hypot(F.a.real, F.a.imag) + np.hypot(F.b.real, F.b.imag)
     rhs = K * l1 / (2.0 * math.pi * (np.arange(F.p)[:, None] + np.arange(1, F.J + 1)))
-    return _report("length-coefficient-bounds", lambda: [(
-        lambda i: "|a|+|b| n=%d j=%d" % (i // F.J + 1, i % F.J + 1),
-        np.arange(lhs.size), lhs.ravel(), rhs.ravel(), TOL_REPORT)],
-        extras={"K": K, "l1": l1})
+    return _report("length-coefficient-bounds",
+                   [(lambda i: "|a|+|b| n=%d j=%d" % (i // F.J + 1, i % F.J + 1),
+                     np.arange(lhs.size), lhs.ravel(), rhs.ravel(), TOL_REPORT)],
+                   extras={"K": K, "l1": l1})
 
 
 # ---- three-circles style growth bounds ----
@@ -241,18 +259,24 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
         raise InvalidParams("need n_grid >= 1, got %r" % (n_grid,))
     check_grid_size(n_grid, "n_grid")
     hyp = arg_condition(F, "area")
-    s_r1, s_edge = float(area_series(F, r1)), float(area_series(F, R_EDGE))
-    hyp_notes = {"angle_condition": hyp.verdict, "S_at_r1": s_r1,
-                 "S_near_boundary": s_edge, "m": m}
+    s_r1 = float(area_series(F, r1))
+    s_edge = float(area_series(F, R_EDGE))
+    hyp_notes = {
+        "angle_condition": hyp.verdict,
+        "S_at_r1": s_r1,
+        "S_near_boundary": s_edge,
+        "m": m,
+    }
     if (hyp.verdict != "pass" or m >= 1.0 or s_r1 > m + TOL_REPORT
             or s_edge > 1.0 + TOL_REPORT):
-        return CheckReport("three-circles-area", "hypotheses-not-met", extras=hyp_notes)
+        return CheckReport(name="three-circles-area",
+                           verdict="hypotheses-not-met", extras=hyp_notes)
     grid = np.linspace(r1, R_EDGE, n_grid)
     s = area_series(F, grid)
     bound = np.exp(math.log(m) * np.log(grid) / math.log(r1))
-    return _report("three-circles-area", lambda: [(
-        lambda i: "S(r) r=%.17g" % grid[i], np.arange(grid.size), s, bound, TOL_REPORT)],
-        extras=hyp_notes)
+    return _report("three-circles-area",
+                   [(lambda i: "S(r) r=%.17g" % grid[i], np.arange(grid.size), s, bound,
+                     TOL_REPORT)], extras=hyp_notes)
 
 
 def _circle_log_max(F: PolyharmonicMap, r: float, n_theta: int) -> float:
@@ -285,15 +309,20 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
         return CheckReport(name="hadamard-three-circles", verdict="pass",
                            extras={"reason": "zero map"})
     grid = np.linspace(r1, r2, 25)[1:-1]
-    log_m1, log_m2 = (_circle_log_max(F, r, n_theta) for r in (r1, r2))
+    log_m1 = _circle_log_max(F, r1, n_theta)
+    log_m2 = _circle_log_max(F, r2, n_theta)
     lr1, lr2 = math.log(r1), math.log(r2)
-    lhs = np.array([_circle_log_max(F, float(r), n_theta) for r in grid])
-    # log M(r) <= [(lr2 - lr) log M1 + (lr - lr1) log M2] / (lr2 - lr1)
-    rhs = np.array([((lr2 - lr) * log_m1 + (lr - lr1) * log_m2) / (lr2 - lr1)
-                    for lr in (math.log(float(r)) for r in grid)])
-    return _report("hadamard-three-circles", lambda: [(
-        lambda i: "logM r=%.17g" % grid[i], np.arange(grid.size), lhs, rhs, TOL_REPORT)],
-        extras={"r1": r1, "r2": r2, "log_max_r1": log_m1, "log_max_r2": log_m2})
+    lhs, rhs = [], []
+    for r in grid:
+        lhs.append(_circle_log_max(F, float(r), n_theta))
+        lr = math.log(float(r))
+        # log M(r) <= [(lr2 - lr) log M1 + (lr - lr1) log M2] / (lr2 - lr1)
+        rhs.append(((lr2 - lr) * log_m1 + (lr - lr1) * log_m2) / (lr2 - lr1))
+    return _report("hadamard-three-circles",
+                   [(lambda i: "logM r=%.17g" % grid[i], np.arange(grid.size),
+                     np.array(lhs), np.array(rhs), TOL_REPORT)],
+                   extras={"r1": r1, "r2": r2, "log_max_r1": log_m1,
+                           "log_max_r2": log_m2})
 
 
 # ---- area-ratio monotonicity ----
@@ -316,23 +345,28 @@ def area_schwarz(F: PolyharmonicMap, n_grid: int = 100) -> CheckReport:
     grid = np.linspace(0.01, 0.99, n_grid)
     s = area_series(F, grid)
     phi = s / grid ** 2
-    excess = area_growth_excess(F, grid)
-    s_edge = float(area_series(F, R_EDGE))
     n = grid.size
     blocks = [(lambda i: "phi step r=%.17g" % grid[i + 1], np.arange(n - 1),
-               phi[:-1], phi[1:], TOL_REPORT),
-              (lambda i: "growth excess r=%.17g" % grid[i], np.arange(n - 1, 2 * n - 1),
-               0.0, excess, 1e-12)]
+               phi[:-1], phi[1:], TOL_REPORT)]
+    excess = area_growth_excess(F, grid)
+    blocks.append((lambda i: "growth excess r=%.17g" % grid[i], np.arange(n - 1, 2 * n - 1),
+                   0.0, excess, 1e-12))
+    s_edge = float(area_series(F, R_EDGE))
     if s_edge <= 1.0 + TOL_REPORT:
         blocks.append((lambda i: "S<=r^2 r=%.17g" % grid[i],
                        np.arange(2 * n - 1, 3 * n - 1), s, grid ** 2, TOL_REPORT))
-    if float(phi.max() - phi.min()) < 1e-10:
+    spread = float(phi.max() - phi.min())
+    if spread < 1e-10:
         classification = "constant"
     elif np.all(np.diff(phi) > 1e-10):
         classification = "strictly-increasing"
     else:
         classification = "nondecreasing"
-    return _report("area-schwarz", lambda: blocks, extras={
-        "classification": classification, "phi_min": float(phi.min()),
-        "phi_max": float(phi.max()), "S_near_boundary": s_edge,
-        "unit_area_budget": s_edge <= 1.0 + TOL_REPORT})
+    extras = {
+        "classification": classification,
+        "phi_min": float(phi.min()),
+        "phi_max": float(phi.max()),
+        "S_near_boundary": s_edge,
+        "unit_area_budget": s_edge <= 1.0 + TOL_REPORT,
+    }
+    return _report("area-schwarz", blocks, extras=extras)

@@ -102,8 +102,6 @@ _UNREAD = (  # command, mode, whether args choose it, options that mode never re
      ("r2",)),
     ("three-circles", "--analytic", lambda a: a.analytic, ("m",)),
     ("jmetric", "--mobius-a", lambda a: a.mobius_a is not None, ("z", "w", "M")),
-    ("jmetric", "jmetric without --mobius-a", lambda a: a.mobius_a is None,
-     ("mobius_theta", "seed")),
     ("length", "--sup", lambda a: a.sup, ("r",)),
 )
 
@@ -232,7 +230,8 @@ def cmd_three_circles(args) -> int:
 
 
 def cmd_schwarz(args) -> int:
-    rep = certificates.area_schwarz(_load(args.map))
+    F = _load(args.map)
+    rep = certificates.area_schwarz(F)
     own = [] if rep.verdict == "hypotheses-not-met" else [
         "classification = %s" % rep.extras["classification"]]
     return _print_check(rep, *own)
@@ -251,8 +250,8 @@ def _print_check(rep, *own) -> int:
 
 def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
-        rep = metrics.mobius_j_distortion(args.mobius_a, **{k: v for k, v in (  # those set
-            ("theta", args.mobius_theta), ("seed", args.seed)) if v is not None})
+        rep = metrics.mobius_j_distortion(args.mobius_a, args.mobius_theta,
+                                          seed=args.seed)
         print("sup_ratio = %.17g" % rep.sup_ratio)
         print("bound = %.17g" % rep.bound)
         print("verdict = %s" % rep.verdict)
@@ -471,8 +470,8 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=_cnum)
     p.add_argument("--M", type=float, help="default 1")
     p.add_argument("--mobius-a", type=_cnum)
-    p.add_argument("--mobius-theta", type=float, help="default 0")
-    p.add_argument("--seed", type=int, help="default 7")
+    p.add_argument("--mobius-theta", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_jmetric)
 
     p = mapped(sub.add_parser("verify", help="run every applicable certificate"))

@@ -32,7 +32,6 @@ those points from it by Parseval, with no FFT.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -139,12 +138,6 @@ class PolyharmonicMap:
             A[n - 1, j - 1] = complex(av)
             B[n - 1, j - 1] = complex(bv)
         return cls(int(p), int(J), A, B)
-
-    @cached_property
-    def _derived(self) -> dict:
-        # what other modules derive from this immutable map, kept with it;
-        # every caller gets the same stored objects, so none may change them
-        return {}
 
     def max_coefficient(self) -> float:
         """Largest coefficient modulus; the scale used by tolerance rules."""

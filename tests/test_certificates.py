@@ -159,42 +159,65 @@ def _tables(rng, count):
         yield F
 
 
+def _matches_the_pair_loop(F):
+    for kind in ("diameter", "length", "area"):
+        # a fresh map each time: a report is reused for the same map
+        rep = arg_condition(PolyharmonicMap(F.p, F.J, F.a, F.b), kind)
+        margins, failing, witnesses = _arg_condition_oracle(F, kind)
+        assert rep.verdict == ("fail" if failing else "pass")
+        assert rep.count == rep.extras["pairs"] == len(margins)
+        got = rep.margins
+        assert len(got) == len(margins)
+        for g, w in zip(got, margins):
+            _same_margin(g, w, kind)
+        if margins:  # the old worst(): the first of the smallest slacks
+            _same_margin(rep.worst(), min(margins, key=lambda m: m.slack), kind)
+        else:
+            assert rep.worst() is None
+        assert [w["check_id"] for w in rep.witnesses] == [m.check_id for m in witnesses]
+        by_id = {m.check_id: m for m in got}
+        assert all(_bits(w["slack"]) == _bits(by_id[w["check_id"]].slack)
+                   for w in rep.witnesses)
+
+
 def test_arg_condition_matches_the_pair_loop(monkeypatch):
     rng = np.random.default_rng(1913)
+    short = 0
     for k, F in enumerate(_tables(rng, 330)):
-        if k % 3 == 1:  # a block per first layer, so blocks interleave in check order
-            monkeypatch.setattr(certificates, "_PAIR_ROWS", 1)
-        else:
+        if k % 3 == 0:  # the table in one block
             monkeypatch.undo()
-        for kind in ("diameter", "length", "area"):
-            # a fresh map each time: a report is reused for the same map
-            rep = arg_condition(PolyharmonicMap(F.p, F.J, F.a, F.b), kind)
-            margins, failing, witnesses = _arg_condition_oracle(F, kind)
-            assert rep.verdict == ("fail" if failing else "pass")
-            assert rep.count == rep.extras["pairs"] == len(margins)
-            got = rep.margins
-            assert len(got) == len(margins)
-            for g, w in zip(got, margins):
-                _same_margin(g, w, kind)
-            if margins:  # the old worst(): the first of the smallest slacks
-                _same_margin(rep.worst(), min(margins, key=lambda m: m.slack), kind)
-            else:
-                assert rep.worst() is None
-            assert [w["check_id"] for w in rep.witnesses] == [m.check_id for m in witnesses]
-            by_id = {m.check_id: m for m in got}
-            assert all(_bits(w["slack"]) == _bits(by_id[w["check_id"]].slack)
-                       for w in rep.witnesses)
+        else:  # blocks of 1, then of 3 or 4 first layers, so blocks interleave
+            h = 1 if k % 3 == 1 else 3 + k // 3 % 2
+            monkeypatch.setattr(certificates, "_PAIR_ROWS", h * F.p * F.J)
+            short += h < F.p and F.p % h > 1  # a last block short of h but with pairs
+        _matches_the_pair_loop(F)
+    assert short >= 10
 
 
-def test_arg_condition_shares_a_maps_columns_across_kinds():
-    # kinds asked of one map in turn share its angle columns, and a kind
-    # asked again gets the stored report; each matches a fresh copy's
+@pytest.mark.parametrize("p, J", [(20, 50), (100, 3)])
+def test_arg_condition_over_blocks_with_a_short_last_one(p, J):
+    # the default block size gives 16 and 54 first layers a block, so the
+    # last block of each table holds only 4 and 46
+    rng = np.random.default_rng(p * J)
+    shape = (p, J)
+    F = PolyharmonicMap(p, J, rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                        rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    h = certificates._PAIR_ROWS // (p * J)
+    assert h < p and p % h > 1
+    _matches_the_pair_loop(F)
+
+
+def test_arg_condition_reuses_a_report_for_its_own_map_only():
+    # a kind asked again of the same map gets the same report; another map,
+    # even an equal one, gets its own
     rng = np.random.default_rng(1917)
     for F in _tables(rng, 40):
+        G = PolyharmonicMap(F.p, F.J, F.a, F.b)
         for kind in ("area", "diameter", "area", "length"):
-            fresh = arg_condition(PolyharmonicMap(F.p, F.J, F.a, F.b), kind)
-            assert check_to_dict(arg_condition(F, kind)) == check_to_dict(fresh)
-        assert arg_condition(F, "area") is arg_condition(F, "area")
+            rep = arg_condition(F, kind)
+            assert arg_condition(F, kind) is rep
+            other = arg_condition(G, kind)
+            assert other is not rep and check_to_dict(other) == check_to_dict(rep)
 
 
 def test_arg_condition_at_the_table_cap_keeps_no_margin_per_pair():
