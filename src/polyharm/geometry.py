@@ -43,6 +43,7 @@ def _gauss_nodes(n: int):
 
 
 _MAX_SAMPLES = 1 << 20
+_PANELS = 1 << 11  # panels per block
 
 
 @lru_cache(maxsize=1)
@@ -55,8 +56,53 @@ def _panel_rule():
     return 0.5 * (t + 1.0), w, to_ends
 
 
-def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
-    """Length of the image of the circle |z| = r.
+def _panel_sums(starts, steps):
+    # the integral of the speed over each panel [s, s + h) and the length
+    # it may hide, for the panels of each step (table, count, width h),
+    # which follow one another in starts.  A table's panels go to the
+    # kernel 2^11 at a time, as they would for its radius alone.  Runs of
+    # up to 2^11 panels of one width share the elementwise work, and a
+    # call whose starts equal the last call's reuses its node exponentials.
+    # The weighted node sum is a BLAS product whose last bits depend on its
+    # row count, so it is taken per kernel call
+    x, w, to_ends = _panel_rule()
+    sums, hidden = np.empty(starts.size), np.empty(starts.size)
+    runs, at = [], 0  # [width, first panel, end, kernel calls (table, first, end)]
+    for G, n, h in steps:
+        for a in range(at, at + n, _PANELS):
+            b = min(a + _PANELS, at + n)
+            if not runs or runs[-1][0] != h or b - runs[-1][1] > _PANELS:
+                runs.append([h, a, b, []])
+            runs[-1][2] = b
+            runs[-1][3].append((G, a, b))
+        at += n
+    for h, a0, b0, calls in runs:
+        parts, seen = [], None
+        for G, a, b in calls:
+            key = starts[a:b].tobytes()
+            if key != seen:  # else the same nodes as the last call
+                seen = key
+                u = np.exp(1j * (starts[a:b, None] + h * x[None, :]))
+                uu = np.conj(u * u)
+            fz, fzb = wirtinger(G, u)
+            parts.append(fz - uu * fzb)
+        v = np.concatenate(parts)
+        speed = np.abs(v)
+        for _, a, b in calls:
+            sums[a:b] = 0.5 * h * (speed[a - a0:b - a0] @ w)
+        # q < 1 where a zero of v may sit between an end and its nearest
+        # node; bend is the length it can hide there, over g
+        ends = v @ to_ends.T
+        e, s = np.abs(ends), np.abs(v[:, ::x.size - 1] - ends)
+        q = np.maximum(np.minimum(e, s) / np.maximum(s, 1e-300), 1e-300)
+        bend = np.where(q < 1.0, e * q * (1.0 - np.log(q)), 0.0)
+        hidden[a0:b0] = x[0] * h * bend.sum(axis=1)
+    return sums, hidden
+
+
+def curve_length(F: PolyharmonicMap, r, tol: float = 1e-10):
+    """Length of the image of the circle |z| = r, for one radius or a 1-D
+    array of radii (then an array of lengths).
 
     On |z| = r the factors |z|^(2(n-1)) are constants, so the p layers
     collapse into one harmonic polynomial G(u) = F(r u) with coefficients
@@ -82,57 +128,84 @@ def curve_length(F: PolyharmonicMap, r: float, tol: float = 1e-10) -> float:
     tol (r + |L0|).  A speed that is identically zero settles in the first
     round; tol = 0 never settles.
 
-    Raises NoConvergence, holding the estimate after every round, once the
-    next round would take the speed samples past 2^20.  The tolerance is
-    never loosened.
+    Several radii share one pass: the layers are collapsed for all of them
+    at once, and each round evaluates the open panels of every radius
+    together, each radius with its own table, panels, scale and estimates,
+    so its length is bitwise the one it gets alone.  A radius spends at
+    most 2^20 speed samples.  The radii after the first open one, in the
+    order given, spend at most 2^20 of them together; the rest wait.
+
+    Raises NoConvergence, holding that radius's estimate after every
+    round, for the first radius whose next round would take its samples
+    past 2^20.  The tolerance is never loosened.
     """
-    if not (0.0 < r <= 1.0):
-        raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
-    x, w, to_ends = _panel_rule()
-    G = PolyharmonicMap(1, F.J, *_collapse([r], 0, F.a, F.b))
-
-    def panels(left, h):
-        # blocks of 2^11 panels (2^14 points) keep the kernel's temporaries
-        # small whatever the number of open panels
-        sums, hidden = np.empty(left.size), np.empty(left.size)
-        for k in range(0, left.size, 1 << 11):
-            u = np.exp(1j * (left[k:k + (1 << 11), None] + h * x[None, :]))
-            fz, fzb = wirtinger(G, u)
-            v = fz - np.conj(u * u) * fzb
-            sums[k:k + len(u)] = 0.5 * h * (np.abs(v) @ w)
-            # q < 1 where a zero of v may sit between an end and its
-            # nearest node; bend is the length it can hide there, over g
-            ends = v @ to_ends.T
-            e, s = np.abs(ends), np.abs(v[:, [0, -1]] - ends)
-            q = np.maximum(np.minimum(e, s) / np.maximum(s, 1e-300), 1e-300)
-            bend = np.where(q < 1.0, e * q * (1.0 - np.log(q)), 0.0)
-            hidden[k:k + len(u)] = x[0] * h * bend.sum(axis=1)
-        return sums, hidden
-
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1:
+        raise InvalidParams("radii must be a number or a 1-D array, got shape %r"
+                            % (radii.shape,))
+    rs = np.atleast_1d(radii)
+    bad = ~((rs > 0.0) & (rs <= 1.0))
+    if bad.any():
+        raise InvalidParams("radius must be in (0, 1], got %r" % (float(rs[bad][0]),))
+    A, B = _collapse(rs, 0, F.a, F.b)
+    tables = [PolyharmonicMap(1, F.J, A[i:i + 1], B[i:i + 1]) for i in range(rs.size)]
+    nodes = _panel_rule()[0].size
     n0 = 4 * (F.J + F.p)
-    h = 2.0 * np.pi / n0
-    left = h * np.arange(n0)
-    whole, _ = panels(left, h)
-    used, done = n0 * x.size, 0.0
-    estimates = [float(whole.sum())]
-    scale = tol * (r + abs(estimates[0])) / (2.0 * np.pi)
-    while whole.size:
-        if used + 2 * whole.size * x.size > _MAX_SAMPLES:
-            raise NoConvergence(
-                "circle-length quadrature at r=%r did not settle within %d "
-                "samples; %d panels still open" % (r, used, whole.size),
-                estimates)
-        h *= 0.5
-        halves, hidden = panels(np.concatenate([left, left + h]), h)
-        used += halves.size * x.size
-        lo, hi = halves[:whole.size], halves[whole.size:]
-        hidden = hidden[:whole.size] + hidden[whole.size:]
-        ok = np.abs(lo + hi - whole) + hidden < scale * 2.0 * h
-        done += float((lo + hi)[ok].sum())
-        left = np.concatenate([left[~ok], left[~ok] + h])
-        whole = np.concatenate([lo[~ok], hi[~ok]])
-        estimates.append(done + float(whole.sum()))
-    return done
+    h0 = 2.0 * np.pi / n0
+    first = h0 * np.arange(n0)
+    # per radius: the open panels' starts and sums (None before the first
+    # pass), their width, the samples used, the sum of the accepted panels,
+    # the estimate after each round and the acceptance scale
+    left, whole = [None] * rs.size, [None] * rs.size
+    width, used, done = [h0] * rs.size, [0] * rs.size, [0.0] * rs.size
+    estimates, scale = [[] for _ in rs], [0.0] * rs.size
+    pending = list(range(rs.size))
+    while pending:
+        fresh, going = [], []
+        pool = sum(used[pending[0] + 1:])
+        for i in pending:
+            cost = nodes * (n0 if left[i] is None else 2 * whole[i].size)
+            if i == pending[0]:
+                if left[i] is not None and used[i] + cost > _MAX_SAMPLES:
+                    raise NoConvergence(
+                        "curve_length at r=%r (p=%d, J=%d, tol=%r) did not settle "
+                        "within %d samples; %d panels still open"
+                        % (float(rs[i]), F.p, F.J, tol, used[i], whole[i].size),
+                        estimates[i])
+            elif used[i] + cost > _MAX_SAMPLES or pool + cost > _MAX_SAMPLES:
+                break
+            else:
+                pool += cost
+            used[i] += cost
+            (fresh if left[i] is None else going).append(i)
+        for i in going:
+            width[i] *= 0.5
+        starts = np.concatenate([part for i in going for part in (left[i], left[i] + width[i])]
+                                + [first] * len(fresh))
+        sums, hidden = _panel_sums(starts, [(tables[i], 2 * whole[i].size, width[i])
+                                            for i in going]
+                                   + [(tables[i], n0, h0) for i in fresh])
+        a = 0
+        for i in going:
+            n, h = whole[i].size, width[i]
+            lo, hi = sums[a:a + n], sums[a + n:a + 2 * n]
+            both = lo + hi
+            ok = (np.abs(both - whole[i]) + (hidden[a:a + n] + hidden[a + n:a + 2 * n])
+                  < scale[i] * 2.0 * h)
+            done[i] += float(both[ok].sum())
+            split = ~ok
+            kept = left[i][split]
+            left[i] = np.concatenate([kept, kept + h])
+            whole[i] = np.concatenate([lo[split], hi[split]])
+            estimates[i].append(done[i] + float(whole[i].sum()))
+            a += 2 * n
+        for i in fresh:
+            left[i], whole[i] = first, sums[a:a + n0]
+            estimates[i].append(float(whole[i].sum()))
+            scale[i] = tol * (rs[i] + abs(estimates[i][0])) / (2.0 * np.pi)
+            a += n0
+        pending = [i for i in pending if whole[i] is None or whole[i].size]
+    return done[0] if radii.ndim == 0 else np.array(done)
 
 
 _SCAN_RADII = 20  # sup_length scans r = 1 - 2^-k, k = 1..20
@@ -156,24 +229,33 @@ def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
     it, and the parabola through them still climbs there.  That second
     rule assumes no bump in the length between the last probe and r = 1;
     it is a heuristic, not a bound.  The zoom also stops at a bracket of
-    1e-12.  Every radius is integrated once, at integral_tol; a radius that
-    does not settle raises NoConvergence.
+    1e-12.  Every radius is integrated once, at integral_tol: the 20 scan
+    radii in one curve_length call, and the radii each zoom round has not
+    seen yet in one more.  A radius that does not settle raises
+    NoConvergence, naming the stage, for the first such radius in the
+    order of that call.
     """
     if F.p == 1:
         return curve_length(F, 1.0, tol=integral_tol)
     seen = {}
 
-    def measure(r: float) -> float:
-        if r not in seen:  # zoom grids share their ends with earlier grids
-            seen[r] = curve_length(F, r, tol=integral_tol)
-        return seen[r]
+    def measure(rs, stage):
+        new = [r for r in dict.fromkeys(map(float, rs)) if r not in seen]
+        if new:  # zoom grids share their ends with earlier grids
+            try:
+                seen.update(zip(new, map(float, curve_length(F, np.array(new),
+                                                             tol=integral_tol))))
+            except NoConvergence as exc:
+                raise NoConvergence("sup_length %s: %s" % (stage, exc),
+                                    exc.estimates) from None
+        return [seen[float(r)] for r in rs]
 
     rs = 1.0 - 2.0 ** (-np.arange(1, _SCAN_RADII + 1))
-    vals = [measure(float(r)) for r in rs]
+    vals = measure(rs, "radius scan")
     i0 = int(np.argmax(vals))
     lo = float(rs[i0 - 1]) if i0 > 0 else 1e-9
     hi = float(rs[i0 + 1]) if i0 < _SCAN_RADII - 1 else 1.0
-    _, refined = zoom_max(lambda xs: [measure(float(x)) for x in xs],
+    _, refined = zoom_max(lambda xs: measure(xs, "zoom"),
                           lo, hi, _RADIUS_TOL, k=5, rtol=integral_tol)
     return max(max(vals), refined)
 

@@ -85,6 +85,8 @@ README_VALUES = {
     "wirtinger(F, 0.5)": ("((1.6875+0j), (0.375+0j))", (1.6875, 0.375)),
     "quasiregularity_constant(F)": ("3.0", 3.0),
     "curve_length(F, 0.5)": ("pi * 1.3125", math.pi * 1.3125),
+    "curve_length(F, np.array([0.5, 1.0]))": ("pi * (1.3125, 6)",
+                                              (math.pi * 1.3125, 6.0 * math.pi)),
     "sup_length(F)": ("6 pi", 6.0 * math.pi),
     "area_series(F, 0.9)": ("exact coefficient series", None),
     "area_quadrature(F, 0.9)": ("Gauss-Legendre x trapezoid", None),

@@ -183,14 +183,6 @@ def test_jmetric_mobius(capsys):
     assert vals["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
-def test_jmetric_nonfinite_mobius_theta_is_a_usage_error(capsys, theta):
-    assert main(["jmetric", "--mobius-a", "0.5", "--mobius-theta=" + theta]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--mobius-theta must be finite" in captured.err
-
-
 # ---- rendering ----
 
 
@@ -491,27 +483,50 @@ def test_every_numeric_option_has_a_value_rule():
     assert [o for o in _NUMERIC_OPTIONS if o[2] not in cli._VALUE_RULES] == []
 
 
-_BAD_VALUE = {"z": "nan", "w": "inf", "mobius_a": "nan", "mobius_theta": "-inf",
-              "r": "1.5", "r2": "0", "r1": "1", "grid": "0", "theta_samples": "0",
-              "radial_nodes": "-5", "seed": "-1", "K": "0.5", "m": "-1",
-              "alpha": "nan", "l1": "inf", "diam": "0", "M": "-1", "tol": "0"}
-_REQUIRED = {"length": ["--sup"], "area": ["--r", "0.5"],
-             "landau": ["--mode", "diameter"], "three-circles": ["--r1", "0.3"]}
+# bad values for each option's rule; the folded per-command tests pinned
+# several of them for some options
+_BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
+               "mobius_theta": ("nan", "inf", "-inf"), "r": ("1.5", "5", "0", "nan"),
+               "r2": ("0",), "r1": ("1", "5", "0", "nan"), "grid": ("0",),
+               "theta_samples": ("0",), "radial_nodes": ("-5", "0"), "seed": ("-1",),
+               "K": ("0.5", "nan", "inf"), "m": ("-1",), "alpha": ("nan", "-1"),
+               "l1": ("inf", "0", "nan"), "diam": ("0", "nan", "inf"),
+               "M": ("-1", "inf"), "tol": ("0", "nan", "-1", "inf")}
+# every way a command is called: each mode and each area method
+_MODES = {"length": (["--sup"], ["--r", "0.5"]),
+          "area": tuple(["--r", "0.5", "--method", m] for m in ("series", "quadrature", "both")),
+          "landau": tuple(["--mode", m] for m in ("diameter", "length", "fourgon")),
+          "three-circles": (["--r1", "0.3"], ["--r1", "0.3", "--analytic", "--r2", "0.9"]),
+          "jmetric": ([], ["--mobius-a", "0.5"])}
+# maps a verify check is skipped on; a bad value is refused on each of them
+_VERIFY_MAPS = ('{"builtin": "f2"}', '{"builtin": "identity"}', _ZERO, _OPPOSED)
+_ESTIMATORS = ("curve_length", "sup_length", "diameter_estimate", "area_series",
+               "area_quadrature")
 
 
 @pytest.mark.parametrize("command, option, dest", _NUMERIC_OPTIONS,
                          ids=["%s %s" % o[:2] for o in _NUMERIC_OPTIONS])
-def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys,
+def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys, monkeypatch,
                                                      command, option, dest):
-    # the map file does not exist, so a check made after reading it would
-    # exit 4; a required option given twice takes its last value
-    argv = [command] + _REQUIRED.get(command, []) + [option + "=" + _BAD_VALUE[dest]]
-    if command != "jmetric":
-        argv += ["--map", str(tmp_path / "missing.map")]
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert option + " must be " in captured.err
+    # a missing map file would exit 4 if a check came after reading it, and
+    # no estimator may run on the maps that exist; a required option given
+    # twice takes its last value
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimated before the values were checked")
+
+    for name in _ESTIMATORS:
+        monkeypatch.setattr(geometry, name, unreachable)
+    maps = [[]] if command == "jmetric" else [["--map", str(tmp_path / "missing.map")]]
+    if command == "verify":
+        maps += [["--map", _write(tmp_path, "%d.map" % k, text)]
+                 for k, text in enumerate(_VERIFY_MAPS)]
+    for mode in _MODES.get(command, ([],)):
+        for value in _BAD_VALUES[dest]:
+            for path in maps:
+                assert main([command] + mode + [option + "=" + value] + path) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert option + " must be " in captured.err
 
 
 _ACROSS_FLAGS = [
@@ -522,7 +537,9 @@ _ACROSS_FLAGS = [
      "--grid x --theta-samples asks for 2097152 points, over the cap"),
     (["area", "--r", "0.5", "--radial-nodes", "1025", "--theta-samples", "1"],
      "--radial-nodes x --radial-nodes asks for 1050625 points, over the cap"),
-]
+] + [(["area", "--r", "0.5", "--method", method] + flags, "over the cap of 1048576")
+     for method in ("series", "quadrature", "both")
+     for flags in (["--theta-samples", "10000000000"], ["--radial-nodes", "1025"])]
 
 
 @pytest.mark.parametrize("argv, message", _ACROSS_FLAGS,

@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull, QhullError
 from polyharm import catalog, core, geometry
 from polyharm.core import (PolyharmonicMap, _collapse, _wirtinger_terms, evaluate,
                            ring_wirtinger, scale_map, wirtinger)
-from polyharm.errors import NoConvergence
+from polyharm.errors import InvalidParams, NoConvergence
 from polyharm.geometry import (
     area_growth_excess,
     area_quadrature,
@@ -71,18 +71,28 @@ def test_sup_length_relax_limit_exhausted():
         sup_length(catalog.identity(), integral_tol=0.0)
 
 
+def _record_radii(monkeypatch):
+    # wraps geometry.curve_length; the list it returns gets one (radius,
+    # length) entry per radius asked for, each radius of an array call too
+    seen = []
+    inner = geometry.curve_length
+
+    def recorded(F, r, **kw):
+        out = inner(F, r, **kw)
+        seen.extend(zip(np.atleast_1d(r).tolist(), np.atleast_1d(out).tolist()))
+        return out
+
+    monkeypatch.setattr(geometry, "curve_length", recorded)
+    return seen
+
+
 def test_sup_length_integrates_no_radius_twice(monkeypatch):
     # the zoom's bracket ends were scanned already, and each zoom grid
     # shares points with the one before; F1 has two layers, so it scans
-    radii = []
-    inner = geometry.curve_length
-
-    def counted(F, r, **kw):
-        radii.append(r)
-        return inner(F, r, **kw)
-
-    monkeypatch.setattr(geometry, "curve_length", counted)
+    seen = _record_radii(monkeypatch)
     sup_length(catalog.f1(9))
+    radii = [r for r, _ in seen]
+    assert len(radii) >= 20
     assert len(radii) == len(set(radii))
 
 
@@ -91,31 +101,18 @@ def test_sup_length_interior_maximum_for_two_layers(monkeypatch):
     # r = 1/sqrt(3), which is why two or more layers keep the radius scan
     F = PolyharmonicMap(2, 1, [[1.0], [-1.0]], [[0.0], [0.0]])
     assert curve_length(F, 1.0) == 0.0
-    seen = {}
-    inner = geometry.curve_length
-
-    def recorded(F, r, **kw):
-        seen[r] = inner(F, r, **kw)
-        return seen[r]
-
-    monkeypatch.setattr(geometry, "curve_length", recorded)
+    seen = _record_radii(monkeypatch)
     assert abs(sup_length(F) - 4.0 * math.pi / (3.0 * math.sqrt(3.0))) <= 1e-9
-    assert abs(max(seen, key=seen.get) - 1.0 / math.sqrt(3.0)) <= 1e-6
+    best = max(seen, key=lambda entry: entry[1])[0]
+    assert abs(best - 1.0 / math.sqrt(3.0)) <= 1e-6
 
 
 def test_sup_length_stops_once_the_lengths_settle(monkeypatch):
     # F1's length climbs into r = 1: the scan takes 20 radii and the first
     # zoom round 3 more, after which nothing can change the result
-    calls = []
-    inner = geometry.curve_length
-
-    def counted(F, r, **kw):
-        calls.append(r)
-        return inner(F, r, **kw)
-
-    monkeypatch.setattr(geometry, "curve_length", counted)
+    seen = _record_radii(monkeypatch)
     sup_length(catalog.f1(9))
-    assert len(calls) <= 24
+    assert 20 <= len(seen) <= 24
 
 
 def _random_table(rng, p, J):
@@ -164,16 +161,9 @@ def test_length_runs_the_single_layer_kernel(monkeypatch):
 
 
 def test_single_layer_sup_length_integrates_once(monkeypatch):
-    radii = []
-    inner = geometry.curve_length
-
-    def counted(F, r, **kw):
-        radii.append(r)
-        return inner(F, r, **kw)
-
-    monkeypatch.setattr(geometry, "curve_length", counted)
+    seen = _record_radii(monkeypatch)
     sup_length(catalog.f0(9))
-    assert radii == [1.0]
+    assert [r for r, _ in seen] == [1.0]
 
 
 def test_length_dominates_min_dilatation():
@@ -235,6 +225,155 @@ def test_length_zero_speed_settles():
     F = catalog.builtin("form37")
     assert curve_length(F, 0.5) == 0.0
     assert sup_length(F) == 0.0
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _one_radius_length(F, r, tol=1e-10):
+    # the adaptive quadrature of curve_length for one radius alone, each
+    # round a block of 2^11 panels at a time: the reference the shared
+    # pass must match bit for bit
+    x, w, to_ends = geometry._panel_rule()
+    G = PolyharmonicMap(1, F.J, *_collapse([r], 0, F.a, F.b))
+
+    def panels(left, h):
+        sums, hidden = np.empty(left.size), np.empty(left.size)
+        for k in range(0, left.size, 1 << 11):
+            u = np.exp(1j * (left[k:k + (1 << 11), None] + h * x[None, :]))
+            fz, fzb = wirtinger(G, u)
+            v = fz - np.conj(u * u) * fzb
+            sums[k:k + len(u)] = 0.5 * h * (np.abs(v) @ w)
+            ends = v @ to_ends.T
+            e, s = np.abs(ends), np.abs(v[:, [0, -1]] - ends)
+            q = np.maximum(np.minimum(e, s) / np.maximum(s, 1e-300), 1e-300)
+            bend = np.where(q < 1.0, e * q * (1.0 - np.log(q)), 0.0)
+            hidden[k:k + len(u)] = x[0] * h * bend.sum(axis=1)
+        return sums, hidden
+
+    n0 = 4 * (F.J + F.p)
+    h = 2.0 * np.pi / n0
+    left = h * np.arange(n0)
+    whole, _ = panels(left, h)
+    done = 0.0
+    scale = tol * (r + abs(float(whole.sum()))) / (2.0 * np.pi)
+    while whole.size:
+        h *= 0.5
+        halves, hidden = panels(np.concatenate([left, left + h]), h)
+        lo, hi = halves[:whole.size], halves[whole.size:]
+        hidden = hidden[:whole.size] + hidden[whole.size:]
+        ok = np.abs(lo + hi - whole) + hidden < scale * 2.0 * h
+        done += float((lo + hi)[ok].sum())
+        left = np.concatenate([left[~ok], left[~ok] + h])
+        whole = np.concatenate([lo[~ok], hi[~ok]])
+    return done
+
+
+_SQUARE_RADII = [1.0 - 2.0 ** -k for k in range(1, 21)] + [1.0]
+
+
+@pytest.mark.parametrize("F, radii", [
+    pytest.param(_random_table(np.random.default_rng(900 + p), p, J),
+                 [0.3, 0.999, 0.5, 1.0, 0.3, 0.77], id="seeded p=%d J=%d" % (p, J))
+    for p, J in ((1, 5), (2, 3), (3, 6), (4, 2))
+] + [pytest.param(builtin(J), _SQUARE_RADII, id="%s J=%d" % (builtin.__name__, J))
+     for builtin in (catalog.f0, catalog.f1) for J in (9, 41)])
+def test_length_array_is_bitwise_the_scalar_calls(monkeypatch, F, radii):
+    # one pass over every radius gives each radius the bits it gets alone,
+    # from the same samples, all taken through geometry.wirtinger on one
+    # collapsed layer while curve_length runs
+    samples = {}
+    inner_length, inner_kernel = geometry.curve_length, geometry.wirtinger
+    current = []
+
+    def length(F, r, **kw):
+        current.append(np.ndim(r))
+        try:
+            return inner_length(F, r, **kw)
+        finally:
+            current.pop()
+
+    def kernel(G, z):
+        assert current and G.p == 1
+        samples[current[-1]] = samples.get(current[-1], 0) + np.size(z)
+        return inner_kernel(G, z)
+
+    monkeypatch.setattr(geometry, "wirtinger", kernel)
+    monkeypatch.setattr(geometry, "curve_length", length)
+    together = geometry.curve_length(F, np.array(radii))
+    alone = [geometry.curve_length(F, r) for r in radii]
+    assert isinstance(together, np.ndarray) and all(type(v) is float for v in alone)
+    assert _hex(together) == _hex(alone) == _hex([_one_radius_length(F, r) for r in radii])
+    assert samples[1] == samples[0] > 0
+
+
+def test_length_array_reports_the_first_radius_that_fails():
+    # tol = 0 never settles: the first radius given raises, with the
+    # estimates it has alone, whatever the later radii would do
+    F = catalog.f1(9)
+    with pytest.raises(NoConvergence) as alone:
+        curve_length(F, 0.9, tol=0.0)
+    with pytest.raises(NoConvergence) as together:
+        curve_length(F, np.array([0.9, 0.5, 1.0]), tol=0.0)
+    assert together.value.estimates == alone.value.estimates
+    assert str(together.value) == str(alone.value)
+    assert str(alone.value).startswith("curve_length at r=0.9 (p=2, J=9, tol=0.0) "
+                                       "did not settle within ")
+    assert str(alone.value).endswith(" panels still open")
+
+
+def test_length_rejects_radii_outside_the_disk():
+    for r in (0.0, 1.5, float("nan"), np.array([0.5, 1.5]), np.ones((2, 2))):
+        with pytest.raises(InvalidParams):
+            curve_length(catalog.f2(), r)
+    assert curve_length(catalog.f2(), np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("cap", [1 << 12, 1 << 13])
+def test_failing_scan_spends_at_most_one_more_radius_budget(monkeypatch, cap):
+    # with the sample cap cut down, scanning F1's radii one at a time
+    # stops at the first radius that cannot settle; the scan in one pass
+    # raises for that same radius, with its estimates, after at most one
+    # more cap of samples spent on the radii after it
+    monkeypatch.setattr(geometry, "_MAX_SAMPLES", cap)
+    taken = [0]
+    inner = geometry.wirtinger
+
+    def counted(G, z):
+        taken[0] += np.size(z)
+        return inner(G, z)
+
+    monkeypatch.setattr(geometry, "wirtinger", counted)
+    F = catalog.f1(9)
+    for r in 1.0 - 2.0 ** -np.arange(1, 21):
+        try:
+            curve_length(F, float(r))
+        except NoConvergence as exc:
+            first = exc
+            break
+    one_by_one, taken[0] = taken[0], 0
+    with pytest.raises(NoConvergence) as exc:
+        sup_length(F)
+    assert exc.value.estimates == first.estimates
+    assert str(exc.value) == "sup_length radius scan: " + str(first)
+    assert taken[0] <= one_by_one + cap
+
+
+def test_sup_length_memory_stays_bounded_at_the_layer_cap():
+    # a seeded (4096, 1) table: 20 radii share one pass, in blocks of
+    # panels, and the layers are collapsed once for all of them
+    rng = np.random.default_rng(4096)
+    a, b = (rng.normal(0, 1e-3, (4096, 1)) + 1j * rng.normal(0, 1e-3, (4096, 1))
+            for _ in range(2))
+    F = PolyharmonicMap(4096, 1, a, b)
+    tracemalloc.start()
+    try:
+        sup_length(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # ---- area ----
