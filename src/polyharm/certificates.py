@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import zoom_max
-from .core import PolyharmonicMap, check_grid_size, evaluate, ring_values
+from .core import PolyharmonicMap, evaluate, ring_values
 from .errors import InvalidDiameter, InvalidParams, NotAnalytic
 from .geometry import area_growth_excess, area_series
 
@@ -28,6 +28,9 @@ TOL_REPORT = 1e-9
 ANGLE_TOL = 1e-12
 ZERO_COEFF_REL = 1e-14
 R_EDGE = 1.0 - 1e-6  # "near the boundary": where S is compared with 1
+THREE_CIRCLES_GRID = 50  # radii of three_circles_area, from r1 to R_EDGE
+SCHWARZ_GRID = 100  # radii of area_schwarz, from 0.01 to 0.99
+HADAMARD_ANGLES = 4096  # samples of each circle maximum of hadamard_three_circles
 _PAIR_ROWS = 1 << 14  # (j, n1, n2) cells of one dense block of layer-pair angles
 
 __all__ = [
@@ -35,6 +38,9 @@ __all__ = [
     "ANGLE_TOL",
     "ZERO_COEFF_REL",
     "R_EDGE",
+    "THREE_CIRCLES_GRID",
+    "SCHWARZ_GRID",
+    "HADAMARD_ANGLES",
     "Margin",
     "CheckReport",
     "arg_condition",
@@ -241,23 +247,18 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckR
 # ---- three-circles style growth bounds ----
 
 
-def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
-                       n_grid: int = 50) -> CheckReport:
-    """Interpolation bound S(r) <= m ** (log r / log r1) on n_grid
-    equispaced radii from r1 to R_EDGE, ends included.
+def three_circles_area(F: PolyharmonicMap, r1: float, m: float) -> CheckReport:
+    """Interpolation bound S(r) <= m ** (log r / log r1) on
+    THREE_CIRCLES_GRID equispaced radii from r1 to R_EDGE, ends included.
 
     Hypotheses: the area angle condition, S bounded by 1 near the boundary,
     and 0 < m < 1 with S(r1) <= m.  Raises InvalidParams unless
-    0 < r1 <= R_EDGE, m is positive and finite, and 1 <= n_grid <=
-    MAX_GRID_POINTS.
+    0 < r1 <= R_EDGE and m is positive and finite.
     """
     if not (0.0 < r1 <= R_EDGE):
         raise InvalidParams("r1 must be in (0, 1 - 1e-6], got %r" % (r1,))
     if not (math.isfinite(m) and m > 0.0):
         raise InvalidParams("m must be positive and finite, got %r" % (m,))
-    if n_grid < 1:
-        raise InvalidParams("need n_grid >= 1, got %r" % (n_grid,))
-    check_grid_size(n_grid, "n_grid")
     hyp = arg_condition(F, "area")
     s_r1 = float(area_series(F, r1))
     s_edge = float(area_series(F, R_EDGE))
@@ -271,7 +272,7 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
             or s_edge > 1.0 + TOL_REPORT):
         return CheckReport(name="three-circles-area",
                            verdict="hypotheses-not-met", extras=hyp_notes)
-    grid = np.linspace(r1, R_EDGE, n_grid)
+    grid = np.linspace(r1, R_EDGE, THREE_CIRCLES_GRID)
     s = area_series(F, grid)
     bound = np.exp(math.log(m) * np.log(grid) / math.log(r1))
     return _report("three-circles-area",
@@ -279,42 +280,38 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float,
                      TOL_REPORT)], extras=hyp_notes)
 
 
-def _circle_log_max(F: PolyharmonicMap, r: float, n_theta: int) -> float:
-    vals = np.abs(ring_values(F, [r], n_theta)[0])
+def _circle_log_max(F: PolyharmonicMap, r: float) -> float:
+    vals = np.abs(ring_values(F, [r], HADAMARD_ANGLES)[0])
     i0 = int(np.argmax(vals))
-    th0, d_th = 2.0 * np.pi * i0 / n_theta, 2.0 * np.pi / n_theta
+    th0, d_th = 2.0 * np.pi * i0 / HADAMARD_ANGLES, 2.0 * np.pi / HADAMARD_ANGLES
     _, v = zoom_max(lambda xs: np.abs(evaluate(F, r * np.exp(1j * xs))),
                     th0 - d_th, th0 + d_th, tol=1e-12)
     return math.log(max(float(vals[i0]), v))
 
 
-def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
-                           n_theta: int = 4096) -> CheckReport:
+def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float) -> CheckReport:
     """Classical log-convexity of the circle maximum for analytic tables,
     on the 23 radii that split [r1, r2] into 24 equal steps.
 
-    Each circle maximum is the best of n_theta equispaced samples, zoomed
-    in on.  Only meaningful when the map is a single analytic layer (p = 1
-    and no conjugate-power coefficients); anything else raises NotAnalytic.
-    Raises InvalidParams unless 1 <= n_theta <= MAX_GRID_POINTS.
+    Each circle maximum is the best of HADAMARD_ANGLES equispaced samples,
+    zoomed in on.  Only meaningful when the map is a single analytic layer
+    (p = 1 and no conjugate-power coefficients); anything else raises
+    NotAnalytic.
     """
     if F.p != 1 or np.any(F.b != 0):
         raise NotAnalytic("three-circles log-convexity needs an analytic map")
     if not (0.0 < r1 < r2 <= 1.0):
         raise InvalidParams("need 0 < r1 < r2 <= 1")
-    if n_theta < 1:
-        raise InvalidParams("need n_theta >= 1, got %r" % (n_theta,))
-    check_grid_size(n_theta, "n_theta")
     if F.max_coefficient() == 0.0:
         return CheckReport(name="hadamard-three-circles", verdict="pass",
                            extras={"reason": "zero map"})
     grid = np.linspace(r1, r2, 25)[1:-1]
-    log_m1 = _circle_log_max(F, r1, n_theta)
-    log_m2 = _circle_log_max(F, r2, n_theta)
+    log_m1 = _circle_log_max(F, r1)
+    log_m2 = _circle_log_max(F, r2)
     lr1, lr2 = math.log(r1), math.log(r2)
     lhs, rhs = [], []
     for r in grid:
-        lhs.append(_circle_log_max(F, float(r), n_theta))
+        lhs.append(_circle_log_max(F, float(r)))
         lr = math.log(float(r))
         # log M(r) <= [(lr2 - lr) log M1 + (lr - lr1) log M2] / (lr2 - lr1)
         rhs.append(((lr2 - lr) * log_m1 + (lr - lr1) * log_m2) / (lr2 - lr1))
@@ -328,21 +325,16 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float,
 # ---- area-ratio monotonicity ----
 
 
-def area_schwarz(F: PolyharmonicMap, n_grid: int = 100) -> CheckReport:
+def area_schwarz(F: PolyharmonicMap) -> CheckReport:
     """Monotonicity of phi(r) = S(r)/r^2 under the area angle condition,
     with the closed-form growth excess as a second route, and the induced
     S(r) <= r^2 comparison when S stays within the unit-area budget, on
-    n_grid equispaced radii from 0.01 to 0.99.  Raises InvalidParams unless
-    n_grid >= 2, so that at least one monotonicity step is tested, and
-    n_grid <= MAX_GRID_POINTS."""
-    if n_grid < 2:
-        raise InvalidParams("need n_grid >= 2, got %r" % (n_grid,))
-    check_grid_size(n_grid, "n_grid")
+    SCHWARZ_GRID equispaced radii from 0.01 to 0.99."""
     hyp = arg_condition(F, "area")
     if hyp.verdict != "pass":
         return CheckReport(name="area-schwarz", verdict="hypotheses-not-met",
                            extras={"reason": "area angle condition fails"})
-    grid = np.linspace(0.01, 0.99, n_grid)
+    grid = np.linspace(0.01, 0.99, SCHWARZ_GRID)
     s = area_series(F, grid)
     phi = s / grid ** 2
     n = grid.size

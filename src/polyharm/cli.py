@@ -82,7 +82,6 @@ _VALUE_RULES = {  # option dest: rule, test; every numeric option has one
     "r1": ("in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
     "grid": (">= 1", lambda v: v >= 1),
     "theta_samples": (">= 1", lambda v: v >= 1),
-    "radial_nodes": (">= 1", lambda v: v >= 1),
     "seed": (">= 0", lambda v: v >= 0),
     "K": ("finite and >= 1", lambda v: 1.0 <= v < math.inf),
     "m": ("positive and finite", _positive),
@@ -157,17 +156,12 @@ def cmd_length(args) -> int:
 
 
 def cmd_area(args) -> int:
-    # the quadrature's grid is capped whatever --method is
-    check_grid_size(args.radial_nodes * args.theta_samples,
-                    "--radial-nodes x --theta-samples")
-    check_grid_size(args.radial_nodes ** 2, "--radial-nodes x --radial-nodes")
     F = _load(args.map)
     if args.method in ("series", "both"):
         s = geometry.area_series(F, args.r)
         print("S_series = %.17g" % s)
     if args.method in ("quadrature", "both"):
-        q = geometry.area_quadrature(F, args.r, n_radial=args.radial_nodes,
-                                     n_theta=args.theta_samples)
+        q = geometry.area_quadrature(F, args.r)
         print("S_quadrature = %.17g" % q)
     if args.method == "both":
         print("difference = %.3g" % abs(s - q))
@@ -376,9 +370,9 @@ def cmd_verify(args) -> int:
         },
         "environment": {
             "seed": args.seed,
-            "grid": 50,  # three_circles_area's n_grid
+            "grid": certificates.THREE_CIRCLES_GRID,
             "r1": args.r1,
-            "theta_samples": 2048,  # harmonic_lipschitz_check's n_boundary
+            "theta_samples": metrics.N_BOUNDARY,
             "tol_report": certificates.TOL_REPORT,
             "angle_tol": certificates.ANGLE_TOL,
             "pair_sampler": {"n_random": metrics.N_RANDOM,
@@ -431,10 +425,10 @@ def build_parser() -> _Parser:
     p = mapped(sub.add_parser("area", help="normalized image area"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--method", choices=("series", "quadrature", "both"),
-                   default="series")
-    p.add_argument("--theta-samples", type=int, default=2048)
-    p.add_argument("--radial-nodes", type=int, default=64,
-                   help="Gauss-Legendre radii; exact once >= 2p + J - 2")
+                   default="series",
+                   help="coefficient series, or Gauss-Legendre quadrature of "
+                        "the Jacobian's circle means with p + ceil(J/2) - 1 "
+                        "nodes in r^2, exact at every size")
     p.set_defaults(func=cmd_area)
 
     p = mapped(sub.add_parser("diam", help="lower estimate of the image diameter"))

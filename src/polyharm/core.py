@@ -26,8 +26,8 @@ matching entry of an array call.  On a circle |z| = r the factor s is the
 constant r^2, so the layers fold into one trigonometric series per circle;
 :func:`ring_values` and :func:`ring_wirtinger` take F and both derivatives
 at n equispaced points of each circle from it with one inverse FFT, and
-``_ring_energies`` takes the circle means of |F_z|^2 and |F_zbar|^2 over
-those points from it by Parseval, with no FFT.
+``_ring_energies`` takes the exact circle means of |F_z|^2 and |F_zbar|^2
+from it by Parseval, with no samples and no FFT.
 """
 from __future__ import annotations
 
@@ -308,36 +308,20 @@ def _wirtinger_terms(F: PolyharmonicMap):
             [((j + layer) * bc, 1 - j), (layer * F.a, j + 1)])
 
 
-def _ring_energies(F: PolyharmonicMap, radii, n_angles: int):
-    # the means of |F_z|^2 and of |F_zbar|^2 over the samples of
-    # ring_wirtinger, two len(radii) arrays, by Parseval: the sum of |c|^2
-    # over the slots c of each circle's spectrum folded mod n_angles.  A
-    # derivative whose frequencies fall in distinct slots has its
-    # coefficients squared as they are; otherwise each slot first sums its
-    # coefficients in the order ring_wirtinger adds them.  Circles go in
-    # blocks of ~2^14 coefficient entries, and a folded spectrum (n_angles
-    # <= 2J slots) is no larger
+def _ring_energies(F: PolyharmonicMap, radii):
+    # the means of |F_z|^2 and of |F_zbar|^2 on the circles |z| = radii, two
+    # len(radii) arrays, by Parseval: each derivative's frequencies are
+    # distinct, so its mean is the sum of |c|^2 over its circle
+    # coefficients c.  Circles go in blocks of ~2^14 coefficient entries
     radii = np.asarray(radii, dtype=float).ravel()
-    outputs = _wirtinger_terms(F)
-    slots = []  # per derivative, the slot of each coefficient, or None
-    for terms in outputs:
-        m = np.concatenate([m for _, m in terms]) % n_angles
-        s = np.sort(m)  # np.unique would import numpy.ma, 1.6 MB of RSS
-        slots.append(m if np.any(s[1:] == s[:-1]) else None)
-    tables = [M for terms in outputs for M, _ in terms]
+    tables = [M for terms in _wirtinger_terms(F) for M, _ in terms]
     rows = max(1, (1 << 14) // (4 * F.J))
-    energies = np.empty((len(outputs), radii.size))
+    energies = np.empty((2, radii.size))
     for k in range(0, radii.size, rows):
         # one row per circle: F_z's coefficients, then F_zbar's
         c = np.concatenate(_collapse(radii[k:k + rows], -1, *tables), axis=1)
-        for out, part, m in zip(energies, np.split(c, len(outputs), axis=1), slots):
-            if m is not None:
-                at = (np.arange(len(c))[:, None] * n_angles + m).ravel()
-                re, im = (np.bincount(at, x.ravel(), len(c) * n_angles)
-                          .reshape(len(c), n_angles) for x in (part.real, part.imag))
-            else:
-                re, im = part.real, part.imag
-            out[k:k + len(c)] = (re * re + im * im).sum(axis=1)
+        for out, part in zip(energies, np.split(c, 2, axis=1)):
+            out[k:k + len(c)] = (part.real * part.real + part.imag * part.imag).sum(axis=1)
     return energies
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import TOL_REPORT
-from .core import PolyharmonicMap, check_grid_size, evaluate, ring_values
+from .core import PolyharmonicMap, evaluate, ring_values
 from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
                      OutsideDomain)
 
@@ -27,6 +27,7 @@ from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
 N_RANDOM = 512
 N_RAY = 64
 R_CAP = 1.0 - 1e-7
+N_BOUNDARY = 2048  # boundary samples of harmonic_lipschitz_check
 
 __all__ = [
     "j_metric",
@@ -124,25 +125,20 @@ def contraction_check(F: PolyharmonicMap, M: float,
                            extras=extras)
 
 
-def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7,
-                             n_boundary: int = 2048) -> LipschitzReport:
+def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> LipschitzReport:
     """j-metric Lipschitz bound for harmonic polynomials into the unit disk,
     sampled on the point pairs drawn with ``seed``.
 
     The bound grows with the polynomial degree d as (d sqrt(2d) / 2) pi.
-    Raises InvalidParams unless 1 <= n_boundary <= MAX_GRID_POINTS,
-    NotHarmonicPolynomial unless the table has a single layer, and
-    NotIntoDisk when the maximum over n_boundary equispaced boundary points
+    Raises NotHarmonicPolynomial unless the table has a single layer, and
+    NotIntoDisk when the maximum over N_BOUNDARY equispaced boundary points
     exceeds 1.
     """
-    if n_boundary < 1:
-        raise InvalidParams("need n_boundary >= 1, got %r" % (n_boundary,))
-    check_grid_size(n_boundary, "n_boundary")
     if F.p != 1:
         raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % F.p)
     live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
     degree = int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
-    boundary = np.abs(ring_values(F, [1.0], n_boundary)[0])
+    boundary = np.abs(ring_values(F, [1.0], N_BOUNDARY)[0])
     sup_boundary = float(boundary.max())
     if sup_boundary > 1.0 + 1e-9:
         raise NotIntoDisk("boundary modulus reaches %.6g > 1" % sup_boundary)

@@ -9,6 +9,7 @@ function that bench/tracer.py wraps breaks every traced benchmark run.
 import ast
 import importlib
 import importlib.util
+import inspect
 import math
 import pkgutil
 import sys
@@ -75,6 +76,24 @@ def test_equispaced_circles_are_sampled_only_in_core():
     assert {name: k for name, k in found.items() if k} == {"geometry.py": 1}
 
 
+# the sample counts of these functions are module constants, or derived
+# from the table, and no longer parameters
+COUNTLESS = {
+    "geometry.area_quadrature": ["F", "r"],
+    "certificates.three_circles_area": ["F", "r1", "m"],
+    "certificates.area_schwarz": ["F"],
+    "certificates.hadamard_three_circles": ["F", "r1", "r2"],
+    "metrics.harmonic_lipschitz_check": ["F", "seed"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTLESS))
+def test_no_sample_count_parameters(name):
+    module, function = name.split(".")
+    f = getattr(importlib.import_module("polyharm." + module), function)
+    assert list(inspect.signature(f).parameters) == COUNTLESS[name]
+
+
 # ---- README's Python examples ----
 
 # every expression line of README's ```python blocks that carries a comment:
@@ -89,7 +108,7 @@ README_VALUES = {
                                               (math.pi * 1.3125, 6.0 * math.pi)),
     "sup_length(F)": ("6 pi", 6.0 * math.pi),
     "area_series(F, 0.9)": ("exact coefficient series", None),
-    "area_quadrature(F, 0.9)": ("Gauss-Legendre x trapezoid", None),
+    "area_quadrature(F, 0.9)": ("exact Gauss-Legendre quadrature in r^2", None),
     "res.r_univ, res.rho_cover": ("(0.5, 1 - log 2)", (0.5, 1.0 - math.log(2.0))),
     "rep.verdict": ('"pass"', "pass"),
     "rep.count": ("3", 3),

@@ -348,8 +348,6 @@ def test_three_circles_rejects_bad_params():
         three_circles_area(catalog.identity(), 1.5, 0.5)
     with pytest.raises(InvalidParams):
         three_circles_area(catalog.identity(), 0.3, -0.1)
-    with pytest.raises(InvalidParams):
-        three_circles_area(catalog.identity(), 0.3, 0.09, n_grid=0)
 
 
 # ---- analytic three circles ----
@@ -445,15 +443,6 @@ def test_area_schwarz_unit_budget_comparison():
         assert rep.extras["unit_area_budget"] is True
         comp = [m for m in rep.margins if m.check_id.startswith("S<=r^2")]
         assert comp and all(m.slack >= -1e-9 for m in comp)
-
-
-def test_area_schwarz_grid_validation():
-    # two radii are the fewest that test one monotonicity step
-    with pytest.raises(InvalidParams):
-        area_schwarz(catalog.identity(), n_grid=1)
-    with pytest.raises(InvalidParams):
-        area_schwarz(catalog.identity(), n_grid=0)
-    assert area_schwarz(catalog.identity(), n_grid=2).verdict == "pass"
 
 
 # ---- report plumbing ----

@@ -374,8 +374,6 @@ def test_invalid_math_params(identity_map, capsys):
 @pytest.mark.parametrize("argv", [
     ["diam", "--grid", "0"],
     ["diam", "--theta-samples", "0"],
-    ["area", "--r", "0.5", "--method", "quadrature", "--theta-samples", "0"],
-    ["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "0"],
     ["three-circles", "--r1", "0.3", "--grid", "0"],
     ["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
      "--theta-samples", "0"],
@@ -413,15 +411,6 @@ def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, val
         assert flag in captured.err
 
 
-@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
-def test_area_radius_outside_the_disk_is_a_usage_error(f2_map, capsys, method):
-    for r in ("5", "0", "nan"):
-        assert main(["area", "--map", f2_map, "--r", r, "--method", method]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--r must be in (0, 1]" in captured.err
-
-
 @pytest.mark.parametrize("text, entries", [
     ('{"p": 1, "J": 100000000000, "terms": []}', "100000000000"),
     ('{"builtin": "f0", "params": {"J": 10000000000}}', "10000000000"),
@@ -440,10 +429,11 @@ def _over_cap(argv, message=r"over the cap of 1048576; .* \d+ bytes"):
 
 @pytest.mark.parametrize("argv, message", [
     _over_cap(["diam", "--grid", "100000", "--theta-samples", "100000"]),
-    _over_cap(["area", "--r", "0.5", "--method", "quadrature",
-               "--theta-samples", "10000000000"]),
-    _over_cap(["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "1025"]),
     # sample counts that are no longer options: unknown flags are usage errors
+    _over_cap(["area", "--r", "0.5", "--method", "quadrature",
+               "--theta-samples", "10000000000"], "unrecognized arguments: --theta-samples"),
+    _over_cap(["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "1025"],
+              "unrecognized arguments: --radial-nodes"),
     _over_cap(["three-circles", "--r1", "0.3", "--grid", "10000000000"],
               "unrecognized arguments: --grid"),
     _over_cap(["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
@@ -488,7 +478,7 @@ def test_every_numeric_option_has_a_value_rule():
 _BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
                "mobius_theta": ("nan", "inf", "-inf"), "r": ("1.5", "5", "0", "nan"),
                "r2": ("0",), "r1": ("1", "5", "0", "nan"), "grid": ("0",),
-               "theta_samples": ("0",), "radial_nodes": ("-5", "0"), "seed": ("-1",),
+               "theta_samples": ("0",), "seed": ("-1",),
                "K": ("0.5", "nan", "inf"), "m": ("-1",), "alpha": ("nan", "-1"),
                "l1": ("inf", "0", "nan"), "diam": ("0", "nan", "inf"),
                "M": ("-1", "inf"), "tol": ("0", "nan", "-1", "inf")}
@@ -535,11 +525,7 @@ _ACROSS_FLAGS = [
     (["landau", "--mode", "fourgon", "--l1", "2"], "takes no --l1"),
     (["diam", "--grid", "2048", "--theta-samples", "1024"],
      "--grid x --theta-samples asks for 2097152 points, over the cap"),
-    (["area", "--r", "0.5", "--radial-nodes", "1025", "--theta-samples", "1"],
-     "--radial-nodes x --radial-nodes asks for 1050625 points, over the cap"),
-] + [(["area", "--r", "0.5", "--method", method] + flags, "over the cap of 1048576")
-     for method in ("series", "quadrature", "both")
-     for flags in (["--theta-samples", "10000000000"], ["--radial-nodes", "1025"])]
+]
 
 
 @pytest.mark.parametrize("argv, message", _ACROSS_FLAGS,
@@ -586,13 +572,14 @@ def test_flag_its_mode_never_reads_is_refused_before_the_map_is_read(
     ("verify", "--grid"), ("verify", "--theta-samples"),
     ("three-circles", "--grid"), ("three-circles", "--theta-samples"),
     ("schwarz", "--grid"), ("render", "--rings"), ("render", "--rays"),
-    ("render", "--samples"),
+    ("render", "--samples"), ("area", "--theta-samples"), ("area", "--radial-nodes"),
 ], ids=" ".join)
 def test_removed_sample_count_flags_are_usage_errors(identity_map, tmp_path, capsys,
                                                       command, flag):
     svg = tmp_path / "never.svg"
     argv = [command, "--map", identity_map, flag, "8"]
-    argv += {"three-circles": ["--r1", "0.3"], "render": ["--out", str(svg)]}.get(command, [])
+    argv += {"three-circles": ["--r1", "0.3"], "render": ["--out", str(svg)],
+             "area": ["--r", "0.5"]}.get(command, [])
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -643,46 +630,12 @@ def test_length_sup_honours_tol(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("mode", [["--sup"], ["--r", "0.5"]], ids=" ".join)
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"], ids=lambda v: "tol " + v)
-def test_length_rejects_bad_tol_before_reading_the_map(tmp_path, capsys,
-                                                       monkeypatch, mode, tol):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("measured before --tol was checked")
-
-    for name in ("curve_length", "sup_length"):
-        monkeypatch.setattr(geometry, name, unreachable)
-    missing = str(tmp_path / "missing.map")
-    assert main(["length", "--map", missing, "--tol", tol] + mode) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--tol must be positive and finite" in captured.err
-
-
-@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
-@pytest.mark.parametrize("flags, message", [
-    (["--theta-samples", "0"], "--theta-samples must be >= 1"),
-    (["--radial-nodes", "-5"], "--radial-nodes must be >= 1"),
-    (["--theta-samples", "10000000000"], "over the cap of 1048576"),
-    (["--radial-nodes", "1025"], "over the cap of 1048576"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
-def test_area_checks_the_quadrature_flags_before_reading_the_map(
-        tmp_path, capsys, method, flags, message):
-    missing = str(tmp_path / "missing.map")
-    assert main(["area", "--map", missing, "--r", "0.5", "--method", method]
-                + flags) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
-
-
 def test_parser_reuse_keeps_no_state(identity_map, capsys):
     # main() parses every call with one parser; an area call in between must
-    # leave none of the options it shares with diam behind for the next diam
+    # leave no --r it shares with diam behind for the next diam
     assert main(["diam", "--map", identity_map]) == 0
     first = capsys.readouterr().out
-    assert main(["area", "--map", identity_map, "--r", "0.5",
-                 "--theta-samples", "7"]) == 0
+    assert main(["area", "--map", identity_map, "--r", "0.5"]) == 0
     capsys.readouterr()
     assert main(["diam", "--map", identity_map]) == 0
     assert capsys.readouterr().out == first

@@ -442,32 +442,27 @@ def test_area_quadrature_pinned():
     assert abs(area_quadrature(G, 1.0) + math.pi / math.pi) <= 1e-12
 
 
-def _gauss_rings(r, n_radial):
-    t, w = np.polynomial.legendre.leggauss(n_radial)
-    return 0.5 * r * (t + 1.0), 0.5 * r * w
+def _gauss_rings(F, r, n=None):
+    # area_quadrature's circles and its weights in x = rho^2: n Gauss-Legendre
+    # nodes, by default the derived count p + ceil(J/2) - 1
+    t, w = geometry._gauss_nodes(n or F.p + (F.J + 1) // 2 - 1)
+    return np.sqrt(0.5 * r * r * (t + 1.0)), w
 
 
-def _area_from_ring_means(r, n_radial, means):
-    rho, wts = _gauss_rings(r, n_radial)
-    return float(2.0 * np.sum(wts * rho * means))
+def _area_from_ring_means(F, r, means, n=None):
+    _, w = _gauss_rings(F, r, n)
+    return float(0.5 * r * r * np.sum(w * means))
 
 
-def _energies_one_shot(F, rho, n_theta):
-    # every Gauss ring at once: each derivative's circle coefficients,
-    # squared as they are, or first added into their slots mod n_theta by
-    # np.add.at where two of them share a slot; F_z's energy minus F_zbar's
+def _energies_one_shot(F, rho):
+    # every ring at once: the squared moduli of each derivative's circle
+    # coefficients summed; F_z's energy minus F_zbar's
     terms = _wirtinger_terms(F)
     tables = iter(_collapse(rho, -1, *[M for pairs in terms for M, _ in pairs]))
     energy = []
     for pairs in terms:
         c = np.concatenate([next(tables) for _ in pairs], axis=1)
-        m = np.concatenate([m for _, m in pairs]) % n_theta
-        if np.unique(m).size < m.size:
-            spec = np.zeros((len(rho), n_theta), dtype=complex)
-            np.add.at(spec, (slice(None), m), c)
-            c = spec
-        re, im = c.real, c.imag
-        energy.append((re * re + im * im).sum(axis=1))
+        energy.append((c.real * c.real + c.imag * c.imag).sum(axis=1))
     return energy[0] - energy[1]
 
 
@@ -485,40 +480,63 @@ def _sampled_means(F, rho, n_theta, pointwise=False):
     return jac.mean(axis=1)
 
 
-def _check_against_oracles(F, r, n_radial, n_theta, horner=True):
-    rho, _ = _gauss_rings(r, n_radial)
-    s = area_quadrature(F, r, n_radial, n_theta)
+def _check_against_oracles(F, r):
+    rho, _ = _gauss_rings(F, r)
+    s = area_quadrature(F, r)
     # blocks of rings give the bits of all rings at once
-    assert s == _area_from_ring_means(r, n_radial, _energies_one_shot(F, rho, n_theta))
-    # Parseval agrees with the sampled trapezoid rule, aliasing included
-    sampled = _area_from_ring_means(r, n_radial, _sampled_means(F, rho, n_theta))
-    assert abs(s - sampled) <= 1e-14 * (1.0 + abs(s))
-    if horner:  # the Horner kernel stays an independent oracle
+    assert s == _area_from_ring_means(F, r, _energies_one_shot(F, rho))
+    # Parseval agrees with the trapezoid rule on 2J + 1 angles, the fewest
+    # that alias no frequency of |F_z|^2 or |F_zbar|^2, and on more
+    for n_theta in (2 * F.J + 1, 4 * F.J + 7):
+        sampled = _area_from_ring_means(F, r, _sampled_means(F, rho, n_theta))
+        assert abs(s - sampled) <= 1e-14 * (1.0 + abs(s))
+        # the Horner kernel stays an independent oracle
         pointwise = _sampled_means(F, rho, n_theta, pointwise=True)
-        assert abs(s - _area_from_ring_means(r, n_radial, pointwise)) <= 1e-14 * (1.0 + abs(s))
+        assert abs(s - _area_from_ring_means(F, r, pointwise)) <= 1e-14 * (1.0 + abs(s))
 
 
 def test_area_quadrature_blocks_are_bitwise_one_shot():
     rng = np.random.default_rng(59)
-    for n_radial, n_theta in ((64, 16), (64, 1000), (64, 2048), (64, 3000),
-                              (64, 4096), (8, 30000)):
-        F = random_map(rng)
-        _check_against_oracles(F, float(rng.uniform(0.2, 1.0)), n_radial, n_theta)
+    for _ in range(6):
+        _check_against_oracles(random_map(rng), float(rng.uniform(0.2, 1.0)))
+    # 64 rings of J = 64 fill a block, and (40, 64) needs 71; (2, 120)
+    # needs 61 in blocks of 34
+    for p, J in ((40, 64), (2, 120)):
+        a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+        b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+        _check_against_oracles(PolyharmonicMap(p, J, a / p, b / p),
+                               float(rng.uniform(0.2, 1.0)))
 
 
-def test_area_quadrature_keeps_the_aliasing_of_its_samples():
-    # n_theta <= 2J folds frequencies onto each other, as the samples would
-    rng = np.random.default_rng(61)
-    for _ in range(12):
-        F = random_map(rng, J_max=12)
-        r = float(rng.uniform(0.2, 1.0))
-        for n_theta in (1, 3, 2 * F.J, 2 * F.J + 1, 2 * F.J + 2):
-            _check_against_oracles(F, r, 16, n_theta)
+def _seeded_table(p, J, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (1e-3 * (rng.normal(size=(p, J)) + 1j * rng.normal(size=(p, J)))
+            for _ in range(2))
+    return PolyharmonicMap(p, J, a, b)
 
 
-def test_area_quadrature_matches_its_samples_on_f0_at_J_1024():
-    # 2048 angles alias J = 1024's frequencies -1025 and 1023
-    _check_against_oracles(catalog.f0(1024), 1.0, 64, 2048, horner=False)
+@pytest.mark.parametrize("F", [catalog.f0(1024), catalog.f0(4096), catalog.f1(2048),
+                               _seeded_table(1024, 4, 1024)],
+                         ids=["f0 J=1024", "f0 J=4096", "F1 J=2048", "seeded (1024, 4)"])
+def test_area_quadrature_is_exact_near_the_table_cap(F):
+    # a fixed count of 64 radii left f0 at J = 1024 7e-7 (1 + |S|) off
+    s = area_series(F, 1.0)
+    assert abs(area_quadrature(F, 1.0) - s) <= 1e-14 * (1.0 + abs(s))
+
+
+def test_gauss_nodes_integrate_monomials_up_to_degree_2n_minus_1():
+    n = 4096
+    t, w = geometry._gauss_nodes(n)
+    assert t.size == w.size == n and np.all(np.diff(t) > 0.0)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    power = np.ones(n)  # t^k
+    eps = np.finfo(float).eps
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        got = float(w @ power)
+        # rounding: t^k carries about k ulps, and the sum log2(n) more
+        assert abs(got - exact) <= 2.0 * (k + 16) * eps * float(w @ np.abs(power)), k
+        power = power * t
 
 
 def test_area_quadrature_neither_samples_nor_transforms(monkeypatch):
@@ -530,10 +548,10 @@ def test_area_quadrature_neither_samples_nor_transforms(monkeypatch):
     monkeypatch.setattr(core, "_ring_samples", boom)
     F = catalog.f2()
     want = area_series(F, 0.9)
-    area_quadrature(F, 0.9, 64, 1 << 14)  # warm the Gauss-Legendre cache
+    area_quadrature(F, 0.9)  # warm the Gauss-Legendre cache
     tracemalloc.start()
     try:
-        s = area_quadrature(F, 0.9, 64, 1 << 14)
+        s = area_quadrature(F, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -541,13 +559,13 @@ def test_area_quadrature_neither_samples_nor_transforms(monkeypatch):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("p, J", [(1, 6), (2, 6), (3, 5), (1, 1), (4, 3)])
-def test_area_quadrature_radial_rule_is_exact_from_2p_plus_J_minus_2_nodes(p, J):
-    # rho times a ring mean has degree <= 4p + 2J - 5 in rho, which n
+@pytest.mark.parametrize("p, J", [(1, 6), (2, 6), (3, 5), (1, 1), (4, 3), (2, 1)])
+def test_area_quadrature_radial_rule_is_exact_at_its_derived_count(p, J):
+    # a ring mean has degree <= 2p + J - 3 in x = rho^2, which n
     # Gauss-Legendre nodes integrate exactly once 2n - 1 reaches it; one
     # node fewer truncates
     rng = np.random.default_rng(100 * p + J)
-    n = 2 * p + J - 2
+    n = p + (J + 1) // 2 - 1
     below = []
     for _ in range(8):
         a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
@@ -555,9 +573,12 @@ def test_area_quadrature_radial_rule_is_exact_from_2p_plus_J_minus_2_nodes(p, J)
         F = PolyharmonicMap(p, J, a, b)
         r = float(rng.uniform(0.5, 1.0))
         s = area_series(F, r)
-        assert abs(area_quadrature(F, r, n) - s) <= 1e-14 * (1.0 + abs(s))
+        assert abs(area_quadrature(F, r) - s) <= 1e-14 * (1.0 + abs(s))
         if n > 1:
-            below.append(abs(area_quadrature(F, r, n - 1) - s) / (1.0 + abs(s)))
+            rho, _ = _gauss_rings(F, r, n - 1)
+            ez, ezb = core._ring_energies(F, rho)
+            fewer = _area_from_ring_means(F, r, ez - ezb, n - 1)
+            below.append(abs(fewer - s) / (1.0 + abs(s)))
     assert n == 1 or max(below) > 1e-10
 
 
