@@ -411,6 +411,15 @@ def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, val
         assert flag in captured.err
 
 
+@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
+def test_area_radius_outside_the_disk_is_a_usage_error(f2_map, capsys, method):
+    for r in ("5", "0", "nan"):
+        assert main(["area", "--map", f2_map, "--r", r, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--r must be in (0, 1]" in captured.err
+
+
 @pytest.mark.parametrize("text, entries", [
     ('{"p": 1, "J": 100000000000, "terms": []}', "100000000000"),
     ('{"builtin": "f0", "params": {"J": 10000000000}}', "10000000000"),
@@ -572,14 +581,13 @@ def test_flag_its_mode_never_reads_is_refused_before_the_map_is_read(
     ("verify", "--grid"), ("verify", "--theta-samples"),
     ("three-circles", "--grid"), ("three-circles", "--theta-samples"),
     ("schwarz", "--grid"), ("render", "--rings"), ("render", "--rays"),
-    ("render", "--samples"), ("area", "--theta-samples"), ("area", "--radial-nodes"),
+    ("render", "--samples"),
 ], ids=" ".join)
 def test_removed_sample_count_flags_are_usage_errors(identity_map, tmp_path, capsys,
                                                       command, flag):
     svg = tmp_path / "never.svg"
     argv = [command, "--map", identity_map, flag, "8"]
-    argv += {"three-circles": ["--r1", "0.3"], "render": ["--out", str(svg)],
-             "area": ["--r", "0.5"]}.get(command, [])
+    argv += {"three-circles": ["--r1", "0.3"], "render": ["--out", str(svg)]}.get(command, [])
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -628,6 +636,41 @@ def test_length_sup_honours_tol(tmp_path, capsys):
     f0 = _write(tmp_path, "f0.map", _F0_J9)
     assert main(["length", "--map", f0, "--sup", "--tol", "1e-300"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", [["--sup"], ["--r", "0.5"]], ids=" ".join)
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"], ids=lambda v: "tol " + v)
+def test_length_rejects_bad_tol_before_reading_the_map(tmp_path, capsys,
+                                                       monkeypatch, mode, tol):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("measured before --tol was checked")
+
+    for name in ("curve_length", "sup_length"):
+        monkeypatch.setattr(geometry, name, unreachable)
+    missing = str(tmp_path / "missing.map")
+    assert main(["length", "--map", missing, "--tol", tol] + mode) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
+@pytest.mark.parametrize("flags, message", [
+    (["--theta-samples", "0"], "unrecognized arguments: --theta-samples"),
+    (["--radial-nodes", "-5"], "unrecognized arguments: --radial-nodes"),
+    (["--theta-samples", "10000000000"], "unrecognized arguments: --theta-samples"),
+    (["--radial-nodes", "1025"], "unrecognized arguments: --radial-nodes"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_area_checks_the_quadrature_flags_before_reading_the_map(
+        tmp_path, capsys, method, flags, message):
+    # the quadrature derives its node count from the table; its former
+    # sample-count flags are unknown arguments whatever their value
+    missing = str(tmp_path / "missing.map")
+    assert main(["area", "--map", missing, "--r", "0.5", "--method", method]
+                + flags) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_parser_reuse_keeps_no_state(identity_map, capsys):

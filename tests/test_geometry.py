@@ -524,8 +524,9 @@ def test_area_quadrature_is_exact_near_the_table_cap(F):
     assert abs(area_quadrature(F, 1.0) - s) <= 1e-14 * (1.0 + abs(s))
 
 
-def test_gauss_nodes_integrate_monomials_up_to_degree_2n_minus_1():
-    n = 4096
+@pytest.mark.parametrize("n", [1, 2, 8, 4096])
+def test_gauss_nodes_integrate_monomials_up_to_degree_2n_minus_1(n):
+    # 8 nodes are the panel rule's; 4096 the most the area quadrature takes
     t, w = geometry._gauss_nodes(n)
     assert t.size == w.size == n and np.all(np.diff(t) > 0.0)
     assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
@@ -537,6 +538,15 @@ def test_gauss_nodes_integrate_monomials_up_to_degree_2n_minus_1():
         # rounding: t^k carries about k ulps, and the sum log2(n) more
         assert abs(got - exact) <= 2.0 * (k + 16) * eps * float(w @ np.abs(power)), k
         power = power * t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_gauss_nodes_match_the_eigenvalue_solve(n):
+    # numpy's leggauss takes the nodes from an n x n eigenvalue problem
+    t, w = geometry._gauss_nodes(n)
+    t_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.allclose(t, t_ref, rtol=0.0, atol=1e-14)
+    assert np.allclose(w, w_ref, rtol=0.0, atol=1e-14)
 
 
 def test_area_quadrature_neither_samples_nor_transforms(monkeypatch):
