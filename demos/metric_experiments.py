@@ -63,7 +63,7 @@ def main():
 
     print("disk automorphism distortion (bound is 2)")
     for a in (0.0, 0.3, 0.6, 0.9):
-        rep = mobius_j_distortion(a, 0.7)
+        rep = mobius_j_distortion(a)
         print("  |a|=%.1f  sup=%.12f  verdict=%s" % (a, rep.sup_ratio, rep.verdict))
 
 

@@ -253,12 +253,12 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float) -> CheckReport:
 
     Hypotheses: the area angle condition, S bounded by 1 near the boundary,
     and 0 < m < 1 with S(r1) <= m.  Raises InvalidParams unless
-    0 < r1 <= R_EDGE and m is positive and finite.
+    0 < r1 <= R_EDGE and m is finite.
     """
     if not (0.0 < r1 <= R_EDGE):
         raise InvalidParams("r1 must be in (0, 1 - 1e-6], got %r" % (r1,))
-    if not (math.isfinite(m) and m > 0.0):
-        raise InvalidParams("m must be positive and finite, got %r" % (m,))
+    if not math.isfinite(m):
+        raise InvalidParams("m must be finite, got %r" % (m,))
     hyp = arg_condition(F, "area")
     s_r1 = float(area_series(F, r1))
     s_edge = float(area_series(F, R_EDGE))
@@ -268,7 +268,7 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float) -> CheckReport:
         "S_near_boundary": s_edge,
         "m": m,
     }
-    if (hyp.verdict != "pass" or m >= 1.0 or s_r1 > m + TOL_REPORT
+    if (hyp.verdict != "pass" or not 0.0 < m < 1.0 or s_r1 > m + TOL_REPORT
             or s_edge > 1.0 + TOL_REPORT):
         return CheckReport(name="three-circles-area",
                            verdict="hypotheses-not-met", extras=hyp_notes)

@@ -25,8 +25,8 @@ from .core import (PolyharmonicMap, build_map, check_grid_size, dilatation,
                    evaluate, jacobian, quasiregularity_constant, wirtinger)
 from .errors import (DegenerateMap, InvalidDiameter, InvalidParams,
                      MalformedParams, MalformedSpec, NoConvergence,
-                     NoSignChange, NotAnalytic, NotHarmonicPolynomial,
-                     NotIntoDisk, OutsideDomain, UnknownName)
+                     NoSignChange, NotHarmonicPolynomial, NotIntoDisk,
+                     OutsideDomain, UnknownName)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -34,8 +34,7 @@ EXIT_HNM = 2
 EXIT_USAGE = 3
 EXIT_IO = 4
 
-_HNM_ERRORS = (DegenerateMap, NoSignChange, NotAnalytic,
-               NotHarmonicPolynomial, NotIntoDisk)
+_HNM_ERRORS = (DegenerateMap, NoSignChange, NotHarmonicPolynomial, NotIntoDisk)
 _USAGE_ERRORS = (InvalidParams, InvalidDiameter, OutsideDomain)
 _IO_ERRORS = (MalformedSpec, MalformedParams, UnknownName, NoConvergence)
 
@@ -76,9 +75,7 @@ _VALUE_RULES = {  # option dest: rule, test; every numeric option has one
     "z": ("finite", cmath.isfinite),
     "w": ("finite", cmath.isfinite),
     "mobius_a": ("finite", cmath.isfinite),
-    "mobius_theta": ("finite", cmath.isfinite),
     "r": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "r2": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "r1": ("in (0, 1 - 1e-6]", lambda v: 0.0 < v <= certificates.R_EDGE),
     "grid": (">= 1", lambda v: v >= 1),
     "theta_samples": (">= 1", lambda v: v >= 1),
@@ -94,12 +91,8 @@ _VALUE_RULES = {  # option dest: rule, test; every numeric option has one
 
 
 _UNREAD = (  # command, mode, whether args choose it, options that mode never reads
-    ("landau", "--mode fourgon", lambda a: a.mode == "fourgon", ("alpha", "K", "l1")),
     ("landau", "--mode diameter", lambda a: a.mode == "diameter", ("K", "l1")),
     ("landau", "--mode length", lambda a: a.mode == "length", ("diam",)),
-    ("three-circles", "three-circles without --analytic", lambda a: not a.analytic,
-     ("r2",)),
-    ("three-circles", "--analytic", lambda a: a.analytic, ("m",)),
     ("jmetric", "--mobius-a", lambda a: a.mobius_a is not None, ("z", "w", "M")),
     ("length", "--sup", lambda a: a.sup, ("r",)),
 )
@@ -179,14 +172,11 @@ def cmd_diam(args) -> int:
 
 def cmd_landau(args) -> int:
     F = _load(args.map)
-    if args.mode == "fourgon":
-        p, alpha = 2, 1.0  # the two-layer bound at unit normalization
-    else:
-        p, alpha = F.p, args.alpha
-        if alpha is None:
-            alpha = dilatation(F, 0.0).lambda_small
-            if not alpha > 0.0:
-                raise DegenerateMap("lambda_small = %.3e at z = 0" % alpha)
+    p, alpha = F.p, args.alpha
+    if alpha is None:
+        alpha = dilatation(F, 0.0).lambda_small
+        if not alpha > 0.0:
+            raise DegenerateMap("lambda_small = %.3e at z = 0" % alpha)
     if args.mode == "length":
         K = args.K if args.K is not None else quasiregularity_constant(F)
         l1 = args.l1 if args.l1 is not None else geometry.sup_length(F)
@@ -208,19 +198,9 @@ def cmd_landau(args) -> int:
 
 
 def cmd_three_circles(args) -> int:
-    if args.analytic and args.r2 is None:
-        raise _UsageError("--analytic needs --r2")
     F = _load(args.map)
-    if args.analytic:
-        rep = certificates.hadamard_three_circles(F, args.r1, args.r2)
-    else:
-        m = args.m if args.m is not None else float(geometry.area_series(F, args.r1))
-        if args.m is None and not m > 0.0:  # the map's own S(r1) breaks 0 < m
-            rep = certificates.CheckReport("three-circles-area", "hypotheses-not-met",
-                                           extras={"S_at_r1": m})
-        else:
-            rep = certificates.three_circles_area(F, args.r1, m)
-    return _print_check(rep)
+    m = args.m if args.m is not None else float(geometry.area_series(F, args.r1))
+    return _print_check(certificates.three_circles_area(F, args.r1, m))
 
 
 def cmd_schwarz(args) -> int:
@@ -244,8 +224,7 @@ def _print_check(rep, *own) -> int:
 
 def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
-        rep = metrics.mobius_j_distortion(args.mobius_a, args.mobius_theta,
-                                          seed=args.seed)
+        rep = metrics.mobius_j_distortion(args.mobius_a, seed=args.seed)
         print("sup_ratio = %.17g" % rep.sup_ratio)
         print("bound = %.17g" % rep.bound)
         print("verdict = %s" % rep.verdict)
@@ -438,8 +417,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_diam)
 
     p = mapped(sub.add_parser("landau", help="univalence and covering radii"))
-    p.add_argument("--mode", choices=("diameter", "length", "fourgon"),
-                   required=True)
+    p.add_argument("--mode", choices=("diameter", "length"), required=True,
+                   help="the Landau theorem from the image diameter, or from "
+                        "K and the boundary length l1")
     p.add_argument("--alpha", type=float)
     p.add_argument("--K", type=float)
     p.add_argument("--l1", type=float)
@@ -448,12 +428,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_landau)
 
     p = mapped(sub.add_parser("three-circles",
-                              help="interpolation bound on the area (or the "
-                                   "classical analytic version)"))
+                              help="interpolation bound on the area"))
     p.add_argument("--r1", type=float, required=True)
     p.add_argument("--m", type=float)
-    p.add_argument("--analytic", action="store_true")
-    p.add_argument("--r2", type=float)
     p.set_defaults(func=cmd_three_circles)
 
     p = mapped(sub.add_parser("schwarz", help="monotonicity of S(r)/r^2"))
@@ -464,7 +441,6 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=_cnum)
     p.add_argument("--M", type=float, help="default 1")
     p.add_argument("--mobius-a", type=_cnum)
-    p.add_argument("--mobius-theta", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_jmetric)
 

@@ -6,8 +6,10 @@ and the checks here estimate sup over sampled pairs of the ratio
 j(F(z), F(w)) / j(z, w) against the proved bounds: 1 for coefficient-sum
 contractions into the target disk, (d sqrt(2d)/2) pi for harmonic
 polynomials of degree d mapping into the unit disk, and 2 for disk
-automorphisms.  Sampled suprema are lower estimates; the checks assert the
-upper bounds and additionally report how close the samples get.
+automorphisms z -> (z - a) / (1 - conj(a) z); j is rotation-invariant, so
+a rotation factor would change no ratio.  Sampled suprema are lower
+estimates; the checks assert the upper bounds and additionally report how
+close the samples get.
 """
 
 from __future__ import annotations
@@ -170,29 +172,26 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> LipschitzRepo
                            samples=z.size, extras=extras)
 
 
-def mobius_j_distortion(a: complex, theta: float = 0.0,
-                        seed: int = 7) -> LipschitzReport:
-    """Distortion of the j metric under a disk automorphism
-    z -> e^{i theta} (z - a) / (1 - conj(a) z), sampled on the point pairs
-    drawn with ``seed``; never more than a factor 2.  Raises InvalidParams
-    unless |a| < 1 and theta is finite."""
+def mobius_j_distortion(a: complex, *, seed: int = 7) -> LipschitzReport:
+    """Distortion of the j metric under the disk automorphism
+    z -> (z - a) / (1 - conj(a) z), sampled on the point pairs drawn with
+    ``seed``; never more than a factor 2.  j is rotation-invariant, so this
+    covers every automorphism e^{i theta} (z - a) / (1 - conj(a) z).  Raises
+    InvalidParams unless |a| < 1."""
     a = complex(a)
     if not abs(a) < 1.0:
         raise InvalidParams("automorphism parameter must satisfy |a| < 1")
-    if not math.isfinite(theta):
-        raise InvalidParams("rotation angle must be finite, got %r" % (theta,))
     z, w = _pairs(seed)
-    rot = complex(math.cos(theta), math.sin(theta))
 
     def mob(q):
-        return rot * (q - a) / (1.0 - np.conj(a) * q)
+        return (q - a) / (1.0 - np.conj(a) * q)
 
     sup, pair = _ratio_sup(mob(z), mob(w), z, w, 1.0)
     verdict = "pass" if sup <= 2.0 + TOL_REPORT else "fail"
     return LipschitzReport(name="mobius-j-distortion", verdict=verdict,
                            sup_ratio=sup, bound=2.0, worst_pair=pair,
                            samples=z.size,
-                           extras={"a": (a.real, a.imag), "theta": theta})
+                           extras={"a": (a.real, a.imag)})
 
 
 def psi_profile(grid) -> np.ndarray:

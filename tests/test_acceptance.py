@@ -209,8 +209,7 @@ def test_criterion_09_metric_contraction_family():
         assert np.all(psi < math.pi / 2.0)
         for _ in range(20):
             a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            rep = mobius_j_distortion(complex(a),
-                                      float(rng.uniform(0.0, 2.0 * np.pi)))
+            rep = mobius_j_distortion(complex(a))
             assert rep.sup_ratio <= 2.0 + 1e-9
 
 

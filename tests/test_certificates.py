@@ -346,8 +346,20 @@ def test_three_circles_needs_angle_condition():
 def test_three_circles_rejects_bad_params():
     with pytest.raises(InvalidParams):
         three_circles_area(catalog.identity(), 1.5, 0.5)
-    with pytest.raises(InvalidParams):
-        three_circles_area(catalog.identity(), 0.3, -0.1)
+    # 0 < m < 1 is a hypothesis, so a finite m outside it is not a bad request
+    for m in (-0.1, 0.0):
+        assert three_circles_area(catalog.identity(), 0.3, m).verdict == "hypotheses-not-met"
+    for m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams):
+            three_circles_area(catalog.identity(), 0.3, m)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_three_circles_m_at_either_end_of_its_interval_is_hnm(m):
+    # identity has S(r) = r^2, so every other hypothesis holds
+    rep = three_circles_area(catalog.identity(), 0.3, m)
+    assert rep.verdict == "hypotheses-not-met"
+    assert rep.extras["m"] == m and not rep.margins
 
 
 # ---- analytic three circles ----
@@ -374,6 +386,11 @@ def test_hadamard_rejects_non_analytic():
         hadamard_three_circles(catalog.f2(), 0.3, 0.9)
     with pytest.raises(NotAnalytic):
         hadamard_three_circles(catalog.linear(1.0, 0.5), 0.3, 0.9)
+
+
+def test_hadamard_takes_r1_up_to_the_edge():
+    assert hadamard_three_circles(catalog.identity(), certificates.R_EDGE,
+                                  1.0).verdict == "pass"
 
 
 def test_hadamard_zero_map_and_bad_radii():

@@ -177,7 +177,7 @@ def test_jmetric_default_target_radius_is_one(capsys):
 
 
 def test_jmetric_mobius(capsys):
-    assert main(["jmetric", "--mobius-a", "0.5", "--mobius-theta", "0.3"]) == 0
+    assert main(["jmetric", "--mobius-a", "0.5"]) == 0
     vals = _lines(capsys)
     assert float(vals["sup_ratio"]) <= 2.0 + 1e-9
     assert vals["verdict"] == "pass"
@@ -375,8 +375,6 @@ def test_invalid_math_params(identity_map, capsys):
     ["diam", "--grid", "0"],
     ["diam", "--theta-samples", "0"],
     ["three-circles", "--r1", "0.3", "--grid", "0"],
-    ["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
-     "--theta-samples", "0"],
     ["schwarz", "--grid", "1"],
     ["schwarz", "--grid", "-1"],
     ["verify", "--grid", "0"],
@@ -445,8 +443,6 @@ def _over_cap(argv, message=r"over the cap of 1048576; .* \d+ bytes"):
               "unrecognized arguments: --radial-nodes"),
     _over_cap(["three-circles", "--r1", "0.3", "--grid", "10000000000"],
               "unrecognized arguments: --grid"),
-    _over_cap(["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9",
-               "--theta-samples", "10000000000"], "unrecognized arguments: --theta-samples"),
     _over_cap(["schwarz", "--grid", "10000000000"], "unrecognized arguments: --grid"),
     _over_cap(["render", "--out", "never.svg", "--rings", "100000", "--samples", "100000"],
               "unrecognized arguments: --rings"),
@@ -464,16 +460,22 @@ def test_sample_counts_above_the_cap_are_usage_errors(identity_map, tmp_path,
     assert not (tmp_path / "never.svg").exists()
 
 
-def _numeric_options():
-    # (command, option, dest) for every option typed int, float or complex
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return [(command, action.option_strings[0], action.dest)
-            for command, parser in sub.choices.items() for action in parser._actions
-            if action.type in (int, float, cli._cnum)]
+def _commands():
+    # command name: its parser
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
-_NUMERIC_OPTIONS = _numeric_options()
+def _options():
+    # (command, action) for every option of every command
+    return [(command, action) for command, parser in _commands().items()
+            for action in parser._actions if action.option_strings]
+
+
+# (command, option, dest) for every option typed int, float or complex
+_NUMERIC_OPTIONS = [(command, action.option_strings[0], action.dest)
+                    for command, action in _options()
+                    if action.type in (int, float, cli._cnum)]
 
 
 def test_every_numeric_option_has_a_value_rule():
@@ -482,11 +484,23 @@ def test_every_numeric_option_has_a_value_rule():
     assert [o for o in _NUMERIC_OPTIONS if o[2] not in cli._VALUE_RULES] == []
 
 
+# the reverse of the two tests around this one: a deleted flag must not
+# leave a stale rule behind
+def test_every_value_rule_names_a_live_numeric_option():
+    assert set(cli._VALUE_RULES) - {o[2] for o in _NUMERIC_OPTIONS} == set()
+
+
+def test_every_unread_row_names_live_options_of_its_command():
+    live = {(command, action.dest) for command, action in _options()}
+    assert [(command, dest) for command, _, _, unread in cli._UNREAD
+            for dest in unread if (command, dest) not in live] == []
+
+
 # bad values for each option's rule; the folded per-command tests pinned
 # several of them for some options
 _BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
-               "mobius_theta": ("nan", "inf", "-inf"), "r": ("1.5", "5", "0", "nan"),
-               "r2": ("0",), "r1": ("1", "5", "0", "nan"), "grid": ("0",),
+               "r": ("1.5", "5", "0", "nan"), "r1": ("0.9999995", "1", "5", "0", "nan"),
+               "grid": ("0",),
                "theta_samples": ("0",), "seed": ("-1",),
                "K": ("0.5", "nan", "inf"), "m": ("-1",), "alpha": ("nan", "-1"),
                "l1": ("inf", "0", "nan"), "diam": ("0", "nan", "inf"),
@@ -494,8 +508,8 @@ _BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
 # every way a command is called: each mode and each area method
 _MODES = {"length": (["--sup"], ["--r", "0.5"]),
           "area": tuple(["--r", "0.5", "--method", m] for m in ("series", "quadrature", "both")),
-          "landau": tuple(["--mode", m] for m in ("diameter", "length", "fourgon")),
-          "three-circles": (["--r1", "0.3"], ["--r1", "0.3", "--analytic", "--r2", "0.9"]),
+          "landau": tuple(["--mode", m] for m in ("diameter", "length")),
+          "three-circles": (["--r1", "0.3"],),
           "jmetric": ([], ["--mobius-a", "0.5"])}
 # maps a verify check is skipped on; a bad value is refused on each of them
 _VERIFY_MAPS = ('{"builtin": "f2"}', '{"builtin": "identity"}', _ZERO, _OPPOSED)
@@ -530,8 +544,6 @@ def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys, monkeypat
 
 _ACROSS_FLAGS = [
     (["length"], "length needs --r or --sup"),
-    (["three-circles", "--r1", "0.3", "--analytic"], "--analytic needs --r2"),
-    (["landau", "--mode", "fourgon", "--l1", "2"], "takes no --l1"),
     (["diam", "--grid", "2048", "--theta-samples", "1024"],
      "--grid x --theta-samples asks for 2097152 points, over the cap"),
 ]
@@ -549,15 +561,10 @@ def test_checks_across_flags_come_before_the_map_is_read(tmp_path, capsys,
 
 
 _UNREAD_FLAGS = [
-    (["three-circles", "--r1", "0.3", "--r2", "0.9", "--m", "0.5"],
-     "three-circles without --analytic takes no --r2"),
-    (["three-circles", "--analytic", "--r1", "0.3", "--r2", "0.9", "--m", "0.5"],
-     "--analytic takes no --m"),
     (["jmetric", "--mobius-a", "0.5", "--z", "0.1"], "--mobius-a takes no --z"),
     (["jmetric", "--mobius-a", "0.5", "--w", "0.2"], "--mobius-a takes no --w"),
     (["jmetric", "--mobius-a", "0.5", "--M", "3"], "--mobius-a takes no --M"),
     (["length", "--r", "0.5", "--sup"], "--sup takes no --r"),
-    (["landau", "--mode", "fourgon", "--alpha", "2"], "--mode fourgon takes no --alpha"),
     (["landau", "--mode", "diameter", "--K", "2"], "--mode diameter takes no --K"),
     (["landau", "--mode", "diameter", "--l1", "2"], "--mode diameter takes no --l1"),
     (["landau", "--mode", "length", "--diam", "2"], "--mode length takes no --diam"),
@@ -577,22 +584,46 @@ def test_flag_its_mode_never_reads_is_refused_before_the_map_is_read(
     assert message in captured.err
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("verify", "--grid"), ("verify", "--theta-samples"),
-    ("three-circles", "--grid"), ("three-circles", "--theta-samples"),
-    ("schwarz", "--grid"), ("render", "--rings"), ("render", "--rays"),
-    ("render", "--samples"),
-], ids=" ".join)
-def test_removed_sample_count_flags_are_usage_errors(identity_map, tmp_path, capsys,
-                                                      command, flag):
+_R1, _OUT = ["--r1", "0.3"], ["--out", "never.svg"]
+_REMOVED = [  # every removed flag and mode choice, the options the command
+    # needs besides, and how argparse refuses it
+    (["verify", "--grid", "8"], [], "unrecognized arguments: --grid 8"),
+    (["verify", "--theta-samples", "8"], [], "unrecognized arguments: --theta-samples 8"),
+    (["three-circles", "--grid", "8"], _R1, "unrecognized arguments: --grid 8"),
+    (["three-circles", "--theta-samples", "8"], _R1,
+     "unrecognized arguments: --theta-samples 8"),
+    (["three-circles", "--analytic"], _R1, "unrecognized arguments: --analytic"),
+    (["three-circles", "--r2", "0.9"], _R1, "unrecognized arguments: --r2 0.9"),
+    (["schwarz", "--grid", "8"], [], "unrecognized arguments: --grid 8"),
+    (["render", "--rings", "8"], _OUT, "unrecognized arguments: --rings 8"),
+    (["render", "--rays", "8"], _OUT, "unrecognized arguments: --rays 8"),
+    (["render", "--samples", "8"], _OUT, "unrecognized arguments: --samples 8"),
+    (["landau", "--mode", "fourgon"], [], "invalid choice: 'fourgon'"),
+    (["jmetric", "--mobius-theta", "0.3"], ["--mobius-a", "0.5"],
+     "unrecognized arguments: --mobius-theta 0.3"),
+]
+
+
+@pytest.mark.parametrize("argv, needed, message", _REMOVED,
+                         ids=[" ".join(argv) for argv, _, _ in _REMOVED])
+def test_removed_flags_and_choices_are_usage_errors(tmp_path, capsys, argv, needed,
+                                                    message):
+    # a missing map file would exit 4 if it were read, and no SVG is written
     svg = tmp_path / "never.svg"
-    argv = [command, "--map", identity_map, flag, "8"]
-    argv += {"three-circles": ["--r1", "0.3"], "render": ["--out", str(svg)]}.get(command, [])
+    argv = argv + [str(svg) if a == "never.svg" else a for a in needed]
+    if argv[0] != "jmetric":
+        argv += ["--map", str(tmp_path / "missing.map")]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: %s 8" % flag in captured.err
+    assert message in captured.err
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["landau", "three-circles", "jmetric"])
+def test_help_names_no_removed_route(command):
+    text = _commands()[command].format_help()
+    assert [w for w in ("fourgon", "analytic", "--r2", "theta") if w in text] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -620,16 +651,6 @@ def test_nonfinite_point_is_a_usage_error(f2_map, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[-2] + " must be finite" in captured.err  # the last flag is the bad one
-
-
-def test_three_circles_analytic_takes_r1_up_to_the_edge(identity_map, capsys):
-    argv = ["three-circles", "--map", identity_map, "--analytic", "--r2", "1"]
-    assert main(argv + ["--r1", "0.9999"]) == 0
-    capsys.readouterr()
-    assert main(argv + ["--r1", "0.9999995"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--r1 must be in (0, 1 - 1e-6]" in captured.err
 
 
 def test_length_sup_honours_tol(tmp_path, capsys):
@@ -748,27 +769,29 @@ def test_landau_zero_alpha_hnm(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_landau_fourgon_is_unit_depth2_diameter_mode(tmp_path, capsys):
-    # lambda_small(0) = 0.5, so a printed alpha taken from the map would
-    # differ from the unit alpha the fourgon bound solves with
-    path = _write(tmp_path, "two.map",
-                  '{"p": 2, "J": 1, "terms": ['
-                  '{"n": 1, "j": 1, "a": [0.5, 0]},'
-                  '{"n": 2, "j": 1, "a": [0.125, 0]}]}')
-    assert main(["landau", "--mode", "fourgon", "--map", path]) == 0
-    fourgon = _lines(capsys)
-    assert main(["landau", "--mode", "diameter", "--alpha", "1",
-                 "--map", path]) == 0
-    general = _lines(capsys)
-    for key in ("p", "alpha", "diam", "r_univ", "rho_cover"):
-        assert fourgon[key] == general[key]
+@pytest.mark.parametrize("text, pinned", [
+    # F1 has p = 2 and alpha = 1 of its own
+    ('{"builtin": "F1", "params": {"J": 9}}',
+     {"p": "2", "r_univ": "0.10831912504796243",
+      "rho_cover": "0.054739048194003756"}),
+    # f2 has three layers: its radius comes from the p = 3 theorem
+    ('{"builtin": "f2"}', {"p": "3", "r_univ": "0.057337548944354388"}),
+    # alpha is the map's own lambda_small(0), not a unit normalization
+    ('{"p": 2, "J": 1, "terms": [{"n": 1, "j": 1, "a": [0.5, 0]},'
+     '{"n": 2, "j": 1, "a": [0.125, 0]}]}', {"p": "2", "alpha": "0.5"}),
+], ids=["F1", "f2", "two-layer"])
+def test_landau_diameter_mode_pins(tmp_path, capsys, text, pinned):
+    path = _write(tmp_path, "m.map", text)
+    assert main(["landau", "--mode", "diameter", "--map", path]) == 0
+    out = _lines(capsys)
+    assert {k: out[k] for k in pinned} == pinned
 
 
 _BAD_LANDAU_VALUES = [("diameter", "--diam", "nan"), ("diameter", "--diam", "0"),
                       ("diameter", "--alpha", "nan"), ("diameter", "--alpha", "-1"),
                       ("diameter", "--tol", "nan"), ("diameter", "--tol", "0"),
                       ("length", "--K", "nan"), ("length", "--K", "0.5"),
-                      ("length", "--l1", "inf"), ("fourgon", "--tol", "inf")]
+                      ("length", "--l1", "inf"), ("length", "--tol", "inf")]
 
 
 @pytest.mark.parametrize("mode, flag, value", _BAD_LANDAU_VALUES,
@@ -794,21 +817,6 @@ def test_landau_solver_rejection_prints_nothing(f2_map, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "stays nonnegative" in captured.err
-
-
-@pytest.mark.parametrize("flag", ["--alpha", "--K", "--l1"])
-def test_landau_fourgon_rejects_ignored_flags(f2_map, capsys, flag):
-    # the fourgon bound fixes alpha = 1 and never reads K or l1; the value
-    # passes each flag's own rule, so only the exclusion rejects it
-    assert main(["landau", "--mode", "fourgon", "--map", f2_map, flag, "2"]) == 3
-    assert "takes no " + flag in capsys.readouterr().err
-
-
-def test_landau_fourgon_output_without_flags(f2_map, capsys):
-    assert main(["landau", "--mode", "fourgon", "--map", f2_map]) == 0
-    out = _lines(capsys)
-    assert [out[k] for k in ("mode", "p", "alpha")] == ["fourgon", "2", "1"]
-    assert float(out["diam"]) == pytest.approx(6.0, abs=1e-9)
 
 
 _NO_SCIPY = """

@@ -185,7 +185,7 @@ def test_psi_profile_domain():
 
 
 def test_mobius_rotation_is_isometry():
-    rep = mobius_j_distortion(0.0, 0.0)
+    rep = mobius_j_distortion(0.0)
     assert rep.verdict == "pass"
     assert rep.sup_ratio == 1.0
 
@@ -194,7 +194,7 @@ def test_mobius_distortion_bounded_by_two():
     rng = np.random.default_rng(19)
     for _ in range(20):
         a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        rep = mobius_j_distortion(complex(a), float(rng.uniform(0.0, 2.0 * np.pi)))
+        rep = mobius_j_distortion(complex(a))
         assert rep.verdict == "pass"
         assert rep.sup_ratio <= 2.0 + 1e-9
 
@@ -210,7 +210,26 @@ def test_mobius_rejects_boundary_parameter():
         mobius_j_distortion(1.0)
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-def test_mobius_rejects_nonfinite_angle(theta):
-    with pytest.raises(InvalidParams, match="angle must be finite"):
-        mobius_j_distortion(0.5, theta)
+def test_mobius_takes_no_angle():
+    # the former rotation angle was the second positional parameter; the
+    # seed is keyword-only, so an old call cannot become a different seed
+    with pytest.raises(TypeError):
+        mobius_j_distortion(0.5, 3)
+    assert mobius_j_distortion(0.5, seed=3).extras == {"a": (0.5, 0.0)}
+
+
+@pytest.mark.parametrize("theta", [0.7, 2.5, -1.0])
+def test_mobius_distortion_is_rotation_invariant(theta):
+    # j depends on |z - w| and max(|z|, |w|) only, so a rotation after the
+    # automorphism changes no ratio beyond rounding
+    a = 0.6 - 0.2j
+    z, w = metrics._pairs(7)
+
+    def j(u, v):
+        return np.log1p(np.abs(u - v) / (1.0 - np.maximum(np.abs(u), np.abs(v))))
+
+    def mob(q):
+        return np.exp(1j * theta) * (q - a) / (1.0 - np.conj(a) * q)
+
+    rotated = float(np.max(j(mob(z), mob(w)) / j(z, w)))
+    assert rotated == pytest.approx(mobius_j_distortion(a).sup_ratio, rel=1e-14)
