@@ -27,14 +27,12 @@ GALLERY = [
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="rendered", help="output directory")
-    ap.add_argument("--rings", type=int, default=10)
-    ap.add_argument("--rays", type=int, default=20)
     args = ap.parse_args()
 
     os.makedirs(args.out_dir, exist_ok=True)
     for name, make in GALLERY:
         path = os.path.join(args.out_dir, name + ".svg")
-        render_svg(make(), path, rings=args.rings, rays=args.rays)
+        render_svg(make(), path)
         print("wrote %s" % path)
 
 

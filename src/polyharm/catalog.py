@@ -228,20 +228,23 @@ def form37(params: Form37Params, k_max: int | None = None) -> PolyharmonicMap:
 def _num(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MalformedParams("%s must be a number" % what)
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise MalformedParams("%s is too large for a float" % what) from None
 
 
 def _cnum(v, what: str) -> complex:
     if isinstance(v, bool):
         raise MalformedParams("%s must be a number or [re, im] pair" % what)
-    if isinstance(v, (int, float)):
-        return complex(v, 0.0)
     if isinstance(v, complex):
         return v
+    if isinstance(v, (int, float)):
+        v = (v, 0.0)
     if (isinstance(v, (list, tuple)) and len(v) == 2
             and all(isinstance(q, (int, float)) and not isinstance(q, bool)
                     for q in v)):
-        return complex(v[0], v[1])
+        return complex(_num(v[0], what), _num(v[1], what))
     raise MalformedParams("%s must be a number or [re, im] pair" % what)
 
 

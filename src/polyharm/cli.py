@@ -86,7 +86,6 @@ _VALUE_RULES = {  # option dest: rule, test; every numeric option has one
     "l1": ("positive and finite", _positive),
     "diam": ("positive and finite", _positive),
     "M": ("positive and finite", _positive),
-    "tol": ("positive and finite", _positive),
 }
 
 
@@ -140,10 +139,10 @@ def cmd_length(args) -> int:
         raise _UsageError("length needs --r or --sup")
     F = _load(args.map)
     if args.sup:
-        v = geometry.sup_length(F, integral_tol=args.tol)
+        v = geometry.sup_length(F)
         print("sup_length = %.17g" % v)
     else:
-        v = geometry.curve_length(F, args.r, tol=args.tol)
+        v = geometry.curve_length(F, args.r)
         print("length = %.17g" % v)
     return EXIT_PASS
 
@@ -180,13 +179,13 @@ def cmd_landau(args) -> int:
     if args.mode == "length":
         K = args.K if args.K is not None else quasiregularity_constant(F)
         l1 = args.l1 if args.l1 is not None else geometry.sup_length(F)
-        res = landau_mod.landau_from_length(p, alpha, K, l1, tol=args.tol)
+        res = landau_mod.landau_from_length(p, alpha, K, l1)
         inputs = [("K", K), ("l1", l1)]
     else:
         diam = args.diam if args.diam is not None else geometry.diameter_estimate(F)
         if args.diam is None and not diam > 0.0:
             raise DegenerateMap("image diameter estimate is %r" % diam)
-        res = landau_mod.landau_from_diameter(p, alpha, diam, tol=args.tol)
+        res = landau_mod.landau_from_diameter(p, alpha, diam)
         inputs = [("diam", diam)]
     # printed once the solver has accepted them, so an error prints nothing
     print("mode = %s" % args.mode)
@@ -398,7 +397,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=float)
     p.add_argument("--sup", action="store_true",
                    help="supremum over all radii below 1")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_length)
 
     p = mapped(sub.add_parser("area", help="normalized image area"))
@@ -424,7 +422,6 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=float)
     p.add_argument("--l1", type=float)
     p.add_argument("--diam", type=float)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_landau)
 
     p = mapped(sub.add_parser("three-circles",

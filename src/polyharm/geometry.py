@@ -68,6 +68,7 @@ def _gauss_nodes(n: int):
 # ---- curve length ----
 
 
+LENGTH_TOL = 1e-10  # curve_length's relative tolerance, read at each call
 _MAX_SAMPLES = 1 << 20
 _PANELS = 1 << 11  # panels per block
 
@@ -126,7 +127,7 @@ def _panel_sums(starts, steps):
     return sums, hidden
 
 
-def curve_length(F: PolyharmonicMap, r, tol: float = 1e-10):
+def curve_length(F: PolyharmonicMap, r):
     """Length of the image of the circle |z| = r, for one radius or a 1-D
     array of radii (then an array of lengths).
 
@@ -141,18 +142,18 @@ def curve_length(F: PolyharmonicMap, r, tol: float = 1e-10):
     panels.  Each round evaluates both halves of every open panel and
     accepts a panel of width h when
 
-        |left + right - whole| + hidden < tol (r + |L0|) h / (2 pi),
+        |left + right - whole| + hidden < LENGTH_TOL (r + |L0|) h / (2 pi),
 
     L0 being the first-pass integral of |v|; every other panel is split.
-    Divided by r, this is the test on F's own speed at tol (1 + |L0| / r).
+    Divided by r, this is the test on F's own speed at LENGTH_TOL (1 + |L0| / r).
     ``hidden`` covers what the halving test cannot see.  Where v, carried
     to an end of a half, is smaller than its change across the gap g to
     the nearest node, q = |v(end)| / |change| < 1, a zero of v may sit in
     that gap and bend |v| unseen by the whole and by both halves alike.
     On the line through the two values the length it hides is at most
     g |v(end)| q (1 - log q).  The accepted errors thus add up to about
-    tol (r + |L0|).  A speed that is identically zero settles in the first
-    round; tol = 0 never settles.
+    LENGTH_TOL (r + |L0|).  A speed that is identically zero settles in the
+    first round; a tolerance of 0 never settles.
 
     Several radii share one pass: the layers are collapsed for all of them
     at once, and each round evaluates the open panels of every radius
@@ -196,7 +197,7 @@ def curve_length(F: PolyharmonicMap, r, tol: float = 1e-10):
                     raise NoConvergence(
                         "curve_length at r=%r (p=%d, J=%d, tol=%r) did not settle "
                         "within %d samples; %d panels still open"
-                        % (float(rs[i]), F.p, F.J, tol, used[i], whole[i].size),
+                        % (float(rs[i]), F.p, F.J, LENGTH_TOL, used[i], whole[i].size),
                         estimates[i])
             elif used[i] + cost > _MAX_SAMPLES or pool + cost > _MAX_SAMPLES:
                 break
@@ -228,7 +229,7 @@ def curve_length(F: PolyharmonicMap, r, tol: float = 1e-10):
         for i in fresh:
             left[i], whole[i] = first, sums[a:a + n0]
             estimates[i].append(float(whole[i].sum()))
-            scale[i] = tol * (rs[i] + abs(estimates[i][0])) / (2.0 * np.pi)
+            scale[i] = LENGTH_TOL * (rs[i] + abs(estimates[i][0])) / (2.0 * np.pi)
             a += n0
         pending = [i for i in pending if whole[i] is None or whole[i].size]
     return done[0] if radii.ndim == 0 else np.array(done)
@@ -238,7 +239,7 @@ _SCAN_RADII = 20  # sup_length scans r = 1 - 2^-k, k = 1..20
 _RADIUS_TOL = 1e-12
 
 
-def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
+def sup_length(F: PolyharmonicMap) -> float:
     """sup over 0 < r <= 1 of curve_length(F, r).
 
     For p = 1 the angular derivative i (z h' - conj(z g')) of F = h + conj(g)
@@ -250,27 +251,26 @@ def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
     the scan's last bracket ends at r = 1 itself, where F is still a
     polynomial, so a length that grows all the way out is measured at the
     boundary.  The zoom stops once a round's five lengths spread by at most
-    integral_tol (1 + best), below which they are no more accurate, or once
+    LENGTH_TOL (1 + best), below which they are no more accurate, or once
     the best is the length at r = 1, the three radii nearest it rise into
     it, and the parabola through them still climbs there.  That second
     rule assumes no bump in the length between the last probe and r = 1;
     it is a heuristic, not a bound.  The zoom also stops at a bracket of
-    1e-12.  Every radius is integrated once, at integral_tol: the 20 scan
+    1e-12.  Every radius is integrated once, at LENGTH_TOL: the 20 scan
     radii in one curve_length call, and the radii each zoom round has not
     seen yet in one more.  A radius that does not settle raises
     NoConvergence, naming the stage, for the first such radius in the
     order of that call.
     """
     if F.p == 1:
-        return curve_length(F, 1.0, tol=integral_tol)
+        return curve_length(F, 1.0)
     seen = {}
 
     def measure(rs, stage):
         new = [r for r in dict.fromkeys(map(float, rs)) if r not in seen]
         if new:  # zoom grids share their ends with earlier grids
             try:
-                seen.update(zip(new, map(float, curve_length(F, np.array(new),
-                                                             tol=integral_tol))))
+                seen.update(zip(new, map(float, curve_length(F, np.array(new)))))
             except NoConvergence as exc:
                 raise NoConvergence("sup_length %s: %s" % (stage, exc),
                                     exc.estimates) from None
@@ -282,7 +282,7 @@ def sup_length(F: PolyharmonicMap, integral_tol: float = 1e-10) -> float:
     lo = float(rs[i0 - 1]) if i0 > 0 else 1e-9
     hi = float(rs[i0 + 1]) if i0 < _SCAN_RADII - 1 else 1.0
     _, refined = zoom_max(lambda xs: measure(xs, "zoom"),
-                          lo, hi, _RADIUS_TOL, k=5, rtol=integral_tol)
+                          lo, hi, _RADIUS_TOL, k=5, rtol=LENGTH_TOL)
     return max(max(vals), refined)
 
 

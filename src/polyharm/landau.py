@@ -25,10 +25,12 @@ from .errors import InvalidDiameter, InvalidParams, NoSignChange
 
 BRACKET_LO = 1e-12
 BRACKET_HI = 1.0 - 1e-9
+ROOT_TOL = 1e-12  # bracket width and residual scale of the root, read at each call
 
 __all__ = [
     "BRACKET_LO",
     "BRACKET_HI",
+    "ROOT_TOL",
     "LandauResult",
     "landau_from_diameter",
     "landau_from_length",
@@ -45,10 +47,10 @@ class LandauResult:
 
 
 @np.errstate(over="ignore", divide="ignore")
-def _decreasing_root(phi, tol: float):
+def _decreasing_root(phi):
     # least positive root of a strictly decreasing phi with phi(0+) > 0:
-    # bisection on (0, 1) to bracket width tol and residual
-    # |phi(mid)| <= tol (1 + phi(0+)).  The radius returned is the largest
+    # bisection on (0, 1) to bracket width ROOT_TOL and residual
+    # |phi(mid)| <= ROOT_TOL (1 + phi(0+)).  The radius returned is the largest
     # probed one with phi > 0, never above the root.  The decrease holds by
     # construction: each majorant is alpha minus a positive multiple of a
     # sum of terms that increase in r, and the callers check that alpha,
@@ -63,7 +65,7 @@ def _decreasing_root(phi, tol: float):
         raise NoSignChange("majorant stays nonnegative on (0, 1); "
                            "no univalence radius below 1 is certified")
     root, iters, bracket = bisect_decreasing(
-        phi, lo, hi, tol, residual_target=tol * (1.0 + abs(f_lo)))
+        phi, lo, hi, ROOT_TOL, residual_target=ROOT_TOL * (1.0 + abs(f_lo)))
     return root, iters, bracket, f_lo
 
 
@@ -77,8 +79,7 @@ def _check_common(p: int, alpha: float) -> None:
         raise InvalidParams("alpha must be positive and finite, got %r" % (alpha,))
 
 
-def landau_from_diameter(p: int, alpha: float, diam: float,
-                         tol: float = 1e-12) -> LandauResult:
+def landau_from_diameter(p: int, alpha: float, diam: float) -> LandauResult:
     """Univalence and covering radii from a bound on the image diameter."""
     _check_common(p, alpha)
     if not (math.isfinite(diam) and diam > 0.0):
@@ -94,15 +95,14 @@ def landau_from_diameter(p: int, alpha: float, diam: float,
             s = s + rp / (one * one) + (2.0 * (n - 1)) * rp / one
         return alpha - c * s
 
-    root, iters, bracket, f_lo = _decreasing_root(phi, tol)
+    root, iters, bracket, f_lo = _decreasing_root(phi)
     tail = sum(2.0 * root ** (2 * (n - 1)) for n in range(2, p + 1))
     rho = root * (alpha - c * (root + tail) / (1.0 - root))
     return LandauResult(r_univ=root, rho_cover=rho, phi_at_zero=f_lo,
                         iterations=iters, bracket=bracket)
 
 
-def landau_from_length(p: int, alpha: float, K: float, l1: float,
-                       tol: float = 1e-12) -> LandauResult:
+def landau_from_length(p: int, alpha: float, K: float, l1: float) -> LandauResult:
     """Univalence and covering radii from quasiregularity and the supremum
     of circle-image lengths."""
     _check_common(p, alpha)
@@ -119,7 +119,7 @@ def landau_from_length(p: int, alpha: float, K: float, l1: float,
             s = s + 3.0 * rr ** (2 * (n - 1))
         return alpha - q * s / (1.0 - rr)
 
-    root, iters, bracket, f_lo = _decreasing_root(phi, tol)
+    root, iters, bracket, f_lo = _decreasing_root(phi)
     big_l = -math.log1p(-root)
     tail = sum(root ** (2 * (n - 1)) for n in range(2, p + 1))
     rho = alpha * root - q * (big_l - root + 2.0 * big_l * tail)

@@ -6,8 +6,8 @@ or an explicit coefficient table
     {"p": 2, "J": 3, "terms": [{"n": 1, "j": 1, "a": [re, im], "b": [re, im]},
      ...], "label": "..."}
 with omitted (n, j) entries meaning zero.  Floats survive a dump/load
-round trip bit for bit (shortest-repr serialization), and non-finite
-numbers are rejected on input.
+round trip bit for bit (shortest-repr serialization), and numbers that
+are non-finite or too large for a float are rejected while parsing.
 """
 
 from __future__ import annotations
@@ -42,15 +42,12 @@ def _reject_constant(name):
     raise MalformedSpec("non-finite number %r in mapping file" % name)
 
 
-def _check_finite(obj, where="document"):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise MalformedSpec("non-finite number in %s" % where)
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _check_finite(v, where)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v, where)
+def _finite(text, kind=float):
+    # json's hook for number literals: float() rounds one of any length, so
+    # a number beyond float range is refused before int() would convert it
+    if not math.isfinite(float(text)):
+        raise MalformedSpec("non-finite number in document")
+    return kind(text)
 
 
 def _int_field(doc, key) -> int:
@@ -70,12 +67,14 @@ def _pair(v, where) -> complex:
 
 def loads(text: str) -> MappingSpec:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_float=_finite,
+                         parse_int=lambda literal: _finite(literal, int))
     except json.JSONDecodeError as exc:
         raise MalformedSpec("not valid JSON: %s" % exc) from exc
+    except RecursionError:
+        raise MalformedSpec("mapping file nests too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedSpec("mapping file must hold a JSON object")
-    _check_finite(doc)
     keys = set(doc)
     label = doc.get("label", "")
     if not isinstance(label, str):

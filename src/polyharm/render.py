@@ -12,35 +12,30 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .core import PolyharmonicMap, check_grid_size, evaluate, ring_values
-from .errors import InvalidParams
+from .core import PolyharmonicMap, evaluate, ring_values
 
 __all__ = ["render_paths", "render_svg"]
 
 _EDGE = 1.0 - 1e-3  # radius of the outermost ring
+RINGS, RAYS, SAMPLES = 8, 16, 512  # the mesh, read at each call
 
 
-def render_paths(F: PolyharmonicMap, rings: int = 8, rays: int = 16,
-                 samples: int = 512) -> dict:
+def render_paths(F: PolyharmonicMap) -> dict:
     """Image polylines of the polar mesh on |z| <= 1 - 1e-3, as arrays of
-    complex points.
+    complex points: RINGS circles and RAYS spokes of SAMPLES points each.
 
     Rings come from ring_values; the outermost, at radius exactly 1 - 1e-3,
-    is the boundary curve.  Rays run to that radius at angles 2 pi m / rays;
-    they end on the boundary curve only to rounding, and only when rays
-    divides samples.  The (rings + rays + 1) x samples points may not
-    exceed MAX_GRID_POINTS.
+    is the boundary curve.  Rays run to that radius at angles 2 pi m / RAYS;
+    they end on the boundary curve only to rounding, since RAYS divides
+    SAMPLES.
     """
-    if rings < 1 or rays < 1 or samples < 16:
-        raise InvalidParams("need rings >= 1, rays >= 1, samples >= 16")
-    check_grid_size((rings + rays + 1) * samples, "(rings + rays + 1) x samples")
-    radii = _EDGE * (np.arange(1, rings + 1) / rings)
+    radii = _EDGE * (np.arange(1, RINGS + 1) / RINGS)
     ring_paths = [np.concatenate([w, w[:1]])  # close the loop
-                  for w in ring_values(F, radii, samples)]
+                  for w in ring_values(F, radii, SAMPLES)]
     ray_paths = []
-    for m in range(rays):
-        ang = 2.0 * np.pi * m / rays
-        t = np.linspace(0.0, _EDGE, samples)
+    for m in range(RAYS):
+        ang = 2.0 * np.pi * m / RAYS
+        t = np.linspace(0.0, _EDGE, SAMPLES)
         ray_paths.append(evaluate(F, t * np.exp(1j * ang)))
     return {"rings": ring_paths, "rays": ray_paths, "boundary": ring_paths[-1]}
 
@@ -55,10 +50,9 @@ def _points(path: np.ndarray) -> str:
                     for w in path)
 
 
-def render_svg(F: PolyharmonicMap, out_path=None, rings: int = 8,
-               rays: int = 16, samples: int = 512) -> str:
+def render_svg(F: PolyharmonicMap, out_path=None) -> str:
     """SVG text of the render_paths mesh, also written to out_path if given."""
-    paths = render_paths(F, rings=rings, rays=rays, samples=samples)
+    paths = render_paths(F)
     pts = np.concatenate(paths["rings"] + paths["rays"])  # the boundary is the last ring
     xs = pts.real
     ys = -pts.imag

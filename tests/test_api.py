@@ -76,19 +76,25 @@ def test_equispaced_circles_are_sampled_only_in_core():
     assert {name: k for name, k in found.items() if k} == {"geometry.py": 1}
 
 
-# the sample counts of these functions are module constants, or derived
-# from the table, and no longer parameters
+# the sample counts, tolerances and mesh sizes of these functions are
+# module constants, or derived from the table, and no longer parameters
 COUNTLESS = {
     "geometry.area_quadrature": ["F", "r"],
+    "geometry.curve_length": ["F", "r"],
+    "geometry.sup_length": ["F"],
     "certificates.three_circles_area": ["F", "r1", "m"],
     "certificates.area_schwarz": ["F"],
     "certificates.hadamard_three_circles": ["F", "r1", "r2"],
     "metrics.harmonic_lipschitz_check": ["F", "seed"],
+    "landau.landau_from_diameter": ["p", "alpha", "diam"],
+    "landau.landau_from_length": ["p", "alpha", "K", "l1"],
+    "render.render_paths": ["F"],
+    "render.render_svg": ["F", "out_path"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(COUNTLESS))
-def test_no_sample_count_parameters(name):
+def test_no_tuning_parameters(name):
     module, function = name.split(".")
     f = getattr(importlib.import_module("polyharm." + module), function)
     assert list(inspect.signature(f).parameters) == COUNTLESS[name]

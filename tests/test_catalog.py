@@ -149,6 +149,16 @@ def test_builtin_table_over_the_cap_is_malformed_params(make):
         make()
 
 
+@pytest.mark.parametrize("name, params", [
+    ("linear", {"alpha": 10 ** 400, "beta": 0}),
+    ("linear", {"alpha": 1, "beta": [0, -10 ** 400]}),
+    ("form37", {"eta": 10 ** 400}),
+], ids=["linear-alpha", "linear-beta-pair", "form37-eta"])
+def test_number_beyond_float_range_is_malformed_params(name, params):
+    with pytest.raises(MalformedParams, match="too large for a float"):
+        builtin(name, params)
+
+
 def test_form37_pads_to_k_max():
     F = form37(Form37Params(eta=1.0, zeta2={1: 1.0}), k_max=5)
     assert F.J == 5

@@ -352,15 +352,16 @@ def test_usage_errors(identity_map, capsys):
     capsys.readouterr()
 
 
-def test_io_errors(tmp_path, identity_map, capsys):
+def test_io_errors(tmp_path, identity_map, capsys, monkeypatch):
     assert main(["eval", "--map", str(tmp_path / "nope.map"), "--z", "0"]) == 4
     bad = _write(tmp_path, "bad.map", "{not json")
     assert main(["eval", "--map", bad, "--z", "0"]) == 4
     unknown = _write(tmp_path, "unk.map", '{"builtin": "spiral"}')
     assert main(["eval", "--map", unknown, "--z", "0"]) == 4
     f0 = _write(tmp_path, "f0.map", _F0_J9)
-    assert main(["length", "--map", f0, "--r", "0.5",
-                 "--tol", "1e-300"]) == 4  # cannot converge that far
+    # f0's first pass takes 320 samples and its first halving 640 more
+    monkeypatch.setattr(geometry, "_MAX_SAMPLES", 512)
+    assert main(["length", "--map", f0, "--r", "0.5"]) == 4  # cannot settle
     capsys.readouterr()
 
 
@@ -385,20 +386,17 @@ def test_sample_counts_below_minimum_are_usage_errors(identity_map, capsys, argv
     capsys.readouterr()
 
 
-_BAD_VERIFY_VALUES = [("--grid", "0"), ("--theta-samples", "0"),
-                      ("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
+_BAD_VERIFY_VALUES = [("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
                       ("--M", "-1"), ("--M", "inf"), ("--l1", "0"),
                       ("--l1", "nan"), ("--diam", "0"), ("--diam", "inf"),
                       ("--K", "0.5"), ("--K", "inf")]
 
 
 @pytest.mark.parametrize("flag, value", _BAD_VERIFY_VALUES,
-                         ids=[f if f in ("--grid", "--theta-samples") else f + " " + v
-                              for f, v in _BAD_VERIFY_VALUES])
+                         ids=[f + " " + v for f, v in _BAD_VERIFY_VALUES])
 def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, value):
     # each map skips some check that uses the flag, yet a bad value is
-    # still a usage error on every map and no report is written; --grid and
-    # --theta-samples are no longer verify options, so they are unknown flags
+    # still a usage error on every map and no report is written
     maps = [f2_map, _write(tmp_path, "identity.map", '{"builtin": "identity"}'),
             _write(tmp_path, "zero.map", _ZERO),
             _write(tmp_path, "opposed.map", _OPPOSED)]
@@ -409,13 +407,30 @@ def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, val
         assert flag in captured.err
 
 
-@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
-def test_area_radius_outside_the_disk_is_a_usage_error(f2_map, capsys, method):
-    for r in ("5", "0", "nan"):
-        assert main(["area", "--map", f2_map, "--r", r, "--method", method]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--r must be in (0, 1]" in captured.err
+_BEYOND_FLOAT = "1" + "0" * 400
+# mapping files with a number beyond float range, or nested too deeply to parse
+_UNREADABLE = {
+    "coefficient": '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, "a": [%s, 0]}]}'
+                   % _BEYOND_FLOAT,
+    "coefficient of 5001 digits": '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, '
+                                  '"a": [1%s, 0]}]}' % ("0" * 5000),
+    "linear alpha": '{"builtin": "linear", "params": {"alpha": %s, "beta": 0}}'
+                    % _BEYOND_FLOAT,
+    "form37 eta": '{"builtin": "form37", "params": {"eta": %s}}' % _BEYOND_FLOAT,
+    "nested params": '{"builtin": "identity", "params": {"x": %s%s}}'
+                     % ("[" * 100000, "]" * 100000),
+}
+
+
+@pytest.mark.parametrize("argv", [["eval", "--z", "0"], ["verify"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("name", sorted(_UNREADABLE))
+def test_number_beyond_float_range_is_a_malformed_file(tmp_path, capsys, name, argv):
+    # exit 1 would claim that a conclusion failed
+    path = _write(tmp_path, "m.map", _UNREADABLE[name])
+    assert main(argv[:1] + ["--map", path] + argv[1:]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("text, entries", [
@@ -504,7 +519,7 @@ _BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
                "theta_samples": ("0",), "seed": ("-1",),
                "K": ("0.5", "nan", "inf"), "m": ("-1",), "alpha": ("nan", "-1"),
                "l1": ("inf", "0", "nan"), "diam": ("0", "nan", "inf"),
-               "M": ("-1", "inf"), "tol": ("0", "nan", "-1", "inf")}
+               "M": ("-1", "inf")}
 # every way a command is called: each mode and each area method
 _MODES = {"length": (["--sup"], ["--r", "0.5"]),
           "area": tuple(["--r", "0.5", "--method", m] for m in ("series", "quadrature", "both")),
@@ -523,12 +538,13 @@ def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys, monkeypat
                                                      command, option, dest):
     # a missing map file would exit 4 if a check came after reading it, and
     # no estimator may run on the maps that exist; a required option given
-    # twice takes its last value
+    # twice takes its last value.  The message states the option's rule
     def unreachable(*args, **kwargs):
         raise AssertionError("estimated before the values were checked")
 
     for name in _ESTIMATORS:
         monkeypatch.setattr(geometry, name, unreachable)
+    message = "%s must be %s, got " % (option, cli._VALUE_RULES[dest][0])
     maps = [[]] if command == "jmetric" else [["--map", str(tmp_path / "missing.map")]]
     if command == "verify":
         maps += [["--map", _write(tmp_path, "%d.map" % k, text)]
@@ -539,7 +555,7 @@ def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys, monkeypat
                 assert main([command] + mode + [option + "=" + value] + path) == 3
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert option + " must be " in captured.err
+                assert message in captured.err
 
 
 _ACROSS_FLAGS = [
@@ -599,6 +615,12 @@ _REMOVED = [  # every removed flag and mode choice, the options the command
     (["render", "--rays", "8"], _OUT, "unrecognized arguments: --rays 8"),
     (["render", "--samples", "8"], _OUT, "unrecognized arguments: --samples 8"),
     (["landau", "--mode", "fourgon"], [], "invalid choice: 'fourgon'"),
+    (["landau", "--mode", "diameter", "--tol", "1e-8"], [],
+     "unrecognized arguments: --tol 1e-8"),
+    (["landau", "--mode", "length", "--tol", "1e-8"], [],
+     "unrecognized arguments: --tol 1e-8"),
+    (["length", "--sup", "--tol", "1e-8"], [], "unrecognized arguments: --tol 1e-8"),
+    (["length", "--r", "0.5", "--tol", "1e-8"], [], "unrecognized arguments: --tol 1e-8"),
     (["jmetric", "--mobius-theta", "0.3"], ["--mobius-a", "0.5"],
      "unrecognized arguments: --mobius-theta 0.3"),
 ]
@@ -653,26 +675,17 @@ def test_nonfinite_point_is_a_usage_error(f2_map, capsys, argv):
     assert argv[-2] + " must be finite" in captured.err  # the last flag is the bad one
 
 
-def test_length_sup_honours_tol(tmp_path, capsys):
+def test_length_sup_honours_tol(tmp_path, capsys, monkeypatch):
+    # sup_length never loosens the length tolerance, so a radius that cannot
+    # settle within its samples is an input/output error
     f0 = _write(tmp_path, "f0.map", _F0_J9)
-    assert main(["length", "--map", f0, "--sup", "--tol", "1e-300"]) == 4
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("mode", [["--sup"], ["--r", "0.5"]], ids=" ".join)
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"], ids=lambda v: "tol " + v)
-def test_length_rejects_bad_tol_before_reading_the_map(tmp_path, capsys,
-                                                       monkeypatch, mode, tol):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("measured before --tol was checked")
-
-    for name in ("curve_length", "sup_length"):
-        monkeypatch.setattr(geometry, name, unreachable)
-    missing = str(tmp_path / "missing.map")
-    assert main(["length", "--map", missing, "--tol", tol] + mode) == 3
+    monkeypatch.setattr(geometry, "_MAX_SAMPLES", 512)
+    assert main(["length", "--map", f0, "--sup"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tol must be positive and finite" in captured.err
+    # f0 is one layer, so its supremum is the length at r = 1
+    assert captured.err.startswith("error: curve_length at r=1.0 (p=1, J=9, tol=1e-10) "
+                                   "did not settle within 320 samples")
 
 
 @pytest.mark.parametrize("method", ["series", "quadrature", "both"])
@@ -789,9 +802,8 @@ def test_landau_diameter_mode_pins(tmp_path, capsys, text, pinned):
 
 _BAD_LANDAU_VALUES = [("diameter", "--diam", "nan"), ("diameter", "--diam", "0"),
                       ("diameter", "--alpha", "nan"), ("diameter", "--alpha", "-1"),
-                      ("diameter", "--tol", "nan"), ("diameter", "--tol", "0"),
                       ("length", "--K", "nan"), ("length", "--K", "0.5"),
-                      ("length", "--l1", "inf"), ("length", "--tol", "inf")]
+                      ("length", "--l1", "inf")]
 
 
 @pytest.mark.parametrize("mode, flag, value", _BAD_LANDAU_VALUES,

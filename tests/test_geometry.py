@@ -64,11 +64,12 @@ def test_sup_length_reaches_the_boundary():
     assert sup_length(F) == curve_length(F, 1.0)
 
 
-def test_sup_length_relax_limit_exhausted():
-    # tol 0 can never be met and sup_length never loosens a tolerance,
-    # so the first radius raises
+def test_sup_length_never_loosens_the_tolerance(monkeypatch):
+    # a length tolerance of 0 can never be met and sup_length never loosens
+    # it, so the first radius raises
+    monkeypatch.setattr(geometry, "LENGTH_TOL", 0.0)
     with pytest.raises(NoConvergence):
-        sup_length(catalog.identity(), integral_tol=0.0)
+        sup_length(catalog.identity())
 
 
 def _record_radii(monkeypatch):
@@ -177,13 +178,14 @@ def test_length_dominates_min_dilatation():
         assert curve_length(F, r) >= 2.0 * math.pi * r * lam - 1e-9
 
 
-def test_length_no_convergence():
-    # the sample cap stops tol = 0 with the estimates reached so far, and
-    # the work stays in bounded blocks however many panels are open
+def test_length_no_convergence(monkeypatch):
+    # the sample cap stops a tolerance of 0 with the estimates reached so
+    # far, and the work stays in bounded blocks however many panels are open
+    monkeypatch.setattr(geometry, "LENGTH_TOL", 0.0)
     tracemalloc.start()
     try:
         with pytest.raises(NoConvergence) as exc:
-            curve_length(catalog.f2(), 0.5, tol=0.0)
+            curve_length(catalog.f2(), 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,11 +214,13 @@ def test_length_square_maps_match_fft_oracle():
             assert abs(curve_length(F, r) - want) <= 1e-10 * want
 
 
-def test_length_zero_near_panel_end():
+def test_length_zero_near_panel_end(monkeypatch):
     # f0 at J = 41 and r = 1 - 2^-10 has speed zeros 6.5e-6 inside eight
     # starting panels, where whole and halves are off alike by 5e-9
     F, r = catalog.f0(41), 1.0 - 2.0 ** -10
-    want = curve_length(F, r, tol=1e-13)
+    monkeypatch.setattr(geometry, "LENGTH_TOL", 1e-13)
+    want = curve_length(F, r)
+    monkeypatch.undo()
     assert abs(curve_length(F, r) - want) <= 1e-10 * want
 
 
@@ -231,7 +235,7 @@ def _hex(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-def _one_radius_length(F, r, tol=1e-10):
+def _one_radius_length(F, r):
     # the adaptive quadrature of curve_length for one radius alone, each
     # round a block of 2^11 panels at a time: the reference the shared
     # pass must match bit for bit
@@ -257,7 +261,7 @@ def _one_radius_length(F, r, tol=1e-10):
     left = h * np.arange(n0)
     whole, _ = panels(left, h)
     done = 0.0
-    scale = tol * (r + abs(float(whole.sum()))) / (2.0 * np.pi)
+    scale = geometry.LENGTH_TOL * (r + abs(float(whole.sum()))) / (2.0 * np.pi)
     while whole.size:
         h *= 0.5
         halves, hidden = panels(np.concatenate([left, left + h]), h)
@@ -308,14 +312,15 @@ def test_length_array_is_bitwise_the_scalar_calls(monkeypatch, F, radii):
     assert samples[1] == samples[0] > 0
 
 
-def test_length_array_reports_the_first_radius_that_fails():
-    # tol = 0 never settles: the first radius given raises, with the
-    # estimates it has alone, whatever the later radii would do
+def test_length_array_reports_the_first_radius_that_fails(monkeypatch):
+    # a tolerance of 0 never settles: the first radius given raises, with
+    # the estimates it has alone, whatever the later radii would do
+    monkeypatch.setattr(geometry, "LENGTH_TOL", 0.0)
     F = catalog.f1(9)
     with pytest.raises(NoConvergence) as alone:
-        curve_length(F, 0.9, tol=0.0)
+        curve_length(F, 0.9)
     with pytest.raises(NoConvergence) as together:
-        curve_length(F, np.array([0.9, 0.5, 1.0]), tol=0.0)
+        curve_length(F, np.array([0.9, 0.5, 1.0]))
     assert together.value.estimates == alone.value.estimates
     assert str(together.value) == str(alone.value)
     assert str(alone.value).startswith("curve_length at r=0.9 (p=2, J=9, tol=0.0) "

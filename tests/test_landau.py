@@ -9,9 +9,9 @@ from polyharm import landau
 from polyharm.landau import LandauResult, landau_from_diameter, landau_from_length
 
 
-def least_positive_root(phi, tol=1e-12):
+def least_positive_root(phi):
     # the root solver behind both bounds, without their normalization
-    return landau._decreasing_root(phi, tol)[0]
+    return landau._decreasing_root(phi)[0]
 
 
 def _grid_bracket(phi, n=1_000_001):
@@ -237,9 +237,9 @@ def _solve_recording_phi(monkeypatch, bound, *args):
     seen = []
     inner = landau._decreasing_root
 
-    def recorded(phi, tol):
+    def recorded(phi):
         seen.append(phi)
-        return inner(phi, tol)
+        return inner(phi)
 
     monkeypatch.setattr(landau, "_decreasing_root", recorded)
     return bound(*args), seen[0]

@@ -8,7 +8,6 @@ import pytest
 from polyharm import catalog
 from polyharm.certificates import area_schwarz, length_coefficient_bounds
 from polyharm.core import ring_values
-from polyharm.errors import InvalidParams
 from polyharm.metrics import contraction_check
 from polyharm.render import render_paths, render_svg
 from polyharm.report import check_to_dict, render_json, to_jsonable
@@ -71,10 +70,10 @@ def test_report_on_area_schwarz_extras():
 
 def test_render_paths_shapes():
     F = catalog.identity()
-    paths = render_paths(F, rings=4, rays=8, samples=64)
-    assert len(paths["rings"]) == 4
-    assert len(paths["rays"]) == 8
-    assert paths["boundary"].shape == (65,)
+    paths = render_paths(F)
+    assert len(paths["rings"]) == 8
+    assert len(paths["rays"]) == 16
+    assert paths["boundary"].shape == (513,)
     # rings are closed polylines
     for ring in paths["rings"]:
         assert ring[0] == ring[-1]
@@ -102,22 +101,15 @@ def test_render_paths_boundary_is_the_outer_ring():
     assert np.array_equal(paths["boundary"][:-1], ring_values(F, [1.0 - 1e-3], 512)[0])
 
 
-def test_render_paths_validation():
-    with pytest.raises(InvalidParams):
-        render_paths(catalog.identity(), rings=0)
-    with pytest.raises(InvalidParams):
-        render_paths(catalog.identity(), samples=8)
-
-
 # ---- svg output ----
 
 
 def test_render_svg_structure(tmp_path):
     out = tmp_path / "disk.svg"
-    text = render_svg(catalog.f2(), out_path=out, rings=4, rays=8, samples=64)
+    text = render_svg(catalog.f2(), out_path=out)
     assert out.read_text(encoding="utf-8") == text
     assert text.startswith("<svg ")
-    assert text.count("<polyline") == 4 + 8  # rings (incl. boundary) + rays
+    assert text.count("<polyline") == 8 + 16  # rings (incl. boundary) + rays
     assert "f2" in text  # label lands in the description
 
 
@@ -128,6 +120,6 @@ def test_render_svg_prints_no_negative_zero():
 
 
 def test_render_svg_deterministic():
-    a = render_svg(catalog.f1(), rings=6, rays=12, samples=128)
-    b = render_svg(catalog.f1(), rings=6, rays=12, samples=128)
+    a = render_svg(catalog.f1())
+    b = render_svg(catalog.f1())
     assert a == b
