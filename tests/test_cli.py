@@ -386,17 +386,20 @@ def test_sample_counts_below_minimum_are_usage_errors(identity_map, capsys, argv
     capsys.readouterr()
 
 
-_BAD_VERIFY_VALUES = [("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
+_BAD_VERIFY_VALUES = [("--grid", "0"), ("--theta-samples", "0"),
+                      ("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
                       ("--M", "-1"), ("--M", "inf"), ("--l1", "0"),
                       ("--l1", "nan"), ("--diam", "0"), ("--diam", "inf"),
                       ("--K", "0.5"), ("--K", "inf")]
 
 
 @pytest.mark.parametrize("flag, value", _BAD_VERIFY_VALUES,
-                         ids=[f + " " + v for f, v in _BAD_VERIFY_VALUES])
+                         ids=[f if f in ("--grid", "--theta-samples") else f + " " + v
+                              for f, v in _BAD_VERIFY_VALUES])
 def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, value):
     # each map skips some check that uses the flag, yet a bad value is
-    # still a usage error on every map and no report is written
+    # still a usage error on every map and no report is written; --grid and
+    # --theta-samples are no longer verify options, so they are unknown flags
     maps = [f2_map, _write(tmp_path, "identity.map", '{"builtin": "identity"}'),
             _write(tmp_path, "zero.map", _ZERO),
             _write(tmp_path, "opposed.map", _OPPOSED)]
@@ -405,6 +408,16 @@ def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, val
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
+
+
+@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
+def test_area_radius_outside_the_disk_is_a_usage_error(f2_map, capsys, method):
+    message = "--r must be %s, got " % cli._VALUE_RULES["r"][0]
+    for r in ("5", "0", "nan"):
+        assert main(["area", "--map", f2_map, "--r", r, "--method", method]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 _BEYOND_FLOAT = "1" + "0" * 400
@@ -519,7 +532,9 @@ _BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
                "theta_samples": ("0",), "seed": ("-1",),
                "K": ("0.5", "nan", "inf"), "m": ("-1",), "alpha": ("nan", "-1"),
                "l1": ("inf", "0", "nan"), "diam": ("0", "nan", "inf"),
-               "M": ("-1", "inf")}
+               "M": ("-1", "inf"), "tol": ("0", "nan", "-1", "inf")}
+# removed numeric options: any value of them is an unknown argument
+_RETIRED_OPTIONS = [("length", "--tol", "tol"), ("landau", "--tol", "tol")]
 # every way a command is called: each mode and each area method
 _MODES = {"length": (["--sup"], ["--r", "0.5"]),
           "area": tuple(["--r", "0.5", "--method", m] for m in ("series", "quadrature", "both")),
@@ -532,19 +547,23 @@ _ESTIMATORS = ("curve_length", "sup_length", "diameter_estimate", "area_series",
                "area_quadrature")
 
 
-@pytest.mark.parametrize("command, option, dest", _NUMERIC_OPTIONS,
-                         ids=["%s %s" % o[:2] for o in _NUMERIC_OPTIONS])
+@pytest.mark.parametrize("command, option, dest", _NUMERIC_OPTIONS + _RETIRED_OPTIONS,
+                         ids=["%s %s" % o[:2] for o in _NUMERIC_OPTIONS + _RETIRED_OPTIONS])
 def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys, monkeypatch,
                                                      command, option, dest):
     # a missing map file would exit 4 if a check came after reading it, and
     # no estimator may run on the maps that exist; a required option given
-    # twice takes its last value.  The message states the option's rule
+    # twice takes its last value.  The message states the option's rule, or
+    # names a removed option as unrecognized
     def unreachable(*args, **kwargs):
         raise AssertionError("estimated before the values were checked")
 
     for name in _ESTIMATORS:
         monkeypatch.setattr(geometry, name, unreachable)
-    message = "%s must be %s, got " % (option, cli._VALUE_RULES[dest][0])
+    if dest in cli._VALUE_RULES:
+        message = "%s must be %s, got " % (option, cli._VALUE_RULES[dest][0])
+    else:
+        message = "unrecognized arguments: %s=" % option
     maps = [[]] if command == "jmetric" else [["--map", str(tmp_path / "missing.map")]]
     if command == "verify":
         maps += [["--map", _write(tmp_path, "%d.map" % k, text)]
@@ -688,6 +707,23 @@ def test_length_sup_honours_tol(tmp_path, capsys, monkeypatch):
                                    "did not settle within 320 samples")
 
 
+@pytest.mark.parametrize("mode", [["--sup"], ["--r", "0.5"]], ids=" ".join)
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"], ids=lambda v: "tol " + v)
+def test_length_rejects_bad_tol_before_reading_the_map(tmp_path, capsys,
+                                                       monkeypatch, mode, tol):
+    # --tol is no longer a length option: any value of it is an unknown flag
+    def unreachable(*args, **kwargs):
+        raise AssertionError("measured before --tol was checked")
+
+    for name in ("curve_length", "sup_length"):
+        monkeypatch.setattr(geometry, name, unreachable)
+    missing = str(tmp_path / "missing.map")
+    assert main(["length", "--map", missing, "--tol", tol] + mode) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --tol " + tol in captured.err
+
+
 @pytest.mark.parametrize("method", ["series", "quadrature", "both"])
 @pytest.mark.parametrize("flags, message", [
     (["--theta-samples", "0"], "unrecognized arguments: --theta-samples"),
@@ -802,15 +838,17 @@ def test_landau_diameter_mode_pins(tmp_path, capsys, text, pinned):
 
 _BAD_LANDAU_VALUES = [("diameter", "--diam", "nan"), ("diameter", "--diam", "0"),
                       ("diameter", "--alpha", "nan"), ("diameter", "--alpha", "-1"),
+                      ("diameter", "--tol", "nan"), ("diameter", "--tol", "0"),
                       ("length", "--K", "nan"), ("length", "--K", "0.5"),
-                      ("length", "--l1", "inf")]
+                      ("length", "--l1", "inf"), ("length", "--tol", "inf")]
 
 
 @pytest.mark.parametrize("mode, flag, value", _BAD_LANDAU_VALUES,
                          ids=[" ".join(v) for v in _BAD_LANDAU_VALUES])
 def test_landau_rejects_bad_values_before_any_work(f2_map, capsys, monkeypatch,
                                                   mode, flag, value):
-    # nothing is printed and no quantity is estimated before the rejection
+    # nothing is printed and no quantity is estimated before the rejection;
+    # --tol is no longer a landau option, so it is an unknown flag
     def unreachable(*args, **kwargs):
         raise AssertionError("estimated before the values were checked")
 
