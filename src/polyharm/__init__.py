@@ -14,7 +14,7 @@ from .landau import LandauResult, landau_from_diameter, landau_from_length
 from .metrics import (LipschitzReport, contraction_check,
                       harmonic_lipschitz_check, j_metric, mobius_j_distortion,
                       psi_profile)
-from .catalog import BUILTIN_NAMES, Form37Params, builtin
+from .catalog import BUILTIN_NAMES, builtin
 from .mapspec import MappingSpec, digest, from_map
 from . import errors
 
@@ -40,6 +40,6 @@ __all__ = [
     "LipschitzReport", "contraction_check", "harmonic_lipschitz_check",
     "j_metric", "mobius_j_distortion", "psi_profile",
     # catalog / files
-    "BUILTIN_NAMES", "Form37Params", "builtin",
+    "BUILTIN_NAMES", "builtin",
     "MappingSpec", "digest", "from_map",
 ]

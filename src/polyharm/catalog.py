@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "f2",
     "f0",
     "f1",
-    "Form37Params",
     "form37",
     "builtin",
     "BUILTIN_NAMES",
@@ -122,82 +120,67 @@ def f1(J: int = 41) -> PolyharmonicMap:
 # ---- constant-area-ratio family ----
 
 
-def _int_key_map(d, what: str, k_min: int) -> dict:
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _weight(v) -> bool:
+    return _real(v) and v >= 0.0
+
+
+def _sign(v) -> bool:
+    return not isinstance(v, bool) and v in (-1, 1)
+
+
+def _powers(name: str, d, k_min: int, rule: str, ok) -> dict:
+    """``d`` as a power -> value dict, every power >= k_min and every value ok.
+
+    A power is an int or the canonical ASCII decimal of one ("3", not "03",
+    "+3" or " 3"), so that no two keys can name one power.
+    """
+    if not isinstance(d, (dict, type(None))):
+        raise MalformedParams("%s must be a mapping" % name)
     out = {}
-    for key, val in dict(d).items():
-        kk = key
-        if isinstance(kk, bool) or (not isinstance(kk, (int, str))):
-            raise MalformedParams("%s keys must be integers" % what)
-        if isinstance(kk, str):
-            try:
-                kk = int(kk)
-            except ValueError:
-                raise MalformedParams("%s key %r is not an integer" % (what, key))
-        if kk < k_min:
-            raise MalformedParams("%s keys must be >= %d" % (what, k_min))
-        out[int(kk)] = val
+    for key, v in (d or {}).items():
+        try:
+            k = int(key) if isinstance(key, str) and str(int(key)) == key else key
+        except ValueError:
+            k = None
+        if isinstance(k, bool) or not isinstance(k, int) or k < k_min:
+            raise MalformedParams("%s key %r is not a canonical integer >= %d"
+                                  % (name, key, k_min))
+        if k in out:
+            raise MalformedParams("%s names power %d twice" % (name, k))
+        if not ok(v):
+            raise MalformedParams("%s[%d] must be %s" % (name, k, rule))
+        out[k] = v
     return out
 
 
-@dataclass(frozen=True)
-class Form37Params:
-    """Weights and angles of the two-layer constant-area-ratio family.
+def form37(eta=0.0, xi=0.0, zeta1=None, zeta2=None, theta=None, phi=None,
+           sign_a=None, sign_b=None, k_max=None) -> PolyharmonicMap:
+    """Two-layer family whose area ratio S(r)/r^2 is constant in r.
 
     eta and xi weight the first-power pair (eta >= xi keeps the modulus
     ordering between analytic and conjugate entries); zeta1[k] weights the
     k-th power pair of the first layer for k >= 2, zeta2[k] the second
     layer for k >= 1.  theta/phi give per-power angles, sign_a/sign_b pick
-    the direction of the second layer's quarter turn (+1 or -1).
+    the direction of the second layer's quarter turn (+1 or -1).  The table
+    has k_max columns, by default the largest power used.
     """
-
-    eta: float = 0.0
-    xi: float = 0.0
-    zeta1: dict = field(default_factory=dict)
-    zeta2: dict = field(default_factory=dict)
-    theta: dict = field(default_factory=dict)
-    phi: dict = field(default_factory=dict)
-    sign_a: dict = field(default_factory=dict)
-    sign_b: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("eta", "xi"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) and v >= 0.0):
-                raise MalformedParams("%s must be a finite number >= 0" % name)
-        if self.xi > self.eta:
-            raise MalformedParams("need eta >= xi for the modulus ordering")
-        object.__setattr__(self, "zeta1", _int_key_map(self.zeta1, "zeta1", 2))
-        object.__setattr__(self, "zeta2", _int_key_map(self.zeta2, "zeta2", 1))
-        object.__setattr__(self, "theta", _int_key_map(self.theta, "theta", 1))
-        object.__setattr__(self, "phi", _int_key_map(self.phi, "phi", 1))
-        object.__setattr__(self, "sign_a", _int_key_map(self.sign_a, "sign_a", 1))
-        object.__setattr__(self, "sign_b", _int_key_map(self.sign_b, "sign_b", 1))
-        for name in ("zeta1", "zeta2"):
-            for k, v in getattr(self, name).items():
-                if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v) and v >= 0.0):
-                    raise MalformedParams("%s[%d] must be a finite weight >= 0"
-                                          % (name, k))
-        for name in ("theta", "phi"):
-            for k, v in getattr(self, name).items():
-                if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v)):
-                    raise MalformedParams("%s[%d] must be a finite angle" % (name, k))
-        for name in ("sign_a", "sign_b"):
-            for k, v in getattr(self, name).items():
-                if isinstance(v, bool) or v not in (-1, 1):
-                    raise MalformedParams("%s[%d] must be +1 or -1" % (name, k))
-
-
-def form37(params: Form37Params, k_max: int | None = None) -> PolyharmonicMap:
-    if not isinstance(params, Form37Params):
-        raise MalformedParams("expected Form37Params")
-    keys = ([1] + list(params.zeta1) + list(params.zeta2)
-            + list(params.theta) + list(params.phi))
-    top = max(keys)
-    if k_max is None:
-        k_max = top
+    for name, v in (("eta", eta), ("xi", xi)):
+        if not _weight(v):
+            raise MalformedParams("%s must be a finite number >= 0" % name)
+    if xi > eta:
+        raise MalformedParams("need eta >= xi for the modulus ordering")
+    zeta1 = _powers("zeta1", zeta1, 2, "a finite weight >= 0", _weight)
+    zeta2 = _powers("zeta2", zeta2, 1, "a finite weight >= 0", _weight)
+    theta = _powers("theta", theta, 1, "a finite angle", _real)
+    phi = _powers("phi", phi, 1, "a finite angle", _real)
+    sign_a = _powers("sign_a", sign_a, 1, "+1 or -1", _sign)
+    sign_b = _powers("sign_b", sign_b, 1, "+1 or -1", _sign)
+    top = max([1, *zeta1, *zeta2, *theta, *phi])
+    k_max = top if k_max is None else k_max
     if not (isinstance(k_max, int) and not isinstance(k_max, bool) and k_max >= top):
         raise MalformedParams("k_max must be an integer >= the largest used power")
     check_table_size(2, k_max, MalformedParams)
@@ -207,18 +190,16 @@ def form37(params: Form37Params, k_max: int | None = None) -> PolyharmonicMap:
     def unit(angles, k):
         return cmath.exp(1j * angles.get(k, 0.0))
 
-    a[0, 0] = params.eta * unit(params.theta, 1)
-    b[0, 0] = params.xi * np.conj(unit(params.phi, 1))
-    for k, w in params.zeta1.items():
-        a[0, k - 1] = w * unit(params.theta, k)
-        b[0, k - 1] = w * np.conj(unit(params.phi, k))
-    for k, w in params.zeta2.items():
-        s = params.sign_a.get(k, 1)
-        t = params.sign_b.get(k, 1)
+    a[0, 0] = eta * unit(theta, 1)
+    b[0, 0] = xi * np.conj(unit(phi, 1))
+    for k, w in zeta1.items():
+        a[0, k - 1] = w * unit(theta, k)
+        b[0, k - 1] = w * np.conj(unit(phi, k))
+    for k, w in zeta2.items():
         # multiply by exactly +-1j so quarter-turn layer pairs stay exactly
         # orthogonal in floating point
-        a[1, k - 1] = (1j * s) * (w * unit(params.theta, k))
-        b[1, k - 1] = (-1j * t) * (w * np.conj(unit(params.phi, k)))
+        a[1, k - 1] = (1j * sign_a.get(k, 1)) * (w * unit(theta, k))
+        b[1, k - 1] = (-1j * sign_b.get(k, 1)) * (w * np.conj(unit(phi, k)))
     return PolyharmonicMap(2, k_max, a, b, label="form37")
 
 
@@ -235,11 +216,9 @@ def _num(v, what: str) -> float:
 
 
 def _cnum(v, what: str) -> complex:
-    if isinstance(v, bool):
-        raise MalformedParams("%s must be a number or [re, im] pair" % what)
     if isinstance(v, complex):
         return v
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         v = (v, 0.0)
     if (isinstance(v, (list, tuple)) and len(v) == 2
             and all(isinstance(q, (int, float)) and not isinstance(q, bool)
@@ -254,77 +233,35 @@ def _int(v, what: str) -> int:
     return v
 
 
-def _take(params: dict, key, default=None, required=False):
-    if key in params:
-        return params.pop(key)
-    if required:
-        raise MalformedParams("missing required parameter %r" % key)
-    return default
+def _bool(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise MalformedParams("%s must be a boolean" % what)
+    return v
 
 
-def _mk_identity(params: dict) -> PolyharmonicMap:
-    return identity()
+_REQUIRED = object()  # the default of a parameter a mapping file must give
+_POWER_MAP = (lambda v, what: v, None)  # form37 checks its power maps
 
-
-def _mk_linear(params: dict) -> PolyharmonicMap:
-    alpha = _cnum(_take(params, "alpha", required=True), "alpha")
-    beta = _cnum(_take(params, "beta", required=True), "beta")
-    return linear(alpha, beta)
-
-
-def _mk_monomial(params: dict) -> PolyharmonicMap:
-    p = _int(_take(params, "p", required=True), "p")
-    j = _int(_take(params, "j", required=True), "j")
-    c = _cnum(_take(params, "c", 1.0), "c")
-    conjugate = _take(params, "conjugate", False)
-    if not isinstance(conjugate, bool):
-        raise MalformedParams("conjugate must be a boolean")
-    return monomial(p, j, c, conjugate)
-
-
-def _mk_f2(params: dict) -> PolyharmonicMap:
-    return f2()
-
-
-def _mk_f0(params: dict) -> PolyharmonicMap:
-    return f0(_int(_take(params, "J", 41), "J"))
-
-
-def _mk_f1(params: dict) -> PolyharmonicMap:
-    return f1(_int(_take(params, "J", 41), "J"))
-
-
-def _mk_form37(params: dict) -> PolyharmonicMap:
-    kw = {}
-    for name in ("eta", "xi"):
-        if name in params:
-            kw[name] = _num(params.pop(name), name)
-    for name in ("zeta1", "zeta2", "theta", "phi", "sign_a", "sign_b"):
-        if name in params:
-            d = params.pop(name)
-            if not isinstance(d, dict):
-                raise MalformedParams("%s must be a mapping" % name)
-            kw[name] = d
-    k_max = _take(params, "k_max")
-    if k_max is not None:
-        k_max = _int(k_max, "k_max")
-    return form37(Form37Params(**kw), k_max)
-
-
-# name -> (maker, one-line description); `polyharm catalog` lists them in
-# this order
+# name -> (maker, {param: (parser, default or _REQUIRED)}, description);
+# builtin() calls maker(**params) and `polyharm catalog` lists the rows in
+# this order, each with its parameter names
 _BUILTIN = {
-    "identity": (_mk_identity, "single unit coefficient; the map z -> z"),
-    "linear": (_mk_linear, "alpha z + conjugate part beta; params alpha, beta"),
-    "monomial": (_mk_monomial, "c |z|^(2(p-1)) z^j or conjugate variant; "
-                               "params p, j, c, conjugate"),
-    "f2": (_mk_f2, "three stacked unit layers: z (1 + |z|^2 + |z|^4)"),
-    "f0": (_mk_f0, "truncated square-image series; param J (default 41)"),
-    "F1": (_mk_f1, "f0 with a quarter-turn second layer, unit stretch at 0; "
-                   "param J"),
-    "form37": (_mk_form37, "two-layer family with constant S(r)/r^2; params "
-                           "eta, xi, zeta1, zeta2, theta, phi, sign_a, sign_b, "
-                           "k_max"),
+    "identity": (identity, {}, "single unit coefficient; the map z -> z"),
+    "linear": (linear, {"alpha": (_cnum, _REQUIRED), "beta": (_cnum, _REQUIRED)},
+               "alpha z + conjugate part beta"),
+    "monomial": (monomial, {"p": (_int, _REQUIRED), "j": (_int, _REQUIRED),
+                            "c": (_cnum, 1.0), "conjugate": (_bool, False)},
+                 "c |z|^(2(p-1)) z^j or conjugate variant"),
+    "f2": (f2, {}, "three stacked unit layers: z (1 + |z|^2 + |z|^4)"),
+    "f0": (f0, {"J": (_int, 41)}, "truncated square-image series"),
+    "F1": (f1, {"J": (_int, 41)},
+           "f0 with a quarter-turn second layer, unit stretch at 0"),
+    "form37": (form37, {"eta": (_num, 0.0), "xi": (_num, 0.0),
+                        "zeta1": _POWER_MAP, "zeta2": _POWER_MAP,
+                        "theta": _POWER_MAP, "phi": _POWER_MAP,
+                        "sign_a": _POWER_MAP, "sign_b": _POWER_MAP,
+                        "k_max": (_int, None)},
+               "two-layer family with constant S(r)/r^2"),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTIN))
@@ -335,9 +272,18 @@ def builtin(name: str, params: dict | None = None) -> PolyharmonicMap:
     if name not in _BUILTIN:
         raise UnknownName("no built-in map named %r (have: %s)"
                           % (name, ", ".join(BUILTIN_NAMES)))
-    params = dict(params or {})
-    out = _BUILTIN[name][0](params)
-    if params:
+    maker, declared, _ = _BUILTIN[name]
+    params = params or {}
+    unknown = [str(key) for key in params if key not in declared]
+    if unknown:
         raise MalformedParams("unknown parameters for %r: %s"
-                              % (name, ", ".join(sorted(map(str, params)))))
-    return out
+                              % (name, ", ".join(sorted(unknown))))
+    kw = {}
+    for key, (parse, default) in declared.items():
+        if key in params:
+            kw[key] = parse(params[key], key)
+        elif default is _REQUIRED:
+            raise MalformedParams("missing required parameter %r" % key)
+        else:
+            kw[key] = default
+    return maker(**kw)

@@ -93,6 +93,7 @@ _UNREAD = (  # command, mode, whether args choose it, options that mode never re
     ("landau", "--mode diameter", lambda a: a.mode == "diameter", ("K", "l1")),
     ("landau", "--mode length", lambda a: a.mode == "length", ("diam",)),
     ("jmetric", "--mobius-a", lambda a: a.mobius_a is not None, ("z", "w", "M")),
+    ("jmetric", "jmetric without --mobius-a", lambda a: a.mobius_a is None, ("seed",)),
     ("length", "--sup", lambda a: a.sup, ("r",)),
 )
 
@@ -223,7 +224,8 @@ def _print_check(rep, *own) -> int:
 
 def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
-        rep = metrics.mobius_j_distortion(args.mobius_a, seed=args.seed)
+        rep = metrics.mobius_j_distortion(args.mobius_a,
+                                          seed=7 if args.seed is None else args.seed)
         print("sup_ratio = %.17g" % rep.sup_ratio)
         print("bound = %.17g" % rep.bound)
         print("verdict = %s" % rep.verdict)
@@ -242,7 +244,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    for name, (_, desc) in catalog._BUILTIN.items():
+    for name, (_, declared, desc) in catalog._BUILTIN.items():
+        if declared:
+            desc += "; params " + ", ".join(declared)
         print("%-9s %s" % (name, desc))
     return EXIT_PASS
 
@@ -438,7 +442,7 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=_cnum)
     p.add_argument("--M", type=float, help="default 1")
     p.add_argument("--mobius-a", type=_cnum)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, help="default 7")
     p.set_defaults(func=cmd_jmetric)
 
     p = mapped(sub.add_parser("verify", help="run every applicable certificate"))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from polyharm import catalog
 from polyharm.catalog import (
     BUILTIN_NAMES,
-    Form37Params,
     builtin,
     f0,
     f1,
@@ -17,6 +17,7 @@ from polyharm.catalog import (
     monomial,
 )
 from polyharm.certificates import area_schwarz
+from polyharm.cli import main
 from polyharm.core import dilatation, evaluate
 from polyharm.errors import MalformedParams, UnknownName
 
@@ -128,7 +129,7 @@ def test_f1_is_lifted_f0():
 
 
 def test_form37_default_instance():
-    F = form37(Form37Params(eta=1.0, zeta2={1: 1.0}))
+    F = form37(eta=1.0, zeta2={1: 1.0})
     assert F.p == 2 and F.J == 1
     assert F.a[0, 0] == 1.0 and F.a[1, 0] == 1j
     assert F.b[0, 0] == 0.0 and F.b[1, 0] == -1j
@@ -141,7 +142,7 @@ def test_form37_default_instance():
     lambda: f0(10 ** 10),
     lambda: builtin("F1", {"J": 2049}),
     lambda: builtin("monomial", {"p": 4097, "j": 1}),
-    lambda: form37(Form37Params(eta=1.0), k_max=10 ** 12),
+    lambda: form37(eta=1.0, k_max=10 ** 12),
     lambda: builtin("form37", {"zeta2": {"100000000000": 1.0}}),
 ], ids=["f0", "F1", "monomial", "form37-k_max", "form37-key"])
 def test_builtin_table_over_the_cap_is_malformed_params(make):
@@ -160,10 +161,10 @@ def test_number_beyond_float_range_is_malformed_params(name, params):
 
 
 def test_form37_pads_to_k_max():
-    F = form37(Form37Params(eta=1.0, zeta2={1: 1.0}), k_max=5)
+    F = form37(eta=1.0, zeta2={1: 1.0}, k_max=5)
     assert F.J == 5
     with pytest.raises(MalformedParams):
-        form37(Form37Params(eta=1.0, zeta2={3: 1.0}), k_max=2)
+        form37(eta=1.0, zeta2={3: 1.0}, k_max=2)
 
 
 def test_form37_random_draws_have_constant_area_ratio():
@@ -179,9 +180,8 @@ def test_form37_random_draws_have_constant_area_ratio():
         phi = {int(k): float(rng.uniform(0.0, 2.0 * np.pi)) for k in range(1, 6)}
         signs_a = {int(k): int(rng.choice([-1, 1])) for k in zeta2}
         signs_b = {int(k): int(rng.choice([-1, 1])) for k in zeta2}
-        F = form37(Form37Params(eta=eta, xi=xi, zeta1=zeta1, zeta2=zeta2,
-                                theta=theta, phi=phi,
-                                sign_a=signs_a, sign_b=signs_b))
+        F = form37(eta=eta, xi=xi, zeta1=zeta1, zeta2=zeta2, theta=theta, phi=phi,
+                   sign_a=signs_a, sign_b=signs_b)
         rep = area_schwarz(F)
         assert rep.verdict == "pass"
         assert rep.extras["classification"] == "constant"
@@ -192,17 +192,17 @@ def test_form37_random_draws_have_constant_area_ratio():
 
 def test_form37_params_validation():
     with pytest.raises(MalformedParams):
-        Form37Params(eta=1.0, xi=2.0)  # modulus ordering
+        form37(eta=1.0, xi=2.0)  # modulus ordering
     with pytest.raises(MalformedParams):
-        Form37Params(eta=-1.0)
+        form37(eta=-1.0)
     with pytest.raises(MalformedParams):
-        Form37Params(zeta1={1: 1.0})  # first power belongs to eta/xi
+        form37(zeta1={1: 1.0})  # first power belongs to eta/xi
     with pytest.raises(MalformedParams):
-        Form37Params(zeta2={1: -0.5})
+        form37(zeta2={1: -0.5})
     with pytest.raises(MalformedParams):
-        Form37Params(zeta2={1: 1.0}, sign_a={1: 2})
+        form37(zeta2={1: 1.0}, sign_a={1: 2})
     with pytest.raises(MalformedParams):
-        form37("not params")
+        form37("not a weight")
 
 
 # ---- registry ----
@@ -232,3 +232,53 @@ def test_builtin_rejects_unknown():
         builtin("linear", {"alpha": "one", "beta": 0.0})
     with pytest.raises(MalformedParams):
         builtin("f0", {"J": 0})
+
+
+@pytest.mark.parametrize("zeta2, message", [
+    ({"1": 0.5, "01": 0.7}, "key '01' is not"),  # int() reads both as power 1
+    ({"1_0": 0.5}, "key '1_0' is not"),
+    ({" 2 ": 0.5}, "key ' 2 ' is not"),
+    ({"+2": 0.5}, "key '\\+2' is not"),
+    ({"\u0663": 0.5}, "key '\u0663' is not"),  # an Arabic-Indic three
+    ({1: 0.5, "1": 0.7}, "names power 1 twice"),
+], ids=["1-and-01", "1_0", "spaced-2", "+2", "non-ascii-3", "int-and-str-1"])
+def test_form37_power_key_is_an_int_or_its_canonical_decimal(zeta2, message):
+    with pytest.raises(MalformedParams, match="zeta2 " + message):
+        builtin("form37", {"eta": 1.0, "zeta2": zeta2})
+
+
+def test_form37_canonical_keys_and_int_keys_build_the_same_table():
+    F = builtin("form37", {"eta": 1.0, "zeta1": {"10": 0.5}, "theta": {"2": 0.25}})
+    G = form37(eta=1.0, zeta1={10: 0.5}, theta={2: 0.25})
+    assert F.J == G.J == 10
+    assert np.array_equal(F.a, G.a) and np.array_equal(F.b, G.b)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("form37", {"k_max": None}, "k_max must be an integer"),
+    ("f0", {"J": 0, "j": 3}, "unknown parameters for 'f0': j"),
+    ("form37", {"eta": -1.0, "zeta": {}}, "unknown parameters for 'form37': zeta"),
+    ("monomial", {"p": 1}, "missing required parameter 'j'"),
+    ("monomial", {"p": 1, "j": 1, "conjugate": 1}, "conjugate must be a boolean"),
+], ids=["form37-k_max-null", "f0-unknown-first", "form37-unknown-first",
+        "monomial-missing-j", "monomial-conjugate"])
+def test_builtin_parameter_refusals(name, params, message):
+    with pytest.raises(MalformedParams, match=message):
+        builtin(name, params)
+
+
+def test_every_row_declares_exactly_its_makers_parameters(capsys):
+    # a maker parameter missing from its row could not be set from a file
+    assert main(["catalog"]) == 0
+    listed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    for name, (maker, declared, desc) in catalog._BUILTIN.items():
+        signature = inspect.signature(maker).parameters
+        assert list(declared) == list(signature), name
+        for key, (_, default) in declared.items():
+            own = signature[key].default
+            if own is inspect.Parameter.empty:
+                assert default is catalog._REQUIRED, (name, key)
+            else:
+                assert default is not catalog._REQUIRED and default == own, (name, key)
+        params = listed[name].partition(desc)[2].removeprefix("; params ")
+        assert (params.split(", ") if params else []) == list(signature), name

@@ -183,6 +183,15 @@ def test_jmetric_mobius(capsys):
     assert vals["verdict"] == "pass"
 
 
+def test_jmetric_mobius_default_seed_is_seven(capsys):
+    assert main(["jmetric", "--mobius-a", "0.5"]) == 0
+    default = capsys.readouterr().out
+    assert main(["jmetric", "--mobius-a", "0.5", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["jmetric", "--mobius-a", "0.5", "--seed", "8"]) == 0
+    assert capsys.readouterr().out != default
+
+
 # ---- rendering ----
 
 
@@ -599,6 +608,8 @@ _UNREAD_FLAGS = [
     (["jmetric", "--mobius-a", "0.5", "--z", "0.1"], "--mobius-a takes no --z"),
     (["jmetric", "--mobius-a", "0.5", "--w", "0.2"], "--mobius-a takes no --w"),
     (["jmetric", "--mobius-a", "0.5", "--M", "3"], "--mobius-a takes no --M"),
+    (["jmetric", "--z", "0.5", "--w", "0.2", "--seed", "3"],
+     "jmetric without --mobius-a takes no --seed"),
     (["length", "--r", "0.5", "--sup"], "--sup takes no --r"),
     (["landau", "--mode", "diameter", "--K", "2"], "--mode diameter takes no --K"),
     (["landau", "--mode", "diameter", "--l1", "2"], "--mode diameter takes no --l1"),
