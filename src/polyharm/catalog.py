@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -37,12 +38,19 @@ def identity() -> PolyharmonicMap:
                            np.zeros((1, 1), dtype=complex), label="identity")
 
 
+def _complex(v, what: str) -> complex:
+    try:
+        return complex(v)
+    except OverflowError:  # an int beyond float range
+        raise MalformedParams("%s is too large for a float" % what) from None
+
+
 def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
     """alpha * z plus the conjugate-linear part with coefficient beta."""
     a = np.zeros((1, 1), dtype=complex)
     b = np.zeros((1, 1), dtype=complex)
-    a[0, 0] = alpha
-    b[0, 0] = np.conj(beta)  # stored so conj(b) multiplies conj(z)
+    a[0, 0] = _complex(alpha, "alpha")
+    b[0, 0] = np.conj(_complex(beta, "beta"))  # stored so conj(b) multiplies conj(z)
     return PolyharmonicMap(1, 1, a, b, label="linear")
 
 
@@ -54,6 +62,7 @@ def monomial(p: int, j: int, c: complex = 1.0,
     if not (isinstance(j, int) and not isinstance(j, bool) and j >= 1):
         raise MalformedParams("j must be an integer >= 1")
     check_table_size(p, j, MalformedParams)
+    c = _complex(c, "c")
     a = np.zeros((p, j), dtype=complex)
     b = np.zeros((p, j), dtype=complex)
     if conjugate:
@@ -121,7 +130,9 @@ def f1(J: int = 41) -> PolyharmonicMap:
 
 
 def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    # finite, and so an int within float range
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _weight(v) -> bool:

@@ -7,6 +7,10 @@ margin, and witnesses for the smallest or negative slacks.  A report fails
 exactly when some margin's slack drops below minus that margin's
 tolerance.  Margins travel as numpy columns; ``margins`` rebuilds them.
 
+Each check tests its hypotheses in a fixed order and reports the first
+unmet one as a "hypotheses-not-met" verdict with ``extras["reason"]``;
+only arguments outside their domain raise.
+
 Layer-pair angle conditions are evaluated on arguments of coefficient
 ratios, computed as the phase of x * conj(y) so that zero-angle and
 quarter-turn families come out exact in floating point.
@@ -123,6 +127,11 @@ def _report(name, blocks, extras=None):
     return CheckReport(name, verdict, count, margin, witnesses, extras or {}, blocks)
 
 
+def _unmet(name, reason, **extras):
+    # the report of a check whose hypothesis ``reason`` names does not hold
+    return CheckReport(name, "hypotheses-not-met", extras=dict(extras, reason=reason))
+
+
 # ---- layer-pair angle conditions ----
 
 
@@ -202,15 +211,14 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
 
 def diameter_coefficient_bounds(F: PolyharmonicMap, diam: float) -> CheckReport:
     """Column sums of the table against sqrt(p)/2 (and sqrt(2p)/2) times
-    the image diameter, one margin per power j plus the combined sum."""
-    if not (diam > 0.0 and math.isfinite(diam)):
-        raise InvalidDiameter("diameter must be positive and finite, got %r" % (diam,))
-    hyp = arg_condition(F, "diameter")
-    if hyp.verdict != "pass":
-        return CheckReport(name="diameter-coefficient-bounds",
-                           verdict="hypotheses-not-met",
-                           extras={"reason": "layer angle condition fails",
-                                   "hypothesis": hyp.name})
+    the image diameter, one margin per power j plus the combined sum.
+    Hypotheses: the diameter angle condition, then diam > 0."""
+    if not (diam >= 0.0 and math.isfinite(diam)):
+        raise InvalidDiameter("diameter must be finite and >= 0, got %r" % (diam,))
+    if arg_condition(F, "diameter").verdict != "pass":
+        return _unmet("diameter-coefficient-bounds", "layer angle condition fails")
+    if diam == 0.0:
+        return _unmet("diameter-coefficient-bounds", "image diameter estimate is zero")
     ca = 0.5 * math.sqrt(F.p) * diam
     cab = 0.5 * math.sqrt(2.0 * F.p) * diam
     # one contiguous row per power, summed as a column on its own would be
@@ -223,19 +231,17 @@ def diameter_coefficient_bounds(F: PolyharmonicMap, diam: float) -> CheckReport:
                    extras={"diameter": diam})
 
 
-def length_coefficient_bounds(F: PolyharmonicMap, K: float, l1: float) -> CheckReport:
-    """Entry-wise |a| + |b| against K * l1 / (2 pi (n + j - 1)) for maps
-    whose layer coefficients are aligned."""
-    if not (K >= 1.0 and math.isfinite(K)):
+def length_coefficient_bounds(F: PolyharmonicMap, K: float | None, l1: float) -> CheckReport:
+    """Entry-wise |a| + |b| against K * l1 / (2 pi (n + j - 1)).  Hypotheses:
+    layer alignment, then a finite K (None where the map has none)."""
+    if not (K is None or 1.0 <= K < math.inf):
         raise InvalidParams("quasiregularity constant must be >= 1, got %r" % (K,))
-    if not (l1 > 0.0 and math.isfinite(l1)):
-        raise InvalidParams("boundary length must be positive, got %r" % (l1,))
-    hyp = arg_condition(F, "length")
-    if hyp.verdict != "pass":
-        return CheckReport(name="length-coefficient-bounds",
-                           verdict="hypotheses-not-met",
-                           extras={"reason": "layer alignment condition fails",
-                                   "hypothesis": hyp.name})
+    if not (l1 >= 0.0 and math.isfinite(l1)):
+        raise InvalidParams("boundary length must be finite and >= 0, got %r" % (l1,))
+    if arg_condition(F, "length").verdict != "pass":
+        return _unmet("length-coefficient-bounds", "layer alignment condition fails")
+    if K is None:
+        return _unmet("length-coefficient-bounds", "map is degenerate on the closed disk")
     lhs = np.hypot(F.a.real, F.a.imag) + np.hypot(F.b.real, F.b.imag)
     rhs = K * l1 / (2.0 * math.pi * (np.arange(F.p)[:, None] + np.arange(1, F.J + 1)))
     return _report("length-coefficient-bounds",
@@ -251,8 +257,9 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float) -> CheckReport:
     """Interpolation bound S(r) <= m ** (log r / log r1) on
     THREE_CIRCLES_GRID equispaced radii from r1 to R_EDGE, ends included.
 
-    Hypotheses: the area angle condition, S bounded by 1 near the boundary,
-    and 0 < m < 1 with S(r1) <= m.  Raises InvalidParams unless
+    Hypotheses, in order: the area angle condition, m > 0, the unit budget
+    (m < 1 and S <= 1 near the boundary), and S(r1) <= m; no area is
+    computed before a hypothesis needs it.  Raises InvalidParams unless
     0 < r1 <= R_EDGE and m is finite.
     """
     if not (0.0 < r1 <= R_EDGE):
@@ -260,24 +267,24 @@ def three_circles_area(F: PolyharmonicMap, r1: float, m: float) -> CheckReport:
     if not math.isfinite(m):
         raise InvalidParams("m must be finite, got %r" % (m,))
     hyp = arg_condition(F, "area")
-    s_r1 = float(area_series(F, r1))
-    s_edge = float(area_series(F, R_EDGE))
-    hyp_notes = {
-        "angle_condition": hyp.verdict,
-        "S_at_r1": s_r1,
-        "S_near_boundary": s_edge,
-        "m": m,
-    }
-    if (hyp.verdict != "pass" or not 0.0 < m < 1.0 or s_r1 > m + TOL_REPORT
-            or s_edge > 1.0 + TOL_REPORT):
-        return CheckReport(name="three-circles-area",
-                           verdict="hypotheses-not-met", extras=hyp_notes)
+    notes = {"angle_condition": hyp.verdict, "m": m}
+    if hyp.verdict != "pass":
+        return _unmet("three-circles-area", "area angle condition fails", **notes)
+    if not m > 0.0:
+        return _unmet("three-circles-area", "normalized area at r1 is not positive", **notes)
+    notes["S_near_boundary"] = float(area_series(F, R_EDGE))
+    if not (m < 1.0 and notes["S_near_boundary"] <= 1.0 + TOL_REPORT):
+        return _unmet("three-circles-area", "normalized area exceeds the unit budget",
+                      **notes)
+    notes["S_at_r1"] = float(area_series(F, r1))
+    if notes["S_at_r1"] > m + TOL_REPORT:
+        return _unmet("three-circles-area", "normalized area at r1 exceeds m", **notes)
     grid = np.linspace(r1, R_EDGE, THREE_CIRCLES_GRID)
     s = area_series(F, grid)
     bound = np.exp(math.log(m) * np.log(grid) / math.log(r1))
     return _report("three-circles-area",
                    [(lambda i: "S(r) r=%.17g" % grid[i], np.arange(grid.size), s, bound,
-                     TOL_REPORT)], extras=hyp_notes)
+                     TOL_REPORT)], extras=notes)
 
 
 def _circle_log_max(F: PolyharmonicMap, r: float) -> float:
@@ -330,10 +337,8 @@ def area_schwarz(F: PolyharmonicMap) -> CheckReport:
     with the closed-form growth excess as a second route, and the induced
     S(r) <= r^2 comparison when S stays within the unit-area budget, on
     SCHWARZ_GRID equispaced radii from 0.01 to 0.99."""
-    hyp = arg_condition(F, "area")
-    if hyp.verdict != "pass":
-        return CheckReport(name="area-schwarz", verdict="hypotheses-not-met",
-                           extras={"reason": "area angle condition fails"})
+    if arg_condition(F, "area").verdict != "pass":
+        return _unmet("area-schwarz", "area angle condition fails")
     grid = np.linspace(0.01, 0.99, SCHWARZ_GRID)
     s = area_series(F, grid)
     phi = s / grid ** 2

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 hypotheses not
-met (nothing failed, but a check gave a hypotheses-not-met verdict, a
-hypothesis check failed, or the map does not meet a command's
-hypotheses), 3 usage error, 4 input/output or malformed-file error.  A
-check that ``verify`` skips leaves the exit code alone.
+met (nothing failed, but a check found its hypotheses unmet, one of
+verify's angle conditions failed, or the map does not meet a command's
+hypotheses), 3 usage error, 4 input/output or malformed-file error.
+``verify`` lists a conclusion whose check finds its hypotheses unmet as
+skipped, with the check's reason; a skip leaves the exit code alone.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .core import (PolyharmonicMap, build_map, check_grid_size, dilatation,
                    evaluate, jacobian, quasiregularity_constant, wirtinger)
 from .errors import (DegenerateMap, InvalidDiameter, InvalidParams,
                      MalformedParams, MalformedSpec, NoConvergence,
-                     NoSignChange, NotHarmonicPolynomial, NotIntoDisk,
-                     OutsideDomain, UnknownName)
+                     NoSignChange, OutsideDomain, UnknownName)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -34,7 +34,7 @@ EXIT_HNM = 2
 EXIT_USAGE = 3
 EXIT_IO = 4
 
-_HNM_ERRORS = (DegenerateMap, NoSignChange, NotHarmonicPolynomial, NotIntoDisk)
+_HNM_ERRORS = (DegenerateMap, NoSignChange)
 _USAGE_ERRORS = (InvalidParams, InvalidDiameter, OutsideDomain)
 _IO_ERRORS = (MalformedSpec, MalformedParams, UnknownName, NoConvergence)
 
@@ -280,51 +280,20 @@ def cmd_verify(args) -> int:
     spec = mapspec.load(args.map)
     F = build_map(spec)
     derived = _derived_quantities(F, args)
-    angle = {kind: certificates.arg_condition(F, kind)
-             for kind in ("diameter", "length", "area")}
+    entries = [dict(report.check_to_dict(certificates.arg_condition(F, kind)),
+                    counts_as="hypothesis") for kind in ("diameter", "length", "area")]
     m = float(geometry.area_series(F, args.r1))
-    target = args.M if args.M is not None else derived["coefficient_sum"]
-    # each hypothesis a conclusion may need: whether the map meets it, and
-    # the reason the conclusion is skipped when it does not
-    hypotheses = {
-        "diameter-angle": (angle["diameter"].verdict == "pass",
-                           "layer angle condition fails"),
-        "length-alignment": (angle["length"].verdict == "pass",
-                             "layer alignment condition fails"),
-        "area-angle": (angle["area"].verdict == "pass", "area angle condition fails"),
-        "positive-diameter": (derived["diam"] > 0.0, "image diameter estimate is zero"),
-        "finite-K": (derived["K"] is not None, "map is degenerate on the closed disk"),
-        "positive-area-at-r1": (m > 0.0, "normalized area at r1 is not positive"),
-        "unit-budget": (derived["S_near_boundary"] <= 1.0 + certificates.TOL_REPORT
-                        and m < 1.0, "normalized area exceeds the unit budget"),
-        "target-disk": (target > 0.0, "zero map has no target disk"),
-        "one-layer": (F.p == 1, "table has more than one layer"),
-    }
-    conclusions = (  # in report order: name, hypotheses, run
-        ("diameter-coefficient-bounds", ("diameter-angle", "positive-diameter"),
-         lambda: certificates.diameter_coefficient_bounds(F, derived["diam"])),
-        ("length-coefficient-bounds", ("length-alignment", "finite-K"),
-         lambda: certificates.length_coefficient_bounds(F, derived["K"], derived["l1"])),
-        ("three-circles-area", ("area-angle", "positive-area-at-r1", "unit-budget"),
-         lambda: certificates.three_circles_area(F, args.r1, m)),
-        ("area-schwarz", ("area-angle",), lambda: certificates.area_schwarz(F)),
-        ("j-contraction", ("target-disk",),
-         lambda: metrics.contraction_check(F, target, seed=args.seed)),
-        ("harmonic-j-lipschitz", ("one-layer",),
-         lambda: metrics.harmonic_lipschitz_check(F, seed=args.seed)),
-    )
-    entries = [dict(report.check_to_dict(rep), counts_as="hypothesis")
-               for rep in angle.values()]
-    for name, needs, run in conclusions:
-        reason = next((hypotheses[h][1] for h in needs if not hypotheses[h][0]), None)
-        if reason is None:
-            try:
-                rep = run()
-            except NotIntoDisk:  # found only by sampling the boundary
-                reason = "map does not send the disk into itself"
-        if reason is not None:
-            entries.append({"name": name, "verdict": "skipped", "reason": reason,
-                            "counts_as": "skipped"})
+    # in report order; each check decides its own hypotheses, and the target
+    # radius is the coefficient sum, the strongest the contraction allows
+    for rep in (certificates.diameter_coefficient_bounds(F, derived["diam"]),
+                certificates.length_coefficient_bounds(F, derived["K"], derived["l1"]),
+                certificates.three_circles_area(F, args.r1, m),
+                certificates.area_schwarz(F),
+                metrics.contraction_check(F, derived["coefficient_sum"], seed=args.seed),
+                metrics.harmonic_lipschitz_check(F, seed=args.seed)):
+        if rep.verdict == "hypotheses-not-met":
+            entries.append({"name": rep.name, "verdict": "skipped",
+                            "reason": rep.extras["reason"], "counts_as": "skipped"})
         elif isinstance(rep, certificates.CheckReport):
             entries.append(dict(report.check_to_dict(rep), counts_as="conclusion"))
         else:
@@ -332,12 +301,9 @@ def cmd_verify(args) -> int:
 
     seen = collections.Counter(e["verdict"] for e in entries)
     counts = {v: seen[v] for v in ("pass", "fail", "hypotheses-not-met", "skipped")}
-    failed = any(e["verdict"] == "fail" and e["counts_as"] == "conclusion"
-                 for e in entries)
-    unmet = any(e["verdict"] == "hypotheses-not-met"
-                or (e["verdict"] == "fail" and e["counts_as"] == "hypothesis")
-                for e in entries)
-    exit_code = EXIT_FAIL if failed else EXIT_HNM if unmet else EXIT_PASS
+    failed = {e["counts_as"] for e in entries if e["verdict"] == "fail"}
+    exit_code = (EXIT_FAIL if "conclusion" in failed else EXIT_HNM if failed
+                 else EXIT_PASS)
 
     doc = {
         "tool": "polyharm",
@@ -452,7 +418,6 @@ def build_parser() -> _Parser:
     p.add_argument("--K", type=float)
     p.add_argument("--l1", type=float)
     p.add_argument("--diam", type=float)
-    p.add_argument("--M", type=float)
     p.set_defaults(func=cmd_verify)
 
     p = mapped(sub.add_parser("render", help="SVG sketch of the mapped mesh"))

@@ -122,10 +122,12 @@ class PolyharmonicMap:
     @classmethod
     def from_terms(cls, p: int, J: int, terms) -> "PolyharmonicMap":
         """Build from an iterable of ``(n, j, a, b)`` entries; omitted entries
-        are zero.  Indices are 1-based and must fall inside (p, J)."""
+        are zero.  Indices are 1-based, must fall inside (p, J) and may not
+        repeat."""
         _check_dims(p, J)
         A = np.zeros((p, J), dtype=np.complex128)
         B = np.zeros((p, J), dtype=np.complex128)
+        seen = set()
         for entry in terms:
             try:
                 n, j, av, bv = entry
@@ -135,6 +137,9 @@ class PolyharmonicMap:
                 raise MalformedSpec(f"term indices must be integers, got ({n!r}, {j!r})")
             if not (1 <= n <= p and 1 <= j <= J):
                 raise MalformedSpec(f"term index (n={n}, j={j}) outside table (p={p}, J={J})")
+            if (n, j) in seen:
+                raise MalformedSpec(f"duplicate term for (n={n}, j={j})")
+            seen.add((n, j))
             A[n - 1, j - 1] = complex(av)
             B[n - 1, j - 1] = complex(bv)
         return cls(int(p), int(J), A, B)

@@ -38,7 +38,7 @@ class NoConvergence(PolyharmError):
 
 
 class InvalidDiameter(PolyharmError):
-    """A supplied diameter is not a positive finite number."""
+    """A diameter is not finite, is negative, or is zero for a Landau bound."""
 
 
 class InvalidParams(PolyharmError):
@@ -55,11 +55,3 @@ class NoSignChange(PolyharmError):
 
 class OutsideDomain(PolyharmError):
     """A point lies outside the disk the metric is defined on."""
-
-
-class NotHarmonicPolynomial(PolyharmError):
-    """The map is not a depth-1 (harmonic) polynomial table."""
-
-
-class NotIntoDisk(PolyharmError):
-    """The map does not send the unit disk into the unit disk."""

@@ -9,7 +9,8 @@ polynomials of degree d mapping into the unit disk, and 2 for disk
 automorphisms z -> (z - a) / (1 - conj(a) z); j is rotation-invariant, so
 a rotation factor would change no ratio.  Sampled suprema are lower
 estimates; the checks assert the upper bounds and additionally report how
-close the samples get.
+close the samples get.  A check whose hypothesis fails samples nothing
+and says why in a "hypotheses-not-met" report's ``extras["reason"]``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .certificates import TOL_REPORT
 from .core import PolyharmonicMap, evaluate, ring_values
-from .errors import (InvalidParams, NotHarmonicPolynomial, NotIntoDisk,
-                     OutsideDomain)
+from .errors import InvalidParams, OutsideDomain
 
 # sizes of the pair sample and the largest radius of a random point;
 # verify reports all three
@@ -89,6 +89,11 @@ class LipschitzReport:
     extras: dict = field(default_factory=dict)
 
 
+def _unmet(name, bound, reason, **extras):
+    return LipschitzReport(name, "hypotheses-not-met", math.nan, bound,
+                           extras=dict(extras, reason=reason))
+
+
 def _ratio_sup(fz, fw, z, w, m_target: float):
     num = _j_vec(fz, fw, m_target)
     den = _j_vec(z, w, 1.0)
@@ -104,19 +109,20 @@ def contraction_check(F: PolyharmonicMap, M: float,
     """j-metric contraction from the unit disk into the disk of radius M,
     sampled on the point pairs drawn with ``seed``.
 
-    Hypothesis: the total coefficient sum is at most M, which forces
-    |F(z)| <= M |z| < M.  When it fails the report says so instead of
-    sampling a map that may leave the target disk.
+    Hypotheses: a target disk (M > 0, though the zero map may ask for
+    M = 0), then a coefficient sum of at most M, which forces
+    |F(z)| <= M |z| < M.
     """
+    coeff_sum = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
+    extras = {"coefficient_sum": coeff_sum, "M": M}
+    if M == 0.0 == coeff_sum:
+        return _unmet("j-contraction", 1.0, "zero map has no target disk", **extras)
     if not (math.isfinite(M) and M > 0.0):
         raise InvalidParams("target radius must be positive and finite, got %r"
                             % (M,))
-    coeff_sum = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
-    extras = {"coefficient_sum": coeff_sum, "M": M}
     if coeff_sum > M + 1e-12:
-        return LipschitzReport(name="j-contraction", verdict="hypotheses-not-met",
-                               sup_ratio=float("nan"), bound=1.0, samples=0,
-                               extras=extras)
+        return _unmet("j-contraction", 1.0, "coefficient sum exceeds the target radius",
+                      **extras)
     z, w = _pairs(seed)
     fz = evaluate(F, z)
     fw = evaluate(F, w)
@@ -132,19 +138,18 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> LipschitzRepo
     sampled on the point pairs drawn with ``seed``.
 
     The bound grows with the polynomial degree d as (d sqrt(2d) / 2) pi.
-    Raises NotHarmonicPolynomial unless the table has a single layer, and
-    NotIntoDisk when the maximum over N_BOUNDARY equispaced boundary points
-    exceeds 1.
+    Hypotheses, in order: a single layer, and a maximum over N_BOUNDARY
+    equispaced boundary points of at most 1.
     """
     if F.p != 1:
-        raise NotHarmonicPolynomial("need a single-layer table, got p=%d" % F.p)
+        return _unmet("harmonic-j-lipschitz", math.nan, "table has more than one layer")
     live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
     degree = int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
-    boundary = np.abs(ring_values(F, [1.0], N_BOUNDARY)[0])
-    sup_boundary = float(boundary.max())
-    if sup_boundary > 1.0 + 1e-9:
-        raise NotIntoDisk("boundary modulus reaches %.6g > 1" % sup_boundary)
     bound = 0.5 * degree * math.sqrt(2.0 * degree) * math.pi
+    sup_boundary = float(np.abs(ring_values(F, [1.0], N_BOUNDARY)[0]).max())
+    if sup_boundary > 1.0 + 1e-9:
+        return _unmet("harmonic-j-lipschitz", bound, "map does not send the disk into itself",
+                      degree=degree, boundary_sup=sup_boundary)
     parseval = float(np.sum(np.abs(F.a[0]) ** 2 + np.abs(F.b[0]) ** 2))
     coeff_sum = float(np.sum(np.abs(F.a[0]) + np.abs(F.b[0])))
     z, w = _pairs(seed)

@@ -12,7 +12,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from polyharm import catalog, mapspec
 from polyharm.certificates import (

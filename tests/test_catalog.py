@@ -160,6 +160,19 @@ def test_number_beyond_float_range_is_malformed_params(name, params):
         builtin(name, params)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: form37(eta=10 ** 400),
+    lambda: form37(eta=1.0, zeta2={1: 10 ** 400}),
+    lambda: form37(eta=1.0, theta={1: 10 ** 400}),
+    lambda: monomial(1, 1, 10 ** 400),
+    lambda: linear(10 ** 400, 0),
+], ids=["form37-eta", "form37-zeta2", "form37-theta", "monomial-c", "linear-alpha"])
+def test_library_int_beyond_float_range_is_malformed_params(make):
+    # the makers refuse such an int as builtin() does, not with OverflowError
+    with pytest.raises(MalformedParams):
+        make()
+
+
 def test_form37_pads_to_k_max():
     F = form37(eta=1.0, zeta2={1: 1.0}, k_max=5)
     assert F.J == 5

@@ -271,10 +271,15 @@ def test_diameter_bounds_hypothesis_gate():
 
 
 def test_diameter_bounds_rejects_bad_diameter():
-    with pytest.raises(InvalidDiameter):
-        diameter_coefficient_bounds(catalog.identity(), 0.0)
-    with pytest.raises(InvalidDiameter):
-        diameter_coefficient_bounds(catalog.identity(), math.inf)
+    # a zero diameter is an unmet hypothesis, tested after the angle condition
+    rep = diameter_coefficient_bounds(catalog.identity(), 0.0)
+    assert rep.verdict == "hypotheses-not-met"
+    assert rep.extras["reason"] == "image diameter estimate is zero"
+    rep = diameter_coefficient_bounds(_MISALIGNED, 0.0)
+    assert rep.extras["reason"] == "layer angle condition fails"
+    for diam in (math.inf, math.nan, -1.0):
+        with pytest.raises(InvalidDiameter):
+            diameter_coefficient_bounds(catalog.identity(), diam)
 
 
 def test_diameter_bounds_poukka_consistency():
@@ -316,6 +321,18 @@ def test_length_bounds_rejects_bad_params():
         length_coefficient_bounds(catalog.identity(), 1.0, -1.0)
 
 
+def test_length_bounds_without_finite_K():
+    # K None (no finite constant) is tested after the alignment condition,
+    # and a zero boundary length is accepted
+    zero = catalog.monomial(1, 1, 0.0)
+    for F, reason in ((zero, "map is degenerate on the closed disk"),
+                      (_MISALIGNED, "layer alignment condition fails")):
+        rep = length_coefficient_bounds(F, None, 0.0)
+        assert rep.verdict == "hypotheses-not-met"
+        assert rep.extras["reason"] == reason
+    assert length_coefficient_bounds(zero, 1.0, 0.0).verdict == "pass"
+
+
 # ---- three circles for the area series ----
 
 
@@ -352,6 +369,32 @@ def test_three_circles_rejects_bad_params():
     for m in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParams):
             three_circles_area(catalog.identity(), 0.3, m)
+
+
+@pytest.mark.parametrize("F, m, reason, radii", [
+    (_MISALIGNED, 0.5, "area angle condition fails", []),
+    (catalog.identity(), 0.0, "normalized area at r1 is not positive", []),
+    (catalog.identity(), -0.1, "normalized area at r1 is not positive", []),
+    (catalog.f2(), 0.5, "normalized area exceeds the unit budget", [certificates.R_EDGE]),
+    (catalog.identity(), 1.0, "normalized area exceeds the unit budget",
+     [certificates.R_EDGE]),
+    (catalog.identity(), 0.05, "normalized area at r1 exceeds m",
+     [certificates.R_EDGE, 0.3]),
+], ids=["angle", "m-zero", "m-negative", "edge-area", "m-one", "area-at-r1"])
+def test_three_circles_reasons_in_order(monkeypatch, F, m, reason, radii):
+    # each unmet hypothesis gives its reason, and only the areas that
+    # hypothesis and the ones before it need are computed
+    asked = []
+
+    def counted(F, r):
+        asked.append(r)
+        return area_series(F, r)
+
+    monkeypatch.setattr(certificates, "area_series", counted)
+    rep = three_circles_area(F, 0.3, m)
+    assert rep.verdict == "hypotheses-not-met"
+    assert rep.extras["reason"] == reason
+    assert asked == radii
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0])

@@ -343,6 +343,35 @@ def test_verify_check_order_and_skip_reasons(tmp_path, capsys, text, skips):
             if e["verdict"] == "skipped"} == skips
 
 
+_ORDER_MAPS = {"f2": '{"builtin": "f2"}', "F1": '{"builtin": "F1", "params": {"J": 9}}',
+               "f0": _F0_J9, "identity": '{"builtin": "identity"}'}
+
+
+def test_verify_output_does_not_depend_on_what_ran_before(tmp_path, capsys):
+    # process-wide state (the angle reports kept for the map last asked
+    # about, the lru caches, the cached parser) must not carry one map's
+    # verify into the next: in-process runs in either order and one fresh
+    # process per map give the same exit codes and reports
+    paths = {name: _write(tmp_path, name + ".map", text)
+             for name, text in _ORDER_MAPS.items()}
+    runs = []
+    for order in (list(paths), list(paths)[::-1]):
+        run = {}
+        for name in order:
+            code = main(["verify", "--map", paths[name]])
+            run[name] = (code, capsys.readouterr().out)
+        runs.append(run)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(polyharm.__file__))
+    runs.append({})
+    for name, path in paths.items():
+        done = subprocess.run([sys.executable, "-m", "polyharm", "verify", "--map", path],
+                              env=env, capture_output=True, text=True)
+        runs[2][name] = (done.returncode, done.stdout)
+    assert runs[0] == runs[1] == runs[2]
+    assert [runs[0][name][0] for name in paths] == [0, 2, 2, 0]
+
+
 def test_landau_length_folding_map_hnm(tmp_path, capsys):
     path = _write(tmp_path, "f0.map", '{"builtin": "f0", "params": {"J": 9}}')
     assert main(["landau", "--mode", "length", "--map", path]) == 2
@@ -543,7 +572,8 @@ _BAD_VALUES = {"z": ("nan", "inf"), "w": ("inf",), "mobius_a": ("nan",),
                "l1": ("inf", "0", "nan"), "diam": ("0", "nan", "inf"),
                "M": ("-1", "inf"), "tol": ("0", "nan", "-1", "inf")}
 # removed numeric options: any value of them is an unknown argument
-_RETIRED_OPTIONS = [("length", "--tol", "tol"), ("landau", "--tol", "tol")]
+_RETIRED_OPTIONS = [("length", "--tol", "tol"), ("landau", "--tol", "tol"),
+                    ("verify", "--M", "M")]
 # every way a command is called: each mode and each area method
 _MODES = {"length": (["--sup"], ["--r", "0.5"]),
           "area": tuple(["--r", "0.5", "--method", m] for m in ("series", "quadrature", "both")),
@@ -569,7 +599,7 @@ def test_bad_value_is_refused_before_the_map_is_read(tmp_path, capsys, monkeypat
 
     for name in _ESTIMATORS:
         monkeypatch.setattr(geometry, name, unreachable)
-    if dest in cli._VALUE_RULES:
+    if (command, option, dest) not in _RETIRED_OPTIONS:
         message = "%s must be %s, got " % (option, cli._VALUE_RULES[dest][0])
     else:
         message = "unrecognized arguments: %s=" % option

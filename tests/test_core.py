@@ -70,6 +70,12 @@ def test_from_terms_rejects_bad_indices():
         PolyharmonicMap.from_terms(1, 1, [(1.5, 1, 1.0, 0.0)])
 
 
+def test_from_terms_rejects_a_repeated_term():
+    # as a mapping file does, instead of keeping the last of the two
+    with pytest.raises(MalformedSpec, match=r"duplicate term for \(n=1, j=1\)"):
+        PolyharmonicMap.from_terms(1, 2, [(1, 1, 1.0, 0), (1, 1, 5.0, 0)])
+
+
 def test_table_size_is_capped_before_allocation():
     # a table one entry over the cap is refused on its p and J alone
     with pytest.raises(MalformedSpec, match=r"has 4097 entries.* 131104 bytes"):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from polyharm import catalog
-from polyharm.errors import (
-    InvalidParams,
-    NotHarmonicPolynomial,
-    NotIntoDisk,
-    OutsideDomain,
-)
+from polyharm.errors import InvalidParams, OutsideDomain
 from polyharm import metrics
 from polyharm.metrics import (
     contraction_check,
@@ -126,6 +121,20 @@ def test_contraction_rejects_bad_target():
         contraction_check(catalog.identity(), 0.0)
 
 
+def test_contraction_reasons():
+    # the zero map's coefficient sum, 0, is a target radius with no disk
+    zero = catalog.monomial(1, 1, 0.0)
+    for F, M, reason in ((zero, 0.0, "zero map has no target disk"),
+                         (catalog.linear(1.0, 0.5), 1.2,
+                          "coefficient sum exceeds the target radius")):
+        rep = contraction_check(F, M)
+        assert rep.verdict == "hypotheses-not-met"
+        assert rep.extras["reason"] == reason and rep.samples == 0
+    for M in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            contraction_check(zero, M)
+
+
 # ---- harmonic polynomial Lipschitz bound ----
 
 
@@ -157,10 +166,13 @@ def test_harmonic_check_random_scaled_polys():
 
 
 def test_harmonic_check_guards():
-    with pytest.raises(NotHarmonicPolynomial):
-        harmonic_lipschitz_check(catalog.f2())
-    with pytest.raises(NotIntoDisk):
-        harmonic_lipschitz_check(catalog.linear(2.0, 0.0))
+    # each unmet hypothesis is a verdict with its reason, and no pair is sampled
+    for F, reason in ((catalog.f2(), "table has more than one layer"),
+                      (catalog.linear(2.0, 0.0), "map does not send the disk into itself")):
+        rep = harmonic_lipschitz_check(F)
+        assert rep.verdict == "hypotheses-not-met"
+        assert rep.extras["reason"] == reason
+        assert math.isnan(rep.sup_ratio) and rep.samples == 0
 
 
 # ---- envelope comparison profile ----
