@@ -35,10 +35,10 @@ def main():
     sups = []
     for _ in range(20):
         rep = contraction_check(normalized_random_map(rng), 1.0)
-        sups.append(rep.sup_ratio)
+        sups.append(rep.worst().lhs)
     print("  max over 20 draws: %.12f (must stay <= 1)" % max(sups))
     rep = contraction_check(catalog.monomial(2, 1, 1.0), 1.0)
-    print("  |z|^2 z pushes the sup to %.12f" % rep.sup_ratio)
+    print("  |z|^2 z pushes the sup to %.12f" % rep.worst().lhs)
     print()
 
     print("harmonic polynomials scaled to boundary sup 0.999")
@@ -51,7 +51,8 @@ def main():
         F = scale_map(F, 0.999 / float(np.abs(evaluate(F, np.exp(1j * th))).max()))
         rep = harmonic_lipschitz_check(F)
         print("  degree=%d  sup=%.6f  bound=%.6f  verdict=%s"
-              % (rep.extras["degree"], rep.sup_ratio, rep.bound, rep.verdict))
+              % (rep.extras["degree"], rep.extras["sup_ratio"], rep.extras["bound"],
+                 rep.verdict))
     print()
 
     print("envelope comparison factor psi on [0, 1)")
@@ -64,7 +65,7 @@ def main():
     print("disk automorphism distortion (bound is 2)")
     for a in (0.0, 0.3, 0.6, 0.9):
         rep = mobius_j_distortion(a)
-        print("  |a|=%.1f  sup=%.12f  verdict=%s" % (a, rep.sup_ratio, rep.verdict))
+        print("  |a|=%.1f  sup=%.12f  verdict=%s" % (a, rep.worst().lhs, rep.verdict))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,8 @@ from .certificates import (CheckReport, Margin, area_schwarz, arg_condition,
                            hadamard_three_circles, length_coefficient_bounds,
                            three_circles_area)
 from .landau import LandauResult, landau_from_diameter, landau_from_length
-from .metrics import (LipschitzReport, contraction_check,
-                      harmonic_lipschitz_check, j_metric, mobius_j_distortion,
-                      psi_profile)
+from .metrics import (contraction_check, harmonic_lipschitz_check, j_metric,
+                      mobius_j_distortion, psi_profile)
 from .catalog import BUILTIN_NAMES, builtin
 from .mapspec import MappingSpec, digest, from_map
 from . import errors
@@ -37,8 +36,8 @@ __all__ = [
     # landau
     "LandauResult", "landau_from_diameter", "landau_from_length",
     # metrics
-    "LipschitzReport", "contraction_check", "harmonic_lipschitz_check",
-    "j_metric", "mobius_j_distortion", "psi_profile",
+    "contraction_check", "harmonic_lipschitz_check", "j_metric",
+    "mobius_j_distortion", "psi_profile",
     # catalog / files
     "BUILTIN_NAMES", "builtin",
     "MappingSpec", "digest", "from_map",

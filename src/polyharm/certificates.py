@@ -1,11 +1,12 @@
 """Checkable inequality certificates for truncated polyharmonic maps.
 
-Each check returns a CheckReport: a verdict ("pass", "fail", or
-"hypotheses-not-met"), the number of margins (one per tested inequality
-instance, slack = rhs - lhs for bounds of the form lhs <= rhs), the worst
-margin, and witnesses for the smallest or negative slacks.  A report fails
-exactly when some margin's slack drops below minus that margin's
-tolerance.  Margins travel as numpy columns; ``margins`` rebuilds them.
+Every check, those in ``metrics`` too, returns a CheckReport from
+``_report``: a verdict ("pass", "fail", or "hypotheses-not-met"), the
+number of margins (one per tested inequality instance, slack = rhs - lhs
+for bounds lhs <= rhs), the worst margin, and witnesses for the smallest
+or negative slacks.  A report fails exactly when some margin's slack
+drops below minus its tolerance; a margin that cannot be evaluated (NaN)
+has slack -inf.  ``margins`` rebuilds the numpy columns.
 
 Each check tests its hypotheses in a fixed order and reports the first
 unmet one as a "hypotheses-not-met" verdict with ``extras["reason"]``;
@@ -79,6 +80,11 @@ class CheckReport:
         return self.worst_margin
 
     @property
+    def samples(self) -> int:
+        """The margins tested, under the name the sampled metric checks use."""
+        return self.count
+
+    @property
     def margins(self) -> tuple:
         """Every margin in check order, rebuilt from the column blocks."""
         rows = []
@@ -90,10 +96,11 @@ class CheckReport:
 
 
 def _columns(blocks):
-    # each block with its slack; rhs None is the bound lhs <= 0 (slack -lhs keeps -0.0)
+    # each block with its slack; rhs None is the bound lhs <= 0 (slack -lhs keeps
+    # -0.0), and a margin that could not be evaluated (NaN) has slack -inf
     for ids, key, lhs, rhs, tol in blocks:
-        yield (ids, key, lhs, 0.0, -lhs, tol) if rhs is None else \
-            (ids, key, lhs, rhs, rhs - lhs, tol)
+        rhs, slack = (0.0, -lhs) if rhs is None else (rhs, rhs - lhs)
+        yield ids, key, lhs, rhs, np.where(np.isnan(slack), -np.inf, slack), tol
 
 
 def _report(name, blocks, extras=None):
@@ -107,9 +114,9 @@ def _report(name, blocks, extras=None):
     for block in _columns(blocks):
         _, key, _, _, slack, tol = block
         count += slack.size
-        # the 16 smallest slacks' rows (ties in row order, NaN last), sorted
+        # the 16 smallest slacks' rows (ties in row order), sorted
         rows = np.arange(slack.size) if slack.size <= 256 else \
-            np.flatnonzero(~(slack > np.partition(slack, 15)[15]))
+            np.flatnonzero(slack <= np.partition(slack, 15)[15])
         picked = rows[np.argsort(slack[rows], kind="stable")[:16]]
         cands = list(zip(slack[picked].tolist(), key[picked].tolist(), picked.tolist(),
                          [block] * picked.size))
@@ -310,8 +317,7 @@ def hadamard_three_circles(F: PolyharmonicMap, r1: float, r2: float) -> CheckRep
     if not (0.0 < r1 < r2 <= 1.0):
         raise InvalidParams("need 0 < r1 < r2 <= 1")
     if F.max_coefficient() == 0.0:
-        return CheckReport(name="hadamard-three-circles", verdict="pass",
-                           extras={"reason": "zero map"})
+        return _report("hadamard-three-circles", [], extras={"reason": "zero map"})
     grid = np.linspace(r1, r2, 25)[1:-1]
     log_m1 = _circle_log_max(F, r1)
     log_m2 = _circle_log_max(F, r2)

@@ -214,6 +214,8 @@ def cmd_schwarz(args) -> int:
 def _print_check(rep, *own) -> int:
     print("check = %s" % rep.name)
     print("verdict = %s" % rep.verdict)
+    if rep.verdict == "hypotheses-not-met":
+        print("reason = %s" % rep.extras["reason"])
     for line in own:  # the check's own lines go before its worst slack
         print(line)
     worst = rep.worst()
@@ -226,8 +228,8 @@ def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
         rep = metrics.mobius_j_distortion(args.mobius_a,
                                           seed=7 if args.seed is None else args.seed)
-        print("sup_ratio = %.17g" % rep.sup_ratio)
-        print("bound = %.17g" % rep.bound)
+        print("sup_ratio = %.17g" % rep.worst().lhs)
+        print("bound = %.17g" % rep.worst().rhs)
         print("verdict = %s" % rep.verdict)
         return _verdict_exit(rep.verdict)
     if args.z is None or args.w is None:
@@ -294,10 +296,8 @@ def cmd_verify(args) -> int:
         if rep.verdict == "hypotheses-not-met":
             entries.append({"name": rep.name, "verdict": "skipped",
                             "reason": rep.extras["reason"], "counts_as": "skipped"})
-        elif isinstance(rep, certificates.CheckReport):
-            entries.append(dict(report.check_to_dict(rep), counts_as="conclusion"))
         else:
-            entries.append(dict(report.to_jsonable(rep), counts_as="conclusion"))
+            entries.append(dict(report.check_to_dict(rep), counts_as="conclusion"))
 
     seen = collections.Counter(e["verdict"] for e in entries)
     counts = {v: seen[v] for v in ("pass", "fail", "hypotheses-not-met", "skipped")}
@@ -332,10 +332,10 @@ def cmd_verify(args) -> int:
         "summary": dict(counts, exit_code=exit_code),
     }
     text = report.render_json(doc)
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first, so that a path that cannot be written leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return exit_code
 
 

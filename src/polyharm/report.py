@@ -45,16 +45,14 @@ def to_jsonable(v):
 
 
 def check_to_dict(rep: CheckReport) -> dict:
-    worst = rep.worst()
-    out = {
+    return {
         "name": rep.name,
         "verdict": rep.verdict,
         "margins": rep.count,
-        "worst_margin": to_jsonable(worst) if worst is not None else None,
+        "worst_margin": to_jsonable(rep.worst()),
         "witnesses": to_jsonable(rep.witnesses),
         "extras": to_jsonable(rep.extras),
     }
-    return out
 
 
 def render_json(doc: dict) -> str:

@@ -195,13 +195,13 @@ def test_criterion_09_metric_contraction_family():
         for _ in range(100):
             rep = contraction_check(random_sum_normalized(rng), 1.0)
             assert rep.verdict == "pass"
-            assert rep.sup_ratio <= 1.0 + 1e-9
+            assert rep.worst().lhs <= 1.0 + 1e-9
         rep = contraction_check(catalog.monomial(2, 1, 1.0), 1.0)
-        assert rep.sup_ratio >= 0.999
+        assert rep.worst().lhs >= 0.999
         for _ in range(100):
             rep = harmonic_lipschitz_check(random_harmonic_poly(rng))
             assert rep.verdict == "pass"
-            assert rep.sup_ratio <= rep.bound + 1e-9
+            assert rep.extras["sup_ratio"] <= rep.extras["bound"] + 1e-9
         psi = psi_profile(np.linspace(0.0, 1.0 - 1e-6, 1024))
         assert psi[0] == 1.0
         assert np.all(np.diff(psi) > 0.0)
@@ -209,7 +209,7 @@ def test_criterion_09_metric_contraction_family():
         for _ in range(20):
             a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             rep = mobius_j_distortion(complex(a))
-            assert rep.sup_ratio <= 2.0 + 1e-9
+            assert rep.worst().lhs <= 2.0 + 1e-9
 
 
 def test_criterion_10_square_image_truncation():

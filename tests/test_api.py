@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import polyharm
-from polyharm import catalog
+from polyharm import catalog, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
@@ -62,6 +62,28 @@ def test_traced_functions_exist(monkeypatch):
     # the tracer counts wirtinger work as points * F.p * F.J
     F = catalog.f2()
     assert (F.p, F.J) == (3, 1)
+
+
+@pytest.mark.parametrize("name", ["identity", "f2"])
+def test_traced_verify_prints_what_an_untraced_one_prints(monkeypatch, tmp_path, capsys,
+                                                          name):
+    # the tracer reads each metrics check's result.samples; a report without
+    # it would make every traced j check raise
+    path = tmp_path / (name + ".map")
+    path.write_text('{"builtin": "%s"}\n' % name, encoding="utf-8")
+    argv = ["verify", "--map", str(path)]
+    code = cli.main(argv)
+    plain = capsys.readouterr()
+    tracer = _tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        traced_code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert (traced_code, capsys.readouterr()) == (code, plain)
+    assert tracer.orphans == 0
+    assert tracer.calls["cli.main"] == 1
+    assert tracer.counters["metrics.samples"] > 0
 
 
 def test_equispaced_circles_are_sampled_only_in_core():

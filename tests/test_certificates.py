@@ -515,3 +515,15 @@ def test_margin_worst_and_witnesses():
     assert worst.slack == min(m.slack for m in rep.margins)
     assert rep.witnesses  # the binding margin is always reported
     assert rep.witnesses[0]["slack"] == worst.slack
+
+
+def test_a_margin_that_cannot_be_evaluated_fails():
+    # a NaN lhs is no evidence that the bound holds: its slack is -inf, so
+    # it is the worst margin and a failing witness, among 300 passing rows
+    lhs = np.zeros(300)
+    lhs[250] = math.nan
+    rep = certificates._report("t", [(lambda i: "row %d" % i, np.arange(300), lhs, 1.0,
+                                      1e-9)])
+    assert rep.verdict == "fail" and rep.count == 300
+    assert rep.worst().check_id == "row 250" and rep.worst().slack == -math.inf
+    assert rep.witnesses == ({"check_id": "row 250", "slack": -math.inf},)

@@ -160,6 +160,22 @@ def test_schwarz_hnm(tmp_path, capsys):
     assert main(["schwarz", "--map", path]) == 2
 
 
+def test_hypotheses_not_met_prints_the_reason(f2_map, tmp_path, capsys):
+    # the check's first unmet hypothesis follows the verdict
+    assert main(["three-circles", "--map", f2_map, "--r1", "0.3"]) == 2
+    assert capsys.readouterr().out == ("check = three-circles-area\n"
+                                       "verdict = hypotheses-not-met\n"
+                                       "reason = normalized area exceeds the unit budget\n")
+    path = _write(tmp_path, "mis.map",
+                  '{"p": 2, "J": 1, "terms": ['
+                  '{"n": 1, "j": 1, "a": [1, 0]},'
+                  '{"n": 2, "j": 1, "a": [-1, 0]}]}')
+    assert main(["schwarz", "--map", path]) == 2
+    assert capsys.readouterr().out == ("check = area-schwarz\n"
+                                       "verdict = hypotheses-not-met\n"
+                                       "reason = area angle condition fails\n")
+
+
 # ---- metric commands ----
 
 
@@ -234,6 +250,39 @@ def test_verify_pass_and_deterministic(f2_map, tmp_path, capsys):
     names = [c["name"] for c in doc["checks"]]
     assert "diameter-coefficient-bounds" in names
     assert "area-schwarz" in names
+
+
+def test_verify_out_that_cannot_be_written_prints_nothing(f2_map, tmp_path, capsys):
+    # the report file is written before stdout, so an io error prints no report
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--map", f2_map, "--out", str(out)]) == 4
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("io error: ")
+    assert not out.parent.exists()
+
+
+def test_verify_error_leaves_no_out_file(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    bad = _write(tmp_path, "bad.map", '{"p": 1, "J": 1, "terms": [')
+    assert main(["verify", "--map", bad, "--out", str(out)]) == 4
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+_SCHEMA = {"name", "verdict", "margins", "worst_margin", "witnesses", "extras", "counts_as"}
+
+
+@pytest.mark.parametrize("text", ['{"builtin": "identity"}', '{"builtin": "f2"}',
+                                  '{"builtin": "F1", "params": {"J": 9}}'],
+                         ids=["identity", "f2", "F1"])
+def test_verify_entries_share_one_schema(tmp_path, capsys, text):
+    # every entry that ran, the j-metric checks included, has the same keys
+    path = _write(tmp_path, "m.map", text)
+    main(["verify", "--map", path])
+    ran = [e for e in json.loads(capsys.readouterr().out)["checks"]
+           if e["verdict"] != "skipped"]
+    assert "j-contraction" in [e["name"] for e in ran]
+    assert {e["name"]: set(e) for e in ran} == {e["name"]: _SCHEMA for e in ran}
 
 
 def test_verify_square_map_is_deterministic(tmp_path, capsys):

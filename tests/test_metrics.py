@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polyharm import catalog
+from polyharm.core import PolyharmonicMap
 from polyharm.errors import InvalidParams, OutsideDomain
 from polyharm import metrics
 from polyharm.metrics import (
@@ -73,21 +74,21 @@ def test_pair_sampler_is_deterministic():
 def test_contraction_identity_is_isometry():
     rep = contraction_check(catalog.identity(), 1.0)
     assert rep.verdict == "pass"
-    assert rep.sup_ratio == 1.0
-    assert rep.samples == 512 + 64
+    assert rep.worst().lhs == 1.0 and rep.worst().rhs == 1.0
+    assert rep.samples == rep.count == 512 + 64
 
 
 def test_contraction_cubic_is_sharp():
     # |z|^2 z: the ray pairs push the ratio to 1 from below
     rep = contraction_check(catalog.monomial(2, 1, 1.0), 1.0)
     assert rep.verdict == "pass"
-    assert 0.999 <= rep.sup_ratio <= 1.0 + 1e-9
+    assert 0.999 <= rep.worst().lhs <= 1.0 + 1e-9
 
 
 def test_contraction_f2_into_triple_disk():
     rep = contraction_check(catalog.f2(), 3.0)
     assert rep.verdict == "pass"
-    assert rep.sup_ratio <= 1.0 + 1e-9
+    assert rep.worst().lhs <= 1.0 + 1e-9
     assert rep.extras["coefficient_sum"] == 3.0
 
 
@@ -97,13 +98,13 @@ def test_contraction_random_normalized_maps():
         F = random_sum_normalized(rng)
         rep = contraction_check(F, 1.0)
         assert rep.verdict == "pass"
-        assert rep.sup_ratio <= 1.0 + 1e-9
+        assert rep.worst().lhs <= 1.0 + 1e-9
 
 
 def test_contraction_hypothesis_gate():
     rep = contraction_check(catalog.linear(1.0, 0.5), 1.2)
     assert rep.verdict == "hypotheses-not-met"
-    assert math.isnan(rep.sup_ratio) and rep.samples == 0
+    assert rep.worst() is None and rep.samples == 0
 
 
 def test_contraction_sum_condition_is_not_necessary():
@@ -142,9 +143,12 @@ def test_harmonic_check_identity():
     rep = harmonic_lipschitz_check(catalog.identity())
     assert rep.verdict == "pass"
     assert rep.extras["degree"] == 1
-    assert abs(rep.bound - 0.5 * math.sqrt(2.0) * math.pi) <= 1e-15
-    assert rep.sup_ratio <= 1.0 + 1e-12
+    assert abs(rep.extras["bound"] - 0.5 * math.sqrt(2.0) * math.pi) <= 1e-15
+    assert rep.extras["sup_ratio"] <= 1.0 + 1e-12
     assert rep.extras["parseval_sum"] == 1.0
+    # the pairs, then the Parseval and coefficient sums; Parseval is tight
+    assert rep.count == 512 + 64 + 2
+    assert (rep.worst().check_id, rep.worst().slack) == ("parseval sum", 0.0)
 
 
 def test_harmonic_check_counterexample_map_passes():
@@ -162,7 +166,7 @@ def test_harmonic_check_random_scaled_polys():
         F = random_harmonic_poly(rng)
         rep = harmonic_lipschitz_check(F)
         assert rep.verdict == "pass"
-        assert rep.sup_ratio <= rep.bound + 1e-9
+        assert rep.extras["sup_ratio"] <= rep.extras["bound"] + 1e-9
 
 
 def test_harmonic_check_guards():
@@ -172,7 +176,21 @@ def test_harmonic_check_guards():
         rep = harmonic_lipschitz_check(F)
         assert rep.verdict == "hypotheses-not-met"
         assert rep.extras["reason"] == reason
-        assert math.isnan(rep.sup_ratio) and rep.samples == 0
+        assert rep.worst() is None and rep.samples == 0
+
+
+def test_harmonic_check_fails_a_ratio_it_cannot_evaluate():
+    # z^512 / sqrt(2) + i conj(z)^512 / sqrt(2) reads |F| = 1 at all 2048
+    # boundary samples but reaches sqrt(2) between them, so the sampled
+    # images leave the disk, some ratios are NaN, and the check fails
+    J = 512
+    a, b = np.zeros((1, J), complex), np.zeros((1, J), complex)
+    a[0, -1], b[0, -1] = 1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    with np.errstate(invalid="ignore"):
+        rep = harmonic_lipschitz_check(PolyharmonicMap(1, J, a, b))
+    assert abs(rep.extras["boundary_sup"] - 1.0) <= 1e-12
+    assert rep.verdict == "fail"
+    assert math.isnan(rep.worst().lhs) and rep.worst().slack == -math.inf
 
 
 # ---- envelope comparison profile ----
@@ -199,7 +217,7 @@ def test_psi_profile_domain():
 def test_mobius_rotation_is_isometry():
     rep = mobius_j_distortion(0.0)
     assert rep.verdict == "pass"
-    assert rep.sup_ratio == 1.0
+    assert rep.worst().lhs == 1.0
 
 
 def test_mobius_distortion_bounded_by_two():
@@ -208,13 +226,13 @@ def test_mobius_distortion_bounded_by_two():
         a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rep = mobius_j_distortion(complex(a))
         assert rep.verdict == "pass"
-        assert rep.sup_ratio <= 2.0 + 1e-9
+        assert rep.worst().lhs <= 2.0 + 1e-9
 
 
 def test_mobius_distortion_not_trivial():
     # a genuine shift does distort: the sup stays clearly above 1
     rep = mobius_j_distortion(0.6)
-    assert rep.sup_ratio > 1.1
+    assert rep.worst().lhs > 1.1
 
 
 def test_mobius_rejects_boundary_parameter():
@@ -244,4 +262,4 @@ def test_mobius_distortion_is_rotation_invariant(theta):
         return np.exp(1j * theta) * (q - a) / (1.0 - np.conj(a) * q)
 
     rotated = float(np.max(j(mob(z), mob(w)) / j(z, w)))
-    assert rotated == pytest.approx(mobius_j_distortion(a).sup_ratio, rel=1e-14)
+    assert rotated == pytest.approx(mobius_j_distortion(a).worst().lhs, rel=1e-14)

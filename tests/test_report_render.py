@@ -48,16 +48,18 @@ def test_check_report_serialization():
 
 def test_lipschitz_report_serialization():
     rep = contraction_check(catalog.identity(), 1.0)
-    d = to_jsonable(rep)
-    assert d == {"name": "j-contraction", "verdict": rep.verdict,
-                 "sup_ratio": 1.0, "bound": rep.bound,
-                 "worst_pair": to_jsonable(rep.worst_pair),
-                 "samples": rep.samples, "extras": to_jsonable(rep.extras)}
+    d = check_to_dict(rep)
+    # the j checks serialize like every other check: one margin per pair
+    assert d == {"name": "j-contraction", "verdict": "pass", "margins": 512 + 64,
+                 "worst_margin": to_jsonable(rep.worst()),
+                 "witnesses": to_jsonable(rep.witnesses),
+                 "extras": {"coefficient_sum": 1.0, "M": 1.0}}
+    assert (d["worst_margin"]["lhs"], d["worst_margin"]["rhs"]) == (1.0, 1.0)
     json.dumps(d)
     hnm = contraction_check(catalog.linear(1.0, 0.5), 1.2)
-    # NaN sup must serialize as null, not break strict JSON
-    text = render_json(to_jsonable(hnm))
-    assert json.loads(text)["sup_ratio"] is None
+    # a check that samples nothing has no worst margin: null in strict JSON
+    text = render_json(check_to_dict(hnm))
+    assert json.loads(text)["worst_margin"] is None
 
 
 def test_report_on_area_schwarz_extras():
