@@ -348,46 +348,69 @@ def dilatation(F: PolyharmonicMap, z) -> DilatationPair:
 _K_RADII, _K_ANGLES = 256, 512
 _K_BLOCK = 32  # rings per ring_wirtinger call
 _K_TOL = 1e-10
+# rounding allowance of a sampled squared modulus, relative to the square
+# of its series' coefficient sum; the FFT's own error is below 1e-13 of it
+_RING_ROUNDING = 1e-12
 
 
-def quasiregularity_constant(F: PolyharmonicMap) -> float:
-    """Supremum of lambda_big / lambda_small over the closed unit disk.
+def _circle_range(samples, degree: int, scale: float):
+    # bounds (lo, hi) on the whole circle of a real trigonometric polynomial
+    # T of degree `degree` from its samples at n > 2 degree equispaced
+    # angles.  With m the samples' midrange, T - m has the same degree, so
+    # (van der Corput and Schaake, 1935) |T - m| <= sec(pi degree / n) times
+    # its sample maximum, which rounding raises by at most
+    # _RING_ROUNDING * scale.  Fewer samples bound nothing
+    n = samples.size
+    if 2 * degree >= n:
+        return -np.inf, np.inf
+    lo, hi = float(samples.min()), float(samples.max())
+    mid = 0.5 * (lo + hi)
+    half = (0.5 * (hi - lo) + _RING_ROUNDING * scale) / np.cos(np.pi * degree / n)
+    return mid - half, mid + half
 
-    Scans a polar grid of 256 radii x 512 angles, taken from each circle's
-    spectrum by :func:`ring_wirtinger`, then zooms in radius and then in
-    angle around the best sample, each down to a 1e-10 bracket, on the
-    pointwise :func:`wirtinger`; the result is a lower bound for the true
-    supremum.  Raises :class:`DegenerateMap` when the Jacobian takes both
-    signs among the probed points, since lambda_small then vanishes between
-    the two witnesses and the map folds, and as soon as lambda_small drops
-    below ``1e-12 * (1 + max coefficient)`` at any probed point.  Both
-    checks see the whole grid before any zoom.
-    """
-    tol_deg = 1e-12 * (1.0 + F.max_coefficient())
+
+def _k_ratios(d, big, at, floor):
+    # lambda_big / lambda_small from d = |F_z| - |F_zbar|, which has the sign
+    # of the Jacobian, and big = |F_z| + |F_zbar|, both overwritten; at(i)
+    # is the point of flat index i
+    if d.max() > 0.0 > d.min():
+        jac = d * big
+        pos, neg = int(np.argmax(jac)), int(np.argmin(jac))
+        raise DegenerateMap(f"the Jacobian takes both signs: {jac.flat[pos]:.3e} "
+                            f"at z = {at(pos):.6g}, {jac.flat[neg]:.3e} "
+                            f"at z = {at(neg):.6g}")
+    lam = np.abs(d, out=d)
+    if lam.min() < floor:
+        i = int(np.argmin(lam))
+        raise DegenerateMap(f"lambda_small = {lam.flat[i]:.3e} near z = {at(i):.6g}")
+    return np.divide(big, lam, out=big)
+
+
+def _k_probe(F, z, floor):
+    # the ratios at the points z, on the pointwise kernel
+    m, mm = (np.abs(w) for w in wirtinger(F, z))
+    return _k_ratios(m - mm, m + mm, lambda i: z.flat[i], floor)
+
+
+def _k_floor(F):
+    # the smallest lambda_small either route accepts
+    return 1e-12 * (1.0 + F.max_coefficient())
+
+
+def _k_theta_zoom(F, floor, th0, r, v):
+    # the largest of v and of the ratios on |z| = r within a grid step of th0
+    dth = 2.0 * np.pi / _K_ANGLES
+    _, v_th = zoom_max(lambda ts: _k_probe(F, r * np.exp(1j * ts), floor),
+                       th0 - dth, th0 + dth, _K_TOL)
+    return float(max(v, v_th))
+
+
+def _k_grid(F: PolyharmonicMap) -> float:
+    # quasiregularity_constant's grid route
+    floor = _k_floor(F)
     radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
     u = np.exp(1j * th)
-
-    def ratios(d, big, at):
-        # lambda_big / lambda_small from d = |F_z| - |F_zbar|, which has the
-        # sign of the Jacobian, and big = |F_z| + |F_zbar|, both overwritten;
-        # at(i) is the point of flat index i
-        if d.max() > 0.0 > d.min():
-            jac = d * big
-            pos, neg = int(np.argmax(jac)), int(np.argmin(jac))
-            raise DegenerateMap(f"the Jacobian takes both signs: {jac.flat[pos]:.3e} "
-                                f"at z = {at(pos):.6g}, {jac.flat[neg]:.3e} "
-                                f"at z = {at(neg):.6g}")
-        lam = np.abs(d, out=d)
-        if lam.min() < tol_deg:
-            i = int(np.argmin(lam))
-            raise DegenerateMap(f"lambda_small = {lam.flat[i]:.3e} near z = {at(i):.6g}")
-        return np.divide(big, lam, out=big)
-
-    def probe(z):
-        m, mm = (np.abs(w) for w in wirtinger(F, z))
-        return ratios(m - mm, m + mm, lambda i: z.flat[i])
-
     # the spectra of 32 rings (2^14 samples) are reused from the heap
     # instead of being page-faulted in afresh on every call
     d = np.empty((_K_RADII, _K_ANGLES))
@@ -396,17 +419,71 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
         m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:k + _K_BLOCK], _K_ANGLES))
         np.subtract(m, mm, out=d[k:k + _K_BLOCK])
         np.add(m, mm, out=big[k:k + _K_BLOCK])
-    ratio = ratios(d, big, lambda i: radii[i // _K_ANGLES] * u[i % _K_ANGLES])
+    ratio = _k_ratios(d, big, lambda i: radii[i // _K_ANGLES] * u[i % _K_ANGLES], floor)
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
-    best = float(ratio[i0, j0])
     th0 = float(th[j0])
     r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
     r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else 1.0
-    r_best, v_r = zoom_max(lambda rs: probe(rs * np.exp(1j * th0)), r_lo, r_hi, _K_TOL)
-    dth = 2.0 * np.pi / _K_ANGLES
-    _, v_th = zoom_max(lambda ts: probe(r_best * np.exp(1j * ts)),
-                       th0 - dth, th0 + dth, _K_TOL)
-    return float(max(best, v_r, v_th))
+    r_best, v_r = zoom_max(lambda rs: _k_probe(F, rs * np.exp(1j * th0), floor),
+                           r_lo, r_hi, _K_TOL)
+    return _k_theta_zoom(F, floor, th0, r_best, max(float(ratio[i0, j0]), v_r))
+
+
+def _k_boundary(F: PolyharmonicMap):
+    # quasiregularity_constant's boundary route for a single layer
+    # F = h + conj(g), or None where its certificate does not hold
+    j = np.arange(1, F.J + 1)
+    da, db = j * np.abs(F.a[0]), j * np.abs(F.b[0])
+    if not da[0] > da[1:].sum():  # h' has no zero on the closed disk
+        return None
+    floor = _k_floor(F)
+    m, mm = (np.abs(w[0]) for w in ring_wirtinger(F, [1.0], _K_ANGLES))
+    sa, sb = float(da.sum()) ** 2, float(db.sum()) ** 2  # bound |h'|^2, |g'|^2
+    hh, gg = m * m, mm * mm
+    # |h'|^2, |g'|^2 and their difference are trigonometric polynomials of
+    # degree J - 1 on the circle
+    if not (_circle_range(hh - gg, F.J - 1, sa + sb)[0] > 0.0
+            and np.sqrt(max(_circle_range(hh, F.J - 1, sa)[0], 0.0))
+            - np.sqrt(_circle_range(gg, F.J - 1, sb)[1]) >= floor):
+        return None
+    ratio = (m + mm) / (m - mm)
+    j0 = int(np.argmax(ratio))
+    th0 = float(2.0 * np.pi * j0 / _K_ANGLES)
+    # the pointwise value there, which the grid's zoom in radius takes
+    # when it peaks at r = 1
+    v = _k_probe(F, np.array([np.exp(1j * th0)]), floor)[0]
+    return _k_theta_zoom(F, floor, th0, 1.0, max(float(ratio[j0]), v))
+
+
+def quasiregularity_constant(F: PolyharmonicMap) -> float:
+    """Supremum of lambda_big / lambda_small over the closed unit disk.
+
+    Two routes give a lower bound for the true supremum.
+
+    The boundary route takes a single layer F = h + conj(g) whose
+    certificate holds: |a_1| > sum_{j>=2} j |a_j|, so h' has no zero on the
+    closed disk, and on |z| = 1, by the van der Corput-Schaake bound on the
+    512 samples of :func:`ring_wirtinger`, |h'|^2 - |g'|^2 > 0 and
+    min |h'| - max |g'| at least ``1e-12 * (1 + max coefficient)``.  Then
+    g'/h' is analytic with modulus below 1, so the ratio peaks on |z| = 1
+    and the floor below holds on the whole disk.  The route takes the best
+    of the 512 boundary samples, the pointwise value at its angle and a
+    zoom in angle on |z| = 1 around it.
+
+    Every other map takes the grid route.  It scans a polar grid of 256
+    radii x 512 angles, taken from each circle's spectrum by
+    :func:`ring_wirtinger`, then zooms in radius and then in angle around
+    the best sample, each down to a 1e-10 bracket, on the pointwise
+    :func:`wirtinger`.  It raises :class:`DegenerateMap` when the Jacobian
+    takes both signs among the probed points, since lambda_small then
+    vanishes between the two witnesses and the map folds, and as soon as
+    lambda_small drops below ``1e-12 * (1 + max coefficient)`` at any probed
+    point.  Both checks see the whole grid before any zoom.  Where the
+    grid's best sample lies on |z| = 1 and the zoom in radius peaks there,
+    the two routes return the same bits.
+    """
+    K = _k_boundary(F) if F.p == 1 else None
+    return _k_grid(F) if K is None else K
 
 
 def scale_map(F: PolyharmonicMap, c) -> PolyharmonicMap:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .certificates import TOL_REPORT, CheckReport, _report, _unmet
-from .core import PolyharmonicMap, evaluate, ring_values
+from .core import PolyharmonicMap, _circle_range, evaluate, ring_values
 from .errors import InvalidParams, OutsideDomain
 
 # sizes of the pair sample and the largest radius of a random point;
@@ -28,7 +28,7 @@ from .errors import InvalidParams, OutsideDomain
 N_RANDOM = 512
 N_RAY = 64
 R_CAP = 1.0 - 1e-7
-N_BOUNDARY = 2048  # boundary samples of harmonic_lipschitz_check
+N_BOUNDARY = 2048  # fewest boundary samples of harmonic_lipschitz_check
 
 __all__ = [
     "j_metric",
@@ -114,22 +114,30 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> CheckReport:
 
     The bound grows with the polynomial degree d as (d sqrt(2d) / 2) pi;
     ``extras`` keeps it and the largest sampled ratio.  Hypotheses, in
-    order: a single layer, and a maximum over N_BOUNDARY equispaced
-    boundary points of at most 1.
+    order: a single layer, then a map into the disk: the upper end of the
+    van der Corput-Schaake enclosure of |F|^2 on |z| = 1, a trigonometric
+    polynomial of degree 2d, from its samples at the smallest power of two
+    >= max(N_BOUNDARY, 32 d) angles, is at most (1 + 1e-9)^2, and no
+    sampled pair point has |F| >= 1.
     """
     if F.p != 1:
         return _unmet("harmonic-j-lipschitz", "table has more than one layer")
     live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
     degree = int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
     bound = 0.5 * degree * math.sqrt(2.0 * degree) * math.pi
-    sup_boundary = float(np.abs(ring_values(F, [1.0], N_BOUNDARY)[0]).max())
-    if sup_boundary > 1.0 + 1e-9:
+    coeff_sum = float(np.sum(np.abs(F.a[0]) + np.abs(F.b[0])))
+    n = 1 << (max(N_BOUNDARY, 32 * degree) - 1).bit_length()
+    modulus = np.abs(ring_values(F, [1.0], n)[0])
+    sup_boundary = float(modulus.max())
+    inside = _circle_range(modulus * modulus, 2 * degree, coeff_sum ** 2)[1] <= (1.0 + 1e-9) ** 2
+    if inside:
+        z, w = _pairs(seed)
+        fz, fw = evaluate(F, z), evaluate(F, w)
+        inside = max(np.abs(fz).max(), np.abs(fw).max()) < 1.0
+    if not inside:
         return _unmet("harmonic-j-lipschitz", "map does not send the disk into itself",
                       degree=degree, boundary_sup=sup_boundary)
     parseval = float(np.sum(np.abs(F.a[0]) ** 2 + np.abs(F.b[0]) ** 2))
-    coeff_sum = float(np.sum(np.abs(F.a[0]) + np.abs(F.b[0])))
-    z, w = _pairs(seed)
-    fz, fw = evaluate(F, z), evaluate(F, w)
     pairs = _ratio_block(z, w, fz, fw, 1.0, bound)  # (ids, key, ratio, bound, tol)
     # circle-average step: |f| cannot beat the harmonic Schwarz envelope
     envelope = (4.0 / math.pi) * np.arctan(np.abs(np.concatenate([z, w])))

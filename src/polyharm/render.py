@@ -8,8 +8,6 @@ identical bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .core import PolyharmonicMap, evaluate, ring_values
@@ -40,6 +38,12 @@ def render_paths(F: PolyharmonicMap) -> dict:
     return {"rings": ring_paths, "rays": ray_paths, "boundary": ring_paths[-1]}
 
 
+def _escape(text: str) -> str:
+    # xml.sax.saxutils.escape's replacements, in its order; that module
+    # would pull urllib, http, email, ssl and socket into every process
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _fmt(x: float) -> str:
     return "%.10g" % (x + 0.0)  # -0.0 prints as 0
 
@@ -67,7 +71,7 @@ def render_svg(F: PolyharmonicMap, out_path=None) -> str:
                  'viewBox="%s %s %s %s" width="640" height="640">'
                  % (_fmt(view[0]), _fmt(view[1]), _fmt(view[2]), _fmt(view[3])))
     if F.label:
-        lines.append("<desc>%s</desc>" % escape(F.label))
+        lines.append("<desc>%s</desc>" % _escape(F.label))
     lines.append('<g fill="none" stroke="#99b" stroke-width="%s">'
                  % _fmt(stroke))
     for path in paths["rings"][:-1]:

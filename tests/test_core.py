@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyharm import catalog
+from polyharm import catalog, core
 from polyharm._search import zoom_max
 from polyharm.core import (
     MAX_TABLE_ENTRIES,
@@ -328,6 +328,82 @@ def test_quasiregularity_sense_reversing():
     # the conjugate part dominates everywhere: no sign change, finite K
     K = quasiregularity_constant(catalog.linear(1.0 / 3.0, 1.0))
     assert abs(K - 2.0) <= 1e-12
+
+
+def _certified_single_layer(rng, J):
+    # h' = sum j a_j z^(j-1) with a_1 outweighing the rest, and a g' of
+    # random size, so the boundary certificate holds on most draws
+    a = rng.normal(size=J) + 1j * rng.normal(size=J)
+    b = rng.normal(size=J) + 1j * rng.normal(size=J)
+    a *= rng.uniform(0.05, 1.0)
+    b *= rng.uniform(0.05, 1.0) * rng.uniform(0.0, 1.0)
+    a[0] = (1.0 + rng.uniform(0.0, 0.5)) * np.sum(np.arange(2, J + 1) * np.abs(a[1:])) \
+        + rng.uniform(0.01, 0.3)
+    return PolyharmonicMap(1, J, a[None], b[None])
+
+
+def test_quasiregularity_boundary_route_is_bitwise_the_grid():
+    # each certified map's best grid sample lies on |z| = 1, where the
+    # boundary route takes the same samples and the same zoom
+    rng = np.random.default_rng(2029)
+    certified = 0
+    for _ in range(300):
+        F = _certified_single_layer(rng, int(rng.integers(1, 13)))
+        K = core._k_boundary(F)
+        if K is None:
+            continue
+        certified += 1
+        assert quasiregularity_constant(F) == K == core._k_grid(F)
+    assert certified >= 150
+
+
+def _k_rings(monkeypatch, F):
+    # the radii quasiregularity_constant hands to ring_wirtinger, and its
+    # result or its DegenerateMap message
+    radii = []
+    inner = core.ring_wirtinger
+
+    def recorded(F, r, n):
+        radii.extend(np.asarray(r, dtype=float).tolist())
+        return inner(F, r, n)
+
+    monkeypatch.setattr(core, "ring_wirtinger", recorded)
+    try:
+        out = quasiregularity_constant(F)
+    except DegenerateMap as exc:
+        out = str(exc)
+    monkeypatch.undo()
+    return radii, out
+
+
+def test_quasiregularity_certified_map_samples_only_the_unit_circle(monkeypatch):
+    F = catalog.linear(1.0, 0.25)
+    radii, K = _k_rings(monkeypatch, F)
+    assert radii == [1.0]
+    assert K == core._k_boundary(F)
+
+
+# h = z + z^2 has h'(-1/2) = 0, so the Jacobian of h + conj(z) / 10 is
+# negative there although |h'| > |g'| on |z| = 1
+_ZERO_INSIDE = PolyharmonicMap(1, 2, [[1.0, 1.0]], [[0.1, 0.0]])
+
+
+@pytest.mark.parametrize("F", [_ZERO_INSIDE, catalog.linear(1.0, 1.0)]
+                         + [catalog.builtin(name, {"J": J}) for name in ("f0", "F1")
+                            for J in (9, 41)],
+                         ids=["h-prime-zero-inside", "linear-1-1", "f0-9", "f0-41", "F1-9",
+                              "F1-41"])
+def test_quasiregularity_uncertified_maps_take_the_grid(monkeypatch, F):
+    # linear(1, 1) passes the coefficient test, so the route reads |z| = 1
+    # before its certificate fails
+    radii, out = _k_rings(monkeypatch, F)
+    assert radii[-256:] == (np.arange(1, 257) / 256).tolist()
+    assert radii[:-256] == ([1.0] if F.J == 1 else [])
+    with pytest.raises(DegenerateMap) as exc:
+        core._k_grid(F)
+    assert out == str(exc.value)
+    if F.J > 2:  # f0 and F1 keep their witnesses of both signs
+        assert "the Jacobian takes both signs" in out
 
 
 # ---- the ring kernel against the pointwise kernel ----

@@ -1,4 +1,5 @@
-"""No source file imports a name it never uses.
+"""No source file imports a name it never uses, and the CLI's imports stay
+off the network stack.
 
 Neither pyflakes nor ruff is a dependency, so this is the one check of it:
 every ``.py`` file under src/, tests/ and demos/ is parsed with ``ast``, and
@@ -7,7 +8,10 @@ listed in its ``__all__``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted(path for folder in ("src", "tests", "demos")
@@ -46,3 +50,18 @@ def test_no_unused_imports():
         unused += ["%s:%d %s" % (path.relative_to(ROOT).as_posix(), line, name)
                    for name, line in _imported(tree) if name not in used]
     assert unused == []
+
+
+# modules that cost every fresh polyharm process tens of milliseconds, and
+# that nothing in the package needs (xml.sax.saxutils pulled them in)
+NETWORK_STACK = ("urllib.request", "http.client", "email", "ssl", "socket")
+
+
+def test_cli_import_loads_no_network_stack():
+    code = ("import sys, polyharm.cli; print(' '.join(sorted(m for m in sys.modules "
+            "if m in %r or m.startswith('email.'))))" % (NETWORK_STACK,))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == []

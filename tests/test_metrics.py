@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from polyharm import catalog
-from polyharm.core import PolyharmonicMap
+from polyharm.core import PolyharmonicMap, ring_values
 from polyharm.errors import InvalidParams, OutsideDomain
 from polyharm import metrics
 from polyharm.metrics import (
+    N_BOUNDARY,
     contraction_check,
     harmonic_lipschitz_check,
     j_metric,
@@ -170,27 +172,68 @@ def test_harmonic_check_random_scaled_polys():
 
 
 def test_harmonic_check_guards():
-    # each unmet hypothesis is a verdict with its reason, and no pair is sampled
+    # each unmet hypothesis is a verdict with its reason, and no pair is
+    # sampled; Re z = linear(0.5, 0.5) reaches |F| = 1 only at the samples
+    # z = +-1, but the upper end of its boundary enclosure lies above 1
     for F, reason in ((catalog.f2(), "table has more than one layer"),
-                      (catalog.linear(2.0, 0.0), "map does not send the disk into itself")):
+                      (catalog.linear(2.0, 0.0), "map does not send the disk into itself"),
+                      (catalog.linear(0.5, 0.5), "map does not send the disk into itself")):
         rep = harmonic_lipschitz_check(F)
         assert rep.verdict == "hypotheses-not-met"
         assert rep.extras["reason"] == reason
         assert rep.worst() is None and rep.samples == 0
 
 
-def test_harmonic_check_fails_a_ratio_it_cannot_evaluate():
-    # z^512 / sqrt(2) + i conj(z)^512 / sqrt(2) reads |F| = 1 at all 2048
-    # boundary samples but reaches sqrt(2) between them, so the sampled
-    # images leave the disk, some ratios are NaN, and the check fails
+def _leaves_between_samples():
+    # z^512 / sqrt(2) + i conj(z)^512 / sqrt(2): |F|^2 = 1 + sin(1024 theta)
+    # on |z| = 1, so |F| reads 1 at all 2048 angles of the old boundary
+    # sample but reaches sqrt(2) between them
     J = 512
     a, b = np.zeros((1, J), complex), np.zeros((1, J), complex)
     a[0, -1], b[0, -1] = 1.0 / math.sqrt(2.0), 1j / math.sqrt(2.0)
-    with np.errstate(invalid="ignore"):
-        rep = harmonic_lipschitz_check(PolyharmonicMap(1, J, a, b))
-    assert abs(rep.extras["boundary_sup"] - 1.0) <= 1e-12
-    assert rep.verdict == "fail"
-    assert math.isnan(rep.worst().lhs) and rep.worst().slack == -math.inf
+    return PolyharmonicMap(1, J, a, b)
+
+
+def test_harmonic_check_refuses_a_map_that_leaves_the_disk_between_samples(capfd):
+    F = _leaves_between_samples()
+    assert abs(np.abs(ring_values(F, [1.0], N_BOUNDARY)).max() - 1.0) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = harmonic_lipschitz_check(F)
+    assert rep.verdict == "hypotheses-not-met"
+    assert sorted(rep.extras) == ["boundary_sup", "degree", "reason"]
+    assert rep.extras["reason"] == "map does not send the disk into itself"
+    assert rep.extras["degree"] == 512
+    # 16384 = 32 * 512 samples hit the peaks
+    assert abs(rep.extras["boundary_sup"] - math.sqrt(2.0)) <= 1e-12
+    assert capfd.readouterr().err == ""
+
+
+def test_harmonic_check_refuses_a_pair_point_outside_the_disk(monkeypatch):
+    # with the boundary enclosure out of the way, the pair points' own
+    # images still refuse the hypothesis before any ratio is taken
+    monkeypatch.setattr(metrics, "_circle_range", lambda *args: (-math.inf, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = harmonic_lipschitz_check(_leaves_between_samples())
+    assert rep.verdict == "hypotheses-not-met"
+    assert rep.extras["reason"] == "map does not send the disk into itself"
+
+
+def test_harmonic_check_boundary_samples_grow_with_the_degree(monkeypatch):
+    counts = []
+    inner = metrics.ring_values
+
+    def recorded(F, radii, n):
+        counts.append(n)
+        return inner(F, radii, n)
+
+    monkeypatch.setattr(metrics, "ring_values", recorded)
+    for J, n in ((1, 2048), (64, 2048), (65, 4096), (100, 4096), (129, 8192)):
+        a = np.zeros((1, J), complex)
+        a[0, -1] = 0.5
+        harmonic_lipschitz_check(PolyharmonicMap(1, J, a, np.zeros((1, J), complex)))
+        assert counts.pop() == n
 
 
 # ---- envelope comparison profile ----

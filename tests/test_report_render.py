@@ -115,6 +115,14 @@ def test_render_svg_structure(tmp_path):
     assert "f2" in text  # label lands in the description
 
 
+def test_render_svg_escapes_the_label_as_saxutils_does():
+    from dataclasses import replace
+    from xml.sax.saxutils import escape
+    label = "a<b> & c&amp;d >< &"
+    text = render_svg(replace(catalog.f2(), label=label))
+    assert "<desc>%s</desc>" % escape(label) in text
+
+
 def test_render_svg_prints_no_negative_zero():
     # f2 maps the real axis to itself, so -imag is -0.0 at those points
     tokens = re.split(r'[\s,"]+', render_svg(catalog.f2()))
