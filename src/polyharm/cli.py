@@ -320,7 +320,7 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             "grid": certificates.THREE_CIRCLES_GRID,
             "r1": args.r1,
-            "theta_samples": metrics.N_BOUNDARY,
+            "theta_samples": metrics.boundary_samples(F),
             "tol_report": certificates.TOL_REPORT,
             "angle_tol": certificates.ANGLE_TOL,
             "pair_sampler": {"n_random": metrics.N_RANDOM,

@@ -431,17 +431,27 @@ def _k_grid(F: PolyharmonicMap) -> float:
 
 def _k_boundary(F: PolyharmonicMap):
     # quasiregularity_constant's boundary route for a single layer
-    # F = h + conj(g), or None where its certificate does not hold
+    # F = h + conj(g), or None where its certificate does not hold.  The
+    # certificate makes the weaker derivative over the stronger analytic
+    # and below 1 in modulus, so at z = 0 the stronger has the larger first
+    # coefficient: h' unless |b_1| > |a_1|, where the map reverses
+    # orientation.  Below, h' and g' name the stronger and the weaker
     j = np.arange(1, F.J + 1)
     da, db = j * np.abs(F.a[0]), j * np.abs(F.b[0])
+    flip = db[0] > da[0]
+    if flip:
+        da, db = db, da
     if not da[0] > da[1:].sum():  # h' has no zero on the closed disk
         return None
     floor = _k_floor(F)
     m, mm = (np.abs(w[0]) for w in ring_wirtinger(F, [1.0], _K_ANGLES))
+    if flip:
+        m, mm = mm, m
     sa, sb = float(da.sum()) ** 2, float(db.sum()) ** 2  # bound |h'|^2, |g'|^2
     hh, gg = m * m, mm * mm
     # |h'|^2, |g'|^2 and their difference are trigonometric polynomials of
-    # degree J - 1 on the circle
+    # degree J - 1 on the circle; m + mm and m - mm are the grid's
+    # |F_z| + |F_zbar| and |F_z| - |F_zbar| bit for bit, the latter up to sign
     if not (_circle_range(hh - gg, F.J - 1, sa + sb)[0] > 0.0
             and np.sqrt(max(_circle_range(hh, F.J - 1, sa)[0], 0.0))
             - np.sqrt(_circle_range(gg, F.J - 1, sb)[1]) >= floor):
@@ -466,9 +476,11 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
     512 samples of :func:`ring_wirtinger`, |h'|^2 - |g'|^2 > 0 and
     min |h'| - max |g'| at least ``1e-12 * (1 + max coefficient)``.  Then
     g'/h' is analytic with modulus below 1, so the ratio peaks on |z| = 1
-    and the floor below holds on the whole disk.  The route takes the best
-    of the 512 boundary samples, the pointwise value at its angle and a
-    zoom in angle on |z| = 1 around it.
+    and the floor below holds on the whole disk.  A map with |b_1| > |a_1|
+    reverses orientation: it takes the same certificate with h and g
+    swapped, on the same samples.  The route takes the best of the 512
+    boundary samples, the pointwise value at its angle and a zoom in angle
+    on |z| = 1 around it.
 
     Every other map takes the grid route.  It scans a polar grid of 256
     radii x 512 angles, taken from each circle's spectrum by

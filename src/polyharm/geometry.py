@@ -362,30 +362,43 @@ def area_growth_excess(F: PolyharmonicMap, r):
 _BLOCK = 1 << 14  # hull edges scored at once by the calipers
 
 
+def _candidates(xy: np.ndarray) -> np.ndarray:
+    # indices, ascending, of the rows of xy that can end a farthest pair.
+    # With c the centre of the bounding box of the extremes in 8
+    # directions, R the largest |p - c| and L the longest distance between
+    # two extremes, a farthest pair (a, b) has L <= |a - b| <= |a - c| + R,
+    # so both ends have |p - c| >= L - R.  Each distance is computed within
+    # 2 eps of its exact value, so the bound is lowered by 8 eps (L + R);
+    # every pair whose computed squared distance ties the largest keeps
+    # both ends.  All rows are kept when the bound is not positive or its
+    # square is near underflow
+    x, y = np.ascontiguousarray(xy.T)  # contiguous rows make argmin/argmax faster
+    s, d = x + y, x - y
+    ends = xy[[np.argmin(y), np.argmax(d), np.argmax(x), np.argmax(s),
+               np.argmax(y), np.argmin(d), np.argmin(x), np.argmin(s)]]
+    c = 0.5 * (ends.min(axis=0) + ends.max(axis=0))
+    # s and d are spent: their buffers take the squared offsets from c
+    r2 = np.square(np.subtract(x, c[0], out=s), out=s)
+    r2 += np.square(np.subtract(y, c[1], out=d), out=d)
+    gap = ends[:, None, :] - ends[None, :, :]
+    L, R = np.sqrt((gap * gap).sum(axis=2).max()), np.sqrt(r2.max())
+    eps = np.finfo(float).eps
+    t = L - R - 8.0 * eps * (L + R)
+    if not t * t > np.finfo(float).tiny / eps:
+        return np.arange(len(xy))
+    return np.flatnonzero(r2 >= t * t)
+
+
 def _hull(xy: np.ndarray) -> np.ndarray:
     # sample indices of the strict convex-hull vertices of the rows of xy,
     # counter-clockwise from the least (x, y); a repeated point counts once,
     # by its lowest index.  Fewer than 3 when the points are collinear or
-    # coincident.
+    # coincident.  No filter runs first: _farthest_pair hands over only
+    # the _candidates
     x, y = xy[:, 0], xy[:, 1]
-    # Akl-Toussaint filter: the extremes in 8 directions, taken in
-    # counter-clockwise order, span an octagon inside the hull; a point
-    # strictly inside it, by more than rounding, is no vertex
-    s, d = x + y, x - y
-    octagon = [int(k) for k in (np.argmin(y), np.argmax(d), np.argmax(x), np.argmax(s),
-                                np.argmax(y), np.argmin(d), np.argmin(x), np.argmin(s))]
-    size = max(abs(x[octagon]).max(), abs(y[octagon]).max())
-    inside = None
-    for a, b in zip(octagon, octagon[1:] + octagon[:1]):
-        ex, ey = x[b] - x[a], y[b] - y[a]
-        if ex or ey:
-            margin = 16.0 * np.finfo(float).eps * size * (abs(ex) + abs(ey))
-            left = ex * (y - y[a]) - ey * (x - x[a]) > margin
-            inside = left if inside is None else inside & left
-    idx = np.arange(len(xy)) if inside is None else np.flatnonzero(~inside)
     # Andrew's monotone chain: sort by (x, y), stably, so that the first of
     # each run of equal points has the lowest index, and keep only that one
-    idx = idx[np.lexsort((y[idx], x[idx]))]
+    idx = np.lexsort((y, x))
     px, py = x[idx], y[idx]
     idx = idx[np.concatenate([[True], (px[1:] != px[:-1]) | (py[1:] != py[:-1])])]
     if idx.size < 3:
@@ -427,12 +440,14 @@ def _hull(xy: np.ndarray) -> np.ndarray:
 
 def _farthest_pair(xy: np.ndarray):
     # sample indices (ia, ib), ia < ib, of a farthest pair of the rows of xy
-    hull = _hull(xy)
+    cand = _candidates(xy)
+    hull = cand[_hull(xy[cand])]
     h = hull.size
-    if h < 3:  # collinear or coincident: ends of the principal axis
-        centered = xy - xy.mean(axis=0)
-        s = xy @ np.linalg.eigh(centered.T @ centered)[1][:, 1]
-        return tuple(sorted((int(np.argmin(s)), int(np.argmax(s)))))
+    if h < 3:  # collinear or coincident candidates: ends of their principal axis
+        pts = xy[cand]
+        centered = pts - pts.mean(axis=0)
+        s = pts @ np.linalg.eigh(centered.T @ centered)[1][:, 1]
+        return tuple(sorted((int(cand[np.argmin(s)]), int(cand[np.argmax(s)]))))
     x, y = xy[hull, 0], xy[hull, 1]
     ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
     # rotating calipers, vectorized: edge i (vertex i to i+1) points at
@@ -527,18 +542,23 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
                       n_angles: int = 1024) -> float:
     """Lower estimate of diam F(|z| <= r) from a polar sample grid.
 
-    The farthest sampled pair is found on the convex hull of the sampled
-    image, in numpy.  An Akl-Toussaint filter (1978) drops the samples
-    strictly inside the octagon of the extremes in 8 directions.  Andrew's
-    monotone chain (1979) runs over the rest, sorted by (x, y): vectorized
-    passes drop every non-left turn while each pass drops at least 1/8 of
-    the points, then a sequential chain finishes.  Rotating calipers
-    (Toussaint, 1983), vectorized, pair each hull edge with the vertex
+    The farthest sampled pair is found in numpy.  One pass first keeps
+    only the samples that can end a farthest pair: with c the centre of
+    the bounding box of the extremes in 8 directions, R the largest
+    |w - c| and L the longest distance between two extremes, both ends of
+    every farthest pair have |w - c| >= L - R, by the triangle inequality.
+    The bound is lowered by 8 eps (L + R) for the rounding of the computed
+    distances.  On a strictly convex image only the samples near the ends
+    of its diameter pass.  Andrew's monotone chain (1979) runs over the
+    candidates, sorted by (x, y): vectorized passes drop every non-left
+    turn while each pass drops at least 1/8 of the points, then a
+    sequential chain finishes.  Rotating calipers (Toussaint, 1983),
+    vectorized, pair each edge of the candidates' hull with the vertex
     farthest from its line, found by a binary search on the unwrapped edge
     angles, and score a window of neighbouring pairs.  Ties go to the least
     (lower sample index, higher sample index) pair.  A hull of fewer than
-    3 vertices (collinear or coincident samples) uses the ends along the
-    principal axis instead.
+    3 vertices (collinear or coincident candidates) uses the ends along
+    the candidates' principal axis instead.
 
     A projected Newton ascent then polishes the pair's radii and angles,
     each within one grid step of its sample and the radii within [0, r].

@@ -107,6 +107,19 @@ def contraction_check(F: PolyharmonicMap, M: float, seed: int = 7) -> CheckRepor
                    [_ratio_block(z, w, evaluate(F, z), evaluate(F, w), M, 1.0)], extras)
 
 
+def _degree(F: PolyharmonicMap) -> int:
+    # the highest live power of the first layer, at least 1
+    live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
+    return int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
+
+
+def boundary_samples(F: PolyharmonicMap) -> int:
+    """The number of angles at which harmonic_lipschitz_check samples
+    |z| = 1: the smallest power of two >= max(N_BOUNDARY, 32 d), d the
+    highest live power of the first layer."""
+    return 1 << (max(N_BOUNDARY, 32 * _degree(F)) - 1).bit_length()
+
+
 def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> CheckReport:
     """j-metric Lipschitz bound for harmonic polynomials into the unit disk,
     one margin per point pair drawn with ``seed``, then the Parseval sum
@@ -122,12 +135,10 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> CheckReport:
     """
     if F.p != 1:
         return _unmet("harmonic-j-lipschitz", "table has more than one layer")
-    live = (np.abs(F.a[0]) > 0) | (np.abs(F.b[0]) > 0)
-    degree = int(np.max(np.nonzero(live)[0]) + 1) if np.any(live) else 1
+    degree = _degree(F)
     bound = 0.5 * degree * math.sqrt(2.0 * degree) * math.pi
     coeff_sum = float(np.sum(np.abs(F.a[0]) + np.abs(F.b[0])))
-    n = 1 << (max(N_BOUNDARY, 32 * degree) - 1).bit_length()
-    modulus = np.abs(ring_values(F, [1.0], n)[0])
+    modulus = np.abs(ring_values(F, [1.0], boundary_samples(F))[0])
     sup_boundary = float(modulus.max())
     inside = _circle_range(modulus * modulus, 2 * degree, coeff_sum ** 2)[1] <= (1.0 + 1e-9) ** 2
     if inside:

@@ -11,7 +11,7 @@ import warnings
 import pytest
 
 import polyharm
-from polyharm import cli, geometry, mapspec
+from polyharm import cli, geometry, mapspec, metrics
 from polyharm.catalog import BUILTIN_NAMES
 from polyharm.cli import main
 
@@ -310,6 +310,22 @@ def test_verify_conclusion_failure(tmp_path, capsys):
     assert doc["summary"]["exit_code"] == 1
     bad = [c for c in doc["checks"] if c["verdict"] == "fail"]
     assert [c["name"] for c in bad] == ["length-coefficient-bounds"]
+
+
+@pytest.mark.parametrize("J, n", [(9, 2048), (512, 16384)])
+def test_verify_reports_the_boundary_samples_of_the_harmonic_check(tmp_path, capsys,
+                                                                   monkeypatch, J, n):
+    # the harmonic j-Lipschitz check samples |z| = 1 at the smallest power
+    # of two >= max(2048, 32 degree); the report prints that count
+    path = _write(tmp_path, "m.map", '{"p": 1, "J": %d, "terms": '
+                  '[{"n": 1, "j": %d, "a": [0.5, 0]}]}' % (J, J))
+    counts = []
+    inner = metrics.ring_values
+    monkeypatch.setattr(metrics, "ring_values",
+                        lambda F, radii, k: counts.append(k) or inner(F, radii, k))
+    main(["verify", "--map", path, "--K", "1.0", "--l1", "1.0", "--diam", "1.0"])
+    assert json.loads(capsys.readouterr().out)["environment"]["theta_samples"] == n
+    assert counts == [n]
 
 
 def test_verify_hypotheses_not_met(tmp_path, capsys):

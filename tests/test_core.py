@@ -344,17 +344,19 @@ def _certified_single_layer(rng, J):
 
 def test_quasiregularity_boundary_route_is_bitwise_the_grid():
     # each certified map's best grid sample lies on |z| = 1, where the
-    # boundary route takes the same samples and the same zoom
+    # boundary route takes the same samples and the same zoom; with a and
+    # b swapped the map reverses orientation and g' takes h's role
     rng = np.random.default_rng(2029)
-    certified = 0
+    certified = [0, 0]
     for _ in range(300):
         F = _certified_single_layer(rng, int(rng.integers(1, 13)))
-        K = core._k_boundary(F)
-        if K is None:
-            continue
-        certified += 1
-        assert quasiregularity_constant(F) == K == core._k_grid(F)
-    assert certified >= 150
+        for reverses, G in enumerate((F, conjugate_map(F))):
+            K = core._k_boundary(G)
+            if K is None:
+                continue
+            certified[reverses] += 1
+            assert quasiregularity_constant(G) == K == core._k_grid(G)
+    assert min(certified) >= 150
 
 
 def _k_rings(monkeypatch, F):
@@ -377,10 +379,12 @@ def _k_rings(monkeypatch, F):
 
 
 def test_quasiregularity_certified_map_samples_only_the_unit_circle(monkeypatch):
-    F = catalog.linear(1.0, 0.25)
-    radii, K = _k_rings(monkeypatch, F)
-    assert radii == [1.0]
-    assert K == core._k_boundary(F)
+    # the last two reverse orientation
+    for F in (catalog.linear(1.0, 0.25), catalog.linear(0.25, 1.0),
+              catalog.linear(1.0 / 3.0, 1.0)):
+        radii, K = _k_rings(monkeypatch, F)
+        assert radii == [1.0]
+        assert K == core._k_boundary(F)
 
 
 # h = z + z^2 has h'(-1/2) = 0, so the Jacobian of h + conj(z) / 10 is

@@ -850,6 +850,66 @@ def test_farthest_pair_matches_distance_matrix():
         assert geometry._farthest_pair(xy) == _farthest_pair_matrix(xy)
 
 
+def _brute_farthest_pairs(xy, rows=256):
+    # every pair whose squared distance, computed as the calipers do, is
+    # the largest over all pairs of rows, in blocks of rows
+    x, y = xy[:, 0], xy[:, 1]
+    best, pairs = -1.0, []
+    for k in range(0, len(xy), rows):
+        d2 = (x[k:k + rows, None] - x) ** 2 + (y[k:k + rows, None] - y) ** 2
+        top = float(d2.max())
+        if top > best:
+            best, pairs = top, []
+        if top == best:
+            pairs += [(k + int(i), int(j)) for i, j in zip(*np.nonzero(d2 == top))]
+    return pairs
+
+
+def _polar_grids():
+    # polar sample grids as diameter_estimate takes them; the inner rings
+    # of 2z - |z|^2 z, of modulus up to 1.089 near r = 0.82, reach past its
+    # boundary ring, of modulus 1
+    rng = np.random.default_rng(63)
+    maps = [PolyharmonicMap(2, 1, [[2.0], [-1.0]], [[0.0], [0.0]]),
+            catalog.linear(1.0, 0.3), catalog.f2(), convex_map(rng)]
+    maps += [random_map(rng) for _ in range(6)]
+    for F in maps:
+        for n_radii, n_angles in ((16, 256), (2, 1024), (5, 333)):
+            z = np.outer(np.arange(1, n_radii + 1) / n_radii,
+                         np.exp(2j * np.pi * np.arange(n_angles) / n_angles))
+            w = evaluate(F, z).ravel()
+            yield np.column_stack([w.real, w.imag])
+
+
+def test_candidates_hold_both_ends_of_every_farthest_pair():
+    for xy in list(_point_clouds()) + list(_polar_grids()):
+        cand = geometry._candidates(xy)
+        assert np.all(np.diff(cand) > 0)
+        kept = set(cand.tolist())
+        for pair in _brute_farthest_pairs(xy):
+            assert kept.issuperset(pair)
+    # 2z - |z|^2 z on 16 x 256 keeps samples of ring 13 (r = 0.8125, of
+    # modulus 1.0886) only, none of its boundary ring
+    assert set((geometry._candidates(next(_polar_grids())) // 256).tolist()) == {12}
+
+
+def test_candidates_of_an_ellipse_are_few(monkeypatch):
+    # z + 0.3 conj(z) maps the disk onto an ellipse: only the samples at
+    # the ends of its major axis can end a farthest pair
+    sizes = []
+    inner = geometry._candidates
+
+    def recorded(xy):
+        cand = inner(xy)
+        sizes.append((len(xy), cand.size))
+        return cand
+
+    monkeypatch.setattr(geometry, "_candidates", recorded)
+    assert diameter_estimate(catalog.linear(1.0, 0.3)) == pytest.approx(2.6, rel=1e-15)
+    [(n, kept)] = sizes
+    assert n == 16384 and 8 * kept < n
+
+
 def test_hull_matches_qhull_in_general_position():
     for xy in (xy for xy, general in _tagged_clouds() if general):
         hull = geometry._hull(xy)
