@@ -21,7 +21,7 @@ from polyharm.geometry import area_series
 
 
 def show(rep):
-    worst = rep.worst()
+    worst = rep.worst_margin
     print("  %-28s verdict=%-20s margins=%3d  worst slack=%s"
           % (rep.name, rep.verdict, rep.count,
              "%.3e" % worst.slack if worst else "n/a"))

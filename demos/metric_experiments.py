@@ -35,10 +35,10 @@ def main():
     sups = []
     for _ in range(20):
         rep = contraction_check(normalized_random_map(rng), 1.0)
-        sups.append(rep.worst().lhs)
+        sups.append(rep.worst_margin.lhs)
     print("  max over 20 draws: %.12f (must stay <= 1)" % max(sups))
     rep = contraction_check(catalog.monomial(2, 1, 1.0), 1.0)
-    print("  |z|^2 z pushes the sup to %.12f" % rep.worst().lhs)
+    print("  |z|^2 z pushes the sup to %.12f" % rep.worst_margin.lhs)
     print()
 
     print("harmonic polynomials scaled to boundary sup 0.999")
@@ -65,7 +65,7 @@ def main():
     print("disk automorphism distortion (bound is 2)")
     for a in (0.0, 0.3, 0.6, 0.9):
         rep = mobius_j_distortion(a)
-        print("  |a|=%.1f  sup=%.12f  verdict=%s" % (a, rep.worst().lhs, rep.verdict))
+        print("  |a|=%.1f  sup=%.12f  verdict=%s" % (a, rep.worst_margin.lhs, rep.verdict))
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._search import zoom_max
-from .core import PolyharmonicMap, evaluate, ring_values
-from .errors import InvalidDiameter, InvalidParams, NotAnalytic
+from .core import PolyharmonicMap, evaluate, quasiregularity_constant, ring_values
+from .errors import DegenerateMap, InvalidDiameter, InvalidParams, NotAnalytic
 from .geometry import area_growth_excess, area_series
 
 TOL_REPORT = 1e-9
@@ -75,9 +75,6 @@ class CheckReport:
     witnesses: tuple = ()
     extras: dict = field(default_factory=dict)
     blocks: object = field(default=(), repr=False, compare=False)
-
-    def worst(self):
-        return self.worst_margin
 
     @property
     def samples(self) -> int:
@@ -240,7 +237,9 @@ def diameter_coefficient_bounds(F: PolyharmonicMap, diam: float) -> CheckReport:
 
 def length_coefficient_bounds(F: PolyharmonicMap, K: float | None, l1: float) -> CheckReport:
     """Entry-wise |a| + |b| against K * l1 / (2 pi (n + j - 1)).  Hypotheses:
-    layer alignment, then a finite K (None where the map has none)."""
+    layer alignment, then a finite K.  K None means "from the map, once
+    alignment holds": :func:`quasiregularity_constant`, whose value the
+    report keeps in ``extras["K"]``, and a map it finds degenerate has none."""
     if not (K is None or 1.0 <= K < math.inf):
         raise InvalidParams("quasiregularity constant must be >= 1, got %r" % (K,))
     if not (l1 >= 0.0 and math.isfinite(l1)):
@@ -248,7 +247,10 @@ def length_coefficient_bounds(F: PolyharmonicMap, K: float | None, l1: float) ->
     if arg_condition(F, "length").verdict != "pass":
         return _unmet("length-coefficient-bounds", "layer alignment condition fails")
     if K is None:
-        return _unmet("length-coefficient-bounds", "map is degenerate on the closed disk")
+        try:
+            K = quasiregularity_constant(F)
+        except DegenerateMap:
+            return _unmet("length-coefficient-bounds", "map is degenerate on the closed disk")
     lhs = np.hypot(F.a.real, F.a.imag) + np.hypot(F.b.real, F.b.imag)
     rhs = K * l1 / (2.0 * math.pi * (np.arange(F.p)[:, None] + np.arange(1, F.J + 1)))
     return _report("length-coefficient-bounds",

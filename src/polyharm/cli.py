@@ -218,7 +218,7 @@ def _print_check(rep, *own) -> int:
         print("reason = %s" % rep.extras["reason"])
     for line in own:  # the check's own lines go before its worst slack
         print(line)
-    worst = rep.worst()
+    worst = rep.worst_margin
     if worst is not None:
         print("worst slack = %.6g (%s)" % (worst.slack, worst.check_id))
     return _verdict_exit(rep.verdict)
@@ -228,8 +228,8 @@ def cmd_jmetric(args) -> int:
     if args.mobius_a is not None:
         rep = metrics.mobius_j_distortion(args.mobius_a,
                                           seed=7 if args.seed is None else args.seed)
-        print("sup_ratio = %.17g" % rep.worst().lhs)
-        print("bound = %.17g" % rep.worst().rhs)
+        print("sup_ratio = %.17g" % rep.worst_margin.lhs)
+        print("bound = %.17g" % rep.worst_margin.rhs)
         print("verdict = %s" % rep.verdict)
         return _verdict_exit(rep.verdict)
     if args.z is None or args.w is None:
@@ -258,24 +258,17 @@ def cmd_catalog(args) -> int:
 
 def _derived_quantities(F: PolyharmonicMap, args) -> dict:
     coeff_sum = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
-    out = {
+    return {
         "p": F.p,
         "J": F.J,
         "coefficient_sum": coeff_sum,
         "alpha_at_zero": float(dilatation(F, 0.0).lambda_small),
         "S_near_boundary": float(geometry.area_series(F, certificates.R_EDGE)),
+        "K": args.K,  # without --K, filled in by the length check, the one reader
+        "l1": float(args.l1) if args.l1 is not None else geometry.sup_length(F),
+        "diam": (float(args.diam) if args.diam is not None
+                 else geometry.diameter_estimate(F)),
     }
-    if args.K is not None:
-        out["K"] = float(args.K)
-    else:
-        try:
-            out["K"] = quasiregularity_constant(F)
-        except DegenerateMap:
-            out["K"] = None
-    out["l1"] = float(args.l1) if args.l1 is not None else geometry.sup_length(F)
-    out["diam"] = (float(args.diam) if args.diam is not None
-                   else geometry.diameter_estimate(F))
-    return out
 
 
 def cmd_verify(args) -> int:
@@ -287,12 +280,15 @@ def cmd_verify(args) -> int:
     m = float(geometry.area_series(F, args.r1))
     # in report order; each check decides its own hypotheses, and the target
     # radius is the coefficient sum, the strongest the contraction allows
-    for rep in (certificates.diameter_coefficient_bounds(F, derived["diam"]),
-                certificates.length_coefficient_bounds(F, derived["K"], derived["l1"]),
-                certificates.three_circles_area(F, args.r1, m),
-                certificates.area_schwarz(F),
-                metrics.contraction_check(F, derived["coefficient_sum"], seed=args.seed),
-                metrics.harmonic_lipschitz_check(F, seed=args.seed)):
+    reps = (certificates.diameter_coefficient_bounds(F, derived["diam"]),
+            certificates.length_coefficient_bounds(F, derived["K"], derived["l1"]),
+            certificates.three_circles_area(F, args.r1, m),
+            certificates.area_schwarz(F),
+            metrics.contraction_check(F, derived["coefficient_sum"], seed=args.seed),
+            metrics.harmonic_lipschitz_check(F, seed=args.seed))
+    if derived["K"] is None:  # null where alignment fails or the map is degenerate
+        derived["K"] = reps[1].extras.get("K")
+    for rep in reps:
         if rep.verdict == "hypotheses-not-met":
             entries.append({"name": rep.name, "verdict": "skipped",
                             "reason": rep.extras["reason"], "counts_as": "skipped"})

@@ -414,9 +414,10 @@ def _hull(xy: np.ndarray) -> np.ndarray:
     # stop once the polygon is convex, or hand over to a sequential chain
     # once a pass drops less than 1/8 of the points
     while True:
-        px, py = x[seq], y[seq]
-        turn = ((px - np.roll(px, 1)) * (np.roll(py, -1) - py)
-                - (py - np.roll(py, 1)) * (np.roll(px, -1) - px))
+        ring = np.concatenate((seq[-1:], seq, seq[:1]))  # with each end's neighbour
+        px, py = x[ring], y[ring]
+        dx, dy = px[1:] - px[:-1], py[1:] - py[:-1]  # the edges into and out of each
+        turn = dx[:-1] * dy[1:] - dy[:-1] * dx[1:]
         keep = (turn > 0.0) | (seq == lo) | (seq == hi)
         dropped = seq.size - int(keep.sum())
         seq = seq[keep]
@@ -449,11 +450,11 @@ def _farthest_pair(xy: np.ndarray):
         s = pts @ np.linalg.eigh(centered.T @ centered)[1][:, 1]
         return tuple(sorted((int(cand[np.argmin(s)]), int(cand[np.argmax(s)]))))
     x, y = xy[hull, 0], xy[hull, 1]
-    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    ex, ey = np.concatenate((x[1:], x[:1])) - x, np.concatenate((y[1:], y[:1])) - y
     # rotating calipers, vectorized: edge i (vertex i to i+1) points at
     # angle theta[i], unwrapped from the turns between edges; the vertex
     # farthest from its line starts the first edge turned by pi or more
-    nx, ny = np.roll(ex, -1), np.roll(ey, -1)
+    nx, ny = np.concatenate((ex[1:], ex[:1])), np.concatenate((ey[1:], ey[:1]))
     turn = np.maximum(np.arctan2(ex * ny - ey * nx, ex * nx + ey * ny), 0.0)
     theta = np.concatenate([[0.0], np.cumsum(turn[:-1])])
     j = np.searchsorted(np.concatenate([theta, theta + theta[-1] + turn[-1]]),

@@ -49,7 +49,7 @@ def check_to_dict(rep: CheckReport) -> dict:
         "name": rep.name,
         "verdict": rep.verdict,
         "margins": rep.count,
-        "worst_margin": to_jsonable(rep.worst()),
+        "worst_margin": to_jsonable(rep.worst_margin),
         "witnesses": to_jsonable(rep.witnesses),
         "extras": to_jsonable(rep.extras),
     }

@@ -123,3 +123,23 @@ def convex_map(rng, J=7):
         a[0, j - 1] = rng.uniform(0.2, 1.0) * w * np.exp(2j * np.pi * rng.random())
         b[0, j - 1] = rng.uniform(0.0, 0.2) * w * np.exp(2j * np.pi * rng.random())
     return PolyharmonicMap(1, J, a, b, label="convex")
+
+
+def dominant_map(rng, p, J, aligned=False):
+    """(p, J) table with a[1,1] = 1 and the other entries weighted so that
+    sum (j + 2 (n - 1)) (|a| + |b|) = 1/2, so |F_z| - |F_zbar| >= 1/2 and K
+    is finite.  Entries are random complex numbers, 20 % of them zero; with
+    ``aligned`` only their moduli are kept, so every layer pair shares its
+    angle and the length alignment condition holds."""
+    a = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+    b = rng.uniform(-1, 1, (p, J)) + 1j * rng.uniform(-1, 1, (p, J))
+    a[rng.random((p, J)) < 0.2] = 0
+    b[rng.random((p, J)) < 0.2] = 0
+    if aligned:
+        a, b = np.abs(a).astype(complex), np.abs(b).astype(complex)
+    a[0, 0] = 0
+    weight = np.arange(1, J + 1) + 2 * np.arange(p)[:, None]
+    total = float(np.sum(weight * (np.abs(a) + np.abs(b))))
+    a, b = a * (0.5 / total), b * (0.5 / total)
+    a[0, 0] = 1
+    return PolyharmonicMap(p, J, a, b, label="dominant")

@@ -195,9 +195,9 @@ def test_criterion_09_metric_contraction_family():
         for _ in range(100):
             rep = contraction_check(random_sum_normalized(rng), 1.0)
             assert rep.verdict == "pass"
-            assert rep.worst().lhs <= 1.0 + 1e-9
+            assert rep.worst_margin.lhs <= 1.0 + 1e-9
         rep = contraction_check(catalog.monomial(2, 1, 1.0), 1.0)
-        assert rep.worst().lhs >= 0.999
+        assert rep.worst_margin.lhs >= 0.999
         for _ in range(100):
             rep = harmonic_lipschitz_check(random_harmonic_poly(rng))
             assert rep.verdict == "pass"
@@ -209,7 +209,7 @@ def test_criterion_09_metric_contraction_family():
         for _ in range(20):
             a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             rep = mobius_j_distortion(complex(a))
-            assert rep.worst().lhs <= 2.0 + 1e-9
+            assert rep.worst_margin.lhs <= 2.0 + 1e-9
 
 
 def test_criterion_10_square_image_truncation():

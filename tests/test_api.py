@@ -140,7 +140,7 @@ README_VALUES = {
     "res.r_univ, res.rho_cover": ("(0.5, 1 - log 2)", (0.5, 1.0 - math.log(2.0))),
     "rep.verdict": ('"pass"', "pass"),
     "rep.count": ("3", 3),
-    "rep.worst().slack": ("3 sqrt(3) - 3", 3.0 * math.sqrt(3.0) - 3.0),
+    "rep.worst_margin.slack": ("3 sqrt(3) - 3", 3.0 * math.sqrt(3.0) - 3.0),
 }
 
 

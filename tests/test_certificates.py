@@ -72,7 +72,7 @@ def test_arg_condition_area_needs_modulus_domination():
     big_b = _table(1, 1, [(1, 1, 0.5, 1.0)])
     rep = arg_condition(big_b, "area")
     assert rep.verdict == "fail"
-    assert rep.worst().check_id.startswith("modulus")
+    assert rep.worst_margin.check_id.startswith("modulus")
 
 
 def test_arg_condition_ignores_dead_entries():
@@ -170,10 +170,10 @@ def _matches_the_pair_loop(F):
         assert len(got) == len(margins)
         for g, w in zip(got, margins):
             _same_margin(g, w, kind)
-        if margins:  # the old worst(): the first of the smallest slacks
-            _same_margin(rep.worst(), min(margins, key=lambda m: m.slack), kind)
+        if margins:  # the worst margin: the first of the smallest slacks
+            _same_margin(rep.worst_margin, min(margins, key=lambda m: m.slack), kind)
         else:
-            assert rep.worst() is None
+            assert rep.worst_margin is None
         assert [w["check_id"] for w in rep.witnesses] == [m.check_id for m in witnesses]
         by_id = {m.check_id: m for m in got}
         assert all(_bits(w["slack"]) == _bits(by_id[w["check_id"]].slack)
@@ -237,7 +237,7 @@ def test_arg_condition_at_the_table_cap_keeps_no_margin_per_pair():
     assert rep.count == 2 * 8 * 512 * 511 // 2
     assert rep.verdict == "fail" and len(rep.witnesses) == 16
     slacks = [w["slack"] for w in rep.witnesses]
-    assert slacks == sorted(slacks) and slacks[0] == rep.worst().slack
+    assert slacks == sorted(slacks) and slacks[0] == rep.worst_margin.slack
 
 
 def test_arg_condition_unknown_kind():
@@ -333,6 +333,12 @@ def test_length_bounds_without_finite_K():
     assert length_coefficient_bounds(zero, 1.0, 0.0).verdict == "pass"
 
 
+def test_length_bounds_take_K_from_the_map():
+    # K None is the map's constant, once the alignment condition holds
+    rep = length_coefficient_bounds(catalog.identity(), None, 2.0 * math.pi)
+    assert rep.verdict == "pass" and rep.extras["K"] == 1.0
+
+
 # ---- three circles for the area series ----
 
 
@@ -421,7 +427,7 @@ def test_hadamard_strict_on_truncated_exponential():
     F = _table(1, 6, terms)
     rep = hadamard_three_circles(F, 0.2, 0.8)
     assert rep.verdict == "pass"
-    assert rep.worst().slack > 0.0
+    assert rep.worst_margin.slack > 0.0
 
 
 def test_hadamard_rejects_non_analytic():
@@ -510,7 +516,7 @@ def test_area_schwarz_unit_budget_comparison():
 
 def test_margin_worst_and_witnesses():
     rep = diameter_coefficient_bounds(catalog.monomial(1, 3, 1.0), 2.0)
-    worst = rep.worst()
+    worst = rep.worst_margin
     assert isinstance(worst, Margin)
     assert worst.slack == min(m.slack for m in rep.margins)
     assert rep.witnesses  # the binding margin is always reported
@@ -525,5 +531,5 @@ def test_a_margin_that_cannot_be_evaluated_fails():
     rep = certificates._report("t", [(lambda i: "row %d" % i, np.arange(300), lhs, 1.0,
                                       1e-9)])
     assert rep.verdict == "fail" and rep.count == 300
-    assert rep.worst().check_id == "row 250" and rep.worst().slack == -math.inf
+    assert rep.worst_margin.check_id == "row 250" and rep.worst_margin.slack == -math.inf
     assert rep.witnesses == ({"check_id": "row 250", "slack": -math.inf},)

@@ -8,12 +8,16 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import polyharm
-from polyharm import cli, geometry, mapspec, metrics
+from polyharm import catalog, certificates, cli, core, geometry, mapspec, metrics
 from polyharm.catalog import BUILTIN_NAMES
 from polyharm.cli import main
+from polyharm.errors import DegenerateMap
+
+from _gen import dominant_map, random_map
 
 
 @pytest.fixture
@@ -349,6 +353,59 @@ def test_verify_folding_map_has_no_K(tmp_path, capsys):
              if e["name"] == "length-coefficient-bounds"][0]
     assert entry["verdict"] == "skipped"
     assert entry["reason"] == "map is degenerate on the closed disk"
+
+
+def _verify_derived(tmp_path, capsys, F, *flags):
+    path = tmp_path / "t.map"
+    mapspec.dump(mapspec.from_map(F), path)
+    main(["verify", "--map", str(path), *flags])
+    doc = json.loads(capsys.readouterr().out)
+    entry = [e for e in doc["checks"] if e["name"] == "length-coefficient-bounds"][0]
+    return doc["derived"], entry
+
+
+@pytest.fixture
+def k_calls(monkeypatch):
+    # counts quasiregularity_constant calls made through every module holding it
+    calls, core_k = [], core.quasiregularity_constant
+
+    def counted(F):
+        calls.append(F)
+        return core_k(F)
+
+    for module in (core, certificates, cli):
+        if getattr(module, "quasiregularity_constant", None) is core_k:
+            monkeypatch.setattr(module, "quasiregularity_constant", counted)
+    return calls
+
+
+def test_verify_takes_no_K_of_a_table_that_fails_the_length_alignment(tmp_path, capsys,
+                                                                      k_calls):
+    # a finite K, but no check reads it: the length check stops at alignment
+    F = dominant_map(np.random.default_rng(1), 2, 5)
+    derived, entry = _verify_derived(tmp_path, capsys, F)
+    assert len(k_calls) == 0 and derived["K"] is None
+    assert (entry["verdict"], entry["reason"]) == ("skipped",
+                                                   "layer alignment condition fails")
+    derived, entry = _verify_derived(tmp_path, capsys, F, "--K", "2")
+    assert len(k_calls) == 0 and derived["K"] == 2.0 and entry["verdict"] == "skipped"
+
+
+def test_verify_K_of_aligned_maps_is_bitwise_the_constant(tmp_path, capsys, k_calls):
+    rng = np.random.default_rng(5)
+    maps = [catalog.f2(), catalog.identity()]
+    maps += [dominant_map(rng, p, J, aligned=True) for p, J in ((2, 3), (3, 7), (4, 2))]
+    maps += [random_map(rng, p_max=1, J_max=6) for _ in range(4)]
+    for F in maps:
+        derived, entry = _verify_derived(tmp_path, capsys, F)
+        try:
+            K = core.quasiregularity_constant(F)
+        except DegenerateMap:
+            K = None
+        assert derived["K"] == K and entry.get("reason") != "layer alignment condition fails"
+        if K is not None:
+            assert entry["extras"]["K"] == K
+    assert len(k_calls) == 2 * len(maps)  # one per verify, one here
 
 
 def test_verify_table_whose_layer_pairs_take_several_blocks(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_pair_sampler_is_deterministic():
 def test_contraction_identity_is_isometry():
     rep = contraction_check(catalog.identity(), 1.0)
     assert rep.verdict == "pass"
-    assert rep.worst().lhs == 1.0 and rep.worst().rhs == 1.0
+    assert rep.worst_margin.lhs == 1.0 and rep.worst_margin.rhs == 1.0
     assert rep.samples == rep.count == 512 + 64
 
 
@@ -84,13 +84,13 @@ def test_contraction_cubic_is_sharp():
     # |z|^2 z: the ray pairs push the ratio to 1 from below
     rep = contraction_check(catalog.monomial(2, 1, 1.0), 1.0)
     assert rep.verdict == "pass"
-    assert 0.999 <= rep.worst().lhs <= 1.0 + 1e-9
+    assert 0.999 <= rep.worst_margin.lhs <= 1.0 + 1e-9
 
 
 def test_contraction_f2_into_triple_disk():
     rep = contraction_check(catalog.f2(), 3.0)
     assert rep.verdict == "pass"
-    assert rep.worst().lhs <= 1.0 + 1e-9
+    assert rep.worst_margin.lhs <= 1.0 + 1e-9
     assert rep.extras["coefficient_sum"] == 3.0
 
 
@@ -100,13 +100,13 @@ def test_contraction_random_normalized_maps():
         F = random_sum_normalized(rng)
         rep = contraction_check(F, 1.0)
         assert rep.verdict == "pass"
-        assert rep.worst().lhs <= 1.0 + 1e-9
+        assert rep.worst_margin.lhs <= 1.0 + 1e-9
 
 
 def test_contraction_hypothesis_gate():
     rep = contraction_check(catalog.linear(1.0, 0.5), 1.2)
     assert rep.verdict == "hypotheses-not-met"
-    assert rep.worst() is None and rep.samples == 0
+    assert rep.worst_margin is None and rep.samples == 0
 
 
 def test_contraction_sum_condition_is_not_necessary():
@@ -150,7 +150,7 @@ def test_harmonic_check_identity():
     assert rep.extras["parseval_sum"] == 1.0
     # the pairs, then the Parseval and coefficient sums; Parseval is tight
     assert rep.count == 512 + 64 + 2
-    assert (rep.worst().check_id, rep.worst().slack) == ("parseval sum", 0.0)
+    assert (rep.worst_margin.check_id, rep.worst_margin.slack) == ("parseval sum", 0.0)
 
 
 def test_harmonic_check_counterexample_map_passes():
@@ -181,7 +181,7 @@ def test_harmonic_check_guards():
         rep = harmonic_lipschitz_check(F)
         assert rep.verdict == "hypotheses-not-met"
         assert rep.extras["reason"] == reason
-        assert rep.worst() is None and rep.samples == 0
+        assert rep.worst_margin is None and rep.samples == 0
 
 
 def _leaves_between_samples():
@@ -260,7 +260,7 @@ def test_psi_profile_domain():
 def test_mobius_rotation_is_isometry():
     rep = mobius_j_distortion(0.0)
     assert rep.verdict == "pass"
-    assert rep.worst().lhs == 1.0
+    assert rep.worst_margin.lhs == 1.0
 
 
 def test_mobius_distortion_bounded_by_two():
@@ -269,13 +269,13 @@ def test_mobius_distortion_bounded_by_two():
         a = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         rep = mobius_j_distortion(complex(a))
         assert rep.verdict == "pass"
-        assert rep.worst().lhs <= 2.0 + 1e-9
+        assert rep.worst_margin.lhs <= 2.0 + 1e-9
 
 
 def test_mobius_distortion_not_trivial():
     # a genuine shift does distort: the sup stays clearly above 1
     rep = mobius_j_distortion(0.6)
-    assert rep.worst().lhs > 1.1
+    assert rep.worst_margin.lhs > 1.1
 
 
 def test_mobius_rejects_boundary_parameter():
@@ -305,4 +305,4 @@ def test_mobius_distortion_is_rotation_invariant(theta):
         return np.exp(1j * theta) * (q - a) / (1.0 - np.conj(a) * q)
 
     rotated = float(np.max(j(mob(z), mob(w)) / j(z, w)))
-    assert rotated == pytest.approx(mobius_j_distortion(a).worst().lhs, rel=1e-14)
+    assert rotated == pytest.approx(mobius_j_distortion(a).worst_margin.lhs, rel=1e-14)

@@ -42,7 +42,7 @@ def test_check_report_serialization():
     assert d["name"] == "length-coefficient-bounds"
     assert d["verdict"] == "pass"
     assert d["margins"] == len(rep.margins)
-    assert d["worst_margin"]["slack"] == rep.worst().slack
+    assert d["worst_margin"]["slack"] == rep.worst_margin.slack
     json.dumps(to_jsonable(d))  # must be a JSON-safe document
 
 
@@ -51,7 +51,7 @@ def test_lipschitz_report_serialization():
     d = check_to_dict(rep)
     # the j checks serialize like every other check: one margin per pair
     assert d == {"name": "j-contraction", "verdict": "pass", "margins": 512 + 64,
-                 "worst_margin": to_jsonable(rep.worst()),
+                 "worst_margin": to_jsonable(rep.worst_margin),
                  "witnesses": to_jsonable(rep.witnesses),
                  "extras": {"coefficient_sum": 1.0, "M": 1.0}}
     assert (d["worst_margin"]["lhs"], d["worst_margin"]["rhs"]) == (1.0, 1.0)
