@@ -204,17 +204,18 @@ def _horner_deriv(c, w):
     return _horner(d[1:], w) + d[0]
 
 
-def _points(z):
+def _points(z, p):
+    # |z|^2 is read only between layers, so a single layer skips it
     zz = np.asarray(z, dtype=np.complex128)
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
     zc = np.conj(zz)
-    return scalar, zz, zc, (zz * zc).real
+    return scalar, zz, zc, (zz * zc).real if p > 1 else None
 
 
 def evaluate(F: PolyharmonicMap, z):
     """Value of the truncated series at ``z`` (scalar or ndarray)."""
-    scalar, zz, zc, s = _points(z)
+    scalar, zz, zc, s = _points(z, F.p)
     out = None
     for n in range(F.p, 0, -1):
         h = _horner(F.a[n - 1], zz)
@@ -226,7 +227,7 @@ def evaluate(F: PolyharmonicMap, z):
 def wirtinger(F: PolyharmonicMap, z):
     """Both Wirtinger derivatives ``(F_z, F_zbar)`` at ``z`` from the
     layer formulas in the module docstring."""
-    scalar, zz, zc, s = _points(z)
+    scalar, zz, zc, s = _points(z, F.p)
     fz = fzb = g = None
     for n in range(F.p, 0, -1):
         a = F.a[n - 1]
@@ -468,7 +469,9 @@ def _k_boundary(F: PolyharmonicMap):
 def quasiregularity_constant(F: PolyharmonicMap) -> float:
     """Supremum of lambda_big / lambda_small over the closed unit disk.
 
-    Two routes give a lower bound for the true supremum.
+    Two routes estimate the true supremum from below, up to a few ulps of
+    rounding: f2, whose K is exactly 3, gets 3.0000000000000004.  A
+    rounding-aware enclosure is ROADMAP item 2.
 
     The boundary route takes a single layer F = h + conj(g) whose
     certificate holds: |a_1| > sum_{j>=2} j |a_j|, so h' has no zero on the

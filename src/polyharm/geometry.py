@@ -83,48 +83,161 @@ def _panel_rule():
     return 0.5 * (t + 1.0), w, to_ends
 
 
-def _panel_sums(starts, steps):
-    # the integral of the speed over each panel [s, s + h) and the length
-    # it may hide, for the panels of each step (table, count, width h),
-    # which follow one another in starts.  A table's panels go to the
-    # kernel 2^11 at a time, as they would for its radius alone.  Runs of
-    # up to 2^11 panels of one width share the elementwise work, and a
-    # call whose starts equal the last call's reuses its node exponentials.
-    # The weighted node sum is a BLAS product whose last bits depend on its
-    # row count, so it is taken per kernel call
+def _panel_sums(starts, widths, steps, hiding):
+    # the integral of the speed over each panel [s, s + h) and, if hiding,
+    # the length it may hide (a first pass reads none), for the panels
+    # (starts, widths) of each step (table, count), which follow one
+    # another.  A table's panels go to the kernel 2^11 at a time, as they
+    # would for its radius alone.  Runs of up to 2^11 panels share the
+    # elementwise work, and a call whose panels equal the last call's
+    # reuses its node exponentials.  The weighted node sum is a BLAS product
+    # whose last bits depend on its row count, so it is taken per kernel call
     x, w, to_ends = _panel_rule()
     sums, hidden = np.empty(starts.size), np.empty(starts.size)
-    runs, at = [], 0  # [width, first panel, end, kernel calls (table, first, end)]
-    for G, n, h in steps:
+    runs, at = [], 0  # [first panel, end, kernel calls (table, first, end)]
+    for G, n in steps:
         for a in range(at, at + n, _PANELS):
             b = min(a + _PANELS, at + n)
-            if not runs or runs[-1][0] != h or b - runs[-1][1] > _PANELS:
-                runs.append([h, a, b, []])
-            runs[-1][2] = b
-            runs[-1][3].append((G, a, b))
+            if not runs or b - runs[-1][0] > _PANELS:
+                runs.append([a, b, []])
+            runs[-1][1] = b
+            runs[-1][2].append((G, a, b))
         at += n
-    for h, a0, b0, calls in runs:
+    for a0, b0, calls in runs:
         parts, seen = [], None
         for G, a, b in calls:
-            key = starts[a:b].tobytes()
+            key = starts[a:b].tobytes() + widths[a:b].tobytes()
             if key != seen:  # else the same nodes as the last call
                 seen = key
-                u = np.exp(1j * (starts[a:b, None] + h * x[None, :]))
+                u = np.exp(1j * (starts[a:b, None] + widths[a:b, None] * x[None, :]))
                 uu = np.conj(u * u)
             fz, fzb = wirtinger(G, u)
             parts.append(fz - uu * fzb)
         v = np.concatenate(parts)
         speed = np.abs(v)
         for _, a, b in calls:
-            sums[a:b] = 0.5 * h * (speed[a - a0:b - a0] @ w)
+            sums[a:b] = 0.5 * widths[a:b] * (speed[a - a0:b - a0] @ w)
+        if not hiding:
+            continue
         # q < 1 where a zero of v may sit between an end and its nearest
         # node; bend is the length it can hide there, over g
         ends = v @ to_ends.T
         e, s = np.abs(ends), np.abs(v[:, ::x.size - 1] - ends)
         q = np.maximum(np.minimum(e, s) / np.maximum(s, 1e-300), 1e-300)
         bend = np.where(q < 1.0, e * q * (1.0 - np.log(q)), 0.0)
-        hidden[a0:b0] = x[0] * h * bend.sum(axis=1)
+        hidden[a0:b0] = x[0] * widths[a0:b0] * bend.sum(axis=1)
     return sums, hidden
+
+
+def _equal_panels(F: PolyharmonicMap):
+    # the 4 (J + p) equal panels every circle starts from, as (starts, widths)
+    n0 = 4 * (F.J + F.p)
+    h0 = 2.0 * np.pi / n0
+    return h0 * np.arange(n0), np.full(n0, h0)
+
+
+def _merged(panels, h0, least):
+    # the sorted panels (starts, widths), made by bisecting panels of width
+    # h0, with every panel narrower than w merged into the cell of width w
+    # that holds it, w = h0 / 2^k being the narrowest such width >= least
+    s, h = panels
+    if h.min() >= least:
+        return panels
+    w = h0
+    while 0.5 * w >= least:
+        w *= 0.5
+    deep = h < w
+    cell = np.floor((s + 0.5 * h) / w)
+    first = deep & np.concatenate([[True], cell[1:] != cell[:-1]])
+    keep = ~deep | first
+    return s[keep], np.where(deep[keep], w, h[keep])
+
+
+def _lengths(F: PolyharmonicMap, rs: np.ndarray, starts=None):
+    # curve_length's integrator on the radii rs, each starting from its
+    # panels in starts, as (starts, widths), or from the equal panels.
+    # Returns the lengths and the panels rs[0] accepted, as a list of
+    # (starts, widths) pieces: they partition [0, 2 pi).  A radius whose
+    # given start cannot settle within _MAX_SAMPLES begins again from the
+    # equal panels, under a budget of its own, so it raises only where the
+    # equal panels do
+    A, B = _collapse(rs, 0, F.a, F.b)
+    tables = [PolyharmonicMap(1, F.J, A[i:i + 1], B[i:i + 1]) for i in range(rs.size)]
+    nodes = _panel_rule()[0].size
+    equal = _equal_panels(F)
+    n0 = equal[0].size
+    # per radius: its starting panels, the open panels' starts, widths and
+    # sums (None before the first pass), the samples used, the sum of the
+    # accepted panels, the estimate after each round and the acceptance scale
+    begin = [equal] * rs.size if starts is None else list(starts)
+    left, width, whole = [None] * rs.size, [None] * rs.size, [None] * rs.size
+    used, done = [0] * rs.size, [0.0] * rs.size
+    estimates, scale = [[] for _ in rs], [0.0] * rs.size
+    accepted = []
+    pending = list(range(rs.size))
+    while pending:
+        fresh, going = [], []
+        pool = sum(used[pending[0] + 1:])
+        for i in pending:
+            cost = nodes * (begin[i][0].size if left[i] is None else 2 * whole[i].size)
+            if i == pending[0] and used[i] + cost > _MAX_SAMPLES:
+                if begin[i] is not equal:
+                    begin[i], left[i], used[i], done[i], estimates[i] = equal, None, 0, 0.0, []
+                    if i == 0:
+                        accepted = []
+                    cost = nodes * n0
+                elif left[i] is not None:
+                    raise NoConvergence(
+                        "curve_length at r=%r (p=%d, J=%d, tol=%r) did not settle "
+                        "within %d samples; %d panels still open"
+                        % (float(rs[i]), F.p, F.J, LENGTH_TOL, used[i], whole[i].size),
+                        estimates[i])
+            elif i != pending[0]:
+                if used[i] + cost > _MAX_SAMPLES or pool + cost > _MAX_SAMPLES:
+                    break
+                pool += cost
+            used[i] += cost
+            (fresh if left[i] is None else going).append(i)
+        half = [0.5 * width[i] for i in going]
+        at = np.concatenate([part for i, h in zip(going, half) for part in (left[i], left[i] + h)]
+                            + [begin[i][0] for i in fresh])
+        widths = np.concatenate([part for h in half for part in (h, h)]
+                                + [begin[i][1] for i in fresh])
+        sums, hidden = _panel_sums(at, widths,
+                                   [(tables[i], 2 * whole[i].size) for i in going]
+                                   + [(tables[i], begin[i][0].size) for i in fresh],
+                                   bool(going))
+        a = 0
+        for i, h in zip(going, half):
+            n = whole[i].size
+            lo, hi = sums[a:a + n], sums[a + n:a + 2 * n]
+            both = lo + hi
+            ok = (np.abs(both - whole[i]) + (hidden[a:a + n] + hidden[a + n:a + 2 * n])
+                  < scale[i] * 2.0 * h)
+            if ok.all():  # the radius settles
+                done[i] += float(both.sum())
+                if i == 0:
+                    accepted.append((left[i], width[i]))
+                left[i] = width[i] = whole[i] = both[:0]
+            else:
+                done[i] += float(both[ok].sum())
+                if i == 0:
+                    accepted.append((left[i][ok], width[i][ok]))
+                split = ~ok
+                kept, hs = left[i][split], h[split]
+                left[i], width[i] = np.concatenate([kept, kept + hs]), np.concatenate([hs, hs])
+                whole[i] = np.concatenate([lo[split], hi[split]])
+            estimates[i].append(done[i] + float(whole[i].sum()))
+            a += 2 * n
+        for i in fresh:
+            left[i], width[i] = begin[i]
+            n = left[i].size
+            whole[i] = sums[a:a + n]
+            estimates[i].append(float(whole[i].sum()))
+            scale[i] = LENGTH_TOL * (rs[i] + abs(estimates[i][0])) / (2.0 * np.pi)
+            a += n
+        pending = [i for i in pending if whole[i] is None or whole[i].size]
+    return done, accepted
 
 
 def curve_length(F: PolyharmonicMap, r):
@@ -174,69 +287,13 @@ def curve_length(F: PolyharmonicMap, r):
     bad = ~((rs > 0.0) & (rs <= 1.0))
     if bad.any():
         raise InvalidParams("radius must be in (0, 1], got %r" % (float(rs[bad][0]),))
-    A, B = _collapse(rs, 0, F.a, F.b)
-    tables = [PolyharmonicMap(1, F.J, A[i:i + 1], B[i:i + 1]) for i in range(rs.size)]
-    nodes = _panel_rule()[0].size
-    n0 = 4 * (F.J + F.p)
-    h0 = 2.0 * np.pi / n0
-    first = h0 * np.arange(n0)
-    # per radius: the open panels' starts and sums (None before the first
-    # pass), their width, the samples used, the sum of the accepted panels,
-    # the estimate after each round and the acceptance scale
-    left, whole = [None] * rs.size, [None] * rs.size
-    width, used, done = [h0] * rs.size, [0] * rs.size, [0.0] * rs.size
-    estimates, scale = [[] for _ in rs], [0.0] * rs.size
-    pending = list(range(rs.size))
-    while pending:
-        fresh, going = [], []
-        pool = sum(used[pending[0] + 1:])
-        for i in pending:
-            cost = nodes * (n0 if left[i] is None else 2 * whole[i].size)
-            if i == pending[0]:
-                if left[i] is not None and used[i] + cost > _MAX_SAMPLES:
-                    raise NoConvergence(
-                        "curve_length at r=%r (p=%d, J=%d, tol=%r) did not settle "
-                        "within %d samples; %d panels still open"
-                        % (float(rs[i]), F.p, F.J, LENGTH_TOL, used[i], whole[i].size),
-                        estimates[i])
-            elif used[i] + cost > _MAX_SAMPLES or pool + cost > _MAX_SAMPLES:
-                break
-            else:
-                pool += cost
-            used[i] += cost
-            (fresh if left[i] is None else going).append(i)
-        for i in going:
-            width[i] *= 0.5
-        starts = np.concatenate([part for i in going for part in (left[i], left[i] + width[i])]
-                                + [first] * len(fresh))
-        sums, hidden = _panel_sums(starts, [(tables[i], 2 * whole[i].size, width[i])
-                                            for i in going]
-                                   + [(tables[i], n0, h0) for i in fresh])
-        a = 0
-        for i in going:
-            n, h = whole[i].size, width[i]
-            lo, hi = sums[a:a + n], sums[a + n:a + 2 * n]
-            both = lo + hi
-            ok = (np.abs(both - whole[i]) + (hidden[a:a + n] + hidden[a + n:a + 2 * n])
-                  < scale[i] * 2.0 * h)
-            done[i] += float(both[ok].sum())
-            split = ~ok
-            kept = left[i][split]
-            left[i] = np.concatenate([kept, kept + h])
-            whole[i] = np.concatenate([lo[split], hi[split]])
-            estimates[i].append(done[i] + float(whole[i].sum()))
-            a += 2 * n
-        for i in fresh:
-            left[i], whole[i] = first, sums[a:a + n0]
-            estimates[i].append(float(whole[i].sum()))
-            scale[i] = LENGTH_TOL * (rs[i] + abs(estimates[i][0])) / (2.0 * np.pi)
-            a += n0
-        pending = [i for i in pending if whole[i] is None or whole[i].size]
+    done = _lengths(F, rs)[0]
     return done[0] if radii.ndim == 0 else np.array(done)
 
 
 _SCAN_RADII = 20  # sup_length scans r = 1 - 2^-k, k = 1..20
 _RADIUS_TOL = 1e-12
+_MERGE = 0.25  # sup_length merges the starting panels of radius r below _MERGE (1 - r)
 
 
 def sup_length(F: PolyharmonicMap) -> float:
@@ -256,27 +313,52 @@ def sup_length(F: PolyharmonicMap) -> float:
     it, and the parabola through them still climbs there.  That second
     rule assumes no bump in the length between the last probe and r = 1;
     it is a heuristic, not a bound.  The zoom also stops at a bracket of
-    1e-12.  Every radius is integrated once, at LENGTH_TOL: the 20 scan
-    radii in one curve_length call, and the radii each zoom round has not
-    seen yet in one more.  A radius that does not settle raises
-    NoConvergence, naming the stage, for the first such radius in the
-    order of that call.
+    1e-12.
+
+    Every radius is integrated once, by curve_length's rule at LENGTH_TOL.
+    The outermost scan radius, 1 - 2^-20, whose image has the sharpest
+    corners, goes first and alone, from the 4 (J + p) equal panels.  Every
+    other radius r starts from the panels it accepted, those narrower than
+    (1 - r) / 4 merged into dyadic cells at least that wide: a speed zero
+    that sharpens a corner near |z| = 1 lies about 1 - r away from |z| = r,
+    so finer panels would only cost samples there.  The other 19 scan
+    radii share one pass, and the radii each zoom round has not seen yet
+    one more.  A start sets only where the bisection begins; every panel
+    still passes curve_length's test, so the lengths agree with
+    curve_length's to the tolerance, and where the outermost radius
+    accepts the equal panels at its first halving, every radius starts
+    from them and gets curve_length's bits.  A radius spends at most 2^20
+    samples from its start; one whose start cannot settle within them
+    begins again from the equal panels, under a budget of its own, so it
+    raises only where curve_length does.  A radius that does not settle
+    raises NoConvergence, naming the stage, for the first such radius in
+    the order of its pass, so the outermost radius raises before any other
+    is integrated.
     """
     if F.p == 1:
         return curve_length(F, 1.0)
-    seen = {}
+    seen, seed = {}, None
+    h0 = _equal_panels(F)[1][0]
 
     def measure(rs, stage):
+        nonlocal seed
         new = [r for r in dict.fromkeys(map(float, rs)) if r not in seen]
         if new:  # zoom grids share their ends with earlier grids
+            starts = None if seed is None else [_merged(seed, h0, _MERGE * (1.0 - r)) for r in new]
             try:
-                seen.update(zip(new, map(float, curve_length(F, np.array(new)))))
+                lengths, accepted = _lengths(F, np.array(new), starts)
             except NoConvergence as exc:
                 raise NoConvergence("sup_length %s: %s" % (stage, exc),
                                     exc.estimates) from None
+            seen.update(zip(new, lengths))
+            if seed is None:  # the first radius measured starts every later one
+                s, w = map(np.concatenate, zip(*accepted))
+                order = np.argsort(s, kind="stable")
+                seed = s[order], w[order]
         return [seen[float(r)] for r in rs]
 
     rs = 1.0 - 2.0 ** (-np.arange(1, _SCAN_RADII + 1))
+    measure(rs[-1:], "radius scan")
     vals = measure(rs, "radius scan")
     i0 = int(np.argmax(vals))
     lo = float(rs[i0 - 1]) if i0 > 0 else 1e-9
@@ -585,7 +667,10 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     check_grid_size(n_radii * n_angles, "n_radii x n_angles")
     radii = r * np.arange(1, n_radii + 1) / n_radii
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    z = radii[:, None] * np.exp(1j * th)[None, :]
+    # radius times the real and the imaginary part of e^(i th): real
+    # products on the interleaved parts, where a complex product would
+    # also form and add the zero terms
+    z = (radii[:, None] * np.exp(1j * th).view(float)[None, :]).view(complex)
     w = evaluate(F, z).ravel()
     xy = np.column_stack([w.real, w.imag])
     ia, ib = _farthest_pair(xy)

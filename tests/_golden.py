@@ -1,11 +1,13 @@
-"""Golden ``verify`` reports: the maps, how each report is made, and the
+"""Golden command outputs: the maps, how each output is made, and the
 script that rewrites them.
 
 ``tests/golden/maps.json`` holds the mapping document of every case: each
 builtin with fixed parameters, and seeded tables from ``_gen``.
-``tests/golden/verify/<case>.txt`` holds the case's report: a line with the
-Python and numpy versions, a line with the command and its exit code, any
-stderr lines, then stdout byte for byte.  ``test_golden.py`` compares them.
+``tests/golden/<command>/<case>.txt`` holds one command's output on the
+case: a line with the Python and numpy versions, a line with the command
+and its exit code, any stderr lines, then stdout byte for byte.  ``verify``
+runs on every case, ``length --sup`` on the square maps, f2 and form37.
+``test_golden.py`` compares them.
 
 A change that moves report bytes rewrites the files, and their diff lists
 the moved values:
@@ -75,11 +77,25 @@ def cases() -> dict:
     return dict(_builtins(), **_tables())
 
 
-def run(case: str, doc: dict, workdir: Path) -> str:
-    """The golden text of ``verify`` on ``doc``, run in-process from
-    ``workdir`` so that the report names the file ``<case>.map``."""
+# golden directory -> the command's arguments and its cases (None: all)
+COMMANDS = {
+    "verify": (["verify"], None),
+    "length_sup": (["length", "--sup"],
+                   ["f0_J9", "f0_J41", "F1_J9", "F1_J41", "f2", "form37"]),
+}
+
+
+def outputs(docs: dict) -> list:
+    """The (golden directory, case) of every golden output."""
+    return [(folder, case) for folder, (_, names) in COMMANDS.items()
+            for case in (docs if names is None else names)]
+
+
+def run(folder: str, case: str, doc: dict, workdir: Path) -> str:
+    """The golden text of ``folder``'s command on ``doc``, run in-process
+    from ``workdir`` so that the output names the file ``<case>.map``."""
     (workdir / (case + ".map")).write_text(json.dumps(doc), encoding="utf-8")
-    argv = ["verify", "--map", case + ".map"]
+    argv = COMMANDS[folder][0] + ["--map", case + ".map"]
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(workdir)
     try:
@@ -94,14 +110,15 @@ def run(case: str, doc: dict, workdir: Path) -> str:
 
 def main() -> None:
     docs = cases()
-    (GOLDEN / "verify").mkdir(parents=True, exist_ok=True)
     (GOLDEN / "maps.json").write_text(json.dumps(docs, indent=1) + "\n", encoding="utf-8")
-    for old in (GOLDEN / "verify").glob("*.txt"):
-        old.unlink()
+    for folder in COMMANDS:
+        (GOLDEN / folder).mkdir(parents=True, exist_ok=True)
+        for old in (GOLDEN / folder).glob("*.txt"):
+            old.unlink()
     with tempfile.TemporaryDirectory() as tmp:
-        for case, doc in docs.items():
-            text = run(case, doc, Path(tmp))
-            (GOLDEN / "verify" / (case + ".txt")).write_text(text, encoding="utf-8")
+        for folder, case in outputs(docs):
+            text = run(folder, case, docs[case], Path(tmp))
+            (GOLDEN / folder / (case + ".txt")).write_text(text, encoding="utf-8")
             print(text.splitlines()[1])
 
 

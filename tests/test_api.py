@@ -130,7 +130,7 @@ def test_no_tuning_parameters(name):
 README_VALUES = {
     "F(0.5)": ("(0.65625+0j)", 0.65625),
     "wirtinger(F, 0.5)": ("((1.6875+0j), (0.375+0j))", (1.6875, 0.375)),
-    "quasiregularity_constant(F)": ("3.0", 3.0),
+    "quasiregularity_constant(F)": ("3.0000000000000004", 3.0),
     "curve_length(F, 0.5)": ("pi * 1.3125", math.pi * 1.3125),
     "curve_length(F, np.array([0.5, 1.0]))": ("pi * (1.3125, 6)",
                                               (math.pi * 1.3125, 6.0 * math.pi)),

@@ -20,6 +20,7 @@ from polyharm.geometry import (
     sup_length,
 )
 
+import _gen
 from _gen import conjugate_map, convex_map, random_map
 
 
@@ -73,17 +74,18 @@ def test_sup_length_never_loosens_the_tolerance(monkeypatch):
 
 
 def _record_radii(monkeypatch):
-    # wraps geometry.curve_length; the list it returns gets one (radius,
-    # length) entry per radius asked for, each radius of an array call too
+    # wraps geometry._lengths, the integrator that curve_length and
+    # sup_length both call; the list it returns gets one (radius, length)
+    # entry per radius integrated
     seen = []
-    inner = geometry.curve_length
+    inner = geometry._lengths
 
-    def recorded(F, r, **kw):
-        out = inner(F, r, **kw)
-        seen.extend(zip(np.atleast_1d(r).tolist(), np.atleast_1d(out).tolist()))
+    def recorded(F, rs, *starts):
+        out = inner(F, rs, *starts)
+        seen.extend(zip(rs.tolist(), out[0]))
         return out
 
-    monkeypatch.setattr(geometry, "curve_length", recorded)
+    monkeypatch.setattr(geometry, "_lengths", recorded)
     return seen
 
 
@@ -114,6 +116,79 @@ def test_sup_length_stops_once_the_lengths_settle(monkeypatch):
     seen = _record_radii(monkeypatch)
     sup_length(catalog.f1(9))
     assert 20 <= len(seen) <= 24
+
+
+_FORM37 = {"eta": 0.6, "xi": 0.25, "zeta1": {"2": 0.2, "3": 0.1},
+           "zeta2": {"1": 0.15, "2": 0.1}, "theta": {"1": 0.3, "2": 1.1, "3": 2.0},
+           "phi": {"1": 0.7, "2": 1.9, "3": 4.0}, "sign_a": {"1": -1}}
+
+
+@pytest.mark.parametrize("F", [catalog.f1(9), catalog.f1(41), catalog.builtin("form37", _FORM37)],
+                         ids=["F1 J=9", "F1 J=41", "form37"])
+def test_sup_length_matches_the_equal_panel_lengths(monkeypatch, F):
+    # every radius after the outermost starts from the panels that radius
+    # accepted; the lengths stay those of curve_length, which starts each
+    # radius from the equal panels, to the length tolerance
+    seen = _record_radii(monkeypatch)
+    got = sup_length(F)
+    monkeypatch.undo()
+    want = float(curve_length(F, np.array([r for r, _ in seen])).max())
+    assert abs(got - want) <= 1e-10 * (1.0 + got)
+
+
+def test_sup_length_of_the_square_map_makes_few_kernel_calls(monkeypatch):
+    # from the outermost radius's panels the other radii settle in a few
+    # rounds; starting each radius from the equal panels took 310 calls
+    calls = []
+    inner = geometry.wirtinger
+
+    def counted(G, z):
+        calls.append(np.size(z))
+        return inner(G, z)
+
+    monkeypatch.setattr(geometry, "wirtinger", counted)
+    sup_length(catalog.f1(9))
+    assert 0 < len(calls) <= 130
+
+
+def _equal_panel_sup_length(monkeypatch, F):
+    # sup_length with every radius started from the 4 (J + p) equal panels
+    inner = geometry._lengths
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_lengths", lambda F, rs, starts=None: inner(F, rs))
+        return sup_length(F)
+
+
+def _settling_maps():
+    # multi-layer maps whose radii all settle at the first halving
+    rng = np.random.default_rng(3232)
+    maps = [catalog.f2(), catalog.monomial(2, 3, 0.6 + 0.2j)]
+    for p, J in ((2, 1), (2, 4), (3, 2), (3, 7), (4, 3), (2, 12), (4, 9), (3, 12)):
+        maps.append(_gen.dominant_map(rng, p, J))
+        maps.append(_gen.dominant_map(rng, p, J, aligned=True))
+    return maps
+
+
+def test_sup_length_keeps_its_bits_where_every_radius_settles_at_once(monkeypatch):
+    # the outermost radius accepts the equal panels at its first halving,
+    # so every other radius starts from them as curve_length does
+    for F in _settling_maps():
+        (starts, widths), = geometry._lengths(F, np.array([1.0 - 2.0 ** -20]))[1]
+        equal = geometry._equal_panels(F)
+        assert _hex(starts) == _hex(equal[0]) and _hex(widths) == _hex(equal[1])
+        assert _hex(sup_length(F)) == _hex(_equal_panel_sup_length(monkeypatch, F))
+
+
+@pytest.mark.parametrize("k", [1 << 8, 1 << 12])
+def test_start_over_the_budget_begins_from_the_equal_panels(monkeypatch, k):
+    # a start that cannot settle within the sample cap, here after its first
+    # pass (k = 2^8) or before it (k = 2^12), is dropped, and the radius is
+    # integrated as curve_length integrates it, under a cap of its own
+    monkeypatch.setattr(geometry, "_MAX_SAMPLES", 1 << 17)
+    F, r = catalog.f1(9), 0.9
+    s, w = geometry._equal_panels(F)
+    fine = (s[:, None] + (w / k)[:, None] * np.arange(k)).ravel(), np.repeat(w / k, k)
+    assert _hex(geometry._lengths(F, np.array([r]), [fine])[0]) == _hex(curve_length(F, r))
 
 
 def _random_table(rng, p, J):
@@ -337,10 +412,10 @@ def test_length_rejects_radii_outside_the_disk():
 
 @pytest.mark.parametrize("cap", [1 << 12, 1 << 13])
 def test_failing_scan_spends_at_most_one_more_radius_budget(monkeypatch, cap):
-    # with the sample cap cut down, scanning F1's radii one at a time
-    # stops at the first radius that cannot settle; the scan in one pass
-    # raises for that same radius, with its estimates, after at most one
-    # more cap of samples spent on the radii after it
+    # with the sample cap cut down, F1's outermost scan radius, whose image
+    # has the sharpest corners, cannot settle; the scan integrates it first
+    # and alone, so it raises for that radius, with the estimates and the
+    # message it gets alone, after spending only the samples it spends alone
     monkeypatch.setattr(geometry, "_MAX_SAMPLES", cap)
     taken = [0]
     inner = geometry.wirtinger
@@ -351,18 +426,14 @@ def test_failing_scan_spends_at_most_one_more_radius_budget(monkeypatch, cap):
 
     monkeypatch.setattr(geometry, "wirtinger", counted)
     F = catalog.f1(9)
-    for r in 1.0 - 2.0 ** -np.arange(1, 21):
-        try:
-            curve_length(F, float(r))
-        except NoConvergence as exc:
-            first = exc
-            break
-    one_by_one, taken[0] = taken[0], 0
+    with pytest.raises(NoConvergence) as alone:
+        curve_length(F, 1.0 - 2.0 ** -20)
+    by_itself, taken[0] = taken[0], 0
     with pytest.raises(NoConvergence) as exc:
         sup_length(F)
-    assert exc.value.estimates == first.estimates
-    assert str(exc.value) == "sup_length radius scan: " + str(first)
-    assert taken[0] <= one_by_one + cap
+    assert exc.value.estimates == alone.value.estimates
+    assert str(exc.value) == "sup_length radius scan: " + str(alone.value)
+    assert taken[0] == by_itself
 
 
 def test_sup_length_memory_stays_bounded_at_the_layer_cap():
