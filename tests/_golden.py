@@ -6,8 +6,11 @@ builtin with fixed parameters, and seeded tables from ``_gen``.
 ``tests/golden/<command>/<case>.txt`` holds one command's output on the
 case: a line with the Python and numpy versions, a line with the command
 and its exit code, any stderr lines, then stdout byte for byte.  ``verify``
-runs on every case, ``length --sup`` on the square maps, f2 and form37.
-``test_golden.py`` compares them.
+runs on every case, ``length --sup`` on the square maps, f2 and form37,
+and ``diam``, ``landau`` (both modes), ``three-circles`` and ``schwarz`` on
+identity, f2, form37 and the J = 9 square maps.  ``jmetric --mobius-a``
+reads no map, so its one output is the case ``mobius``, which has no
+mapping document.  ``test_golden.py`` compares them.
 
 A change that moves report bytes rewrites the files, and their diff lists
 the moved values:
@@ -77,11 +80,19 @@ def cases() -> dict:
     return dict(_builtins(), **_tables())
 
 
+_SMALL = ["identity", "f2", "f0_J9", "F1_J9", "form37"]
+
 # golden directory -> the command's arguments and its cases (None: all)
 COMMANDS = {
     "verify": (["verify"], None),
     "length_sup": (["length", "--sup"],
                    ["f0_J9", "f0_J41", "F1_J9", "F1_J41", "f2", "form37"]),
+    "diam": (["diam"], _SMALL),
+    "landau_diameter": (["landau", "--mode", "diameter"], _SMALL),
+    "landau_length": (["landau", "--mode", "length"], _SMALL),
+    "three_circles": (["three-circles", "--r1", "0.3"], _SMALL),
+    "schwarz": (["schwarz"], _SMALL),
+    "jmetric_mobius": (["jmetric", "--mobius-a", "0.5"], ["mobius"]),
 }
 
 
@@ -91,11 +102,14 @@ def outputs(docs: dict) -> list:
             for case in (docs if names is None else names)]
 
 
-def run(folder: str, case: str, doc: dict, workdir: Path) -> str:
+def run(folder: str, case: str, doc, workdir: Path) -> str:
     """The golden text of ``folder``'s command on ``doc``, run in-process
-    from ``workdir`` so that the output names the file ``<case>.map``."""
-    (workdir / (case + ".map")).write_text(json.dumps(doc), encoding="utf-8")
-    argv = COMMANDS[folder][0] + ["--map", case + ".map"]
+    from ``workdir`` so that the output names the file ``<case>.map``; a
+    ``doc`` of None runs the command without a map."""
+    argv = list(COMMANDS[folder][0])
+    if doc is not None:
+        (workdir / (case + ".map")).write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--map", case + ".map"]
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(workdir)
     try:
@@ -117,7 +131,7 @@ def main() -> None:
             old.unlink()
     with tempfile.TemporaryDirectory() as tmp:
         for folder, case in outputs(docs):
-            text = run(folder, case, docs[case], Path(tmp))
+            text = run(folder, case, docs.get(case), Path(tmp))
             (GOLDEN / folder / (case + ".txt")).write_text(text, encoding="utf-8")
             print(text.splitlines()[1])
 

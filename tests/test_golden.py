@@ -1,5 +1,6 @@
-"""Every golden output, byte for byte: the ``verify`` report of each case
-and the ``length --sup`` line of the square maps, f2 and form37.
+"""Every golden output, byte for byte: the ``verify`` report of each case,
+the ``length --sup`` line of the square maps, f2 and form37, and the
+stdout and exit code of the single-quantity commands.
 
 A change that moves output bytes rewrites the goldens with
 ``PYTHONPATH=src python tests/_golden.py``; their diff lists what moved.
@@ -25,7 +26,7 @@ def _moved(folder, tmp_path):
                     "parent commit to compare" % (" / ".join(sorted(made_with)),
                                                  _golden.versions()))
     return [case for case in files
-            if _golden.run(folder, case, docs[case], tmp_path) != files[case]]
+            if _golden.run(folder, case, docs.get(case), tmp_path) != files[case]]
 
 
 def test_verify_reports_match_the_goldens(tmp_path):
@@ -34,3 +35,9 @@ def test_verify_reports_match_the_goldens(tmp_path):
 
 def test_sup_length_lines_match_the_goldens(tmp_path):
     assert _moved("length_sup", tmp_path) == []
+
+
+@pytest.mark.parametrize("folder", ["diam", "landau_diameter", "landau_length",
+                                    "three_circles", "schwarz", "jmetric_mobius"])
+def test_command_outputs_match_the_goldens(folder, tmp_path):
+    assert _moved(folder, tmp_path) == []
