@@ -19,6 +19,7 @@ quarter-turn families come out exact in floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -181,11 +182,10 @@ class _AngleBlocks:
                    2 * J * p * p + n * J + j, mod[j, n, 1], mod[j, n, 0], TOL_REPORT)
 
 
-# the map last asked about and its angle reports by kind: verify asks for
-# each kind, and then each conclusion asks again for the kind it assumes
-_asked = {"map": None}
-
-
+# verify asks for each of the three kinds, and then each conclusion asks
+# again for the kind it assumes; maps hash by identity, so a report holds
+# for its map
+@functools.lru_cache(maxsize=3)
 def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     """Coefficient angle condition across layer pairs sharing a power j.
 
@@ -200,14 +200,9 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     """
     if kind not in ("diameter", "length", "area"):
         raise InvalidParams("unknown angle condition kind %r" % (kind,))
-    if _asked["map"] is not F:  # maps are immutable, so a report holds for its map
-        _asked.clear()
-        _asked["map"] = F
-    if kind not in _asked:
-        rep = _asked[kind] = _report("arg-condition-%s" % kind, _AngleBlocks(F, kind),
-                                     extras={"kind": kind})
-        rep.extras["pairs"] = rep.count
-    return _asked[kind]
+    rep = _report("arg-condition-%s" % kind, _AngleBlocks(F, kind), extras={"kind": kind})
+    rep.extras["pairs"] = rep.count
+    return rep
 
 
 # ---- coefficient bounds ----

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__, catalog, certificates, mapspec, metrics, report
 from . import geometry, render as render_mod
 from . import landau as landau_mod
-from .core import (PolyharmonicMap, build_map, check_grid_size, dilatation,
-                   evaluate, jacobian, quasiregularity_constant, wirtinger)
+from .core import (PolyharmonicMap, check_grid_size, dilatation, evaluate,
+                   jacobian, quasiregularity_constant, wirtinger)
 from .errors import (DegenerateMap, InvalidDiameter, InvalidParams,
                      MalformedParams, MalformedSpec, NoConvergence,
                      NoSignChange, OutsideDomain, UnknownName)
@@ -56,7 +56,7 @@ def _cnum(text: str) -> complex:
 
 
 def _load(path) -> PolyharmonicMap:
-    return build_map(mapspec.load(path))
+    return mapspec.build_map(mapspec.load(path))
 
 
 def _fmt_c(v: complex) -> str:
@@ -273,7 +273,7 @@ def _derived_quantities(F: PolyharmonicMap, args) -> dict:
 
 def cmd_verify(args) -> int:
     spec = mapspec.load(args.map)
-    F = build_map(spec)
+    F = mapspec.build_map(spec)
     derived = _derived_quantities(F, args)
     entries = [dict(report.check_to_dict(certificates.arg_condition(F, kind)),
                     counts_as="hypothesis") for kind in ("diameter", "length", "area")]

@@ -9,6 +9,8 @@ the Almansi coefficient arrays ``a``, ``b`` of depth ``p`` and truncation
 
 on the closed unit disk.  Every |z|^(2(n-1)) factor multiplies a harmonic
 polynomial, so F solves the p-th iterated Laplace equation identically.
+A table's rules (p, J >= 1, the p * J cap, indices inside the table, no
+repeated (n, j)) are checked here alone; ``mapspec.build_map`` reads files.
 
 Writing s = |z|^2, P_n(z) = sum_j a[n,j] z^j and Q*_n(zbar) = sum_j
 conj(b[n,j]) zbar^j, the map is F = sum_n s^(n-1) H_n with H_n = P_n + Q*_n,
@@ -41,7 +43,6 @@ from .errors import DegenerateMap, InvalidParams, MalformedSpec
 __all__ = [
     "PolyharmonicMap",
     "DilatationPair",
-    "build_map",
     "evaluate",
     "wirtinger",
     "ring_values",
@@ -86,14 +87,15 @@ def _check_dims(p, J) -> None:
     check_table_size(int(p), int(J))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyharmonicMap:
     """A truncated map: dense (p x J) coefficient arrays and a label.
 
     ``a[n-1, j-1]`` multiplies ``z**j`` inside the ``|z|**(2(n-1))`` block and
     ``conj(b[n-1, j-1])`` multiplies ``conj(z)**j`` there.  Instances are
     immutable: the arrays are copied on construction and flagged read-only.
-    Calling a map evaluates it.
+    Maps compare and hash by identity, so a result computed from a map can
+    be cached under it.  Calling a map evaluates it.
     """
 
     p: int
@@ -159,27 +161,6 @@ class DilatationPair:
 
     lambda_small: float
     lambda_big: float
-
-
-def build_map(spec) -> PolyharmonicMap:
-    """Construct a validated map from a :class:`~polyharm.mapspec.MappingSpec`.
-
-    Builtin references resolve through the catalog; explicit tables are
-    checked for index range and finiteness.
-    """
-    from .mapspec import MappingSpec  # deferred: mapspec is format-only
-    if not isinstance(spec, MappingSpec):
-        raise MalformedSpec(f"expected a MappingSpec, got {type(spec).__name__}")
-    if spec.builtin is not None:
-        from . import catalog  # deferred to keep the import graph acyclic
-        F = catalog.builtin(spec.builtin, spec.params)
-        if spec.label:
-            F = replace(F, label=spec.label)
-        return F
-    if spec.p is None or spec.J is None:
-        raise MalformedSpec("explicit table form needs both p and J")
-    F = PolyharmonicMap.from_terms(spec.p, spec.J, spec.terms)
-    return replace(F, label=spec.label or f"table(p={F.p},J={F.J})")
 
 
 # Complex-by-complex products are formed out of place (acc = acc * w): the

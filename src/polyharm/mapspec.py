@@ -8,6 +8,9 @@ or an explicit coefficient table
 with omitted (n, j) entries meaning zero.  Floats survive a dump/load
 round trip bit for bit (shortest-repr serialization), and numbers that
 are non-finite or too large for a float are rejected while parsing.
+``loads`` checks only what JSON can get wrong (types, keys, a bool given
+as an integer, ``[re, im]`` pairs); ``build_map`` leaves a table's rules to
+``PolyharmonicMap.from_terms``, and ``from_map`` goes back from a map.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from . import catalog
+from .core import PolyharmonicMap
 from .errors import MalformedSpec
 
-__all__ = ["MappingSpec", "loads", "load", "dumps", "dump", "digest", "from_map"]
+__all__ = ["MappingSpec", "loads", "load", "dumps", "dump", "digest", "build_map",
+           "from_map"]
 
 _TOP_BUILTIN = {"builtin", "params", "label"}
 _TOP_TABLE = {"p", "J", "terms", "label"}
@@ -97,12 +103,9 @@ def loads(text: str) -> MappingSpec:
         raise MalformedSpec("table form needs both 'p' and 'J'")
     p = _int_field(doc, "p")
     J = _int_field(doc, "J")
-    if p < 1 or J < 1:
-        raise MalformedSpec("p and J must be >= 1")
     raw = doc.get("terms", [])
     if not isinstance(raw, list):
         raise MalformedSpec("terms must be a list")
-    seen = set()
     terms = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -116,12 +119,6 @@ def loads(text: str) -> MappingSpec:
         for name, v in (("n", n), ("j", j)):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise MalformedSpec("terms[%d].%s must be an integer" % (i, name))
-        if not (1 <= n <= p and 1 <= j <= J):
-            raise MalformedSpec("terms[%d] index (n=%d, j=%d) outside the "
-                                "(p=%d, J=%d) table" % (i, n, j, p, J))
-        if (n, j) in seen:
-            raise MalformedSpec("duplicate term for (n=%d, j=%d)" % (n, j))
-        seen.add((n, j))
         a = _pair(entry["a"], "terms[%d].a" % i) if "a" in entry else 0j
         b = _pair(entry["b"], "terms[%d].b" % i) if "b" in entry else 0j
         terms.append((n, j, a, b))
@@ -166,7 +163,22 @@ def digest(spec: MappingSpec) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def from_map(F) -> MappingSpec:
+def build_map(spec: MappingSpec) -> PolyharmonicMap:
+    """The map a spec describes: a builtin reference resolves through the
+    catalog, and a table's terms go to ``PolyharmonicMap.from_terms``,
+    which checks the table's rules."""
+    if not isinstance(spec, MappingSpec):
+        raise MalformedSpec(f"expected a MappingSpec, got {type(spec).__name__}")
+    if spec.builtin is not None:
+        F = catalog.builtin(spec.builtin, spec.params)
+        return replace(F, label=spec.label) if spec.label else F
+    if spec.p is None or spec.J is None:
+        raise MalformedSpec("explicit table form needs both p and J")
+    F = PolyharmonicMap.from_terms(spec.p, spec.J, spec.terms)
+    return replace(F, label=spec.label or f"table(p={F.p},J={F.J})")
+
+
+def from_map(F: PolyharmonicMap) -> MappingSpec:
     """Table-form spec of a map's nonzero entries."""
     terms = []
     for n in range(1, F.p + 1):

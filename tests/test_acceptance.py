@@ -23,7 +23,6 @@ from polyharm.certificates import (
 )
 from polyharm.cli import main as cli_main
 from polyharm.core import (
-    build_map,
     dilatation,
     evaluate,
     quasiregularity_constant,
@@ -239,7 +238,7 @@ def test_criterion_11_cli_round_trip_and_exit_codes(tmp_path, capsys):
         mapspec.dump(spec, path)
         again = mapspec.load(path)
         assert again == spec
-        G = build_map(again)
+        G = mapspec.build_map(again)
         assert np.array_equal(G.a, F.a)
         assert np.array_equal(G.b, F.b)
 

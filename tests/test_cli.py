@@ -469,6 +469,22 @@ _ORDER_MAPS = {"f2": '{"builtin": "f2"}', "F1": '{"builtin": "F1", "params": {"J
                "f0": _F0_J9, "identity": '{"builtin": "identity"}'}
 
 
+def test_verify_works_out_each_angle_kind_once(f2_map, capsys, monkeypatch):
+    # verify asks for each kind, and each conclusion asks again for the kind it
+    # assumes; the angle pairs are worked out once per kind
+    passes = []
+    angle_blocks = certificates._AngleBlocks.__iter__
+
+    def counted(self):
+        passes.append(self.kind)
+        return angle_blocks(self)
+
+    monkeypatch.setattr(certificates._AngleBlocks, "__iter__", counted)
+    assert main(["verify", "--map", f2_map]) == 0
+    assert sorted(passes) == ["area", "diameter", "length"]
+    capsys.readouterr()
+
+
 def test_verify_output_does_not_depend_on_what_ran_before(tmp_path, capsys):
     # process-wide state (the angle reports kept for the map last asked
     # about, the lru caches, the cached parser) must not carry one map's
@@ -532,20 +548,6 @@ def test_invalid_math_params(identity_map, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["diam", "--grid", "0"],
-    ["diam", "--theta-samples", "0"],
-    ["three-circles", "--r1", "0.3", "--grid", "0"],
-    ["schwarz", "--grid", "1"],
-    ["schwarz", "--grid", "-1"],
-    ["verify", "--grid", "0"],
-    ["verify", "--theta-samples", "0"],
-], ids=lambda argv: " ".join(argv))
-def test_sample_counts_below_minimum_are_usage_errors(identity_map, capsys, argv):
-    assert main([argv[0], "--map", identity_map] + argv[1:]) == 3
-    capsys.readouterr()
-
-
 _BAD_VERIFY_VALUES = [("--grid", "0"), ("--theta-samples", "0"),
                       ("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
                       ("--M", "-1"), ("--M", "inf"), ("--l1", "0"),
@@ -568,16 +570,6 @@ def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, val
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
-
-
-@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
-def test_area_radius_outside_the_disk_is_a_usage_error(f2_map, capsys, method):
-    message = "--r must be %s, got " % cli._VALUE_RULES["r"][0]
-    for r in ("5", "0", "nan"):
-        assert main(["area", "--map", f2_map, "--r", r, "--method", method]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
 
 
 _BEYOND_FLOAT = "1" + "0" * 400
@@ -616,6 +608,31 @@ def test_oversized_table_is_refused_before_allocation(tmp_path, capsys, text, en
     err = capsys.readouterr().err
     assert "has %s entries, over the cap of 4096" % entries in err
     assert "%d bytes" % (32 * int(entries)) in err
+
+
+# tables that break a rule only PolyharmonicMap.from_terms checks: the text
+# of the file, and what the message names
+_BAD_TABLES = {
+    "index out of range": ('{"p": 1, "J": 1, "terms": [{"n": 2, "j": 1, "a": [1.0, 0.0]}]}',
+                           "(n=2, j=1) outside table (p=1, J=1)"),
+    "index zero": ('{"p": 2, "J": 3, "terms": [{"n": 1, "j": 0}]}',
+                   "(n=1, j=0) outside table (p=2, J=3)"),
+    "repeated term": ('{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1}, {"n": 1, "j": 1}]}',
+                      "duplicate term for (n=1, j=1)"),
+    "p = 0": ('{"p": 0, "J": 3, "terms": []}', "got p=0, J=3"),
+    "J = -2": ('{"p": 2, "J": -2, "terms": []}', "got p=2, J=-2"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_TABLES))
+def test_table_that_breaks_a_table_rule_is_a_malformed_file(tmp_path, capsys, name):
+    text, named = _BAD_TABLES[name]
+    path = _write(tmp_path, "bad.map", text)
+    for argv in (["eval", "--z", "0"], ["verify"]):
+        assert main(argv[:1] + ["--map", path] + argv[1:]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
 
 
 def _over_cap(argv, message=r"over the cap of 1048576; .* \d+ bytes"):

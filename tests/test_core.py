@@ -11,7 +11,6 @@ from polyharm._search import zoom_max
 from polyharm.core import (
     MAX_TABLE_ENTRIES,
     PolyharmonicMap,
-    build_map,
     dilatation,
     evaluate,
     jacobian,
@@ -518,15 +517,22 @@ def test_scale_map_pointwise(cre, cim, zre, zim):
     assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(rhs))
 
 
-def test_build_map_dispatch():
-    from polyharm import mapspec
+def test_maps_compare_and_hash_by_identity():
+    F, G = catalog.f2(), catalog.f2()
+    assert (F == G) is False and F == F and F != G
+    assert {F, G, F} == {F, G} and hash(F) != hash(G)
+    assert {F: 1}[F] == 1
 
-    F = build_map(mapspec.loads('{"builtin": "identity"}'))
+
+def test_build_map_dispatch():
+    from polyharm.mapspec import build_map, loads
+
+    F = build_map(loads('{"builtin": "identity"}'))
     assert evaluate(F, 0.5j) == 0.5j
     assert F.label == "identity"
-    named = build_map(mapspec.loads('{"builtin": "identity", "label": "mine"}'))
+    named = build_map(loads('{"builtin": "identity", "label": "mine"}'))
     assert named.label == "mine"
-    G = build_map(mapspec.loads(
+    G = build_map(loads(
         '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, "a": [2.0, 0.0]}]}'))
     assert evaluate(G, 0.25) == 0.5
     with pytest.raises(MalformedSpec):

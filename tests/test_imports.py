@@ -52,6 +52,22 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_core_imports_neither_mapspec_nor_catalog():
+    # the map type knows nothing of mapping files or of the builtins built on
+    # it, at module level or deferred inside a function
+    tree = ast.parse((ROOT / "src" / "polyharm" / "core.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(module.rstrip(".") + "." + alias.name for alias in node.names)
+    assert {m for m in imported
+            if m.rsplit(".", 1)[-1] in ("mapspec", "catalog")} == set()
+
+
 # modules that cost every fresh polyharm process tens of milliseconds, and
 # that nothing in the package needs (xml.sax.saxutils pulled them in)
 NETWORK_STACK = ("urllib.request", "http.client", "email", "ssl", "socket")

