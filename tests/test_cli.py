@@ -486,8 +486,8 @@ def test_verify_works_out_each_angle_kind_once(f2_map, capsys, monkeypatch):
 
 
 def test_verify_output_does_not_depend_on_what_ran_before(tmp_path, capsys):
-    # process-wide state (the angle reports kept for the map last asked
-    # about, the lru caches, the cached parser) must not carry one map's
+    # process-wide state (the lru caches, the angle reports among them, and
+    # the cached parser) must not carry one map's
     # verify into the next: in-process runs in either order and one fresh
     # process per map give the same exit codes and reports
     paths = {name: _write(tmp_path, name + ".map", text)
