@@ -7,12 +7,18 @@ with corners at the fourth roots of unity; F1 stacks f0 with a quarter-turn
 second layer so its smallest directional stretch at the origin is exactly
 one; form37 builds the general two-layer family whose area ratio S(r)/r^2
 is constant in r.
+
+Each maker's signature declares its parameters: their names, which are
+required and their defaults.  ``builtin`` reads them from there, and the
+maker is the one place each value is checked.
 """
 
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -38,11 +44,21 @@ def identity() -> PolyharmonicMap:
                            np.zeros((1, 1), dtype=complex), label="identity")
 
 
+def _number(v, kind=numbers.Number) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _complex(v, what: str) -> complex:
+    """A number or an ``[re, im]`` pair of real numbers, never a bool or a string."""
     try:
-        return complex(v)
+        if _number(v):
+            return complex(v)
+        if (isinstance(v, (list, tuple)) and len(v) == 2
+                and all(_number(q, numbers.Real) for q in v)):
+            return complex(float(v[0]), float(v[1]))
     except OverflowError:  # an int beyond float range
         raise MalformedParams("%s is too large for a float" % what) from None
+    raise MalformedParams("%s must be a number or [re, im] pair" % what)
 
 
 def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
@@ -57,12 +73,14 @@ def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
 def monomial(p: int, j: int, c: complex = 1.0,
              conjugate: bool = False) -> PolyharmonicMap:
     """c |z|^(2(p-1)) z^j, or the conj(z)^j variant."""
-    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 1):
+    if not (_number(p, int) and p >= 1):
         raise MalformedParams("p must be an integer >= 1")
-    if not (isinstance(j, int) and not isinstance(j, bool) and j >= 1):
+    if not (_number(j, int) and j >= 1):
         raise MalformedParams("j must be an integer >= 1")
     check_table_size(p, j, MalformedParams)
     c = _complex(c, "c")
+    if not isinstance(conjugate, bool):
+        raise MalformedParams("conjugate must be a boolean")
     a = np.zeros((p, j), dtype=complex)
     b = np.zeros((p, j), dtype=complex)
     if conjugate:
@@ -90,7 +108,7 @@ def f0(J: int = 41) -> PolyharmonicMap:
     Analytic powers 4k+1 carry (-1)^k / (4k+1), conjugate powers 4k-1
     carry (-1)^(k+1) / (4k-1), both scaled by 2 sqrt(2) / pi.
     """
-    if not (isinstance(J, int) and not isinstance(J, bool) and J >= 1):
+    if not (_number(J, int) and J >= 1):
         raise MalformedParams("truncation power J must be an integer >= 1")
     check_table_size(1, J, MalformedParams)
     a = np.zeros((1, J), dtype=complex)
@@ -131,8 +149,7 @@ def f1(J: int = 41) -> PolyharmonicMap:
 
 def _real(v) -> bool:
     # finite, and so an int within float range
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
+    return _number(v, (int, float)) and abs(v) <= sys.float_info.max
 
 
 def _weight(v) -> bool:
@@ -157,7 +174,7 @@ def _powers(name: str, d, k_min: int, rule: str, ok) -> dict:
             k = int(key) if isinstance(key, str) and str(int(key)) == key else key
         except ValueError:
             k = None
-        if isinstance(k, bool) or not isinstance(k, int) or k < k_min:
+        if not (_number(k, int) and k >= k_min):
             raise MalformedParams("%s key %r is not a canonical integer >= %d"
                                   % (name, key, k_min))
         if k in out:
@@ -182,6 +199,7 @@ def form37(eta=0.0, xi=0.0, zeta1=None, zeta2=None, theta=None, phi=None,
     for name, v in (("eta", eta), ("xi", xi)):
         if not _weight(v):
             raise MalformedParams("%s must be a finite number >= 0" % name)
+    eta, xi = float(eta), float(xi)  # compared as the table will hold them
     if xi > eta:
         raise MalformedParams("need eta >= xi for the modulus ordering")
     zeta1 = _powers("zeta1", zeta1, 2, "a finite weight >= 0", _weight)
@@ -192,7 +210,7 @@ def form37(eta=0.0, xi=0.0, zeta1=None, zeta2=None, theta=None, phi=None,
     sign_b = _powers("sign_b", sign_b, 1, "+1 or -1", _sign)
     top = max([1, *zeta1, *zeta2, *theta, *phi])
     k_max = top if k_max is None else k_max
-    if not (isinstance(k_max, int) and not isinstance(k_max, bool) and k_max >= top):
+    if not (_number(k_max, int) and k_max >= top):
         raise MalformedParams("k_max must be an integer >= the largest used power")
     check_table_size(2, k_max, MalformedParams)
     a = np.zeros((2, k_max), dtype=complex)
@@ -216,85 +234,42 @@ def form37(eta=0.0, xi=0.0, zeta1=None, zeta2=None, theta=None, phi=None,
 
 # ---- registry ----
 
-
-def _num(v, what: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise MalformedParams("%s must be a number" % what)
-    try:
-        return float(v)
-    except OverflowError:
-        raise MalformedParams("%s is too large for a float" % what) from None
-
-
-def _cnum(v, what: str) -> complex:
-    if isinstance(v, complex):
-        return v
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        v = (v, 0.0)
-    if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(q, (int, float)) and not isinstance(q, bool)
-                    for q in v)):
-        return complex(_num(v[0], what), _num(v[1], what))
-    raise MalformedParams("%s must be a number or [re, im] pair" % what)
-
-
-def _int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise MalformedParams("%s must be an integer" % what)
-    return v
-
-
-def _bool(v, what: str) -> bool:
-    if not isinstance(v, bool):
-        raise MalformedParams("%s must be a boolean" % what)
-    return v
-
-
-_REQUIRED = object()  # the default of a parameter a mapping file must give
-_POWER_MAP = (lambda v, what: v, None)  # form37 checks its power maps
-
-# name -> (maker, {param: (parser, default or _REQUIRED)}, description);
-# builtin() calls maker(**params) and `polyharm catalog` lists the rows in
-# this order, each with its parameter names
+# name -> (maker, description); builtin() calls maker(**params) and
+# `polyharm catalog` lists the rows in this order, each with the names of
+# its maker's parameters
 _BUILTIN = {
-    "identity": (identity, {}, "single unit coefficient; the map z -> z"),
-    "linear": (linear, {"alpha": (_cnum, _REQUIRED), "beta": (_cnum, _REQUIRED)},
-               "alpha z + conjugate part beta"),
-    "monomial": (monomial, {"p": (_int, _REQUIRED), "j": (_int, _REQUIRED),
-                            "c": (_cnum, 1.0), "conjugate": (_bool, False)},
-                 "c |z|^(2(p-1)) z^j or conjugate variant"),
-    "f2": (f2, {}, "three stacked unit layers: z (1 + |z|^2 + |z|^4)"),
-    "f0": (f0, {"J": (_int, 41)}, "truncated square-image series"),
-    "F1": (f1, {"J": (_int, 41)},
-           "f0 with a quarter-turn second layer, unit stretch at 0"),
-    "form37": (form37, {"eta": (_num, 0.0), "xi": (_num, 0.0),
-                        "zeta1": _POWER_MAP, "zeta2": _POWER_MAP,
-                        "theta": _POWER_MAP, "phi": _POWER_MAP,
-                        "sign_a": _POWER_MAP, "sign_b": _POWER_MAP,
-                        "k_max": (_int, None)},
-               "two-layer family with constant S(r)/r^2"),
+    "identity": (identity, "single unit coefficient; the map z -> z"),
+    "linear": (linear, "alpha z + conjugate part beta"),
+    "monomial": (monomial, "c |z|^(2(p-1)) z^j or conjugate variant"),
+    "f2": (f2, "three stacked unit layers: z (1 + |z|^2 + |z|^4)"),
+    "f0": (f0, "truncated square-image series"),
+    "F1": (f1, "f0 with a quarter-turn second layer, unit stretch at 0"),
+    "form37": (form37, "two-layer family with constant S(r)/r^2"),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTIN))
 
 
 def builtin(name: str, params: dict | None = None) -> PolyharmonicMap:
-    """Construct a registered map from JSON-style parameters."""
+    """Construct a registered map from JSON-style parameters.
+
+    The maker's signature names the parameters it takes and the required
+    ones; a null value is refused, so a file gives a value or leaves the
+    maker's default."""
     if name not in _BUILTIN:
         raise UnknownName("no built-in map named %r (have: %s)"
                           % (name, ", ".join(BUILTIN_NAMES)))
-    maker, declared, _ = _BUILTIN[name]
+    maker = _BUILTIN[name][0]
+    declared = inspect.signature(maker).parameters
     params = params or {}
     unknown = [str(key) for key in params if key not in declared]
     if unknown:
         raise MalformedParams("unknown parameters for %r: %s"
                               % (name, ", ".join(sorted(unknown))))
-    kw = {}
-    for key, (parse, default) in declared.items():
-        if key in params:
-            kw[key] = parse(params[key], key)
-        elif default is _REQUIRED:
-            raise MalformedParams("missing required parameter %r" % key)
-        else:
-            kw[key] = default
-    return maker(**kw)
+    for key, param in declared.items():
+        if key not in params:
+            if param.default is param.empty:
+                raise MalformedParams("missing required parameter %r" % key)
+        elif params[key] is None:
+            raise MalformedParams("%s must not be null" % key)
+    return maker(**params)

@@ -14,6 +14,7 @@ import argparse
 import cmath
 import collections
 import functools
+import inspect
 import math
 import sys
 
@@ -246,7 +247,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    for name, (_, declared, desc) in catalog._BUILTIN.items():
+    for name, (maker, desc) in catalog._BUILTIN.items():
+        declared = inspect.signature(maker).parameters
         if declared:
             desc += "; params " + ", ".join(declared)
         print("%-9s %s" % (name, desc))

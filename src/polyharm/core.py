@@ -122,7 +122,7 @@ class PolyharmonicMap:
         object.__setattr__(self, "b", b)
 
     @classmethod
-    def from_terms(cls, p: int, J: int, terms) -> "PolyharmonicMap":
+    def from_terms(cls, p: int, J: int, terms, label: str = "") -> "PolyharmonicMap":
         """Build from an iterable of ``(n, j, a, b)`` entries; omitted entries
         are zero.  Indices are 1-based, must fall inside (p, J) and may not
         repeat."""
@@ -144,7 +144,7 @@ class PolyharmonicMap:
             seen.add((n, j))
             A[n - 1, j - 1] = complex(av)
             B[n - 1, j - 1] = complex(bv)
-        return cls(int(p), int(J), A, B)
+        return cls(int(p), int(J), A, B, label)
 
     def max_coefficient(self) -> float:
         """Largest coefficient modulus; the scale used by tolerance rules."""

@@ -174,8 +174,8 @@ def build_map(spec: MappingSpec) -> PolyharmonicMap:
         return replace(F, label=spec.label) if spec.label else F
     if spec.p is None or spec.J is None:
         raise MalformedSpec("explicit table form needs both p and J")
-    F = PolyharmonicMap.from_terms(spec.p, spec.J, spec.terms)
-    return replace(F, label=spec.label or f"table(p={F.p},J={F.J})")
+    return PolyharmonicMap.from_terms(spec.p, spec.J, spec.terms,
+                                      spec.label or f"table(p={spec.p},J={spec.J})")
 
 
 def from_map(F: PolyharmonicMap) -> MappingSpec:

@@ -1,5 +1,7 @@
 import inspect
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,13 +152,19 @@ def test_builtin_table_over_the_cap_is_malformed_params(make):
         make()
 
 
-@pytest.mark.parametrize("name, params", [
-    ("linear", {"alpha": 10 ** 400, "beta": 0}),
-    ("linear", {"alpha": 1, "beta": [0, -10 ** 400]}),
-    ("form37", {"eta": 10 ** 400}),
-], ids=["linear-alpha", "linear-beta-pair", "form37-eta"])
-def test_number_beyond_float_range_is_malformed_params(name, params):
-    with pytest.raises(MalformedParams, match="too large for a float"):
+@pytest.mark.parametrize("name, params, message", [
+    ("linear", {"alpha": 10 ** 400, "beta": 0}, "alpha is too large for a float"),
+    ("linear", {"alpha": 1, "beta": [0, -10 ** 400]}, "beta is too large for a float"),
+    ("linear", {"alpha": 1, "beta": 10 ** 400}, "beta is too large for a float"),
+    ("monomial", {"p": 1, "j": 1, "c": 10 ** 400}, "c is too large for a float"),
+    ("form37", {"eta": 10 ** 400}, "eta must be a finite number >= 0"),
+    ("form37", {"xi": 10 ** 400}, "xi must be a finite number >= 0"),
+], ids=["linear-alpha", "linear-beta-pair", "linear-beta", "monomial-c", "form37-eta",
+        "form37-xi"])
+def test_number_beyond_float_range_is_malformed_params(name, params, message):
+    # a mapping file cannot hold such a number (loads refuses it), so this
+    # is the library route to each maker's own check
+    with pytest.raises(MalformedParams, match=message):
         builtin(name, params)
 
 
@@ -218,6 +226,12 @@ def test_form37_params_validation():
         form37("not a weight")
 
 
+def test_makers_take_numpy_scalars():
+    assert monomial(1, 2, np.int64(1)).a[0, 1] == 1.0
+    assert linear(np.float32(2.0), np.complex128(1j)).b[0, 0] == -1j
+    assert form37(eta=np.float64(1.0), xi=np.float64(0.5)).b[0, 0] == 0.5
+
+
 # ---- registry ----
 
 
@@ -268,30 +282,48 @@ def test_form37_canonical_keys_and_int_keys_build_the_same_table():
 
 
 @pytest.mark.parametrize("name, params, message", [
-    ("form37", {"k_max": None}, "k_max must be an integer"),
+    ("form37", {"k_max": None}, "k_max must not be null"),
+    ("form37", {"zeta1": None}, "zeta1 must not be null"),  # form37 takes None as {}
     ("f0", {"J": 0, "j": 3}, "unknown parameters for 'f0': j"),
     ("form37", {"eta": -1.0, "zeta": {}}, "unknown parameters for 'form37': zeta"),
     ("monomial", {"p": 1}, "missing required parameter 'j'"),
     ("monomial", {"p": 1, "j": 1, "conjugate": 1}, "conjugate must be a boolean"),
-], ids=["form37-k_max-null", "f0-unknown-first", "form37-unknown-first",
+], ids=["form37-k_max-null", "form37-zeta1-null", "f0-unknown-first", "form37-unknown-first",
         "monomial-missing-j", "monomial-conjugate"])
 def test_builtin_parameter_refusals(name, params, message):
     with pytest.raises(MalformedParams, match=message):
         builtin(name, params)
 
 
-def test_every_row_declares_exactly_its_makers_parameters(capsys):
-    # a maker parameter missing from its row could not be set from a file
+def test_catalog_lists_each_makers_parameters_in_order(capsys):
     assert main(["catalog"]) == 0
     listed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
-    for name, (maker, declared, desc) in catalog._BUILTIN.items():
-        signature = inspect.signature(maker).parameters
-        assert list(declared) == list(signature), name
-        for key, (_, default) in declared.items():
-            own = signature[key].default
-            if own is inspect.Parameter.empty:
-                assert default is catalog._REQUIRED, (name, key)
-            else:
-                assert default is not catalog._REQUIRED and default == own, (name, key)
+    for name, (maker, desc) in catalog._BUILTIN.items():
         params = listed[name].partition(desc)[2].removeprefix("; params ")
-        assert (params.split(", ") if params else []) == list(signature), name
+        assert (params.split(", ") if params else []) == list(
+            inspect.signature(maker).parameters), name
+
+
+# a value of the wrong type for every parameter of every maker (a bool is
+# conjugate's own type), with values for the required others
+_WRONG_TYPES = {"bool": True, "string": "1", "null": None, "3-list": [1, 2, 3]}
+_PARAMETERS = [(name, key, kind, {k: 1 for k, p in signature.items()
+                                  if k != key and p.default is p.empty})
+               for name, (maker, _) in catalog._BUILTIN.items()
+               for signature in [inspect.signature(maker).parameters]
+               for key in signature for kind in _WRONG_TYPES
+               if (key, kind) != ("conjugate", "bool")]
+
+
+@pytest.mark.parametrize("name, key, kind, others", _PARAMETERS,
+                         ids=["%s-%s-%s" % row[:3] for row in _PARAMETERS])
+def test_parameter_of_the_wrong_type_is_a_malformed_file(tmp_path, capsys,
+                                                         name, key, kind, others):
+    path = tmp_path / "m.map"
+    path.write_text(json.dumps({"builtin": name,
+                                "params": {**others, key: _WRONG_TYPES[kind]}}))
+    assert main(["eval", "--map", str(path), "--z", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert re.search(r"\b%s\b" % key, captured.err), captured.err

@@ -548,30 +548,6 @@ def test_invalid_math_params(identity_map, capsys):
     capsys.readouterr()
 
 
-_BAD_VERIFY_VALUES = [("--grid", "0"), ("--theta-samples", "0"),
-                      ("--r1", "5"), ("--r1", "0"), ("--r1", "nan"),
-                      ("--M", "-1"), ("--M", "inf"), ("--l1", "0"),
-                      ("--l1", "nan"), ("--diam", "0"), ("--diam", "inf"),
-                      ("--K", "0.5"), ("--K", "inf")]
-
-
-@pytest.mark.parametrize("flag, value", _BAD_VERIFY_VALUES,
-                         ids=[f if f in ("--grid", "--theta-samples") else f + " " + v
-                              for f, v in _BAD_VERIFY_VALUES])
-def test_verify_rejects_counts_its_map_skips(f2_map, tmp_path, capsys, flag, value):
-    # each map skips some check that uses the flag, yet a bad value is
-    # still a usage error on every map and no report is written; --grid and
-    # --theta-samples are no longer verify options, so they are unknown flags
-    maps = [f2_map, _write(tmp_path, "identity.map", '{"builtin": "identity"}'),
-            _write(tmp_path, "zero.map", _ZERO),
-            _write(tmp_path, "opposed.map", _OPPOSED)]
-    for path in maps:
-        assert main(["verify", "--map", path, flag, value]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert flag in captured.err
-
-
 _BEYOND_FLOAT = "1" + "0" * 400
 # mapping files with a number beyond float range, or nested too deeply to parse
 _UNREADABLE = {
@@ -641,28 +617,13 @@ def _over_cap(argv, message=r"over the cap of 1048576; .* \d+ bytes"):
 
 @pytest.mark.parametrize("argv, message", [
     _over_cap(["diam", "--grid", "100000", "--theta-samples", "100000"]),
-    # sample counts that are no longer options: unknown flags are usage errors
-    _over_cap(["area", "--r", "0.5", "--method", "quadrature",
-               "--theta-samples", "10000000000"], "unrecognized arguments: --theta-samples"),
-    _over_cap(["area", "--r", "0.5", "--method", "quadrature", "--radial-nodes", "1025"],
-              "unrecognized arguments: --radial-nodes"),
-    _over_cap(["three-circles", "--r1", "0.3", "--grid", "10000000000"],
-              "unrecognized arguments: --grid"),
-    _over_cap(["schwarz", "--grid", "10000000000"], "unrecognized arguments: --grid"),
-    _over_cap(["render", "--out", "never.svg", "--rings", "100000", "--samples", "100000"],
-              "unrecognized arguments: --rings"),
-    _over_cap(["verify", "--grid", "10000000000"], "unrecognized arguments: --grid"),
-    _over_cap(["verify", "--theta-samples", "10000000000"],
-              "unrecognized arguments: --theta-samples"),
 ])
-def test_sample_counts_above_the_cap_are_usage_errors(identity_map, tmp_path,
-                                                      capsys, argv, message):
-    argv = [str(tmp_path / a) if a == "never.svg" else a for a in argv]
+def test_sample_counts_above_the_cap_are_usage_errors(identity_map, capsys, argv, message):
+    # the removed sample-count flags are rows of _REMOVED
     assert main([argv[0], "--map", identity_map] + argv[1:]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(message, captured.err)
-    assert not (tmp_path / "never.svg").exists()
 
 
 def _commands():
@@ -799,7 +760,7 @@ def test_flag_its_mode_never_reads_is_refused_before_the_map_is_read(
     assert message in captured.err
 
 
-_R1, _OUT = ["--r1", "0.3"], ["--out", "never.svg"]
+_R1, _OUT, _AREA = ["--r1", "0.3"], ["--out", "never.svg"], ["--r", "0.5"]
 _REMOVED = [  # every removed flag and mode choice, the options the command
     # needs besides, and how argparse refuses it
     (["verify", "--grid", "8"], [], "unrecognized arguments: --grid 8"),
@@ -810,6 +771,8 @@ _REMOVED = [  # every removed flag and mode choice, the options the command
     (["three-circles", "--analytic"], _R1, "unrecognized arguments: --analytic"),
     (["three-circles", "--r2", "0.9"], _R1, "unrecognized arguments: --r2 0.9"),
     (["schwarz", "--grid", "8"], [], "unrecognized arguments: --grid 8"),
+    (["area", "--theta-samples", "8"], _AREA, "unrecognized arguments: --theta-samples 8"),
+    (["area", "--radial-nodes", "8"], _AREA, "unrecognized arguments: --radial-nodes 8"),
     (["render", "--rings", "8"], _OUT, "unrecognized arguments: --rings 8"),
     (["render", "--rays", "8"], _OUT, "unrecognized arguments: --rays 8"),
     (["render", "--samples", "8"], _OUT, "unrecognized arguments: --samples 8"),
@@ -885,42 +848,6 @@ def test_length_sup_honours_tol(tmp_path, capsys, monkeypatch):
     # f0 is one layer, so its supremum is the length at r = 1
     assert captured.err.startswith("error: curve_length at r=1.0 (p=1, J=9, tol=1e-10) "
                                    "did not settle within 320 samples")
-
-
-@pytest.mark.parametrize("mode", [["--sup"], ["--r", "0.5"]], ids=" ".join)
-@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"], ids=lambda v: "tol " + v)
-def test_length_rejects_bad_tol_before_reading_the_map(tmp_path, capsys,
-                                                       monkeypatch, mode, tol):
-    # --tol is no longer a length option: any value of it is an unknown flag
-    def unreachable(*args, **kwargs):
-        raise AssertionError("measured before --tol was checked")
-
-    for name in ("curve_length", "sup_length"):
-        monkeypatch.setattr(geometry, name, unreachable)
-    missing = str(tmp_path / "missing.map")
-    assert main(["length", "--map", missing, "--tol", tol] + mode) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --tol " + tol in captured.err
-
-
-@pytest.mark.parametrize("method", ["series", "quadrature", "both"])
-@pytest.mark.parametrize("flags, message", [
-    (["--theta-samples", "0"], "unrecognized arguments: --theta-samples"),
-    (["--radial-nodes", "-5"], "unrecognized arguments: --radial-nodes"),
-    (["--theta-samples", "10000000000"], "unrecognized arguments: --theta-samples"),
-    (["--radial-nodes", "1025"], "unrecognized arguments: --radial-nodes"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
-def test_area_checks_the_quadrature_flags_before_reading_the_map(
-        tmp_path, capsys, method, flags, message):
-    # the quadrature derives its node count from the table; its former
-    # sample-count flags are unknown arguments whatever their value
-    missing = str(tmp_path / "missing.map")
-    assert main(["area", "--map", missing, "--r", "0.5", "--method", method]
-                + flags) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err
 
 
 def test_parser_reuse_keeps_no_state(identity_map, capsys):
@@ -1014,30 +941,6 @@ def test_landau_diameter_mode_pins(tmp_path, capsys, text, pinned):
     assert main(["landau", "--mode", "diameter", "--map", path]) == 0
     out = _lines(capsys)
     assert {k: out[k] for k in pinned} == pinned
-
-
-_BAD_LANDAU_VALUES = [("diameter", "--diam", "nan"), ("diameter", "--diam", "0"),
-                      ("diameter", "--alpha", "nan"), ("diameter", "--alpha", "-1"),
-                      ("diameter", "--tol", "nan"), ("diameter", "--tol", "0"),
-                      ("length", "--K", "nan"), ("length", "--K", "0.5"),
-                      ("length", "--l1", "inf"), ("length", "--tol", "inf")]
-
-
-@pytest.mark.parametrize("mode, flag, value", _BAD_LANDAU_VALUES,
-                         ids=[" ".join(v) for v in _BAD_LANDAU_VALUES])
-def test_landau_rejects_bad_values_before_any_work(f2_map, capsys, monkeypatch,
-                                                  mode, flag, value):
-    # nothing is printed and no quantity is estimated before the rejection;
-    # --tol is no longer a landau option, so it is an unknown flag
-    def unreachable(*args, **kwargs):
-        raise AssertionError("estimated before the values were checked")
-
-    for name in ("diameter_estimate", "sup_length"):
-        monkeypatch.setattr(geometry, name, unreachable)
-    assert main(["landau", "--mode", mode, "--map", f2_map, flag, value]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert flag in captured.err
 
 
 def test_landau_solver_rejection_prints_nothing(f2_map, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polyharm import mapspec
+from polyharm.core import PolyharmonicMap
 from polyharm.errors import MalformedSpec
 
 from _gen import random_map
@@ -94,3 +95,15 @@ def test_digest_tracks_content():
     assert mapspec.digest(s1) == mapspec.digest(s2)
     assert mapspec.digest(s1) != mapspec.digest(s3)
     assert len(mapspec.digest(s1)) == 64
+
+
+@pytest.mark.parametrize("label, want", [("", "table(p=2,J=3)"), ("mine", "mine")])
+def test_table_map_is_built_once_with_its_label(monkeypatch, label, want):
+    built = []
+    check = PolyharmonicMap.__post_init__
+    monkeypatch.setattr(PolyharmonicMap, "__post_init__",
+                        lambda self: built.append(check(self)))
+    spec = mapspec.MappingSpec(p=2, J=3, terms=((2, 3, 1j, 0j),), label=label)
+    F = mapspec.build_map(spec)
+    assert len(built) == 1
+    assert F.label == want and F.a[1, 2] == 1j
