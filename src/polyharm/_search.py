@@ -1,8 +1,9 @@
-"""Bracketed searches: a batched bracket zoom for maxima and bisection.
+"""A batched bracket zoom for maxima, ``zoom_max``.
 
-These are deliberately hand-rolled: the call sites need deterministic probe
-sequences (for byte-identical reports) and best-seen-so-far semantics (so a
-grid maximum is never made worse by refinement).
+It is deliberately hand-rolled: the call sites need a deterministic probe
+sequence (for byte-identical reports) and best-seen-so-far semantics (so a
+grid maximum is never made worse by refinement).  The one root search,
+the bisection of the Landau majorants, lives in ``landau``.
 """
 from __future__ import annotations
 
@@ -53,32 +54,3 @@ def zoom_max(f, lo: float, hi: float, tol: float, k: int = 9, rtol: float = 0.0)
                     and y0 < y1 < y2 and 3.0 * y2 - 4.0 * y1 + y0 >= 0.0):
                 return best_x, best_f
         lo, hi = a, b
-
-
-def bisect_decreasing(phi, lo: float, hi: float, tol: float,
-                      residual_target: float):
-    """Bisection for a decreasing phi with phi(lo) > 0 > phi(hi).
-
-    Narrows until the bracket is below ``tol`` and |phi(mid)| is below
-    ``residual_target`` (or float resolution stops progress, or 400 steps
-    are taken).  Returns ``(x, iterations, (lo, hi))``, x being the largest
-    probed point with phi > 0: the last midpoint when phi is positive there,
-    else the bracket's lo.  So x never lies above the least root.
-    """
-    it = 0
-    mid = 0.5 * (lo + hi)
-    val = phi(mid)
-    while it < 400:  # float resolution stops a bisection well before this
-        if (hi - lo) <= tol and abs(val) <= residual_target:
-            break
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        new_mid = 0.5 * (lo + hi)
-        if new_mid <= lo or new_mid >= hi:
-            break
-        mid = new_mid
-        val = phi(mid)
-        it += 1
-    return (mid if val > 0.0 else lo), it, (lo, hi)

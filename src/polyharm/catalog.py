@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .core import PolyharmonicMap, check_table_size
+from .core import PolyharmonicMap, _is_int, check_table_size
 from .errors import MalformedParams, UnknownName
 
 __all__ = [
@@ -73,9 +73,9 @@ def linear(alpha: complex, beta: complex) -> PolyharmonicMap:
 def monomial(p: int, j: int, c: complex = 1.0,
              conjugate: bool = False) -> PolyharmonicMap:
     """c |z|^(2(p-1)) z^j, or the conj(z)^j variant."""
-    if not (_number(p, int) and p >= 1):
+    if not (_is_int(p) and p >= 1):
         raise MalformedParams("p must be an integer >= 1")
-    if not (_number(j, int) and j >= 1):
+    if not (_is_int(j) and j >= 1):
         raise MalformedParams("j must be an integer >= 1")
     check_table_size(p, j, MalformedParams)
     c = _complex(c, "c")
@@ -108,7 +108,7 @@ def f0(J: int = 41) -> PolyharmonicMap:
     Analytic powers 4k+1 carry (-1)^k / (4k+1), conjugate powers 4k-1
     carry (-1)^(k+1) / (4k-1), both scaled by 2 sqrt(2) / pi.
     """
-    if not (_number(J, int) and J >= 1):
+    if not (_is_int(J) and J >= 1):
         raise MalformedParams("truncation power J must be an integer >= 1")
     check_table_size(1, J, MalformedParams)
     a = np.zeros((1, J), dtype=complex)
@@ -174,7 +174,7 @@ def _powers(name: str, d, k_min: int, rule: str, ok) -> dict:
             k = int(key) if isinstance(key, str) and str(int(key)) == key else key
         except ValueError:
             k = None
-        if not (_number(k, int) and k >= k_min):
+        if not (_is_int(k) and k >= k_min):
             raise MalformedParams("%s key %r is not a canonical integer >= %d"
                                   % (name, key, k_min))
         if k in out:
@@ -210,7 +210,7 @@ def form37(eta=0.0, xi=0.0, zeta1=None, zeta2=None, theta=None, phi=None,
     sign_b = _powers("sign_b", sign_b, 1, "+1 or -1", _sign)
     top = max([1, *zeta1, *zeta2, *theta, *phi])
     k_max = top if k_max is None else k_max
-    if not (_number(k_max, int) and k_max >= top):
+    if not (_is_int(k_max) and k_max >= top):
         raise MalformedParams("k_max must be an integer >= the largest used power")
     check_table_size(2, k_max, MalformedParams)
     a = np.zeros((2, k_max), dtype=complex)

@@ -63,6 +63,7 @@ MAX_GRID_POINTS = 1 << 20  # points of one sample grid
 def check_table_size(p: int, J: int, error=MalformedSpec) -> None:
     """Raise ``error`` when a p x J table is over ``MAX_TABLE_ENTRIES``;
     called before anything of that size is allocated."""
+    p, J = int(p), int(J)  # a product of numpy integers could wrap around
     if p * J > MAX_TABLE_ENTRIES:
         raise error("a p=%d by J=%d table has %d entries, over the cap of %d; "
                     "its two coefficient arrays would take %d bytes"
@@ -78,13 +79,19 @@ def check_grid_size(points: int, what: str) -> None:
                             % (what, points, MAX_GRID_POINTS, 16 * points))
 
 
+def _is_int(v) -> bool:
+    # the package's one rule for a count or an index: an int or a numpy
+    # integer, never a bool
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_dims(p, J) -> None:
     # p and J are checked, the table cap too, before anything is allocated
-    if not isinstance(p, (int, np.integer)) or not isinstance(J, (int, np.integer)):
+    if not (_is_int(p) and _is_int(J)):
         raise MalformedSpec("p and J must be integers")
     if p < 1 or J < 1:
         raise MalformedSpec(f"need p >= 1 and J >= 1, got p={p}, J={J}")
-    check_table_size(int(p), int(J))
+    check_table_size(p, J)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +142,7 @@ class PolyharmonicMap:
                 n, j, av, bv = entry
             except (TypeError, ValueError) as exc:
                 raise MalformedSpec(f"bad term entry {entry!r}") from exc
-            if not (isinstance(n, (int, np.integer)) and isinstance(j, (int, np.integer))):
+            if not (_is_int(n) and _is_int(j)):
                 raise MalformedSpec(f"term indices must be integers, got ({n!r}, {j!r})")
             if not (1 <= n <= p and 1 <= j <= J):
                 raise MalformedSpec(f"term index (n={n}, j={j}) outside table (p={p}, J={J})")

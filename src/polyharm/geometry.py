@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import (PolyharmonicMap, _collapse, _horner, _ring_energies,
-                   check_grid_size, evaluate, wirtinger)
+from .core import (PolyharmonicMap, _collapse, _horner, _is_int,
+                   _ring_energies, check_grid_size, evaluate, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
 __all__ = [
@@ -656,15 +656,19 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     is below 1e-13, no halving helps, or after 8 steps.  The result is the
     larger of the sampled and the polished distance, each realized by two
     points of the disk: a lower bound on the true diameter up to rounding,
-    at the pair's local maximum.  Raises InvalidParams unless n_radii >= 1
-    and n_angles >= 1, and when the grid is over MAX_GRID_POINTS.
+    at the pair's local maximum.  Raises InvalidParams unless n_radii and
+    n_angles are integers >= 1 (an int or a numpy integer, never a bool or
+    a float), and when the grid is over MAX_GRID_POINTS.
     """
     if not (0.0 < r <= 1.0):
         raise InvalidParams("radius must be in (0, 1], got %r" % (r,))
+    if not (_is_int(n_radii) and _is_int(n_angles)):
+        raise InvalidParams("n_radii and n_angles must be integers, got %r and %r"
+                            % (n_radii, n_angles))
     if n_radii < 1 or n_angles < 1:
         raise InvalidParams("need n_radii >= 1 and n_angles >= 1, got %r and %r"
                             % (n_radii, n_angles))
-    check_grid_size(n_radii * n_angles, "n_radii x n_angles")
+    check_grid_size(int(n_radii) * int(n_angles), "n_radii x n_angles")
     radii = r * np.arange(1, n_radii + 1) / n_radii
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
     # radius times the real and the imaginary part of e^(i th): real

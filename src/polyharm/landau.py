@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_decreasing
+from .core import _is_int
 from .errors import InvalidDiameter, InvalidParams, NoSignChange
 
 BRACKET_LO = 1e-12
@@ -60,20 +60,32 @@ def _decreasing_root(phi):
     f_lo = float(phi(lo))
     if not (math.isfinite(f_lo) and f_lo > 0.0):
         raise InvalidParams("majorant must start positive, phi(0+)=%r" % (f_lo,))
-    f_hi = float(phi(hi))
-    if f_hi >= 0.0:
+    if float(phi(hi)) >= 0.0:
         raise NoSignChange("majorant stays nonnegative on (0, 1); "
                            "no univalence radius below 1 is certified")
-    root, iters, bracket = bisect_decreasing(
-        phi, lo, hi, ROOT_TOL, residual_target=ROOT_TOL * (1.0 + abs(f_lo)))
-    return root, iters, bracket, f_lo
+    it = 0
+    mid = 0.5 * (lo + hi)
+    val = phi(mid)
+    while it < 400:  # float resolution stops a bisection well before this
+        if hi - lo <= ROOT_TOL and abs(val) <= ROOT_TOL * (1.0 + f_lo):
+            break
+        if val > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        new_mid = 0.5 * (lo + hi)
+        if not lo < new_mid < hi:  # the bracket is two adjacent floats
+            break
+        mid, val = new_mid, phi(new_mid)
+        it += 1
+    return (mid if val > 0.0 else lo), it, (lo, hi), f_lo
 
 
 # ---- bounds from the image diameter ----
 
 
 def _check_common(p: int, alpha: float) -> None:
-    if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1):
+    if not (_is_int(p) and p >= 1):
         raise InvalidParams("layer count must be an integer >= 1, got %r" % (p,))
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidParams("alpha must be positive and finite, got %r" % (alpha,))

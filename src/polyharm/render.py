@@ -30,11 +30,9 @@ def render_paths(F: PolyharmonicMap) -> dict:
     radii = _EDGE * (np.arange(1, RINGS + 1) / RINGS)
     ring_paths = [np.concatenate([w, w[:1]])  # close the loop
                   for w in ring_values(F, radii, SAMPLES)]
-    ray_paths = []
-    for m in range(RAYS):
-        ang = 2.0 * np.pi * m / RAYS
-        t = np.linspace(0.0, _EDGE, SAMPLES)
-        ray_paths.append(evaluate(F, t * np.exp(1j * ang)))
+    ang = 2.0 * np.pi * np.arange(RAYS) / RAYS
+    t = np.linspace(0.0, _EDGE, SAMPLES)
+    ray_paths = list(evaluate(F, t * np.exp(1j * ang)[:, None]))  # one spoke a row
     return {"rings": ring_paths, "rays": ray_paths, "boundary": ring_paths[-1]}
 
 

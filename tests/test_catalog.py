@@ -146,7 +146,8 @@ def test_form37_default_instance():
     lambda: builtin("monomial", {"p": 4097, "j": 1}),
     lambda: form37(eta=1.0, k_max=10 ** 12),
     lambda: builtin("form37", {"zeta2": {"100000000000": 1.0}}),
-], ids=["f0", "F1", "monomial", "form37-k_max", "form37-key"])
+    lambda: monomial(np.int32(1 << 16), np.int32(1 << 16)),  # p j wraps to 0 in int32
+], ids=["f0", "F1", "monomial", "form37-k_max", "form37-key", "monomial-int32"])
 def test_builtin_table_over_the_cap_is_malformed_params(make):
     with pytest.raises(MalformedParams, match="entries, over the cap of 4096"):
         make()
@@ -230,6 +231,13 @@ def test_makers_take_numpy_scalars():
     assert monomial(1, 2, np.int64(1)).a[0, 1] == 1.0
     assert linear(np.float32(2.0), np.complex128(1j)).b[0, 0] == -1j
     assert form37(eta=np.float64(1.0), xi=np.float64(0.5)).b[0, 0] == 0.5
+    # integer parameters and power keys take numpy integers, as core does
+    for F, G in ((f0(np.int64(9)), f0(9)), (f1(np.int16(5)), f1(5)),
+                 (monomial(np.int64(2), np.int32(3)), monomial(2, 3)),
+                 (form37(eta=1.0, zeta2={np.int64(2): 1.0}, k_max=np.uint8(3)),
+                  form37(eta=1.0, zeta2={2: 1.0}, k_max=3))):
+        assert (F.p, F.J) == (G.p, G.J)
+        assert np.array_equal(F.a, G.a) and np.array_equal(F.b, G.b)
 
 
 # ---- registry ----
@@ -268,7 +276,10 @@ def test_builtin_rejects_unknown():
     ({"+2": 0.5}, "key '\\+2' is not"),
     ({"\u0663": 0.5}, "key '\u0663' is not"),  # an Arabic-Indic three
     ({1: 0.5, "1": 0.7}, "names power 1 twice"),
-], ids=["1-and-01", "1_0", "spaced-2", "+2", "non-ascii-3", "int-and-str-1"])
+    ({"abc": 0.5}, "key 'abc' is not"),  # int() itself refuses it
+    ({True: 0.5}, "key True is not"),  # a library key; JSON keys are strings
+], ids=["1-and-01", "1_0", "spaced-2", "+2", "non-ascii-3", "int-and-str-1", "abc",
+        "bool"])
 def test_form37_power_key_is_an_int_or_its_canonical_decimal(zeta2, message):
     with pytest.raises(MalformedParams, match="zeta2 " + message):
         builtin("form37", {"eta": 1.0, "zeta2": zeta2})

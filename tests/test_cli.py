@@ -925,6 +925,16 @@ def test_landau_zero_alpha_hnm(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_landau_zero_diameter_hnm(tmp_path, capsys):
+    # the zero map's image is one point; with alpha given, the diameter
+    # estimate of 0 is what stops the diameter mode
+    path = _write(tmp_path, "zero.map", '{"p": 1, "J": 1, "terms": []}')
+    assert main(["landau", "--mode", "diameter", "--map", path, "--alpha", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "image diameter estimate is 0.0" in captured.err
+
+
 @pytest.mark.parametrize("text, pinned", [
     # F1 has p = 2 and alpha = 1 of its own
     ('{"builtin": "F1", "params": {"J": 9}}',

@@ -51,6 +51,10 @@ def test_table_rejects_bad_shapes():
     bad[0, 0] = np.nan
     with pytest.raises(MalformedSpec):
         PolyharmonicMap(1, 1, bad, np.zeros((1, 1), complex))
+    # a count is an int or a numpy integer, never a bool: True is not p = 1
+    for p, J in ((True, 1), (1, np.bool_(True)), (1.0, 1), (1, "1")):
+        with pytest.raises(MalformedSpec, match="p and J must be integers"):
+            PolyharmonicMap(p, J, np.zeros((1, 1), complex), np.zeros((1, 1), complex))
 
 
 def test_from_terms_round_trip():
@@ -58,6 +62,10 @@ def test_from_terms_round_trip():
     assert F.a[0, 0] == 1 + 2j
     assert F.b[1, 1] == 3 - 1j
     assert F.a[1, 1] == 0 and F.b[0, 0] == 0
+    G = PolyharmonicMap.from_terms(np.int64(2), np.int32(2),
+                                   [(np.int8(1), np.uint16(1), 1 + 2j, 0), (2, 2, 0, 3 - 1j)])
+    assert G.p == 2 and type(G.p) is int
+    assert np.array_equal(G.a, F.a) and np.array_equal(G.b, F.b)
 
 
 def test_from_terms_rejects_bad_indices():
@@ -67,6 +75,13 @@ def test_from_terms_rejects_bad_indices():
         PolyharmonicMap.from_terms(1, 1, [(1, 0, 1.0, 0.0)])
     with pytest.raises(MalformedSpec):
         PolyharmonicMap.from_terms(1, 1, [(1.5, 1, 1.0, 0.0)])
+    with pytest.raises(MalformedSpec, match="bad term entry"):
+        PolyharmonicMap.from_terms(1, 2, [(1, 1, 0)])
+    # a bool index is refused, not read as n = 1
+    with pytest.raises(MalformedSpec, match="term indices must be integers"):
+        PolyharmonicMap.from_terms(2, 2, [(True, 1, 1, 0)])
+    with pytest.raises(MalformedSpec, match="p and J must be integers"):
+        PolyharmonicMap.from_terms(True, 2, [])
 
 
 def test_from_terms_rejects_a_repeated_term():
@@ -85,6 +100,9 @@ def test_table_size_is_capped_before_allocation():
         PolyharmonicMap(1, MAX_TABLE_ENTRIES + 1, np.zeros((1, 1), complex),
                          np.zeros((1, 1), complex))
     assert PolyharmonicMap.from_terms(1, MAX_TABLE_ENTRIES, []).J == MAX_TABLE_ENTRIES
+    # 2^16 x 2^16 wraps to 0 as an int32 product; the cap reads the true count
+    with pytest.raises(MalformedSpec, match="4294967296 entries"):
+        core.check_table_size(np.int32(1 << 16), np.int32(1 << 16))
 
 
 def test_max_coefficient():

@@ -410,6 +410,30 @@ def test_length_rejects_radii_outside_the_disk():
     assert curve_length(catalog.f2(), np.array([])).shape == (0,)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda F: area_quadrature(F, 0.0), "radius must be in"),
+    (lambda F: area_quadrature(F, 1.5), "radius must be in"),
+    (lambda F: diameter_estimate(F, r=1.5), "radius must be in"),
+    (lambda F: diameter_estimate(F, n_radii=0), "need n_radii >= 1"),
+    # a float count would put radii outside the disk (2.5 samples 0.4,
+    # 0.8 and 1.2), and a bool is no count
+    (lambda F: diameter_estimate(F, n_radii=2.5), "must be integers, got 2.5"),
+    (lambda F: diameter_estimate(F, n_angles=100.5), "must be integers"),
+    (lambda F: diameter_estimate(F, n_radii=True), "must be integers"),
+    (lambda F: diameter_estimate(F, n_angles=np.float64(8.0)), "must be integers"),
+], ids=["area-0", "area-1.5", "diam-r", "diam-0", "diam-2.5", "diam-100.5",
+        "diam-bool", "diam-float64"])
+def test_area_and_diameter_refuse_bad_radii_and_counts(call, message):
+    with pytest.raises(InvalidParams, match=message):
+        call(catalog.f2())
+
+
+def test_diameter_counts_take_numpy_integers():
+    F = catalog.f2()
+    assert (diameter_estimate(F, n_radii=np.int64(16), n_angles=np.int32(1024))
+            == diameter_estimate(F))
+
+
 @pytest.mark.parametrize("cap", [1 << 12, 1 << 13])
 def test_failing_scan_spends_at_most_one_more_radius_budget(monkeypatch, cap):
     # with the sample cap cut down, F1's outermost scan radius, whose image

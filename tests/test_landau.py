@@ -51,6 +51,14 @@ def test_least_positive_root_rejects_nonpositive_start():
         least_positive_root(lambda r: -1.0 - r)
 
 
+def test_bisection_stops_at_float_resolution():
+    # a jump has no residual below ROOT_TOL, so the bracket closes on 0.3
+    # and its float neighbour below, and the search stops there
+    res = landau._decreasing_root(lambda r: 1.0 if r < 0.3 else -1.0)
+    assert res == (0.29999999999999993, 53, (0.29999999999999993, 0.3), 1.0)
+    assert math.nextafter(0.3, 0.0) == 0.29999999999999993
+
+
 # ---- diameter-driven radius ----
 
 

@@ -49,10 +49,24 @@ def test_loads_defaults_missing_sides_to_zero():
     '{"p": 1.0, "J": 1, "terms": []}',
     '{"p": 1, "J": 1, "label": 7, "terms": []}',
     '{"p": 1, "J": 1, "terms": [], "extra": 0}',
+    '{"builtin": "f2", "params": []}',
+    '{"p": 1, "J": 1, "terms": {}}',
+    '{"p": 1, "J": 1, "terms": [1]}',
 ])
 def test_loads_rejects_malformed(text):
     with pytest.raises(MalformedSpec):
         mapspec.loads(text)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (mapspec.MappingSpec(p=1), "needs both p and J"),
+    (mapspec.MappingSpec(J=1), "needs both p and J"),
+    # a library spec can hold a bool, which loads() never makes
+    (mapspec.MappingSpec(p=True, J=2), "p and J must be integers"),
+], ids=["no-J", "no-p", "bool-p"])
+def test_build_map_rejects_a_table_without_integer_p_and_J(spec, message):
+    with pytest.raises(MalformedSpec, match=message):
+        mapspec.build_map(spec)
 
 
 # ---- round trips ----

@@ -20,6 +20,7 @@ def test_to_jsonable_scalars():
     assert to_jsonable(np.float64(1.5)) == 1.5
     assert to_jsonable(np.int32(7)) == 7
     assert to_jsonable(1 + 2j) == [1.0, 2.0]
+    assert to_jsonable(np.complex128(1 + 2j)) == [1.0, 2.0]
     assert to_jsonable(float("nan")) is None
     assert to_jsonable(float("inf")) is None
     assert to_jsonable(np.array([1.0, 2.0])) == [1.0, 2.0]
