@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .core import PolyharmonicMap, _is_int, check_table_size
+from .core import PolyharmonicMap, _is_int, _number, check_table_size
 from .errors import MalformedParams, UnknownName
 
 __all__ = [
@@ -42,10 +42,6 @@ __all__ = [
 def identity() -> PolyharmonicMap:
     return PolyharmonicMap(1, 1, np.array([[1.0 + 0.0j]]),
                            np.zeros((1, 1), dtype=complex), label="identity")
-
-
-def _number(v, kind=numbers.Number) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _complex(v, what: str) -> complex:

@@ -33,6 +33,7 @@ from it by Parseval, with no samples and no FFT.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,10 @@ def check_grid_size(points: int, what: str) -> None:
         raise InvalidParams("%s asks for %d points, over the cap of %d; one "
                             "complex array of them would take %d bytes"
                             % (what, points, MAX_GRID_POINTS, 16 * points))
+
+
+def _number(v, kind=numbers.Number) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _is_int(v) -> bool:
@@ -132,7 +137,7 @@ class PolyharmonicMap:
     def from_terms(cls, p: int, J: int, terms, label: str = "") -> "PolyharmonicMap":
         """Build from an iterable of ``(n, j, a, b)`` entries; omitted entries
         are zero.  Indices are 1-based, must fall inside (p, J) and may not
-        repeat."""
+        repeat.  Coefficients are numbers, numpy scalars too, never a bool."""
         _check_dims(p, J)
         A = np.zeros((p, J), dtype=np.complex128)
         B = np.zeros((p, J), dtype=np.complex128)
@@ -149,6 +154,8 @@ class PolyharmonicMap:
             if (n, j) in seen:
                 raise MalformedSpec(f"duplicate term for (n={n}, j={j})")
             seen.add((n, j))
+            if not (_number(av) and _number(bv)):
+                raise MalformedSpec(f"term coefficients must be numbers, got ({av!r}, {bv!r})")
             A[n - 1, j - 1] = complex(av)
             B[n - 1, j - 1] = complex(bv)
         return cls(int(p), int(J), A, B, label)
@@ -257,6 +264,9 @@ def _ring_samples(radii, n_angles, shift, *outputs):
     # frequencies) pairs folded as ring_wirtinger describes; circles go in
     # blocks of ~2^14 entries so _collapse's tables stay small for any J
     radii = np.asarray(radii, dtype=float).ravel()
+    if not (_is_int(n_angles) and n_angles >= 1):
+        raise InvalidParams("n_angles must be an integer >= 1, got %r" % (n_angles,))
+    check_grid_size(radii.size * int(n_angles), "len(radii) x n_angles")
     tables = [M for terms in outputs for M, _ in terms]
     rows = max(1, (1 << 14) // max(n_angles, tables[0].shape[1]))
     specs = [np.zeros((radii.size, n_angles), dtype=np.complex128) for _ in outputs]
@@ -269,9 +279,9 @@ def _ring_samples(radii, n_angles, shift, *outputs):
 
 
 def ring_values(F: PolyharmonicMap, radii, n_angles: int):
-    """F at the points of :func:`ring_wirtinger`, as a (len(radii), n_angles)
-    array: on |z| = r, F has sum_n a[n,j] r^(2n+j-2) at frequency j and
-    sum_n conj(b[n,j]) r^(2n+j-2) at -j."""
+    """F at the points of :func:`ring_wirtinger`, with its refusals, as a
+    (len(radii), n_angles) array: on |z| = r, F has sum_n a[n,j]
+    r^(2n+j-2) at frequency j and sum_n conj(b[n,j]) r^(2n+j-2) at -j."""
     j = np.arange(1, F.J + 1)
     return _ring_samples(radii, n_angles, 0, [(F.a, j), (np.conj(F.b), -j)])[0]
 
@@ -287,7 +297,8 @@ def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
     sum_n (n-1) a[n,j] r^(2n+j-3) at j+1.  Each coefficient is added into
     slot m mod n_angles of its circle's spectrum, so the samples stay exact
     when frequencies alias (n_angles <= 2J), and one inverse FFT per
-    circle gives its samples.
+    circle gives its samples.  Raises InvalidParams unless n_angles is an
+    integer >= 1 and len(radii) x n_angles is within MAX_GRID_POINTS.
     """
     return tuple(_ring_samples(radii, n_angles, -1, *_wirtinger_terms(F)))
 

@@ -214,19 +214,13 @@ def _lengths(F: PolyharmonicMap, rs: np.ndarray, starts=None):
             both = lo + hi
             ok = (np.abs(both - whole[i]) + (hidden[a:a + n] + hidden[a + n:a + 2 * n])
                   < scale[i] * 2.0 * h)
-            if ok.all():  # the radius settles
-                done[i] += float(both.sum())
-                if i == 0:
-                    accepted.append((left[i], width[i]))
-                left[i] = width[i] = whole[i] = both[:0]
-            else:
-                done[i] += float(both[ok].sum())
-                if i == 0:
-                    accepted.append((left[i][ok], width[i][ok]))
-                split = ~ok
-                kept, hs = left[i][split], h[split]
-                left[i], width[i] = np.concatenate([kept, kept + hs]), np.concatenate([hs, hs])
-                whole[i] = np.concatenate([lo[split], hi[split]])
+            done[i] += float(both[ok].sum())
+            if i == 0:
+                accepted.append((left[i][ok], width[i][ok]))
+            split = ~ok  # all False once the radius settles
+            kept, hs = left[i][split], h[split]
+            left[i], width[i] = np.concatenate([kept, kept + hs]), np.concatenate([hs, hs])
+            whole[i] = np.concatenate([lo[split], hi[split]])
             estimates[i].append(done[i] + float(whole[i].sum()))
             a += 2 * n
         for i in fresh:
@@ -526,11 +520,6 @@ def _farthest_pair(xy: np.ndarray):
     cand = _candidates(xy)
     hull = cand[_hull(xy[cand])]
     h = hull.size
-    if h < 3:  # collinear or coincident candidates: ends of their principal axis
-        pts = xy[cand]
-        centered = pts - pts.mean(axis=0)
-        s = pts @ np.linalg.eigh(centered.T @ centered)[1][:, 1]
-        return tuple(sorted((int(cand[np.argmin(s)]), int(cand[np.argmax(s)]))))
     x, y = xy[hull, 0], xy[hull, 1]
     ex, ey = np.concatenate((x[1:], x[:1])) - x, np.concatenate((y[1:], y[:1])) - y
     # rotating calipers, vectorized: edge i (vertex i to i+1) points at
@@ -639,9 +628,9 @@ def diameter_estimate(F: PolyharmonicMap, r: float = 1.0, n_radii: int = 16,
     vectorized, pair each edge of the candidates' hull with the vertex
     farthest from its line, found by a binary search on the unwrapped edge
     angles, and score a window of neighbouring pairs.  Ties go to the least
-    (lower sample index, higher sample index) pair.  A hull of fewer than
-    3 vertices (collinear or coincident candidates) uses the ends along
-    the candidates' principal axis instead.
+    (lower sample index, higher sample index) pair.  A hull of one or two
+    vertices goes through the same calipers: both edges of a two-vertex
+    hull turn by pi, so each end's window holds the other end.
 
     A projected Newton ascent then polishes the pair's radii and angles,
     each within one grid step of its sample and the radii within [0, r].

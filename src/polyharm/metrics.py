@@ -10,7 +10,8 @@ z -> (z - a) / (1 - conj(a) z); j is rotation-invariant, so a rotation
 factor would change no ratio.  Each check returns a
 ``certificates.CheckReport`` with one margin per sampled pair.  Sampled
 ratios are lower estimates of the supremum.  A check whose hypothesis
-fails samples nothing and says why in ``extras["reason"]``.
+fails samples nothing and says why in ``extras["reason"]``; one that
+samples refuses a seed that is not an integer >= 0 with InvalidParams.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .certificates import TOL_REPORT, CheckReport, _report, _unmet
-from .core import PolyharmonicMap, _circle_range, evaluate, ring_values
+from .core import PolyharmonicMap, _circle_range, _is_int, evaluate, ring_values
 from .errors import InvalidParams, OutsideDomain
 
 # sizes of the pair sample and the largest radius of a random point;
@@ -60,6 +61,8 @@ def _pairs(seed: int):
     # deterministic point pairs (z, w) for the ratio estimates: N_RANDOM
     # radius-stratified random pairs, then N_RAY same-ray pairs pushed
     # toward the boundary, where the metric ratio of near-isometries peaks
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidParams("seed must be an integer >= 0, got %r" % (seed,))
     rng = np.random.default_rng(seed)
     k = np.arange(N_RANDOM)
     rz = (k + rng.random(N_RANDOM)) / N_RANDOM * R_CAP
@@ -86,7 +89,7 @@ def _ratio_block(z, w, fz, fw, M: float, bound: float):
 
 def contraction_check(F: PolyharmonicMap, M: float, seed: int = 7) -> CheckReport:
     """j-metric contraction from the unit disk into the disk of radius M,
-    one margin per point pair drawn with ``seed``: ratio <= 1.
+    one margin per point pair drawn with ``seed``, an integer >= 0: ratio <= 1.
 
     Hypotheses: a target disk (M > 0, though the zero map may ask for
     M = 0), then a coefficient sum of at most M, which forces
@@ -122,8 +125,8 @@ def boundary_samples(F: PolyharmonicMap) -> int:
 
 def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> CheckReport:
     """j-metric Lipschitz bound for harmonic polynomials into the unit disk,
-    one margin per point pair drawn with ``seed``, then the Parseval sum
-    <= 1 and the coefficient sum <= sqrt(2d).
+    one margin per point pair drawn with ``seed``, an integer >= 0, then
+    the Parseval sum <= 1 and the coefficient sum <= sqrt(2d).
 
     The bound grows with the polynomial degree d as (d sqrt(2d) / 2) pi;
     ``extras`` keeps it and the largest sampled ratio.  Hypotheses, in
@@ -176,7 +179,7 @@ def mobius_j_distortion(a: complex, *, seed: int = 7) -> CheckReport:
     z -> (z - a) / (1 - conj(a) z), one margin per point pair drawn with
     ``seed``: never more than a factor 2.  j is rotation-invariant, so this
     covers every automorphism e^{i theta} (z - a) / (1 - conj(a) z).  Raises
-    InvalidParams unless |a| < 1."""
+    InvalidParams unless |a| < 1 and the seed is an integer >= 0."""
     a = complex(a)
     if not abs(a) < 1.0:
         raise InvalidParams("automorphism parameter must satisfy |a| < 1")

@@ -20,7 +20,7 @@ from polyharm.core import (
     scale_map,
     wirtinger,
 )
-from polyharm.errors import DegenerateMap, MalformedSpec
+from polyharm.errors import DegenerateMap, InvalidParams, MalformedSpec
 
 from _gen import conjugate_map, random_map
 
@@ -63,7 +63,8 @@ def test_from_terms_round_trip():
     assert F.b[1, 1] == 3 - 1j
     assert F.a[1, 1] == 0 and F.b[0, 0] == 0
     G = PolyharmonicMap.from_terms(np.int64(2), np.int32(2),
-                                   [(np.int8(1), np.uint16(1), 1 + 2j, 0), (2, 2, 0, 3 - 1j)])
+                                   [(np.int8(1), np.uint16(1), np.complex64(1 + 2j), 0),
+                                    (2, 2, np.int64(0), 3 - 1j)])
     assert G.p == 2 and type(G.p) is int
     assert np.array_equal(G.a, F.a) and np.array_equal(G.b, F.b)
 
@@ -82,6 +83,12 @@ def test_from_terms_rejects_bad_indices():
         PolyharmonicMap.from_terms(2, 2, [(True, 1, 1, 0)])
     with pytest.raises(MalformedSpec, match="p and J must be integers"):
         PolyharmonicMap.from_terms(True, 2, [])
+    # a coefficient is a number, as for the catalog's complex parameters:
+    # complex() would read "1" and True as 1
+    for bad in ("1", "x", True, None):
+        for term in ((1, 1, bad, 0), (1, 1, 0, bad)):
+            with pytest.raises(MalformedSpec, match="term coefficients must be numbers"):
+                PolyharmonicMap.from_terms(1, 1, [term])
 
 
 def test_from_terms_rejects_a_repeated_term():
@@ -457,6 +464,20 @@ def test_ring_wirtinger_matches_pointwise(p, J):
         assert np.abs(fzb - wzb).max() <= 1e-13 * scale
         w = evaluate(F, z)
         assert np.abs(values - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("sampler", [ring_values, ring_wirtinger])
+@pytest.mark.parametrize("n, message", [
+    (0, "n_angles must be an integer >= 1, got 0"),
+    (-3, "n_angles must be an integer >= 1, got -3"),
+    (2.5, "n_angles must be an integer >= 1, got 2.5"),
+    (True, "n_angles must be an integer >= 1, got True"),
+    (1 << 21, r"len\(radii\) x n_angles asks for 4194304 points, over the cap"),
+], ids=["0", "-3", "2.5", "bool", "2^21"])
+def test_ring_samplers_refuse_bad_counts(sampler, n, message):
+    # refused before anything of len(radii) x n_angles is allocated
+    with pytest.raises(InvalidParams, match=message):
+        sampler(catalog.f2(), [0.5, 1.0], n)
 
 
 def test_ring_values_match_evaluate_on_f0_at_J_1024():

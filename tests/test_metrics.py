@@ -291,6 +291,26 @@ def test_mobius_takes_no_angle():
     assert mobius_j_distortion(0.5, seed=3).extras == {"a": (0.5, 0.0)}
 
 
+_SEEDED = {
+    "contraction": lambda seed: contraction_check(catalog.linear(0.5, 0), 1.0, seed=seed),
+    "harmonic": lambda seed: harmonic_lipschitz_check(catalog.linear(0.5, 0), seed=seed),
+    "mobius": lambda seed: mobius_j_distortion(0.5, seed=seed),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7"], ids=["-1", "2.5", "bool", "str"])
+def test_checks_refuse_a_seed_that_is_no_count(check, seed):
+    # True would run as seed 1; the others died in numpy's own errors
+    with pytest.raises(InvalidParams, match="seed must be an integer >= 0, got "):
+        _SEEDED[check](seed)
+
+
+@pytest.mark.parametrize("check", sorted(_SEEDED))
+def test_checks_take_a_numpy_integer_seed(check):
+    assert _SEEDED[check](np.int64(3)).worst_margin == _SEEDED[check](3).worst_margin
+
+
 @pytest.mark.parametrize("theta", [0.7, 2.5, -1.0])
 def test_mobius_distortion_is_rotation_invariant(theta):
     # j depends on |z - w| and max(|z|, |w|) only, so a rotation after the
