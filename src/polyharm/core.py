@@ -156,8 +156,12 @@ class PolyharmonicMap:
             seen.add((n, j))
             if not (_number(av) and _number(bv)):
                 raise MalformedSpec(f"term coefficients must be numbers, got ({av!r}, {bv!r})")
-            A[n - 1, j - 1] = complex(av)
-            B[n - 1, j - 1] = complex(bv)
+            try:
+                A[n - 1, j - 1] = complex(av)
+                B[n - 1, j - 1] = complex(bv)
+            except OverflowError:  # an int beyond float range
+                raise MalformedSpec(f"term coefficient for (n={n}, j={j}) is too large "
+                                    "for a float") from None
         return cls(int(p), int(J), A, B, label)
 
     def max_coefficient(self) -> float:
@@ -415,11 +419,26 @@ def _k_grid(F: PolyharmonicMap) -> float:
     # instead of being page-faulted in afresh on every call
     d = np.empty((_K_RADII, _K_ANGLES))
     big = np.empty_like(d)
-    for k in range(0, _K_RADII, _K_BLOCK):
-        m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:k + _K_BLOCK], _K_ANGLES))
-        np.subtract(m, mm, out=d[k:k + _K_BLOCK])
-        np.add(m, mm, out=big[k:k + _K_BLOCK])
-    ratio = _k_ratios(d, big, lambda i: radii[i // _K_ANGLES] * u[i % _K_ANGLES], floor)
+
+    def ratios(k):  # _k_ratios on the rings k.. scanned so far
+        return _k_ratios(d[k:], big[k:], lambda i: radii[k + i // _K_ANGLES] * u[i % _K_ANGLES],
+                         floor)
+
+    # |z| = 1 first, then the other rings inward in blocks; f0 and F1 show
+    # both signs on |z| = 1 itself, and once the rings scanned so far do,
+    # so would the whole grid.  The extremes propagate a NaN as
+    # d.max() does, so they straddle 0 exactly when _k_ratios would raise
+    hi, lo = -np.inf, np.inf
+    stop = _K_RADII
+    for k in [_K_RADII - 1, *range(_K_RADII - 1 - _K_BLOCK, 0, -_K_BLOCK), 0]:
+        m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:stop], _K_ANGLES))
+        block = np.subtract(m, mm, out=d[k:stop])
+        np.add(m, mm, out=big[k:stop])
+        hi, lo = np.maximum(hi, block.max()), np.minimum(lo, block.min())
+        if hi > 0.0 > lo:
+            ratios(k)
+        stop = k
+    ratio = ratios(0)
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     th0 = float(th[j0])
     r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
@@ -486,15 +505,19 @@ def quasiregularity_constant(F: PolyharmonicMap) -> float:
 
     Every other map takes the grid route.  It scans a polar grid of 256
     radii x 512 angles, taken from each circle's spectrum by
-    :func:`ring_wirtinger`, then zooms in radius and then in angle around
-    the best sample, each down to a 1e-10 bracket, on the pointwise
-    :func:`wirtinger`.  It raises :class:`DegenerateMap` when the Jacobian
-    takes both signs among the probed points, since lambda_small then
-    vanishes between the two witnesses and the map folds, and as soon as
-    lambda_small drops below ``1e-12 * (1 + max coefficient)`` at any probed
-    point.  Both checks see the whole grid before any zoom.  Where the
-    grid's best sample lies on |z| = 1 and the zoom in radius peaks there,
-    the two routes return the same bits.
+    :func:`ring_wirtinger`, from |z| = 1 inward: that circle alone, then
+    the other rings in blocks of 32.  Then it zooms in radius and then in
+    angle around the best sample, each down to a 1e-10 bracket, on the
+    pointwise :func:`wirtinger`.  It raises :class:`DegenerateMap` when
+    the Jacobian takes both signs among the probed points, since
+    lambda_small then vanishes between the two witnesses and the map
+    folds, and as soon as lambda_small drops below
+    ``1e-12 * (1 + max coefficient)`` at any probed point.  The scan stops
+    at the first block after which the rings read so far show both signs,
+    and the message names witnesses among those rings; the whole grid
+    would show both signs too.  Otherwise both checks see the whole grid
+    before any zoom.  Where the grid's best sample lies on |z| = 1 and the
+    zoom in radius peaks there, the two routes return the same bits.
     """
     K = _k_boundary(F) if F.p == 1 else None
     return _k_grid(F) if K is None else K

@@ -9,9 +9,9 @@ degree d mapping into the unit disk, and 2 for disk automorphisms
 z -> (z - a) / (1 - conj(a) z); j is rotation-invariant, so a rotation
 factor would change no ratio.  Each check returns a
 ``certificates.CheckReport`` with one margin per sampled pair.  Sampled
-ratios are lower estimates of the supremum.  A check whose hypothesis
-fails samples nothing and says why in ``extras["reason"]``; one that
-samples refuses a seed that is not an integer >= 0 with InvalidParams.
+ratios are lower estimates of the supremum.  Each check first refuses a
+seed that is not an integer >= 0 with InvalidParams; then a check whose
+hypothesis fails samples nothing and says why in ``extras["reason"]``.
 """
 
 from __future__ import annotations
@@ -57,12 +57,16 @@ def _j_vec(z: np.ndarray, w: np.ndarray, M: float) -> np.ndarray:
     return np.log1p(np.abs(z - w) / gap)
 
 
+def _check_seed(seed) -> None:
+    # each check reads its seed before anything else, hypotheses included
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidParams("seed must be an integer >= 0, got %r" % (seed,))
+
+
 def _pairs(seed: int):
     # deterministic point pairs (z, w) for the ratio estimates: N_RANDOM
     # radius-stratified random pairs, then N_RAY same-ray pairs pushed
     # toward the boundary, where the metric ratio of near-isometries peaks
-    if not (_is_int(seed) and seed >= 0):
-        raise InvalidParams("seed must be an integer >= 0, got %r" % (seed,))
     rng = np.random.default_rng(seed)
     k = np.arange(N_RANDOM)
     rz = (k + rng.random(N_RANDOM)) / N_RANDOM * R_CAP
@@ -95,6 +99,7 @@ def contraction_check(F: PolyharmonicMap, M: float, seed: int = 7) -> CheckRepor
     M = 0), then a coefficient sum of at most M, which forces
     |F(z)| <= M |z| < M.
     """
+    _check_seed(seed)
     coeff_sum = float(np.sum(np.abs(F.a)) + np.sum(np.abs(F.b)))
     extras = {"coefficient_sum": coeff_sum, "M": M}
     if M == 0.0 == coeff_sum:
@@ -136,6 +141,7 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> CheckReport:
     >= max(N_BOUNDARY, 32 d) angles, is at most (1 + 1e-9)^2, and no
     sampled pair point has |F| >= 1.
     """
+    _check_seed(seed)
     if F.p != 1:
         return _unmet("harmonic-j-lipschitz", "table has more than one layer")
     degree = _degree(F)
@@ -179,7 +185,8 @@ def mobius_j_distortion(a: complex, *, seed: int = 7) -> CheckReport:
     z -> (z - a) / (1 - conj(a) z), one margin per point pair drawn with
     ``seed``: never more than a factor 2.  j is rotation-invariant, so this
     covers every automorphism e^{i theta} (z - a) / (1 - conj(a) z).  Raises
-    InvalidParams unless |a| < 1 and the seed is an integer >= 0."""
+    InvalidParams unless the seed is an integer >= 0 and |a| < 1."""
+    _check_seed(seed)
     a = complex(a)
     if not abs(a) < 1.0:
         raise InvalidParams("automorphism parameter must satisfy |a| < 1")

@@ -89,6 +89,11 @@ def test_from_terms_rejects_bad_indices():
         for term in ((1, 1, bad, 0), (1, 1, 0, bad)):
             with pytest.raises(MalformedSpec, match="term coefficients must be numbers"):
                 PolyharmonicMap.from_terms(1, 1, [term])
+    # an int beyond float range, as the catalog's complex parameters
+    for term in ((1, 1, 10**400, 0), (1, 1, 0, -10**400)):
+        with pytest.raises(MalformedSpec, match=r"term coefficient for \(n=1, j=1\) is too "
+                                                "large for a float"):
+            PolyharmonicMap.from_terms(1, 1, [term])
 
 
 def test_from_terms_rejects_a_repeated_term():
@@ -416,22 +421,109 @@ def test_quasiregularity_certified_map_samples_only_the_unit_circle(monkeypatch)
 _ZERO_INSIDE = PolyharmonicMap(1, 2, [[1.0, 1.0]], [[0.1, 0.0]])
 
 
-@pytest.mark.parametrize("F", [_ZERO_INSIDE, catalog.linear(1.0, 1.0)]
-                         + [catalog.builtin(name, {"J": J}) for name in ("f0", "F1")
+def _k_scan_order(last):
+    # the radii of the grid route's scan from |z| = 1 inward, down to the
+    # block that starts at ring `last`: |z| = 1 alone, then blocks of
+    # _K_BLOCK rings, each in ascending order
+    radii = np.arange(1, core._K_RADII + 1) / core._K_RADII
+    out, stop = [1.0], core._K_RADII - 1
+    while stop > last:
+        k = max(stop - core._K_BLOCK, 0)
+        out += radii[k:stop].tolist()
+        stop = k
+    return out
+
+
+@pytest.mark.parametrize("F, last", [(_ZERO_INSIDE, 127), (catalog.linear(1.0, 1.0), 0)]
+                         + [(catalog.builtin(name, {"J": J}), 255) for name in ("f0", "F1")
                             for J in (9, 41)],
                          ids=["h-prime-zero-inside", "linear-1-1", "f0-9", "f0-41", "F1-9",
                               "F1-41"])
-def test_quasiregularity_uncertified_maps_take_the_grid(monkeypatch, F):
+def test_quasiregularity_uncertified_maps_take_the_grid(monkeypatch, F, last):
     # linear(1, 1) passes the coefficient test, so the route reads |z| = 1
-    # before its certificate fails
+    # before its certificate fails; its Jacobian vanishes, so the grid
+    # scans every ring and then fails the floor.  f0 and F1 fold on
+    # |z| = 1 and _ZERO_INSIDE in the block that holds r = 1/2, and the
+    # scan stops there
     radii, out = _k_rings(monkeypatch, F)
-    assert radii[-256:] == (np.arange(1, 257) / 256).tolist()
-    assert radii[:-256] == ([1.0] if F.J == 1 else [])
+    scan = _k_scan_order(last)
+    assert radii[-len(scan):] == scan
+    assert radii[:-len(scan)] == ([1.0] if F.J == 1 else [])
     with pytest.raises(DegenerateMap) as exc:
         core._k_grid(F)
     assert out == str(exc.value)
     if F.J > 2:  # f0 and F1 keep their witnesses of both signs
         assert "the Jacobian takes both signs" in out
+    if F.J == 1:
+        assert out.startswith("lambda_small = 0.000e+00")
+
+
+def _k_full_scan(F):
+    # the grid route with all 256 rings in one ring_wirtinger call, both
+    # checks on the whole grid, then the zooms: K, or the DegenerateMap
+    floor = core._k_floor(F)
+    radii = np.arange(1, core._K_RADII + 1) / core._K_RADII
+    th = 2.0 * np.pi * np.arange(core._K_ANGLES) / core._K_ANGLES
+    m, mm = (np.abs(w) for w in ring_wirtinger(F, radii, core._K_ANGLES))
+    at = lambda i: radii[i // core._K_ANGLES] * np.exp(1j * th[i % core._K_ANGLES])  # noqa: E731
+    try:
+        ratio = core._k_ratios(m - mm, m + mm, at, floor)
+    except DegenerateMap as exc:
+        return exc
+    i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    r_lo = radii[i0 - 1] if i0 > 0 else radii[0] / core._K_RADII
+    r_hi = radii[i0 + 1] if i0 + 1 < core._K_RADII else 1.0
+    r_best, v_r = zoom_max(lambda rs: core._k_probe(F, rs * np.exp(1j * th[j0]), floor),
+                           float(r_lo), float(r_hi), core._K_TOL)
+    return core._k_theta_zoom(F, floor, float(th[j0]), r_best, max(float(ratio[i0, j0]), v_r))
+
+
+def _verdict(K):
+    if not isinstance(K, DegenerateMap):
+        return "finite"
+    return "both signs" if "both signs" in str(K) else "floor"
+
+
+def test_quasiregularity_grid_agrees_with_a_full_scan():
+    # the scan from |z| = 1 inward stops at the first block where the
+    # Jacobian takes both signs, so its witnesses may differ from the full
+    # scan's; each is still a grid point of the printed sign, and every
+    # finite K keeps its bits
+    rng = np.random.default_rng(3039)
+    radii = np.arange(1, core._K_RADII + 1) / core._K_RADII
+    verdicts = []
+    for t in range(60):
+        F = random_map(rng, p_max=3, J_max=8)
+        if t % 2:  # a dominant a[1,1] keeps some maps from folding
+            a = F.a.copy()
+            weight = np.arange(1, F.J + 1) + np.arange(F.p)[:, None]
+            a[0, 0] = rng.uniform(0.5, 2.0) * np.sum(weight * (np.abs(F.a) + np.abs(F.b)))
+            F = PolyharmonicMap(F.p, F.J, a, F.b)
+        expected = _k_full_scan(F)
+        try:
+            K = core._k_grid(F)
+        except DegenerateMap as exc:
+            K = exc
+        verdicts.append(_verdict(K))
+        assert verdicts[-1] == _verdict(expected)
+        if verdicts[-1] == "finite":
+            assert K == expected  # bit for bit
+        elif verdicts[-1] == "floor":  # both scans read the whole grid
+            assert str(K) == str(expected)
+        elif verdicts[-1] == "both signs":
+            m = re.fullmatch(r"the Jacobian takes both signs: (\S+) at z = (\S+), "
+                             r"(\S+) at z = (\S+)", str(K))
+            for sign, value, z in ((1, m.group(1), m.group(2)), (-1, m.group(3), m.group(4))):
+                z = complex(z)
+                i = round(abs(z) * core._K_RADII) - 1
+                j = round(np.angle(z) / (2.0 * np.pi) * core._K_ANGLES) % core._K_ANGLES
+                w = radii[i] * np.exp(2j * np.pi * j / core._K_ANGLES)
+                assert f"{w:.6g}" == m.group(2 if sign > 0 else 4)
+                jac, v = jacobian(F, w), float(value)
+                assert sign * jac > 0.0 and sign * v > 0.0
+                half_digit = 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 3)
+                assert abs(jac - v) <= 1.01 * half_digit
+    assert min(verdicts.count("finite"), verdicts.count("both signs")) >= 15
 
 
 # ---- the ring kernel against the pointwise kernel ----
