@@ -510,15 +510,15 @@ def test_quasiregularity_grid_agrees_with_a_full_scan():
             assert K == expected  # bit for bit
         elif verdicts[-1] == "floor":  # both scans read the whole grid
             assert str(K) == str(expected)
-        elif verdicts[-1] == "both signs":
+        else:
             m = re.fullmatch(r"the Jacobian takes both signs: (\S+) at z = (\S+), "
                              r"(\S+) at z = (\S+)", str(K))
-            for sign, value, z in ((1, m.group(1), m.group(2)), (-1, m.group(3), m.group(4))):
-                z = complex(z)
+            for sign, value, zs in ((1, *m.group(1, 2)), (-1, *m.group(3, 4))):
+                z = complex(zs)
                 i = round(abs(z) * core._K_RADII) - 1
                 j = round(np.angle(z) / (2.0 * np.pi) * core._K_ANGLES) % core._K_ANGLES
                 w = radii[i] * np.exp(2j * np.pi * j / core._K_ANGLES)
-                assert f"{w:.6g}" == m.group(2 if sign > 0 else 4)
+                assert f"{w:.6g}" == zs
                 jac, v = jacobian(F, w), float(value)
                 assert sign * jac > 0.0 and sign * v > 0.0
                 half_digit = 0.5 * 10.0 ** (math.floor(math.log10(abs(v))) - 3)

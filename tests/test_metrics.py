@@ -298,22 +298,22 @@ _SEEDED = {
 }
 
 
-# the seed is read before the hypotheses, which these two calls fail
-_UNMET = {
-    "contraction-unmet": lambda seed: contraction_check(catalog.linear(1, 0.5), 1.2, seed=seed),
-    "harmonic-unmet": lambda seed: harmonic_lipschitz_check(catalog.f2(), seed=seed),
-}
 _BAD_SEEDS = {"-1": -1, "2.5": 2.5, "bool": True, "str": "7"}
 
 
-@pytest.mark.parametrize("check, seed", [pytest.param(c, s, id=f"{k}-{c}")
+# the last two calls fail their hypotheses, which are read after the seed
+@pytest.mark.parametrize("check, seed", [pytest.param(_SEEDED[c], s, id=f"{k}-{c}")
                                          for k, s in _BAD_SEEDS.items() for c in sorted(_SEEDED)]
-                         + [pytest.param("contraction-unmet", -1, id="-1-contraction-unmet"),
-                            pytest.param("harmonic-unmet", "7", id="str-harmonic-unmet")])
+                         + [pytest.param(lambda seed: contraction_check(catalog.linear(1, 0.5), 1.2,
+                                                                        seed=seed),
+                                         -1, id="-1-contraction-unmet"),
+                            pytest.param(lambda seed: harmonic_lipschitz_check(catalog.f2(),
+                                                                               seed=seed),
+                                         "7", id="str-harmonic-unmet")])
 def test_checks_refuse_a_seed_that_is_no_count(check, seed):
     # True would run as seed 1; the others died in numpy's own errors
     with pytest.raises(InvalidParams, match="seed must be an integer >= 0, got "):
-        {**_SEEDED, **_UNMET}[check](seed)
+        check(seed)
 
 
 @pytest.mark.parametrize("check", sorted(_SEEDED))
