@@ -22,7 +22,9 @@ and its Wirtinger derivatives are
 There are two kernels, one per access pattern.  At scattered points,
 :func:`evaluate` and :func:`wirtinger` take every sum by Horner's rule: in z
 (or zbar) within a layer and in s across layers, so a call holds a handful
-of len(z)-sized temporaries whatever p and J are.  The order of operations
+of len(z)-sized temporaries whatever p and J are.  Both kernels read the
+tables conj(b), j a, j conj(b), (n-1) a and (n-1) conj(b) that each map
+builds once, on first use, and keeps read-only.  The order of operations
 is fixed and elementwise, so a scalar call returns exactly the bits of the
 matching entry of an array call.  On a circle |z| = r the factor s is the
 constant r^2, so the layers fold into one trigonometric series per circle;
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +62,12 @@ __all__ = [
 # allocate without bound
 MAX_TABLE_ENTRIES = 4096  # p * J of one table
 MAX_GRID_POINTS = 1 << 20  # points of one sample grid
+# cap on (p + J) * sum(|a| + |b|), which bounds F and both Wirtinger
+# derivatives on the closed disk.  Under it every square of a value or a
+# derivative stays below 1e300, and so does the diameter polish's product
+# of a difference with a derivative, which its Hessian divides by a 2e-6
+# step; above it some check would read an inf or a NaN
+MAX_SCALE = 1e150
 
 
 def check_table_size(p: int, J: int, error=MalformedSpec) -> None:
@@ -105,9 +114,12 @@ class PolyharmonicMap:
 
     ``a[n-1, j-1]`` multiplies ``z**j`` inside the ``|z|**(2(n-1))`` block and
     ``conj(b[n-1, j-1])`` multiplies ``conj(z)**j`` there.  Instances are
-    immutable: the arrays are copied on construction and flagged read-only.
-    Maps compare and hash by identity, so a result computed from a map can
-    be cached under it.  Calling a map evaluates it.
+    immutable: the arrays are copied on construction and flagged read-only,
+    as are the derivative tables the pointwise kernels build on first use.
+    Construction raises MalformedSpec for a NaN or inf coefficient, and
+    where (p + J) * sum(|a| + |b|) exceeds ``MAX_SCALE``.  Maps compare and
+    hash by identity, so a result computed from a map can be cached under
+    it.  Calling a map evaluates it.
     """
 
     p: int
@@ -124,8 +136,14 @@ class PolyharmonicMap:
         if a.shape != shape or b.shape != shape:
             raise MalformedSpec(f"coefficient arrays must have shape {shape}, "
                                 f"got {a.shape} and {b.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise MalformedSpec("coefficients must be finite")
+        with np.errstate(over="ignore"):
+            size = float(np.abs(a).sum() + np.abs(b).sum())
+        if not size * (shape[0] + shape[1]) <= MAX_SCALE:  # NaN too
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise MalformedSpec("coefficients must be finite")
+            raise MalformedSpec("coefficients too large: sum(|a| + |b|) = %.3g times "
+                                "p + J = %d is over the cap of %.0e"
+                                % (size, sum(shape), MAX_SCALE))
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "p", int(self.p))
@@ -164,6 +182,19 @@ class PolyharmonicMap:
                                     "for a float") from None
         return cls(int(p), int(J), A, B, label)
 
+    @cached_property
+    def _tables(self):
+        # what the kernels read of each layer n: conj(b) and the derivative
+        # tables j a, j conj(b), (n-1) a and (n-1) conj(b), built once per
+        # map, in the operand order of a per-call build, read-only
+        j = np.arange(1, self.J + 1)
+        layer = np.arange(self.p)[:, None]  # n - 1
+        bc = np.conj(self.b)
+        tables = (bc, self.a * j, bc * j, layer * self.a, layer * bc)
+        for t in tables:
+            t.setflags(write=False)
+        return tables
+
     def max_coefficient(self) -> float:
         """Largest coefficient modulus; the scale used by tolerance rules."""
         return float(max(np.abs(self.a).max(), np.abs(self.b).max()))
@@ -195,9 +226,8 @@ def _horner(c, w):
     return acc
 
 
-def _horner_deriv(c, w):
-    # d/dw of _horner(c, w)
-    d = c * np.arange(1, len(c) + 1)
+def _horner_deriv(d, w):
+    # d/dw of _horner(c, w), from its derivative table d = j c
     if d.size == 1:
         return np.full(w.shape, d[0])
     return _horner(d[1:], w) + d[0]
@@ -215,10 +245,11 @@ def _points(z, p):
 def evaluate(F: PolyharmonicMap, z):
     """Value of the truncated series at ``z`` (scalar or ndarray)."""
     scalar, zz, zc, s = _points(z, F.p)
+    bc = F._tables[0]
     out = None
     for n in range(F.p, 0, -1):
         h = _horner(F.a[n - 1], zz)
-        h += _horner(np.conj(F.b[n - 1]), zc)
+        h += _horner(bc[n - 1], zc)
         out = h if out is None else out * s + h
     return complex(out[0]) if scalar else out
 
@@ -227,17 +258,16 @@ def wirtinger(F: PolyharmonicMap, z):
     """Both Wirtinger derivatives ``(F_z, F_zbar)`` at ``z`` from the
     layer formulas in the module docstring."""
     scalar, zz, zc, s = _points(z, F.p)
+    _, ja, jb, na, nb = F._tables
     fz = fzb = g = None
     for n in range(F.p, 0, -1):
-        a = F.a[n - 1]
-        bc = np.conj(F.b[n - 1])
-        dp = _horner_deriv(a, zz)
-        dq = _horner_deriv(bc, zc)
+        dp = _horner_deriv(ja[n - 1], zz)
+        dq = _horner_deriv(jb[n - 1], zc)
         fz = dp if fz is None else fz * s + dp
         fzb = dq if fzb is None else fzb * s + dq
         if n >= 2:
-            h = _horner((n - 1) * a, zz)
-            h += _horner((n - 1) * bc, zc)
+            h = _horner(na[n - 1], zz)
+            h += _horner(nb[n - 1], zc)
             g = h if g is None else g * s + h
     if g is not None:
         fz += zc * g
@@ -287,7 +317,7 @@ def ring_values(F: PolyharmonicMap, radii, n_angles: int):
     (len(radii), n_angles) array: on |z| = r, F has sum_n a[n,j]
     r^(2n+j-2) at frequency j and sum_n conj(b[n,j]) r^(2n+j-2) at -j."""
     j = np.arange(1, F.J + 1)
-    return _ring_samples(radii, n_angles, 0, [(F.a, j), (np.conj(F.b), -j)])[0]
+    return _ring_samples(radii, n_angles, 0, [(F.a, j), (F._tables[0], -j)])[0]
 
 
 def ring_wirtinger(F: PolyharmonicMap, radii, n_angles: int):
@@ -311,10 +341,10 @@ def _wirtinger_terms(F: PolyharmonicMap):
     # the (table, frequencies) pairs of F_z and of F_zbar on a circle, as
     # ring_wirtinger's docstring gives them, for _collapse's shift -1
     j = np.arange(1, F.J + 1)
-    layer = np.arange(F.p)[:, None]  # n - 1
-    bc = np.conj(F.b)
-    return ([((j + layer) * F.a, j - 1), (layer * bc, -j - 1)],
-            [((j + layer) * bc, 1 - j), (layer * F.a, j + 1)])
+    bc, _, _, na, nb = F._tables
+    jn = j + np.arange(F.p)[:, None]  # j + n - 1
+    return ([(jn * F.a, j - 1), (nb, -j - 1)],
+            [(jn * bc, 1 - j), (na, j + 1)])
 
 
 def _ring_energies(F: PolyharmonicMap, radii):

@@ -365,8 +365,11 @@ def sup_length(F: PolyharmonicMap) -> float:
 # ---- area ----
 
 
+# area_series and area_growth_excess ask for these about six times in one
+# verify; maps hash by identity, so the read-only result holds for its map
+@lru_cache(maxsize=2)
 def _area_coefficients(F: PolyharmonicMap) -> np.ndarray:
-    """Coefficients c of S(r) = sum_{m>=1} c[m-1] * (r^2)^m.
+    """Coefficients c of S(r) = sum_{m>=1} c[m-1] * (r^2)^m, read-only.
 
     A layer pair n1 <= n2 sharing the power j contributes to
     m = n1 + n2 + j - 2: j*(|a_nj|^2 - |b_nj|^2) on the diagonal and
@@ -381,6 +384,7 @@ def _area_coefficients(F: PolyharmonicMap) -> np.ndarray:
         d = a1.real * a2.real + a1.imag * a2.imag - (b1.real * b2.real + b1.imag * b2.imag)
         d[1:] *= 2.0  # exact, so j * d is bitwise (2.0 * j) * d off the diagonal
         np.add.at(c, 2 * n1 + at[:F.p - n1], j * d)  # row by row: c[m] sums in n2 order
+    c.setflags(write=False)
     return c
 
 

@@ -9,7 +9,9 @@ degree d mapping into the unit disk, and 2 for disk automorphisms
 z -> (z - a) / (1 - conj(a) z); j is rotation-invariant, so a rotation
 factor would change no ratio.  Each check returns a
 ``certificates.CheckReport`` with one margin per sampled pair.  Sampled
-ratios are lower estimates of the supremum.  Each check first refuses a
+ratios are lower estimates of the supremum.  The two map checks share one
+draw of the pairs and F's values on it, memoized under (map, seed), so
+``verify`` evaluates F on them once.  Each check first refuses a
 seed that is not an integer >= 0 with InvalidParams; then a check whose
 hypothesis fails samples nothing and says why in ``extras["reason"]``.
 """
@@ -17,6 +19,7 @@ hypothesis fails samples nothing and says why in ``extras["reason"]``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +86,18 @@ def _pairs(seed: int):
     return z, w
 
 
+# verify runs contraction_check and harmonic_lipschitz_check on one map
+# with one seed; maps hash by identity, so a new command draws afresh
+@lru_cache(maxsize=1)
+def _pair_values(F: PolyharmonicMap, seed: int):
+    # the pairs (z, w) of _pairs(seed) and F's values on them, read-only
+    z, w = _pairs(seed)
+    out = (z, w, evaluate(F, z), evaluate(F, w))
+    for v in out:
+        v.setflags(write=False)
+    return out
+
+
 def _ratio_block(z, w, fz, fw, M: float, bound: float):
     # the column block of the pair ratios j_M(F(z), F(w)) / j(z, w) <= bound
     ratio = _j_vec(fz, fw, M) / _j_vec(z, w, 1.0)
@@ -110,9 +125,7 @@ def contraction_check(F: PolyharmonicMap, M: float, seed: int = 7) -> CheckRepor
     if coeff_sum > M + 1e-12:
         return _unmet("j-contraction", "coefficient sum exceeds the target radius",
                       **extras)
-    z, w = _pairs(seed)
-    return _report("j-contraction",
-                   [_ratio_block(z, w, evaluate(F, z), evaluate(F, w), M, 1.0)], extras)
+    return _report("j-contraction", [_ratio_block(*_pair_values(F, seed), M, 1.0)], extras)
 
 
 def _degree(F: PolyharmonicMap) -> int:
@@ -151,8 +164,7 @@ def harmonic_lipschitz_check(F: PolyharmonicMap, seed: int = 7) -> CheckReport:
     sup_boundary = float(modulus.max())
     inside = _circle_range(modulus * modulus, 2 * degree, coeff_sum ** 2)[1] <= (1.0 + 1e-9) ** 2
     if inside:
-        z, w = _pairs(seed)
-        fz, fw = evaluate(F, z), evaluate(F, w)
+        z, w, fz, fw = _pair_values(F, seed)
         inside = max(np.abs(fz).max(), np.abs(fw).max()) < 1.0
     if not inside:
         return _unmet("harmonic-j-lipschitz", "map does not send the disk into itself",

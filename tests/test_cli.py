@@ -485,6 +485,23 @@ def test_verify_works_out_each_angle_kind_once(f2_map, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_single_layer_verify_evaluates_F_on_the_pairs_once(identity_map, capsys,
+                                                          monkeypatch):
+    # both j checks read the pairs and F's values on them; the draw is shared
+    sizes = []
+    evaluate = metrics.evaluate
+
+    def counted(F, z):
+        sizes.append(np.size(z))
+        return evaluate(F, z)
+
+    monkeypatch.setattr(metrics, "evaluate", counted)
+    assert main(["verify", "--map", identity_map]) == 0
+    verdicts = {c["name"]: c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert verdicts["j-contraction"] == verdicts["harmonic-j-lipschitz"] == "pass"
+    assert sizes == [metrics.N_RANDOM + metrics.N_RAY] * 2
+
+
 def test_verify_output_does_not_depend_on_what_ran_before(tmp_path, capsys):
     # process-wide state (the lru caches, the angle reports among them, and
     # the cached parser) must not carry one map's
@@ -609,6 +626,31 @@ def test_table_that_breaks_a_table_rule_is_a_malformed_file(tmp_path, capsys, na
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
+
+
+# finite tables at whose scale some check would square its way to inf or
+# NaN: one whose derivative tables overflow, and one 1e200 coefficient
+_OVERFLOWING = {
+    "1e307 at j = 150": '{"p": 2, "J": 150, "terms": [{"n": 2, "j": 150, "a": [1e307, 0], '
+                        '"b": [0, 0]}, {"n": 1, "j": 1, "a": [1, 0], "b": [3, 0]}]}',
+    "one 1e200": '{"p": 1, "J": 2, "terms": [{"n": 1, "j": 1, "a": [1, 0]}, '
+                 '{"n": 1, "j": 2, "a": [1e200, 0]}]}',
+}
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--l1", "5"], ["diam"],
+                                  ["landau", "--mode", "diameter"],
+                                  ["landau", "--mode", "length"]], ids=" ".join)
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_table_at_an_overflowing_scale_is_a_malformed_file(tmp_path, capsys, name, argv):
+    path = _write(tmp_path, "big.map", _OVERFLOWING[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv[:1] + ["--map", path] + argv[1:]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coefficients too large: ")
+    assert captured.err.count("\n") == 1
 
 
 def _over_cap(argv, message=r"over the cap of 1048576; .* \d+ bytes"):

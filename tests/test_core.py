@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from polyharm import catalog, core
 from polyharm._search import zoom_max
 from polyharm.core import (
+    MAX_SCALE,
     MAX_TABLE_ENTRIES,
     PolyharmonicMap,
     dilatation,
@@ -115,6 +117,35 @@ def test_table_size_is_capped_before_allocation():
     # 2^16 x 2^16 wraps to 0 as an int32 product; the cap reads the true count
     with pytest.raises(MalformedSpec, match="4294967296 entries"):
         core.check_table_size(np.int32(1 << 16), np.int32(1 << 16))
+
+
+def test_table_scale_is_capped():
+    # (p + J) * sum(|a| + |b|) bounds every derivative; above MAX_SCALE
+    # squares of them would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PolyharmonicMap.from_terms(1, 1, [(1, 1, 0.49 * MAX_SCALE, 0)]).p == 1
+        assert PolyharmonicMap.from_terms(1, 2, [(1, 1, 0.3 * MAX_SCALE, 0),
+                                                 (1, 2, 0, 1e100j)]).J == 2
+        too_large = [
+            (1, 1, [(1, 1, 0.51 * MAX_SCALE, 0)]),
+            (1, 1, [(1, 1, 0.3 * MAX_SCALE, 0.3j * MAX_SCALE)]),
+            # the table that gave K = nan: the sum is finite, times p + J it is not
+            (2, 150, [(2, 150, 1e307, 0), (1, 1, 1, 3)]),
+            # each coefficient finite, their sum is not
+            (1, 2, [(1, 1, 1.7e308, 0), (1, 2, 1.7e308, 0)]),
+            (1, 1, [(1, 1, complex(1.7e308, 1.7e308), 0)]),
+        ]
+        for p, J, terms in too_large:
+            with pytest.raises(MalformedSpec, match=r"coefficients too large: .* over "
+                                                    r"the cap of 1e\+150"):
+                PolyharmonicMap.from_terms(p, J, terms)
+        for bad in (math.nan, math.inf, complex(-math.inf, 0.0), complex(1.0, math.nan)):
+            for term in ((1, 2, bad, 0), (1, 2, 0, bad)):
+                with pytest.raises(MalformedSpec, match="coefficients must be finite"):
+                    PolyharmonicMap.from_terms(1, 2, [(1, 1, 1.0, 0), term])
+        with pytest.raises(MalformedSpec, match="coefficients too large"):
+            scale_map(catalog.f2(), 1e149)
 
 
 def test_max_coefficient():
@@ -224,6 +255,87 @@ def test_wirtinger_matches_termwise_closed_forms():
             rz, rzb = _termwise_wirtinger(F, z)
             assert abs(fz[k] - rz) <= 1e-13 * (1.0 + abs(rz))
             assert abs(fzb[k] - rzb) <= 1e-13 * (1.0 + abs(rzb))
+
+
+def _per_call_horner_deriv(c, w):
+    # the derivative table built from c on every call, as the kernel once did
+    d = c * np.arange(1, len(c) + 1)
+    if d.size == 1:
+        return np.full(w.shape, d[0])
+    return core._horner(d[1:], w) + d[0]
+
+
+def _per_call_evaluate(F, z):
+    # evaluate with conj(b) taken afresh on every call: the bitwise oracle
+    # of the per-map tables
+    scalar, zz, zc, s = core._points(z, F.p)
+    out = None
+    for n in range(F.p, 0, -1):
+        h = core._horner(F.a[n - 1], zz)
+        h += core._horner(np.conj(F.b[n - 1]), zc)
+        out = h if out is None else out * s + h
+    return complex(out[0]) if scalar else out
+
+
+def _per_call_wirtinger(F, z):
+    scalar, zz, zc, s = core._points(z, F.p)
+    fz = fzb = g = None
+    for n in range(F.p, 0, -1):
+        a = F.a[n - 1]
+        bc = np.conj(F.b[n - 1])
+        dp = _per_call_horner_deriv(a, zz)
+        dq = _per_call_horner_deriv(bc, zc)
+        fz = dp if fz is None else fz * s + dp
+        fzb = dq if fzb is None else fzb * s + dq
+        if n >= 2:
+            h = core._horner((n - 1) * a, zz)
+            h += core._horner((n - 1) * bc, zc)
+            g = h if g is None else g * s + h
+    if g is not None:
+        fz += zc * g
+        fzb += zz * g
+    if scalar:
+        return complex(fz[0]), complex(fzb[0])
+    return fz, fzb
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).reshape(-1).view(np.uint64)
+
+
+@pytest.mark.parametrize("p, J", [(1, 1), (1, 9), (3, 1), (3, 6), (300, 1), (293, 13)])
+def test_kernels_read_the_per_map_tables_bitwise(p, J):
+    # signed zeros in the table and at the points, z = 0 among them
+    rng = np.random.default_rng(7 * p + J)
+    a = rng.normal(size=(p, J)) + 1j * rng.normal(size=(p, J))
+    b = rng.normal(size=(p, J)) + 1j * rng.normal(size=(p, J))
+    zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for table in (a, b):
+        cells = rng.random((p, J)) < 0.3
+        table[cells] = rng.choice(zeros, size=int(cells.sum()))
+    F = PolyharmonicMap(p, J, a, b)
+    z = np.concatenate([zeros, [1.0, -1j, 0.5 + 0.5j],
+                        rng.uniform(-0.7, 0.7, 25) + 1j * rng.uniform(-0.7, 0.7, 25)])
+    for pts in (z, z.reshape(4, -1)):
+        assert np.array_equal(_bits(evaluate(F, pts)), _bits(_per_call_evaluate(F, pts)))
+        for got, want in zip(wirtinger(F, pts), _per_call_wirtinger(F, pts)):
+            assert np.array_equal(_bits(got), _bits(want))
+    for w in (*zeros, complex(z[-1])):
+        assert _bits(evaluate(F, w)).tolist() == _bits(_per_call_evaluate(F, w)).tolist()
+        assert _bits(wirtinger(F, w)).tolist() == _bits(_per_call_wirtinger(F, w)).tolist()
+    # built once per map and read-only; another map, even an equal one, has its own
+    tables = F._tables
+    assert F._tables is tables and len(tables) == 5
+    for n in range(1, p + 1):
+        bc = np.conj(F.b[n - 1])
+        rows = (bc, F.a[n - 1] * np.arange(1, J + 1), bc * np.arange(1, J + 1),
+                (n - 1) * F.a[n - 1], (n - 1) * bc)
+        for t, row in zip(tables, rows):
+            assert np.array_equal(_bits(t[n - 1]), _bits(row))
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
+    assert PolyharmonicMap(p, J, a, b)._tables[0] is not tables[0]
 
 
 def test_wirtinger_memory_is_linear_in_points():

@@ -536,6 +536,16 @@ def test_area_coefficients_are_bitwise_the_pair_loop():
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), F.label
 
 
+def test_area_coefficients_are_built_once_per_map_and_read_only():
+    F = catalog.f2()
+    c = geometry._area_coefficients(F)
+    assert geometry._area_coefficients(F) is c
+    with pytest.raises(ValueError):
+        c[0] = 1.0
+    # an equal map is another map
+    assert geometry._area_coefficients(PolyharmonicMap(F.p, F.J, F.a, F.b)) is not c
+
+
 def test_area_quadrature_pinned():
     assert abs(area_quadrature(catalog.identity(), 0.5) - 0.25) <= 1e-12
     G = catalog.monomial(1, 1, 1.0, conjugate=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyharm import catalog
-from polyharm.core import PolyharmonicMap, ring_values
+from polyharm.core import PolyharmonicMap, evaluate, ring_values
 from polyharm.errors import InvalidParams, OutsideDomain
 from polyharm import metrics
 from polyharm.metrics import (
@@ -68,6 +68,20 @@ def test_pair_sampler_is_deterministic():
     assert np.array_equal(z1, z2) and np.array_equal(w1, w2)
     assert z1.size == metrics.N_RANDOM + metrics.N_RAY
     assert np.all(np.abs(z1) < 1.0) and np.all(np.abs(w1) < 1.0)
+
+
+def test_pair_values_are_drawn_once_per_map_and_seed_and_read_only():
+    F = catalog.identity()
+    got = metrics._pair_values(F, 7)
+    assert metrics._pair_values(F, 7) is got
+    z, w = metrics._pairs(7)
+    want = (z, w, evaluate(F, z), evaluate(F, w))
+    assert all(np.array_equal(g, v) for g, v in zip(got, want))
+    for v in got:
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+    assert metrics._pair_values(F, 8)[0][0] != z[0]
+    assert metrics._pair_values(catalog.identity(), 7) is not got
 
 
 # ---- contraction ----
