@@ -184,16 +184,8 @@ class PolyharmonicMap:
 
     @cached_property
     def _tables(self):
-        # what the kernels read of each layer n: conj(b) and the derivative
-        # tables j a, j conj(b), (n-1) a and (n-1) conj(b), built once per
-        # map, in the operand order of a per-call build, read-only
-        j = np.arange(1, self.J + 1)
-        layer = np.arange(self.p)[:, None]  # n - 1
-        bc = np.conj(self.b)
-        tables = (bc, self.a * j, bc * j, layer * self.a, layer * bc)
-        for t in tables:
-            t.setflags(write=False)
-        return tables
+        # what the kernels read, built once per map
+        return _kernel_tables(self.a, self.b, np.arange(self.p)[:, None])
 
     def max_coefficient(self) -> float:
         """Largest coefficient modulus; the scale used by tolerance rules."""
@@ -201,6 +193,38 @@ class PolyharmonicMap:
 
     def __call__(self, z):
         return evaluate(self, z)
+
+
+def _kernel_tables(a, b, layer):
+    # what the kernels read of the coefficient rows a and b of the layers
+    # n - 1 = layer: conj(b) and the derivative tables j a, j conj(b),
+    # (n-1) a and (n-1) conj(b), in the operand order of a per-call build,
+    # read-only
+    j = np.arange(1, a.shape[1] + 1)
+    bc = np.conj(b)
+    tables = (bc, a * j, bc * j, layer * a, layer * bc)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _circle_maps(A, B):
+    # the p = 1 maps with coefficient rows A[i] and B[i], into which
+    # geometry._lengths folds a map's layers on circles |z| = r <= 1.  A
+    # row's scale is at most its map's, so __post_init__'s checks are
+    # skipped, and each map's tables are rows of one build for all of them
+    A.setflags(write=False)
+    B.setflags(write=False)
+    tables = _kernel_tables(A, B, np.zeros((1, 1), dtype=int))
+    maps = []
+    for i in range(A.shape[0]):
+        G = object.__new__(PolyharmonicMap)
+        for name, v in (("p", 1), ("J", A.shape[1]), ("a", A[i:i + 1]),
+                        ("b", B[i:i + 1]), ("label", "")):
+            object.__setattr__(G, name, v)
+        G.__dict__["_tables"] = tuple(t[i:i + 1] for t in tables)
+        maps.append(G)
+    return maps
 
 
 @dataclass(frozen=True)

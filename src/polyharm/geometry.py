@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import (PolyharmonicMap, _collapse, _horner, _is_int,
+from .core import (PolyharmonicMap, _circle_maps, _collapse, _horner, _is_int,
                    _ring_energies, check_grid_size, evaluate, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
@@ -162,7 +162,7 @@ def _lengths(F: PolyharmonicMap, rs: np.ndarray, starts=None):
     # equal panels, under a budget of its own, so it raises only where the
     # equal panels do
     A, B = _collapse(rs, 0, F.a, F.b)
-    tables = [PolyharmonicMap(1, F.J, A[i:i + 1], B[i:i + 1]) for i in range(rs.size)]
+    tables = _circle_maps(A, B)
     nodes = _panel_rule()[0].size
     equal = _equal_panels(F)
     n0 = equal[0].size

@@ -338,6 +338,25 @@ def test_kernels_read_the_per_map_tables_bitwise(p, J):
     assert PolyharmonicMap(p, J, a, b)._tables[0] is not tables[0]
 
 
+def test_circle_maps_are_the_maps_of_their_rows():
+    # the per-radius maps of curve_length skip the constructor; each holds
+    # its row, read-only, and the tables of a map built from it, bit for bit
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    b = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    b[0, ::2] = complex(-0.0, 0.0)
+    A, B = core._collapse([1.0, 0.5, 0.1], 0, a, b)
+    maps = core._circle_maps(A, B)
+    assert len(maps) == 3
+    for i, G in enumerate(maps):
+        H = PolyharmonicMap(1, 5, A[i:i + 1], B[i:i + 1])
+        assert (G.p, G.J, G.label) == (H.p, H.J, H.label)
+        for got, want in zip((G.a, G.b, *G._tables), (H.a, H.b, *H._tables)):
+            assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
+
+
 def test_wirtinger_memory_is_linear_in_points():
     # a few point-sized temporaries, however many (n, j) terms the table has
     F = catalog.builtin("F1", {})
