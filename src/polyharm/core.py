@@ -24,10 +24,12 @@ There are two kernels, one per access pattern.  At scattered points,
 (or zbar) within a layer and in s across layers, so a call holds a handful
 of len(z)-sized temporaries whatever p and J are.  Both kernels read the
 tables conj(b), j a, j conj(b), (n-1) a and (n-1) conj(b) that each map
-builds once, on first use, and keeps read-only.  The order of operations
-is fixed and elementwise, so a scalar call returns exactly the bits of the
-matching entry of an array call.  On a circle |z| = r the factor s is the
-constant r^2, so the layers fold into one trigonometric series per circle;
+builds once, on first use, and keeps read-only; the one-layer maps of
+``curve_length``'s circles get theirs from one build for all circles.  The
+order of operations is fixed and elementwise, so a scalar call returns
+exactly the bits of the matching entry of an array call.  On a circle
+|z| = r the factor s is the constant r^2, so the layers fold into one
+trigonometric series per circle;
 :func:`ring_values` and :func:`ring_wirtinger` take F and both derivatives
 at n equispaced points of each circle from it with one inverse FFT, and
 ``_ring_energies`` takes the exact circle means of |F_z|^2 and |F_zbar|^2
