@@ -19,14 +19,13 @@ quarter-turn families come out exact in floating point.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._search import zoom_max
-from .core import PolyharmonicMap, evaluate, quasiregularity_constant, ring_values
+from .core import PolyharmonicMap, _per_map, evaluate, quasiregularity_constant, ring_values
 from .errors import DegenerateMap, InvalidDiameter, InvalidParams, NotAnalytic
 from .geometry import area_growth_excess, area_series
 
@@ -143,14 +142,15 @@ def _unmet(name, reason, **extras):
 class _AngleBlocks:
     """The column blocks of one kind's angle condition, worked out afresh on
     each pass: the layer pairs a block of first layers n1 at a time, dense
-    over (j, n1, n2, a|b) so that memory stays O(p J), then the moduli."""
+    over (j, n1, n2, a|b) so that memory stays O(p J), then the moduli.
+    They hold the table, not the map, whose store keeps their report."""
 
     def __init__(self, F: PolyharmonicMap, kind: str):
-        self.F, self.kind = F, kind
+        self.p, self.J, self.a, self.b, self.kind = F.p, F.J, F.a, F.b, kind
 
     def __iter__(self):
-        p, J, kind, half = self.F.p, self.F.J, self.kind, math.pi / 2.0
-        T = np.ascontiguousarray(np.array((self.F.a, self.F.b)).T)  # (j, n, a|b)
+        p, J, kind, half = self.p, self.J, self.kind, math.pi / 2.0
+        T = np.ascontiguousarray(np.array((self.a, self.b)).T)  # (j, n, a|b)
         re, im = T.real, T.imag
         mod = np.hypot(re, im)  # bitwise abs() of each entry
         live = mod > ZERO_COEFF_REL * mod.max()
@@ -182,10 +182,15 @@ class _AngleBlocks:
                    2 * J * p * p + n * J + j, mod[j, n, 1], mod[j, n, 0], TOL_REPORT)
 
 
-# verify asks for each of the three kinds, and then each conclusion asks
-# again for the kind it assumes; maps hash by identity, so a report holds
-# for its map
-@functools.lru_cache(maxsize=3)
+@_per_map()
+def _angle_report(F: PolyharmonicMap, kind: str) -> CheckReport:
+    # verify asks for each of the three kinds, and then each conclusion asks
+    # again for the kind it assumes; each kind's pass runs once per map
+    rep = _report("arg-condition-%s" % kind, _AngleBlocks(F, kind), extras={"kind": kind})
+    rep.extras["pairs"] = rep.count
+    return rep
+
+
 def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
     """Coefficient angle condition across layer pairs sharing a power j.
 
@@ -196,13 +201,14 @@ def arg_condition(F: PolyharmonicMap, kind: str) -> CheckReport:
 
     Zero coefficients (below ZERO_COEFF_REL relative to the largest entry)
     take part in no pair.  Margins run over (j, n1, n2), the a-pair before
-    the b-pair, then the area moduli over (n, j).
+    the b-pair, then the area moduli over (n, j).  Each kind is worked out
+    once per map; every call returns a copy of that report, with its own
+    ``extras`` and witness dicts.
     """
     if kind not in ("diameter", "length", "area"):
         raise InvalidParams("unknown angle condition kind %r" % (kind,))
-    rep = _report("arg-condition-%s" % kind, _AngleBlocks(F, kind), extras={"kind": kind})
-    rep.extras["pairs"] = rep.count
-    return rep
+    rep = _angle_report(F, kind)
+    return replace(rep, witnesses=tuple(map(dict, rep.witnesses)), extras=dict(rep.extras))
 
 
 # ---- coefficient bounds ----

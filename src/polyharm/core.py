@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -120,8 +120,9 @@ class PolyharmonicMap:
     as are the derivative tables the pointwise kernels build on first use.
     Construction raises MalformedSpec for a NaN or inf coefficient, and
     where (p + J) * sum(|a| + |b|) exceeds ``MAX_SCALE``.  Maps compare and
-    hash by identity, so a result computed from a map can be cached under
-    it.  Calling a map evaluates it.
+    hash by identity, so a result computed from a map is kept in the map's
+    own store (``_per_map``) and lives exactly as long as the map.  Calling
+    a map evaluates it.
     """
 
     p: int
@@ -195,6 +196,25 @@ class PolyharmonicMap:
 
     def __call__(self, z):
         return evaluate(self, z)
+
+
+def _per_map(latest=False):
+    """Decorator: ``fn(F, *args)`` is worked out once and kept in the map's
+    own ``__dict__``, one entry per ``args``, or with ``latest`` only for the
+    last ``args`` asked.  Maps are frozen and compare by identity, so an
+    entry lives exactly as long as its map, and no size needs tuning."""
+    def decorate(fn):
+        @wraps(fn)
+        def stored(F, *args):
+            entries = F.__dict__.setdefault("_store", {}).setdefault(fn, {})
+            if args not in entries:
+                value = fn(F, *args)
+                if latest:
+                    entries.clear()
+                entries[args] = value
+            return entries[args]
+        return stored
+    return decorate
 
 
 def _kernel_tables(a, b, layer):

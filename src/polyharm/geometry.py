@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._search import zoom_max
-from .core import (PolyharmonicMap, _circle_maps, _collapse, _horner, _is_int,
+from .core import (PolyharmonicMap, _circle_maps, _collapse, _horner, _is_int, _per_map,
                    _ring_energies, check_grid_size, evaluate, wirtinger)
 from .errors import InvalidParams, NoConvergence
 
@@ -365,11 +365,11 @@ def sup_length(F: PolyharmonicMap) -> float:
 # ---- area ----
 
 
-# area_series and area_growth_excess ask for these about six times in one
-# verify; maps hash by identity, so the read-only result holds for its map
-@lru_cache(maxsize=2)
+@_per_map()
 def _area_coefficients(F: PolyharmonicMap) -> np.ndarray:
-    """Coefficients c of S(r) = sum_{m>=1} c[m-1] * (r^2)^m, read-only.
+    """Coefficients c of S(r) = sum_{m>=1} c[m-1] * (r^2)^m, read-only,
+    built once per map and kept in its store: area_series and
+    area_growth_excess ask for them about six times in one verify.
 
     A layer pair n1 <= n2 sharing the power j contributes to
     m = n1 + n2 + j - 2: j*(|a_nj|^2 - |b_nj|^2) on the diagonal and

@@ -10,21 +10,20 @@ z -> (z - a) / (1 - conj(a) z); j is rotation-invariant, so a rotation
 factor would change no ratio.  Each check returns a
 ``certificates.CheckReport`` with one margin per sampled pair.  Sampled
 ratios are lower estimates of the supremum.  The two map checks share one
-draw of the pairs and F's values on it, memoized under (map, seed), so
-``verify`` evaluates F on them once.  Each check first refuses a
-seed that is not an integer >= 0 with InvalidParams; then a check whose
-hypothesis fails samples nothing and says why in ``extras["reason"]``.
+draw of the pairs and F's values on it, kept in the map's store for the
+last seed asked, so ``verify`` evaluates F on them once.  Each check first
+refuses a seed that is not an integer >= 0 with InvalidParams; then a check
+whose hypothesis fails samples nothing and says why in ``extras["reason"]``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .certificates import TOL_REPORT, CheckReport, _report, _unmet
-from .core import PolyharmonicMap, _circle_range, _is_int, evaluate, ring_values
+from .core import PolyharmonicMap, _circle_range, _is_int, _per_map, evaluate, ring_values
 from .errors import InvalidParams, OutsideDomain
 
 # sizes of the pair sample and the largest radius of a random point;
@@ -86,11 +85,10 @@ def _pairs(seed: int):
     return z, w
 
 
-# verify runs contraction_check and harmonic_lipschitz_check on one map
-# with one seed; maps hash by identity, so a new command draws afresh
-@lru_cache(maxsize=1)
+@_per_map(latest=True)
 def _pair_values(F: PolyharmonicMap, seed: int):
-    # the pairs (z, w) of _pairs(seed) and F's values on them, read-only
+    # the pairs (z, w) of _pairs(seed) and F's values on them, read-only; a
+    # map keeps one draw, so a new seed replaces the last one
     z, w = _pairs(seed)
     out = (z, w, evaluate(F, z), evaluate(F, w))
     for v in out:

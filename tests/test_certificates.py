@@ -207,18 +207,40 @@ def test_arg_condition_over_blocks_with_a_short_last_one(p, J):
     _matches_the_pair_loop(F)
 
 
-def test_arg_condition_reuses_a_report_for_its_own_map_only():
-    # a kind asked again of the same map gets the same report; another map,
-    # even an equal one, gets its own
+def test_arg_condition_reuses_a_report_for_its_own_map_only(monkeypatch):
+    # a kind asked again of the same map, by position or by keyword, runs no
+    # second pass; another map, even an equal one, gets a pass of its own
+    passes = []
+    angle_blocks = certificates._AngleBlocks.__iter__
+
+    def counted(self):
+        passes.append((id(self.a), self.kind))
+        return angle_blocks(self)
+
+    monkeypatch.setattr(certificates._AngleBlocks, "__iter__", counted)
     rng = np.random.default_rng(1917)
     for F in _tables(rng, 40):
         G = PolyharmonicMap(F.p, F.J, F.a, F.b)
+        passes.clear()
         for kind in ("area", "diameter", "area", "length"):
             rep = arg_condition(F, kind)
-            assert arg_condition(F, kind) is rep
+            again = arg_condition(F, kind=kind)
+            assert render_json(check_to_dict(again)) == render_json(check_to_dict(rep))
             other = arg_condition(G, kind)
-            assert other is not rep
             assert render_json(check_to_dict(other)) == render_json(check_to_dict(rep))
+        assert sorted(passes) == sorted((id(H.a), kind) for H in (F, G)
+                                        for kind in ("area", "diameter", "length"))
+
+
+def test_an_edit_to_an_angle_report_does_not_reach_the_next_call():
+    F = catalog.f2()
+    rep = arg_condition(F, "area")
+    want = render_json(check_to_dict(rep))
+    rep.extras["pairs"] = -1
+    rep.extras["kind"] = "length"
+    for w in rep.witnesses:
+        w["slack"] = -1.0
+    assert render_json(check_to_dict(arg_condition(F, "area"))) == want
 
 
 def test_arg_condition_at_the_table_cap_keeps_no_margin_per_pair():

@@ -503,10 +503,10 @@ def test_single_layer_verify_evaluates_F_on_the_pairs_once(identity_map, capsys,
 
 
 def test_verify_output_does_not_depend_on_what_ran_before(tmp_path, capsys):
-    # process-wide state (the lru caches, the angle reports among them, and
-    # the cached parser) must not carry one map's
-    # verify into the next: in-process runs in either order and one fresh
-    # process per map give the same exit codes and reports
+    # process-wide state (the cached parser, and anything a map's store
+    # might leak) must not carry one map's verify into the next: in-process
+    # runs in either order and one fresh process per map give the same exit
+    # codes and reports
     paths = {name: _write(tmp_path, name + ".map", text)
              for name, text in _ORDER_MAPS.items()}
     runs = []

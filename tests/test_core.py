@@ -1,13 +1,15 @@
+import gc
 import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyharm import catalog, core
+from polyharm import catalog, certificates, core, geometry, metrics
 from polyharm._search import zoom_max
 from polyharm.core import (
     MAX_SCALE,
@@ -414,6 +416,25 @@ def polyharmonic_residual(F, z, h, order=None):
     for _ in range(times):
         g = laplacian(g)
     return g(complex(z))
+
+
+def test_a_dropped_map_is_freed_with_its_store():
+    # what is worked out from a map lives in the map's own store and refers
+    # to no map, so reference counting alone frees a dropped map
+    F = catalog.f2()
+    certificates.arg_condition(F, "area")
+    metrics.contraction_check(F, 3.0)
+    geometry.area_series(F, 0.5)
+    assert len(F.__dict__["_store"]) == 3
+    gone = weakref.ref(F)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del F
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_residual_small_for_true_tables():

@@ -81,3 +81,50 @@ def test_cli_import_loads_no_network_stack():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.split() == []
+
+
+# decorators that keep results in a module-level table: one keyed by a map
+# keeps the map alive and needs its size tuned, so per-map results go into
+# the map's own store (core._per_map)
+MODULE_CACHES = ("lru_cache", "cache")
+
+
+def _decorator_name(node):
+    # "lru_cache" for @lru_cache, @lru_cache(maxsize=2), @functools.lru_cache(...)
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _takes_a_map(fn):
+    args = fn.args.posonlyargs + fn.args.args
+    if not args:
+        return False
+    first = args[0]
+    return first.arg == "F" or (first.annotation is not None
+                                and "PolyharmonicMap" in ast.unparse(first.annotation))
+
+
+def _module_caches_of_maps(paths):
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _takes_a_map(node):
+                found += ["%s:%d %s" % (path.name, node.lineno, node.name)
+                          for d in node.decorator_list if _decorator_name(d) in MODULE_CACHES]
+    return found
+
+
+def test_no_module_cache_takes_a_map(tmp_path):
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert len(sources) > 10 and _module_caches_of_maps(sources) == []
+    # the guard sees each spelling of such a cache
+    probe = tmp_path / "probe.py"
+    probe.write_text("import functools\nfrom functools import cache, lru_cache\n"
+                     "@functools.lru_cache(maxsize=3)\ndef a(F, kind): pass\n"
+                     "@lru_cache\ndef b(G: 'PolyharmonicMap'): pass\n"
+                     "@cache\ndef c(F): pass\n"
+                     "@functools.cache\ndef d(F): pass\n"
+                     "@lru_cache(maxsize=8)\ndef e(n): pass\n")
+    assert _module_caches_of_maps([probe]) == ["probe.py:%d %s" % (line, name) for line, name
+                                               in ((4, "a"), (6, "b"), (8, "c"), (10, "d"))]

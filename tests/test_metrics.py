@@ -84,6 +84,17 @@ def test_pair_values_are_drawn_once_per_map_and_seed_and_read_only():
     assert metrics._pair_values(catalog.identity(), 7) is not got
 
 
+def test_a_map_keeps_one_pair_draw():
+    # a new seed replaces the draw of the last one, so a loop over seeds on
+    # one map holds one draw
+    F = catalog.identity()
+    first = metrics._pair_values(F, 7)
+    assert metrics._pair_values(F, 8) is not first
+    again = metrics._pair_values(F, 7)
+    assert again is not first and np.array_equal(again[2], first[2])
+    assert [len(entries) for entries in F.__dict__["_store"].values()] == [1]
+
+
 # ---- contraction ----
 
 
