@@ -108,6 +108,11 @@ def _check_values(args) -> None:
             if not ok(v):
                 raise InvalidParams("--%s must be %s, got %r"
                                     % (dest.replace("_", "-"), rule, v))
+    # the map represents F on the closed unit disk only (hypot, as abs
+    # overflows near the float limit); jmetric's --z has its own disk,
+    # which j_metric checks
+    if args.command in ("eval", "derive") and not math.hypot(args.z.real, args.z.imag) <= 1.0:
+        raise InvalidParams("--z must lie in the closed unit disk, got %r" % (args.z,))
     for command, mode, chosen, unread in _UNREAD:
         for dest in unread:
             if command == args.command and chosen(args) and getattr(args, dest) is not None:

@@ -473,20 +473,67 @@ def _k_probe(F, z, floor):
 
 
 def _k_floor(F):
-    # the smallest lambda_small either route accepts
+    # the smallest lambda_small the scan accepts
     return 1e-12 * (1.0 + F.max_coefficient())
 
 
-def _k_theta_zoom(F, floor, th0, r, v):
-    # the largest of v and of the ratios on |z| = r within a grid step of th0
-    dth = 2.0 * np.pi / _K_ANGLES
-    _, v_th = zoom_max(lambda ts: _k_probe(F, r * np.exp(1j * ts), floor),
-                       th0 - dth, th0 + dth, _K_TOL)
-    return float(max(v, v_th))
+def _k_certified(F, m, mm, floor):
+    # whether a single layer F = h + conj(g) holds the certificate of
+    # quasiregularity_constant on the moduli m = |F_z| and mm = |F_zbar| at
+    # the samples of |z| = 1.  It makes the weaker derivative over the
+    # stronger analytic and below 1 in modulus, so at z = 0 the stronger has
+    # the larger first coefficient: h' unless |b_1| > |a_1|, where the map
+    # reverses orientation.  Below, h' and g' name the stronger and the weaker
+    if F.p > 1:
+        return False
+    j = np.arange(1, F.J + 1)
+    da, db = j * np.abs(F.a[0]), j * np.abs(F.b[0])
+    if db[0] > da[0]:
+        da, db, m, mm = db, da, mm, m
+    if not da[0] > da[1:].sum():  # h' has no zero on the closed disk
+        return False
+    sa, sb = float(da.sum()) ** 2, float(db.sum()) ** 2  # bound |h'|^2, |g'|^2
+    hh, gg = m * m, mm * mm
+    # |h'|^2, |g'|^2 and their difference are trigonometric polynomials of
+    # degree J - 1 on the circle
+    return (_circle_range(hh - gg, F.J - 1, sa + sb)[0] > 0.0
+            and np.sqrt(max(_circle_range(hh, F.J - 1, sa)[0], 0.0))
+            - np.sqrt(_circle_range(gg, F.J - 1, sb)[1]) >= floor)
 
 
-def _k_grid(F: PolyharmonicMap) -> float:
-    # quasiregularity_constant's grid route
+def quasiregularity_constant(F: PolyharmonicMap) -> float:
+    """Supremum of lambda_big / lambda_small over the closed unit disk.
+
+    The estimate lies below the true supremum, up to a few ulps of
+    rounding: f2, whose K is exactly 3, gets 3.0000000000000004.  A
+    rounding-aware enclosure is ROADMAP item 2.
+
+    One scan reads a polar grid of 256 radii x 512 angles, taken from each
+    circle's spectrum by :func:`ring_wirtinger`, from |z| = 1 inward: that
+    circle alone, then the other rings in blocks of 32.  It has two early
+    exits.
+
+    The first is a certificate on |z| = 1 for a single layer
+    F = h + conj(g): |a_1| > sum_{j>=2} j |a_j|, so h' has no zero on the
+    closed disk, and on the 512 samples of |z| = 1, by the van der
+    Corput-Schaake bound, |h'|^2 - |g'|^2 > 0 and min |h'| - max |g'| at
+    least ``1e-12 * (1 + max coefficient)``.  Then g'/h' is analytic with
+    modulus below 1, so the ratio peaks on |z| = 1, the floor below holds on
+    the whole disk, and no other ring is read.  A map with |b_1| > |a_1|
+    reverses orientation: it takes the same certificate with h and g
+    swapped.  The scan then takes the best of the 512 samples, the
+    pointwise value at its angle and a zoom in angle on |z| = 1 around it.
+
+    The second is the first block after which the rings read so far show a
+    Jacobian of both signs: the map folds, since lambda_small vanishes
+    between the two witnesses, and :class:`DegenerateMap` names witnesses
+    among those rings; the whole grid would show both signs too.  Otherwise
+    the scan reads the whole grid, raises :class:`DegenerateMap` if
+    lambda_small drops below ``1e-12 * (1 + max coefficient)`` at any grid
+    point, and zooms in radius and then in angle around the best sample,
+    each down to a 1e-10 bracket, on the pointwise :func:`wirtinger`.  The
+    zooms raise the same errors at the points they probe.
+    """
     floor = _k_floor(F)
     radii = np.arange(1, _K_RADII + 1) / _K_RADII
     th = 2.0 * np.pi * np.arange(_K_ANGLES) / _K_ANGLES
@@ -500,103 +547,37 @@ def _k_grid(F: PolyharmonicMap) -> float:
         return _k_ratios(d[k:], big[k:], lambda i: radii[k + i // _K_ANGLES] * u[i % _K_ANGLES],
                          floor)
 
-    # |z| = 1 first, then the other rings inward in blocks; f0 and F1 show
-    # both signs on |z| = 1 itself, and once the rings scanned so far do,
-    # so would the whole grid.  The extremes propagate a NaN as
-    # d.max() does, so they straddle 0 exactly when _k_ratios would raise
+    # f0 and F1 show both signs on |z| = 1 itself, and once the rings
+    # scanned so far do, so would the whole grid.  The extremes propagate a
+    # NaN as d.max() does, so they straddle 0 exactly when _k_ratios would
+    # raise
     hi, lo = -np.inf, np.inf
     stop = _K_RADII
     for k in [_K_RADII - 1, *range(_K_RADII - 1 - _K_BLOCK, 0, -_K_BLOCK), 0]:
         m, mm = (np.abs(w) for w in ring_wirtinger(F, radii[k:stop], _K_ANGLES))
         block = np.subtract(m, mm, out=d[k:stop])
         np.add(m, mm, out=big[k:stop])
+        certified = stop == _K_RADII and _k_certified(F, m, mm, floor)
+        if certified:
+            break
         hi, lo = np.maximum(hi, block.max()), np.minimum(lo, block.min())
         if hi > 0.0 > lo:
             ratios(k)
         stop = k
-    ratio = ratios(0)
+    ratio = ratios(k)
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     th0 = float(th[j0])
-    r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
-    r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else 1.0
-    r_best, v_r = zoom_max(lambda rs: _k_probe(F, rs * np.exp(1j * th0), floor),
-                           r_lo, r_hi, _K_TOL)
-    return _k_theta_zoom(F, floor, th0, r_best, max(float(ratio[i0, j0]), v_r))
-
-
-def _k_boundary(F: PolyharmonicMap):
-    # quasiregularity_constant's boundary route for a single layer
-    # F = h + conj(g), or None where its certificate does not hold.  The
-    # certificate makes the weaker derivative over the stronger analytic
-    # and below 1 in modulus, so at z = 0 the stronger has the larger first
-    # coefficient: h' unless |b_1| > |a_1|, where the map reverses
-    # orientation.  Below, h' and g' name the stronger and the weaker
-    j = np.arange(1, F.J + 1)
-    da, db = j * np.abs(F.a[0]), j * np.abs(F.b[0])
-    flip = db[0] > da[0]
-    if flip:
-        da, db = db, da
-    if not da[0] > da[1:].sum():  # h' has no zero on the closed disk
-        return None
-    floor = _k_floor(F)
-    m, mm = (np.abs(w[0]) for w in ring_wirtinger(F, [1.0], _K_ANGLES))
-    if flip:
-        m, mm = mm, m
-    sa, sb = float(da.sum()) ** 2, float(db.sum()) ** 2  # bound |h'|^2, |g'|^2
-    hh, gg = m * m, mm * mm
-    # |h'|^2, |g'|^2 and their difference are trigonometric polynomials of
-    # degree J - 1 on the circle; m + mm and m - mm are the grid's
-    # |F_z| + |F_zbar| and |F_z| - |F_zbar| bit for bit, the latter up to sign
-    if not (_circle_range(hh - gg, F.J - 1, sa + sb)[0] > 0.0
-            and np.sqrt(max(_circle_range(hh, F.J - 1, sa)[0], 0.0))
-            - np.sqrt(_circle_range(gg, F.J - 1, sb)[1]) >= floor):
-        return None
-    ratio = (m + mm) / (m - mm)
-    j0 = int(np.argmax(ratio))
-    th0 = float(2.0 * np.pi * j0 / _K_ANGLES)
-    # the pointwise value there, which the grid's zoom in radius takes
-    # when it peaks at r = 1
-    v = _k_probe(F, np.array([np.exp(1j * th0)]), floor)[0]
-    return _k_theta_zoom(F, floor, th0, 1.0, max(float(ratio[j0]), v))
-
-
-def quasiregularity_constant(F: PolyharmonicMap) -> float:
-    """Supremum of lambda_big / lambda_small over the closed unit disk.
-
-    Two routes estimate the true supremum from below, up to a few ulps of
-    rounding: f2, whose K is exactly 3, gets 3.0000000000000004.  A
-    rounding-aware enclosure is ROADMAP item 2.
-
-    The boundary route takes a single layer F = h + conj(g) whose
-    certificate holds: |a_1| > sum_{j>=2} j |a_j|, so h' has no zero on the
-    closed disk, and on |z| = 1, by the van der Corput-Schaake bound on the
-    512 samples of :func:`ring_wirtinger`, |h'|^2 - |g'|^2 > 0 and
-    min |h'| - max |g'| at least ``1e-12 * (1 + max coefficient)``.  Then
-    g'/h' is analytic with modulus below 1, so the ratio peaks on |z| = 1
-    and the floor below holds on the whole disk.  A map with |b_1| > |a_1|
-    reverses orientation: it takes the same certificate with h and g
-    swapped, on the same samples.  The route takes the best of the 512
-    boundary samples, the pointwise value at its angle and a zoom in angle
-    on |z| = 1 around it.
-
-    Every other map takes the grid route.  It scans a polar grid of 256
-    radii x 512 angles, taken from each circle's spectrum by
-    :func:`ring_wirtinger`, from |z| = 1 inward: that circle alone, then
-    the other rings in blocks of 32.  Then it zooms in radius and then in
-    angle around the best sample, each down to a 1e-10 bracket, on the
-    pointwise :func:`wirtinger`.  It raises :class:`DegenerateMap` when
-    the Jacobian takes both signs among the probed points, since
-    lambda_small then vanishes between the two witnesses and the map
-    folds, and as soon as lambda_small drops below
-    ``1e-12 * (1 + max coefficient)`` at any probed point.  The scan stops
-    at the first block after which the rings read so far show both signs,
-    and the message names witnesses among those rings; the whole grid
-    would show both signs too.  Otherwise both checks see the whole grid
-    before any zoom.  Where the grid's best sample lies on |z| = 1 and the
-    zoom in radius peaks there, the two routes return the same bits.
-    """
-    K = _k_boundary(F) if F.p == 1 else None
-    return _k_grid(F) if K is None else K
+    if certified:  # the ratio peaks on |z| = 1: the pointwise value there
+        r_best, v_r = 1.0, _k_probe(F, np.array([np.exp(1j * th0)]), floor)[0]
+    else:
+        r_lo = float(radii[i0 - 1]) if i0 > 0 else float(radii[0]) / _K_RADII
+        r_hi = float(radii[i0 + 1]) if i0 + 1 < _K_RADII else 1.0
+        r_best, v_r = zoom_max(lambda rs: _k_probe(F, rs * np.exp(1j * th0), floor),
+                               r_lo, r_hi, _K_TOL)
+    dth = 2.0 * np.pi / _K_ANGLES
+    _, v_th = zoom_max(lambda ts: _k_probe(F, r_best * np.exp(1j * ts), floor),
+                       th0 - dth, th0 + dth, _K_TOL)
+    return float(max(float(ratio[i0, j0]), v_r, v_th))
 
 
 def scale_map(F: PolyharmonicMap, c) -> PolyharmonicMap:

@@ -47,11 +47,10 @@ def j_metric(z: complex, w: complex, M: float = 1.0) -> float:
     if not (math.isfinite(M) and M > 0.0):
         raise InvalidParams("disk radius must be positive and finite, got %r"
                             % (M,))
-    m = max(abs(z), abs(w))
-    if m >= M:
+    if not (abs(z) < M and abs(w) < M):  # a NaN point too
         raise OutsideDomain("points must lie strictly inside the disk of radius %g"
                             % M)
-    return math.log1p(abs(z - w) / (M - m))
+    return math.log1p(abs(z - w) / (M - max(abs(z), abs(w))))
 
 
 def _j_vec(z: np.ndarray, w: np.ndarray, M: float) -> np.ndarray:

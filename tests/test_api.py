@@ -91,7 +91,7 @@ def test_equispaced_circles_are_sampled_only_in_core():
     # an equispaced circle grid, stays inside core's circle samplers.  The
     # one exception left is diameter_estimate's polar grid, which stays
     # pointwise while bench/test_bench.py counts its points through
-    # core.evaluate (ROADMAP item 1)
+    # core.evaluate (ROADMAP item 13)
     package = Path(polyharm.__file__).parent
     found = {path.name: path.read_text(encoding="utf-8").count("exp(1j * th)")
              for path in sorted(package.glob("*.py")) if path.name != "core.py"}

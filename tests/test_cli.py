@@ -879,6 +879,30 @@ def test_nonfinite_point_is_a_usage_error(f2_map, capsys, argv):
     assert argv[-2] + " must be finite" in captured.err  # the last flag is the bad one
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--map", "missing.map", "--z", "1e200"],
+    ["eval", "--map", "missing.map", "--z", "0.8+0.7j"],
+    ["derive", "--map", "missing.map", "--z", "1e300"],
+    ["derive", "--map", "missing.map", "--z", "-1.0000001"],
+], ids=" ".join)
+def test_point_outside_the_disk_is_a_usage_error(tmp_path, capsys, argv):
+    # the map represents F on the closed unit disk only; refused before the
+    # (missing) map is read, and before any arithmetic on the point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([str(tmp_path / a) if a.endswith(".map") else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--z must lie in the closed unit disk, got " in captured.err
+
+
+@pytest.mark.parametrize("z", ["1", "0-1j", "0.6+0.8j"])
+@pytest.mark.parametrize("command", ["eval", "derive"])
+def test_point_on_the_unit_circle_is_evaluated(f2_map, capsys, command, z):
+    assert main([command, "--map", f2_map, "--z", z]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_length_sup_honours_tol(tmp_path, capsys, monkeypatch):
     # sup_length never loosens the length tolerance, so a radius that cannot
     # settle within its samples is an input/output error

@@ -523,20 +523,21 @@ def _certified_single_layer(rng, J):
     return PolyharmonicMap(1, J, a[None], b[None])
 
 
-def test_quasiregularity_boundary_route_is_bitwise_the_grid():
+def test_quasiregularity_certified_exit_is_bitwise_the_full_scan(monkeypatch):
     # each certified map's best grid sample lies on |z| = 1, where the
-    # boundary route takes the same samples and the same zoom; with a and
-    # b swapped the map reverses orientation and g' takes h's role
+    # certified exit takes the same samples and the same zoom as a scan of
+    # the whole grid; with a and b swapped the map reverses orientation and
+    # g' takes h's role
     rng = np.random.default_rng(2029)
     certified = [0, 0]
     for _ in range(300):
         F = _certified_single_layer(rng, int(rng.integers(1, 13)))
         for reverses, G in enumerate((F, conjugate_map(F))):
-            K = core._k_boundary(G)
-            if K is None:
+            radii, K = _k_rings(monkeypatch, G)
+            if radii != [1.0] or isinstance(K, str):  # not certified, or folds on |z| = 1
                 continue
             certified[reverses] += 1
-            assert quasiregularity_constant(G) == K == core._k_grid(G)
+            assert K == _k_full_scan(G)
     assert min(certified) >= 150
 
 
@@ -559,13 +560,16 @@ def _k_rings(monkeypatch, F):
     return radii, out
 
 
+# the last two reverse orientation
+_CERTIFIED = [catalog.linear(1.0, 0.25), catalog.linear(0.25, 1.0),
+              catalog.linear(1.0 / 3.0, 1.0)]
+
+
 def test_quasiregularity_certified_map_samples_only_the_unit_circle(monkeypatch):
-    # the last two reverse orientation
-    for F in (catalog.linear(1.0, 0.25), catalog.linear(0.25, 1.0),
-              catalog.linear(1.0 / 3.0, 1.0)):
+    for F in _CERTIFIED:
         radii, K = _k_rings(monkeypatch, F)
         assert radii == [1.0]
-        assert K == core._k_boundary(F)
+        assert K == _k_full_scan(F)
 
 
 # h = z + z^2 has h'(-1/2) = 0, so the Jacobian of h + conj(z) / 10 is
@@ -586,33 +590,40 @@ def _k_scan_order(last):
     return out
 
 
-@pytest.mark.parametrize("F, last", [(_ZERO_INSIDE, 127), (catalog.linear(1.0, 1.0), 0)]
-                         + [(catalog.builtin(name, {"J": J}), 255) for name in ("f0", "F1")
-                            for J in (9, 41)],
-                         ids=["h-prime-zero-inside", "linear-1-1", "f0-9", "f0-41", "F1-9",
-                              "F1-41"])
+# each with the first ring of the last block its scan reads
+_UNCERTIFIED = ([(_ZERO_INSIDE, 127), (catalog.linear(1.0, 1.0), 0)]
+                + [(catalog.builtin(name, {"J": J}), 255) for name in ("f0", "F1")
+                   for J in (9, 41)])
+_UNCERTIFIED_IDS = ["h-prime-zero-inside", "linear-1-1", "f0-9", "f0-41", "F1-9", "F1-41"]
+
+
+@pytest.mark.parametrize("F, last", _UNCERTIFIED, ids=_UNCERTIFIED_IDS)
 def test_quasiregularity_uncertified_maps_take_the_grid(monkeypatch, F, last):
-    # linear(1, 1) passes the coefficient test, so the route reads |z| = 1
-    # before its certificate fails; its Jacobian vanishes, so the grid
-    # scans every ring and then fails the floor.  f0 and F1 fold on
-    # |z| = 1 and _ZERO_INSIDE in the block that holds r = 1/2, and the
-    # scan stops there
+    # linear(1, 1) passes the coefficient test, but not its certificate on
+    # |z| = 1; its Jacobian vanishes, so the scan reads every ring and then
+    # fails the floor.  f0 and F1 fold on |z| = 1 and _ZERO_INSIDE in the
+    # block that holds r = 1/2, and the scan stops there
     radii, out = _k_rings(monkeypatch, F)
-    scan = _k_scan_order(last)
-    assert radii[-len(scan):] == scan
-    assert radii[:-len(scan)] == ([1.0] if F.J == 1 else [])
-    with pytest.raises(DegenerateMap) as exc:
-        core._k_grid(F)
-    assert out == str(exc.value)
-    if F.J > 2:  # f0 and F1 keep their witnesses of both signs
+    assert radii == _k_scan_order(last)
+    if F.J > 1:  # the folding maps name witnesses of both signs
         assert "the Jacobian takes both signs" in out
-    if F.J == 1:
+    else:  # both scans read the whole grid
+        assert out == str(_k_full_scan(F))
         assert out.startswith("lambda_small = 0.000e+00")
 
 
+@pytest.mark.parametrize("F", _CERTIFIED + [F for F, _ in _UNCERTIFIED],
+                         ids=["linear-1-0.25", "linear-0.25-1", "linear-1/3-1"]
+                         + _UNCERTIFIED_IDS)
+def test_quasiregularity_reads_each_ring_once(monkeypatch, F):
+    # certified or not, no ring is read twice, |z| = 1 included
+    radii, _ = _k_rings(monkeypatch, F)
+    assert len(set(radii)) == len(radii)
+
+
 def _k_full_scan(F):
-    # the grid route with all 256 rings in one ring_wirtinger call, both
-    # checks on the whole grid, then the zooms: K, or the DegenerateMap
+    # the scan with all 256 rings in one ring_wirtinger call, no early exit,
+    # both checks on the whole grid, then the zooms: K, or the DegenerateMap
     floor = core._k_floor(F)
     radii = np.arange(1, core._K_RADII + 1) / core._K_RADII
     th = 2.0 * np.pi * np.arange(core._K_ANGLES) / core._K_ANGLES
@@ -623,11 +634,15 @@ def _k_full_scan(F):
     except DegenerateMap as exc:
         return exc
     i0, j0 = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+    th0 = float(th[j0])
     r_lo = radii[i0 - 1] if i0 > 0 else radii[0] / core._K_RADII
     r_hi = radii[i0 + 1] if i0 + 1 < core._K_RADII else 1.0
-    r_best, v_r = zoom_max(lambda rs: core._k_probe(F, rs * np.exp(1j * th[j0]), floor),
+    r_best, v_r = zoom_max(lambda rs: core._k_probe(F, rs * np.exp(1j * th0), floor),
                            float(r_lo), float(r_hi), core._K_TOL)
-    return core._k_theta_zoom(F, floor, float(th[j0]), r_best, max(float(ratio[i0, j0]), v_r))
+    dth = 2.0 * np.pi / core._K_ANGLES
+    _, v_th = zoom_max(lambda ts: core._k_probe(F, r_best * np.exp(1j * ts), floor),
+                       th0 - dth, th0 + dth, core._K_TOL)
+    return float(max(float(ratio[i0, j0]), v_r, v_th))
 
 
 def _verdict(K):
@@ -653,7 +668,7 @@ def test_quasiregularity_grid_agrees_with_a_full_scan():
             F = PolyharmonicMap(F.p, F.J, a, F.b)
         expected = _k_full_scan(F)
         try:
-            K = core._k_grid(F)
+            K = quasiregularity_constant(F)
         except DegenerateMap as exc:
             K = exc
         verdicts.append(_verdict(K))

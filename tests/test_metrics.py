@@ -59,6 +59,14 @@ def test_j_metric_domain_guard():
         j_metric(0.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("z, w", [(complex("nan"), 0.0), (0.5, float("nan")),
+                                  (0.0, complex(0.0, float("nan")))], ids=["z", "w", "w-imag"])
+def test_j_metric_refuses_a_nan_point(z, w):
+    # a NaN compares false with the radius, so it is refused, not measured
+    with pytest.raises(OutsideDomain):
+        j_metric(z, w)
+
+
 # ---- sampler ----
 
 
